@@ -22,7 +22,7 @@ from .autodiff import Tensor
 from .errors import ContractError
 from .layers import BatchNorm2d, Conv2d, Embedding, Linear, Module
 from .mapper import MapEncoder, _pad_odd, encode_map, init_map, update_map
-from .teacher import EPS_WP, TRAJ_COLUMNS, _fmt, advance_waypoint, extract_waypoints, plan_path
+from .teacher import EPS_WP, TRAJ_COLUMNS, _fmt, advance_waypoint, episode_plan, extract_waypoints
 from .training import compute_reward
 from .world import BANDS, DIRS, TARGET_TAGS, Action, CityWorld, EpisodeSpec, UavState, render_observation, step
 
@@ -361,7 +361,7 @@ class TeacherPolicy:
     """Replays the planner's action sequence; the evaluation oracle."""
 
     def begin_episode(self, world: CityWorld, episode: EpisodeSpec):
-        path = plan_path(world, episode.start, episode.goal)
+        path = episode_plan(world, episode)
         self.actions = list(path.actions) + [Action.STOP]
         self.waypoints = extract_waypoints(path, world)
         self.goal = episode.goal

@@ -5,7 +5,8 @@ artifacts plus an echoed config there, and finishes with a manifest
 naming every produced file. Re-running a command refuses to touch an
 existing run directory unless --force is passed, so finished runs stay
 immutable. Exit codes: 0 ok, 2 bad configuration, 3 missing
-prerequisite artifact, 4 numerical failure during training.
+prerequisite artifact, 4 numerical failure during training, 5 no
+feasible world or episode (generation retries exhausted, or no path).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .agent import (
     save_policy,
 )
 from .config import parse_config
-from .errors import ConfigError, MissingPrerequisiteError, NumericsError
+from .errors import ConfigError, GenerationError, InfeasibleError, MissingPrerequisiteError, NumericsError
 from .evaluation import (
     ablation_suite,
     aggregate,
@@ -506,6 +507,9 @@ def main(argv=None) -> int:
     except NumericsError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
+    except (GenerationError, InfeasibleError) as e:
+        print(f"infeasible: {e}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -5,6 +5,12 @@ small turn cost, so paths come out smooth and their corners are
 informative waypoints. build_demonstration replays a plan through the
 simulator to attach observations, map state, progress, and exact
 discounted value labels.
+
+An episode is planned once: sample_episode keeps the plan it verified
+reachability with on EpisodeSpec.plan, and build_demonstration and
+TeacherPolicy reuse it. The plan is not serialized, so an episode read
+back from disk (or built by hand) has plan None and is planned afresh;
+plan_path is deterministic, so both routes give the same plan.
 """
 
 from __future__ import annotations
@@ -32,12 +38,17 @@ from .world import (
     render_observation,
     sample_episode,
     step,
+    validate_state,
 )
 
 TURN_COST = 0.1
 S_MAX = 12  # max waypoint spacing in forward moves
 R_ANCHOR = 3.0  # landmark-to-path snap distance
 EPS_WP = 1.5  # waypoint-reached radius in cells
+
+# action codes as plain ints for the planner's back-pointers
+_GO_UP, _GO_DOWN, _FORWARD = int(Action.GO_UP), int(Action.GO_DOWN), int(Action.FORWARD)
+_TURN_LEFT, _TURN_RIGHT = int(Action.TURN_LEFT), int(Action.TURN_RIGHT)
 
 
 @dataclass
@@ -52,65 +63,99 @@ class ExpertPath:
 
 
 def plan_path(world: CityWorld, start: UavState, goal) -> ExpertPath:
-    """A* to the goal cell. Deterministic tie-break on (f, h, state index)."""
+    """A* to the goal cell. Deterministic tie-break on (f, h, state index).
+
+    A state is its flat index ((y*w + x)*zs + z)*4 + heading, so the
+    g-scores, back-pointers and closed set are flat arrays, and only the
+    states on the returned path are decoded back into tuples.
+    """
     gx, gy = int(goal[0]), int(goal[1])
     if not world.in_bounds(gx, gy):
         raise ContractError(f"goal ({gx},{gy}) outside grid")
-    hf = world.height_field
+    validate_state(world, start)  # an out-of-range start would alias another state's index
     w, h = world.width, world.height
     zs = world.z_max + 1
+    z_max, z_min = world.z_max, world.z_min
+    hf = world.height_field.ravel().tolist()  # hf[y*w + x]
+    goal_cell = gy * w + gx
     sx, sy = start.cell()
-    s0 = (sx, sy, start.z, start.heading)
-
-    def idx(s):
-        return ((s[1] * w + s[0]) * zs + s[2]) * 4 + s[3]
-
-    def heur(s):
-        return math.hypot(s[0] - gx, s[1] - gy)
-
-    g_score = {s0: 0.0}
-    came: dict = {}
-    h0 = heur(s0)
-    open_heap = [(h0, h0, idx(s0), s0)]
-    closed = set()
+    s0 = ((sy * w + sx) * zs + start.z) * 4 + start.heading
+    fwd_offset = [(dy * w + dx) * zs * 4 for dx, dy in DIRS]  # index step of a forward move
+    n = w * h * zs * 4
+    g_score = [math.inf] * n
+    came = [0] * n  # parent index * 8 + action, for every state reached from another
+    closed = bytearray(n)
+    g_score[s0] = 0.0
+    h0 = math.hypot(sx - gx, sy - gy)
+    open_heap = [(h0, h0, s0)]
+    heappush, heappop, hypot = heapq.heappush, heapq.heappop, math.hypot
     while open_heap:
-        f, _, _, cur = heapq.heappop(open_heap)
-        if cur in closed:
+        _, h_cur, cur = heappop(open_heap)
+        if closed[cur]:
             continue
-        closed.add(cur)
-        x, y, z, hd = cur
-        if x == gx and y == gy:
-            return _reconstruct(world, came, cur, start)
+        closed[cur] = 1
+        hd = cur & 3
+        r = cur >> 2
+        c = r // zs
+        if c == goal_cell:
+            return _reconstruct(world, came, cur, s0, zs)
+        z = r % zs
+        x, y = c % w, c // w
         g_cur = g_score[cur]
-        succs = []
         dx, dy = DIRS[hd]
         nx, ny = x + dx, y + dy
-        if 0 <= nx < w and 0 <= ny < h and hf[ny, nx] < z:
-            succs.append(((nx, ny, z, hd), 1.0, Action.FORWARD))
-        succs.append(((x, y, z, (hd + 1) % 4), TURN_COST, Action.TURN_LEFT))
-        succs.append(((x, y, z, (hd - 1) % 4), TURN_COST, Action.TURN_RIGHT))
-        if z + 1 <= world.z_max:
-            succs.append(((x, y, z + 1, hd), 1.0, Action.GO_UP))
-        if z - 1 >= world.z_min and z - 1 > hf[y, x]:
-            succs.append(((x, y, z - 1, hd), 1.0, Action.GO_DOWN))
-        for nxt, cost, act in succs:
-            ng = g_cur + cost
-            if ng < g_score.get(nxt, math.inf):
+        if 0 <= nx < w and 0 <= ny < h and hf[c + dy * w + dx] < z:
+            nxt = cur + fwd_offset[hd]
+            ng = g_cur + 1.0
+            if ng < g_score[nxt]:
                 g_score[nxt] = ng
-                came[nxt] = (cur, act)
-                hn = heur(nxt)
-                heapq.heappush(open_heap, (ng + hn, hn, idx(nxt), nxt))
+                came[nxt] = cur * 8 + _FORWARD
+                hn = hypot(nx - gx, ny - gy)
+                heappush(open_heap, (ng + hn, hn, nxt))
+        # the other moves keep the cell, so their heuristic is h_cur
+        ng = g_cur + TURN_COST
+        nxt = cur - hd + ((hd + 1) & 3)
+        if ng < g_score[nxt]:
+            g_score[nxt] = ng
+            came[nxt] = cur * 8 + _TURN_LEFT
+            heappush(open_heap, (ng + h_cur, h_cur, nxt))
+        nxt = cur - hd + ((hd - 1) & 3)
+        if ng < g_score[nxt]:
+            g_score[nxt] = ng
+            came[nxt] = cur * 8 + _TURN_RIGHT
+            heappush(open_heap, (ng + h_cur, h_cur, nxt))
+        ng = g_cur + 1.0
+        if z + 1 <= z_max and ng < g_score[cur + 4]:
+            g_score[cur + 4] = ng
+            came[cur + 4] = cur * 8 + _GO_UP
+            heappush(open_heap, (ng + h_cur, h_cur, cur + 4))
+        if z - 1 >= z_min and z - 1 > hf[c] and ng < g_score[cur - 4]:
+            g_score[cur - 4] = ng
+            came[cur - 4] = cur * 8 + _GO_DOWN
+            heappush(open_heap, (ng + h_cur, h_cur, cur - 4))
     raise InfeasibleError(f"no path from ({sx},{sy},z{start.z}) to ({gx},{gy})")
 
 
-def _reconstruct(world: CityWorld, came, goal_state, start: UavState) -> ExpertPath:
-    states = [goal_state]
+def episode_plan(world: CityWorld, episode: EpisodeSpec) -> ExpertPath:
+    """The plan the episode carries from sample_episode, else a fresh one."""
+    if episode.plan is not None:
+        return episode.plan
+    return plan_path(world, episode.start, episode.goal)
+
+
+def _reconstruct(world: CityWorld, came, goal_idx: int, start_idx: int, zs: int) -> ExpertPath:
+    w = world.width
+    states = []
     actions = []
-    cur = goal_state
-    while cur in came:
-        cur, act = came[cur]
-        states.append(cur)
-        actions.append(act)
+    cur = goal_idx
+    while True:
+        r = cur >> 2
+        c = r // zs
+        states.append((c % w, c // w, r % zs, cur & 3))
+        if cur == start_idx:
+            break
+        actions.append(Action(came[cur] & 7))
+        cur = came[cur] >> 3
     states.reverse()
     actions.reverse()
     n_fwd_after = np.zeros(len(actions) + 1)
@@ -213,7 +258,7 @@ def build_demonstration(
     """
     from .training import compute_reward  # local import, avoids a module cycle
 
-    path = plan_path(world, episode.start, episode.goal)
+    path = episode_plan(world, episode)
     waypoints = extract_waypoints(path, world)
     nav = init_map(world, episode, r_prior=r_prior, use_prior=use_prior)
     state = episode.start
@@ -306,17 +351,8 @@ def _fmt(v) -> str:
 
 
 def save_corpus(corpus_dir, demos, manifest: dict):
+    """Write the corpus; manifest.txt goes last, so it marks a complete corpus."""
     os.makedirs(corpus_dir, exist_ok=True)
-    with open(os.path.join(corpus_dir, "manifest.txt"), "w") as f:
-        f.write("tiernav-corpus 1\n")
-        f.write(f"master_seed {manifest['master_seed']}\n")
-        f.write(f"episodes {manifest['episodes']}\n")
-        f.write(f"resampled {manifest['resampled']}\n")
-        f.write(f"gamma {manifest['gamma']!r}\n")
-        for t, c in sorted(manifest["tier_counts"].items()):
-            f.write(f"tier {t} {c}\n")
-        for wid in manifest["world_ids"]:
-            f.write(f"world {wid}\n")
     with open(os.path.join(corpus_dir, "episodes.jsonl"), "w") as f:
         for demo in demos:
             f.write(json.dumps(episode_to_dict(demo.episode), sort_keys=True) + "\n")
@@ -331,6 +367,16 @@ def save_corpus(corpus_dir, demos, manifest: dict):
         with open(os.path.join(corpus_dir, f"episode_{i:05d}.csv"), "w") as f:
             f.write(",".join(TRAJ_COLUMNS + LABEL_COLUMNS) + "\n")
             f.write("\n".join(rows) + "\n")
+    with open(os.path.join(corpus_dir, "manifest.txt"), "w") as f:
+        f.write("tiernav-corpus 1\n")
+        f.write(f"master_seed {manifest['master_seed']}\n")
+        f.write(f"episodes {manifest['episodes']}\n")
+        f.write(f"resampled {manifest['resampled']}\n")
+        f.write(f"gamma {manifest['gamma']!r}\n")
+        for t, c in sorted(manifest["tier_counts"].items()):
+            f.write(f"tier {t} {c}\n")
+        for wid in manifest["world_ids"]:
+            f.write(f"world {wid}\n")
 
 
 def load_manifest(corpus_dir) -> dict:

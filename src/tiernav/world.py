@@ -12,13 +12,17 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, GenerationError
 from .util import stable_hash_bytes, substream
+
+if TYPE_CHECKING:
+    from .teacher import ExpertPath
 
 
 class Action(IntEnum):
@@ -133,6 +137,9 @@ class EpisodeSpec:
     difficulty: str
     shortest_path_length: float  # meters
     max_steps: int
+    # the teacher plan sample_episode verified reachability with; not
+    # serialized, so episodes read back from disk carry None
+    plan: ExpertPath | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -338,8 +345,11 @@ def sample_episode(
     """Goal near a landmark, start in the difficulty's distance bracket.
 
     Reachability is teacher-verified, so a returned spec always carries
-    the true shortest-path length. Failed draws are retried; if the
-    caller passes a stats dict, each retry bumps stats["resampled"].
+    the true shortest-path length, and its plan field holds that teacher
+    plan for build_demonstration and TeacherPolicy to reuse. The plan is
+    not serialized: episode_to_dict leaves it out. Failed draws are
+    retried; if the caller passes a stats dict, each retry bumps
+    stats["resampled"].
     """
     from .errors import InfeasibleError
     from .teacher import plan_path  # planner lives downstream; cycle broken lazily
@@ -396,6 +406,7 @@ def sample_episode(
             difficulty=difficulty,
             shortest_path_length=ell,
             max_steps=int(math.ceil(budget_factor * ell / world.cell_size)),
+            plan=plan,
         )
     raise GenerationError(f"no feasible ({difficulty}) episode after {max_tries} tries in world {world.world_id}")
 

@@ -164,6 +164,35 @@ def test_numerics_failure_exits_4(pipeline, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_unsatisfiable_tier_exits_5(pipeline, tmp_path, capsys):
+    cfg_path, _, _ = pipeline
+    base = ["--config", cfg_path, "--out", str(tmp_path / "far")]
+    assert main(["gen-worlds", *base]) == 0
+    # no two cells of a 32x32 world are 200 cells apart
+    assert main(["build-corpus", *base, "--set", "world.tier_easy=200,300"]) == 5
+    assert "infeasible" in capsys.readouterr().err
+
+
+def test_interrupted_corpus_is_not_taken_as_input(pipeline, tmp_path, monkeypatch, capsys):
+    from tiernav import teacher
+
+    cfg_path, _, _ = pipeline
+    base = ["--config", cfg_path, "--out", str(tmp_path / "cut")]
+    assert main(["gen-worlds", *base]) == 0
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        if "w" in mode and os.path.basename(path) == "episode_00001.csv":
+            raise OSError(28, "No space left on device")
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(teacher, "open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        main(["build-corpus", *base])
+    monkeypatch.undo()
+    assert main(["train-il", *base]) == 3
+    assert "build-corpus" in capsys.readouterr().err
+
+
 def test_replay_corpus_episode(pipeline, tmp_path, capsys):
     cfg_path, out, _ = pipeline
     log = sorted(glob.glob(os.path.join(out, "corpus", "episode_*.csv")))[0]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tiernav.agent import TeacherPolicy, run_episode
 from tiernav.errors import ContractError, InfeasibleError
 from tiernav.teacher import (
     EPS_WP,
@@ -26,6 +27,8 @@ from tiernav.world import (
     Landmark,
     UavState,
     WorldConfig,
+    episode_from_dict,
+    episode_to_dict,
     generate_world,
     sample_episode,
     step,
@@ -136,6 +139,33 @@ def test_remaining_monotone_and_window_progress():
             assert rem[i + 6] < rem[i]
 
 
+def test_sampled_episode_carries_its_plan():
+    wd = generate_world(53, WorldConfig(width=48, height=48, n_landmarks=6))
+    ep = sample_episode(wd, "medium", substream(53, "carry"))
+    fresh = plan_path(wd, ep.start, ep.goal)
+    assert ep.plan.states == fresh.states
+    assert ep.plan.actions == fresh.actions
+    np.testing.assert_array_equal(ep.plan.remaining, fresh.remaining)
+    # the plan is neither compared nor serialized
+    back = episode_from_dict(episode_to_dict(ep))
+    assert back.plan is None
+    assert back == ep
+    assert episode_to_dict(back) == episode_to_dict(ep)
+    assert "plan" not in repr(ep)
+    # a replanned episode demonstrates and replays exactly like the carried one
+    carried = build_demonstration(wd, ep, RewardConfig(), gamma=0.99)
+    replanned = build_demonstration(wd, back, RewardConfig(), gamma=0.99)
+    assert carried.waypoints == replanned.waypoints
+    for a, b in zip(carried.steps, replanned.steps, strict=True):
+        assert (a.state, a.expert_action, a.k, a.waypoint, a.reward, a.value) == \
+            (b.state, b.expert_action, b.k, b.waypoint, b.reward, b.value)
+    ta = run_episode(TeacherPolicy(), wd, ep, reward_cfg=RewardConfig())
+    tb = run_episode(TeacherPolicy(), wd, back, reward_cfg=RewardConfig())
+    assert [(s.state, s.action, s.k, s.waypoint, s.reward) for s in ta.steps] == \
+        [(s.state, s.action, s.k, s.waypoint, s.reward) for s in tb.steps]
+    assert ta.steps[-1].action == Action.STOP
+
+
 # ------------------------------------------------------------------ waypoints
 
 
@@ -181,7 +211,7 @@ def test_waypoint_spacing_cap_random_episodes():
     checked = 0
     for _ in range(200):
         ep = sample_episode(wd, "hard", rng)
-        path = plan_path(wd, ep.start, ep.goal)
+        path = ep.plan  # equal to plan_path(wd, ep.start, ep.goal): see test_sampled_episode_carries_its_plan
         wps = extract_waypoints(path, wd)
         # spacing measured in forward moves between consecutive marks
         cells = [(path.states[0][0], path.states[0][1])] + list(wps)
