@@ -536,6 +536,13 @@ def load_policy_into(model: NavPolicy, path) -> dict:
     from .checkpoint import load_checkpoint
 
     arrays, meta = load_checkpoint(path)
+    # the map encoder takes any map size, so the array shapes alone
+    # would not catch a policy trained for another world geometry
+    for key in ("width", "height", "z_max", "patch_side"):
+        if meta.get(key) != str(getattr(model, key)):
+            raise ContractError(
+                f"checkpoint {path} was trained with {key}={meta.get(key)}, the model has {getattr(model, key)}"
+            )
     own = policy_arrays(model)
     if set(arrays) != set(own):
         missing = sorted(set(own) - set(arrays))[:3]

@@ -375,12 +375,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    n, c, _, _ = xp.shape
-    cols = np.empty((n, c, k, k, ho, wo), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    return cols.reshape(n, c * k * k, ho * wo)
+    """[N,C,H,W] -> [N, C*k*k, ho*wo]: the first ho x wo kxk windows at the stride."""
+    n, c = xp.shape[:2]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    win = win[:, :, : stride * ho : stride, : stride * wo : stride]
+    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * k * k, ho * wo)
 
 
 def _col2im(gcols: np.ndarray, xshape, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
@@ -396,7 +395,15 @@ def _col2im(gcols: np.ndarray, xshape, k: int, stride: int, pad: int, ho: int, w
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | None = None) -> Tensor:
-    """Cross-correlation with zero padding. Input [N,Cin,H,W] or [Cin,H,W]."""
+    """Cross-correlation with zero padding. Input [N,Cin,H,W] or [Cin,H,W].
+
+    im2col plus one GEMM per direction (Chellapilla et al. 2006). At
+    stride 1 the input gradient is itself a correlation: the output
+    gradient, zero-padded by k-1-pad, against the flipped kernel with
+    its channel axes swapped. At stride 2 that padded gradient would
+    need zeros between its samples, so there the column gradient is
+    scattered back with _col2im instead.
+    """
     squeeze = x.data.ndim == 3
     xd = x.data[None] if squeeze else x.data
     if xd.ndim != 4 or kernel.data.ndim != 4:
@@ -429,13 +436,19 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
         gd = g[None] if squeeze else g
         gflat = gd.reshape(n, cout, ho * wo)
         if kernel.requires_grad:
-            gw = np.einsum("nol,nkl->ok", gflat, cols)
+            gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)
             _accum(kernel, gw.reshape(kernel.data.shape))
         if bias is not None and bias.requires_grad:
             _accum(bias, gd.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gcols = np.matmul(wmat.T[None], gflat)
-            gx = _col2im(gcols, xd.shape, kh, stride, pad, ho, wo)
+            if stride == 1:
+                q = kh - 1 - pad  # q < 0: the output overhangs the input; crop it
+                gp = np.pad(gd, ((0, 0), (0, 0), (q, q), (q, q))) if q > 0 else gd[:, :, -q:, -q:]
+                wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
+                gx = np.matmul(wflip[None], _im2col(gp, kh, 1, h, w)).reshape(n, cin, h, w)
+            else:
+                gcols = np.matmul(wmat.T[None], gflat)
+                gx = _col2im(gcols, xd.shape, kh, stride, pad, ho, wo)
             _accum(x, gx[0] if squeeze else gx)
 
     return _node(out, parents, "conv2d", bw)
@@ -525,21 +538,20 @@ def batchnorm2d(
 
     def bw(g):
         gd = g[None] if squeeze else g
+        gbeta = gd.sum(axis=(0, 2, 3))
+        ggamma = np.einsum("nchw,nchw->c", gd, xhat)
         if beta.requires_grad:
-            _accum(beta, gd.sum(axis=(0, 2, 3)))
+            _accum(beta, gbeta)
         if gamma.requires_grad:
-            _accum(gamma, (gd * xhat).sum(axis=(0, 2, 3)))
+            _accum(gamma, ggamma)
         if x.requires_grad:
-            gxhat = gd * gamma.data[None, :, None, None]
+            gx_scale = (gamma.data * invstd)[None, :, None, None]
             if mode == "train":
+                # the batch statistics' terms reuse the beta and gamma sums
                 m = n * h * w
-                s1 = gxhat.sum(axis=(0, 2, 3))
-                s2 = (gxhat * xhat).sum(axis=(0, 2, 3))
-                gx = (invstd[None, :, None, None] / m) * (
-                    m * gxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None]
-                )
+                gx = gx_scale * (gd - (gbeta / m)[None, :, None, None] - xhat * (ggamma / m)[None, :, None, None])
             else:
-                gx = gxhat * invstd[None, :, None, None]
+                gx = gd * gx_scale
             _accum(x, gx[0] if squeeze else gx)
 
     return _node(out[0] if squeeze else out, (x, gamma, beta), "batchnorm2d", bw)

@@ -2,11 +2,15 @@
 
 Each subcommand owns one subdirectory of the output root, writes its
 artifacts plus an echoed config there, and finishes with a manifest
-naming every produced file. Re-running a command refuses to touch an
-existing run directory unless --force is passed, so finished runs stay
-immutable. Exit codes: 0 ok, 2 bad configuration, 3 missing
-prerequisite artifact, 4 numerical failure during training, 5 no
-feasible world or episode (generation retries exhausted, or no path).
+naming every produced file. Re-running a command refuses to touch a
+finished run directory (one with its manifest.json) unless --force is
+passed, so finished runs stay immutable; a directory without one is
+the leftover of a failed command and is replaced. Exit codes: 0 ok,
+2 bad configuration, 3 missing prerequisite artifact, 4 numerical
+failure during training, 5 no feasible world or episode (generation
+retries exhausted, or no path), 6 unreadable, corrupt or inconsistent
+files (an I/O error, or artifacts that contradict each other or the
+config).
 """
 
 from __future__ import annotations
@@ -30,7 +34,14 @@ from .agent import (
     save_policy,
 )
 from .config import parse_config
-from .errors import ConfigError, GenerationError, InfeasibleError, MissingPrerequisiteError, NumericsError
+from .errors import (
+    ConfigError,
+    ContractError,
+    GenerationError,
+    InfeasibleError,
+    MissingPrerequisiteError,
+    NumericsError,
+)
 from .evaluation import (
     ablation_suite,
     aggregate,
@@ -63,7 +74,8 @@ def _run_root(cfg, args) -> str:
 def _begin_run(cfg, args, name: str) -> str:
     d = os.path.join(_run_root(cfg, args), name)
     if os.path.exists(d):
-        if not args.force:
+        # without a manifest the directory is a failed command's leftover
+        if os.path.exists(os.path.join(d, "manifest.json")) and not args.force:
             raise ConfigError(f"run directory {d} already exists; pass --force to replace it")
         shutil.rmtree(d)
     os.makedirs(d)
@@ -119,6 +131,11 @@ def _build_model(cfg) -> NavPolicy:
         micro_hidden=cfg["model.micro_hidden"],
         feed_goal_to_waypoint=cfg["model.feed_goal_to_waypoint"],
     )
+
+
+def _controller(cfg) -> dict:
+    """Controller settings shared by every NeuralPolicy and stage-2 run."""
+    return {"avoid_blocked": cfg["model.avoid_blocked"], "replan_patience": cfg["model.replan_patience"]}
 
 
 def _load_checkpoint_model(cfg, args, stage: str) -> NavPolicy:
@@ -227,7 +244,7 @@ def cmd_train_rl(cfg, args) -> int:
         flat=cfg["ppo.flat"], use_prior=cfg["ppo.use_prior"], r_prior=cfg["ppo.r_prior"],
         curve_path=os.path.join(run_dir, "curve_rl.csv"),
         checkpoint_dir=ckpt_dir, checkpoint_every=cfg["ppo.checkpoint_every"],
-        tier_brackets=cfg.tier_brackets(),
+        tier_brackets=cfg.tier_brackets(), **_controller(cfg),
     )
     save_policy(os.path.join(run_dir, "policy_rl.ckpt"), model,
                 meta={"stage": "rl", "config_hash": cfg.hash(),
@@ -252,7 +269,7 @@ def _make_policy(cfg, args, kind: str):
     if kind == "random":
         return RandomPolicy()
     model = _load_checkpoint_model(cfg, args, kind)
-    return NeuralPolicy(model, flat=cfg["eval.flat"])
+    return NeuralPolicy(model, flat=cfg["eval.flat"], **_controller(cfg))
 
 
 def _bench_worlds(cfg, args) -> dict:
@@ -316,10 +333,10 @@ def _sweep_lambda(cfg, args, run_dir: str):
                 tiers=cfg.tier_list("ppo.tiers"), expert_batch=cfg["ppo.expert_batch"],
                 lambda_v=cfg["ppo.lambda_v"], flat=cfg["ppo.flat"],
                 use_prior=cfg["ppo.use_prior"], r_prior=cfg["ppo.r_prior"],
-                tier_brackets=cfg.tier_brackets(),
+                tier_brackets=cfg.tier_brackets(), **_controller(cfg),
             )
             _, records = run_benchmark(
-                NeuralPolicy(model), {"unseen": unseen}, cfg["eval.episodes_per_tier"],
+                NeuralPolicy(model, **_controller(cfg)), {"unseen": unseen}, cfg["eval.episodes_per_tier"],
                 seeds=[0], tiers=cfg.tier_list("eval.tiers"),
                 tier_brackets=cfg.tier_brackets(), threshold_m=cfg["eval.threshold_m"],
                 use_prior=cfg["eval.use_prior"], r_prior=cfg["eval.r_prior"],
@@ -357,18 +374,19 @@ def cmd_sweep(cfg, args) -> int:
     started = _now()
     axis = args.axis
     run_dir = _begin_run(cfg, args, f"sweep-{axis}")
+    ctl = _controller(cfg)
     if axis == "lambda_rl":
         files, lines = _sweep_lambda(cfg, args, run_dir)
     elif axis == "prior":
         files, lines = _sweep_policy_axis(
             cfg, args, run_dir,
-            {"full": lambda m: NeuralPolicy(m), "no_prior": lambda m: NeuralPolicy(m)},
+            {"full": lambda m: NeuralPolicy(m, **ctl), "no_prior": lambda m: NeuralPolicy(m, **ctl)},
             {"no_prior": {"use_prior": False}},
         )
     else:  # controller
         files, lines = _sweep_policy_axis(
             cfg, args, run_dir,
-            {"tiered": lambda m: NeuralPolicy(m), "flat": lambda m: NeuralPolicy(m, flat=True)},
+            {"tiered": lambda m: NeuralPolicy(m, **ctl), "flat": lambda m: NeuralPolicy(m, flat=True, **ctl)},
             {},
         )
     text = "\n".join(lines) + "\n"
@@ -510,6 +528,9 @@ def main(argv=None) -> int:
     except (GenerationError, InfeasibleError) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 5
+    except (OSError, ContractError) as e:
+        print(f"unreadable, corrupt or inconsistent files: {e}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

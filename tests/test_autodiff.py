@@ -336,6 +336,13 @@ def _build_conv2d_strided(rng):
     return [x, k], lambda: _weighted_sum(ad.conv2d(x, k, stride=2, pad=1), np.random.default_rng(0))
 
 
+def _build_conv2d_unpadded(rng):
+    # pad 0 pads the output gradient by k-1 for the stride-1 input gradient
+    x = _param(rng, (2, 2, 6, 5))
+    k = _param(rng, (3, 2, 3, 3))
+    return [x, k], lambda: _weighted_sum(ad.conv2d(x, k, stride=1, pad=0), np.random.default_rng(0))
+
+
 def _build_depthwise(rng):
     x = _param(rng, (2, 3, 5, 5))
     k = _param(rng, (3, 3, 3))
@@ -382,7 +389,7 @@ BUILDERS = [
     _build_add_scalar, _build_relu, _build_sigmoid, _build_tanh, _build_exp,
     _build_clip, _build_square, _build_sum_all, _build_mean_all, _build_gap,
     _build_reshape, _build_concat, _build_pick, _build_embedding, _build_matmul,
-    _build_linear, _build_conv2d, _build_conv2d_strided, _build_depthwise,
+    _build_linear, _build_conv2d, _build_conv2d_strided, _build_conv2d_unpadded, _build_depthwise,
     _build_batchnorm_train, _build_batchnorm_infer, _build_log_softmax,
     _build_softmax, _build_mse,
 ]

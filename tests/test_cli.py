@@ -1,3 +1,4 @@
+import argparse
 import glob
 import json
 import os
@@ -186,11 +187,36 @@ def test_interrupted_corpus_is_not_taken_as_input(pipeline, tmp_path, monkeypatc
         return open(path, mode, *args, **kwargs)
 
     monkeypatch.setattr(teacher, "open", failing_open, raising=False)
-    with pytest.raises(OSError):
-        main(["build-corpus", *base])
+    assert main(["build-corpus", *base]) == 6
+    assert "No space left on device" in capsys.readouterr().err
     monkeypatch.undo()
     assert main(["train-il", *base]) == 3
     assert "build-corpus" in capsys.readouterr().err
+
+
+def test_retry_after_failed_command_needs_no_force(pipeline, tmp_path):
+    cfg_path, _, _ = pipeline
+    base = ["--config", cfg_path, "--out", str(tmp_path / "retry")]
+    assert main(["gen-worlds", *base]) == 0
+    assert main(["build-corpus", *base, "--set", "world.tier_easy=200,300"]) == 5
+    # the failed run left corpus/ without a manifest.json behind
+    assert main(["build-corpus", *base]) == 0
+    assert os.path.isfile(os.path.join(str(tmp_path / "retry"), "corpus", "manifest.json"))
+
+
+def test_controller_keys_reach_eval_policy(pipeline):
+    cfg_path, out, _ = pipeline
+    cfg = parse_config(cfg_path, ["model.avoid_blocked=false", "model.replan_patience=5"])
+    policy = cli._make_policy(cfg, argparse.Namespace(out=out), "rl")
+    assert policy.avoid_blocked is False
+    assert policy.replan_patience == 5
+
+
+def test_checkpoint_for_another_world_size_exits_6(pipeline, capsys):
+    _, _, base = pipeline
+    # the pipeline trained at 32x32
+    assert main(["eval", *base, "--set", "world.width=40", "--set", "world.height=40"]) == 6
+    assert "width=32" in capsys.readouterr().err
 
 
 def test_replay_corpus_episode(pipeline, tmp_path, capsys):
