@@ -258,7 +258,6 @@ def tiered_step(
     mode: str,
     rng=None,
     flat: bool = False,
-    encode_every_step: bool = False,
     eps_wp: float = EPS_WP,
     keep_feats: bool = False,
     avoid_blocked: bool = True,
@@ -277,7 +276,7 @@ def tiered_step(
     trigger = ctrl.waypoint is None or math.hypot(state.x - ctrl.waypoint[0], state.y - ctrl.waypoint[1]) < eps_wp
     if replan_patience and ctrl.steps_since_replan >= replan_patience:
         trigger = True
-    if trigger or encode_every_step or ctrl.map_feat is None:
+    if trigger or ctrl.map_feat is None:
         bn = model.bn_mode()
         ctrl.map_feat = encode_map(nav, model.map_encoder, mode=bn).feature
     if trigger:
@@ -330,12 +329,10 @@ def tiered_step(
 class NeuralPolicy:
     """Tiered (or flat) controller around a NavPolicy."""
 
-    def __init__(self, model: NavPolicy, flat: bool = False, encode_every_step: bool = False,
-                 eps_wp: float = EPS_WP, keep_feats: bool = False,
-                 avoid_blocked: bool = True, replan_patience: int = 16):
+    def __init__(self, model: NavPolicy, flat: bool = False, eps_wp: float = EPS_WP,
+                 keep_feats: bool = False, avoid_blocked: bool = True, replan_patience: int = 16):
         self.model = model
         self.flat = flat
-        self.encode_every_step = encode_every_step
         self.eps_wp = eps_wp
         self.keep_feats = keep_feats
         self.avoid_blocked = avoid_blocked
@@ -350,8 +347,7 @@ class NeuralPolicy:
     def act(self, world, state, nav, obs, mode, rng):
         action, self.ctrl, rec = tiered_step(
             self.ctrl, self.model, world, state, nav, obs, self._descriptor, mode, rng,
-            flat=self.flat, encode_every_step=self.encode_every_step,
-            eps_wp=self.eps_wp, keep_feats=self.keep_feats,
+            flat=self.flat, eps_wp=self.eps_wp, keep_feats=self.keep_feats,
             avoid_blocked=self.avoid_blocked, replan_patience=self.replan_patience,
         )
         return action, rec

@@ -10,7 +10,8 @@ the leftover of a failed command and is replaced. Exit codes: 0 ok,
 failure during training, 5 no feasible world or episode (generation
 retries exhausted, or no path), 6 unreadable, corrupt or inconsistent
 files (an I/O error, or artifacts that contradict each other or the
-config).
+config), 7 model shape or state error (tensor shapes that do not fit an
+operation, or a layer used before its state was populated).
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from .errors import (
     InfeasibleError,
     MissingPrerequisiteError,
     NumericsError,
+    ShapeError,
+    StateError,
 )
 from .evaluation import (
     ablation_suite,
@@ -531,6 +534,9 @@ def main(argv=None) -> int:
     except (OSError, ContractError) as e:
         print(f"unreadable, corrupt or inconsistent files: {e}", file=sys.stderr)
         return 6
+    except (ShapeError, StateError) as e:
+        print(f"model shape or state error: {e}", file=sys.stderr)
+        return 7
 
 
 if __name__ == "__main__":

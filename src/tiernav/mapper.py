@@ -69,13 +69,14 @@ def update_map(nav: NavMap, state: UavState, obs: Observation) -> NavMap:
     sub = (slice(y0, y1), slice(x0, x1))
     psub = (slice(py0, py0 + (y1 - y0)), slice(px0, px0 + (x1 - x0)))
     visible = patch[2][psub] == 0.0
-    nav.grid[0][sub] = np.where(visible, 1.0, nav.grid[0][sub])
+    np.copyto(nav.grid[0][sub], 1.0, where=visible)
     nav.grid[1][cy, cx] = 1.0
     # invert the render scaling: rel = (hf - z + z_max) / (2 z_max)
     zm = float(obs.z_max)
     hf = patch[0][psub] * 2.0 * zm + state.z - zm
     seen = np.clip(hf / zm, 0.0, 1.0)
-    nav.grid[3][sub] = np.where(visible, np.maximum(nav.grid[3][sub], seen), nav.grid[3][sub])
+    memory = nav.grid[3][sub]
+    np.maximum(memory, seen, out=memory, where=visible)
     return nav
 
 

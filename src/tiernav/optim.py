@@ -62,19 +62,6 @@ class AdamW:
         for _, p, _ in self.entries:
             p.grad = None
 
-    def named_state(self):
-        out = [("adam.t", np.array([float(self.t)]))]
-        for name, _, _ in self.entries:
-            out.append((f"adam.m.{name}", self.m[name]))
-            out.append((f"adam.v.{name}", self.v[name]))
-        return out
-
-    def load_state(self, arrays: dict):
-        self.t = int(arrays["adam.t"][0])
-        for name, _, _ in self.entries:
-            self.m[name][...] = arrays[f"adam.m.{name}"]
-            self.v[name][...] = arrays[f"adam.v.{name}"]
-
 
 def clip_grad_norm(named_params, max_norm: float) -> float:
     """Scales all grads so their joint l2 norm is at most max_norm."""

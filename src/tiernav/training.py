@@ -481,7 +481,6 @@ def collect_rollouts(
     n_steps: int,
     rng: np.random.Generator,
     flat: bool = False,
-    encode_every_step: bool = False,
     use_prior: bool = True,
     r_prior: float = 12.0,
     max_steps=None,
@@ -517,7 +516,7 @@ def collect_rollouts(
             update_map(nav, state, obs)
             action, ctrl, rec = tiered_step(
                 ctrl, model, world, state, nav, obs, ep.descriptor, "sample", rng,
-                flat=flat, encode_every_step=encode_every_step, keep_feats=True,
+                flat=flat, keep_feats=True,
                 avoid_blocked=avoid_blocked, replan_patience=replan_patience,
             )
             nxt, _, terminal = env_step(world, state, Action(action))
@@ -708,7 +707,7 @@ def train_stage2(
         adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
         t_max = len(rollout)
         mb = min(ppo_cfg.minibatch_size, t_max)
-        sums = {"l_il": 0.0, "l_v": 0.0, "l_rl": 0.0, "entropy": 0.0}
+        sums = {"l_il": 0.0, "l_v": 0.0, "l_rl": 0.0, "entropy": 0.0, "ratio": 0.0}
         clip_hits = 0
         n_samples = 0
         n_mb = 0
@@ -755,6 +754,7 @@ def train_stage2(
                 sums["l_v"] += l_v.item()
                 sums["l_rl"] += l_rl.item()
                 sums["entropy"] += ent.item()
+                sums["ratio"] += float(ratio.mean())
                 clip_hits += int(np.sum(np.abs(ratio - 1.0) > ppo_cfg.eps_clip))
                 n_samples += len(idx)
                 n_mb += 1
@@ -781,7 +781,7 @@ def train_stage2(
             l_total=means["l_il"] + means["l_v"] + ppo_cfg.lambda_rl * means["l_rl"],
             entropy=means["entropy"],
             clip_fraction=clip_hits / max(n_samples, 1),
-            mean_ratio=first_ratio,
+            mean_ratio=means["ratio"],
         )
         report.check(ppo_cfg.lambda_rl, rl_enabled=True)
         curve.append({

@@ -25,8 +25,3 @@ def substream(master_seed: int, *tags) -> np.random.Generator:
 
 def stable_hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def fmt_float(x: float) -> str:
-    """Shortest exact decimal form, for byte-stable text round-trips."""
-    return repr(float(x))

@@ -9,6 +9,7 @@ makes the vertical actions worth taking.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import deque
@@ -193,30 +194,52 @@ def distance_to_goal(state: UavState, goal, cell_size: float) -> float:
     return math.hypot(state.x - goal[0], state.y - goal[1]) * cell_size
 
 
+@functools.lru_cache(maxsize=64)
+def _visibility_disk(half: int, radius: int) -> np.ndarray:
+    """Read-only [2*half+1]^2 mask of offsets within radius of the center.
+
+    Keyed on geometry alone: the height field may change between
+    renders, the disk never does.
+    """
+    offs = np.arange(-half, half + 1)
+    disk = offs[:, None] ** 2 + offs[None, :] ** 2 <= radius * radius
+    disk.setflags(write=False)
+    return disk
+
+
 def render_observation(world: CityWorld, state: UavState) -> Observation:
+    """[3, P, P] patch centred on the state's cell: relative height,
+    landmark presence, and the invalid mask (outside the visible disk
+    or off the grid). Every call returns a fresh array."""
     validate_state(world, state)
     p = world.patch_side
     half = p // 2
     cx, cy = state.cell()
     offs = np.arange(-half, half + 1)
-    gy, gx = np.meshgrid(offs, offs, indexing="ij")
-    ax = gx + cx
-    ay = gy + cy
-    in_bounds = (ax >= 0) & (ax < world.width) & (ay >= 0) & (ay < world.height)
-    radius = world.r_base + world.r_gain * state.z
-    visible = (gx * gx + gy * gy <= radius * radius) & in_bounds
-    axc = np.clip(ax, 0, world.width - 1)
-    ayc = np.clip(ay, 0, world.height - 1)
-    hf = world.height_field[ayc, axc].astype(np.float64)
-    rel = np.clip((hf - state.z + world.z_max) / (2.0 * world.z_max), 0.0, 1.0)
-    height_ch = np.where(visible, rel, 0.0)
-    lm_ch = np.zeros((p, p))
+    xs = offs + cx  # world columns and rows the patch covers
+    ys = offs + cy
+    visible = _visibility_disk(half, world.r_base + world.r_gain * state.z)
+    if cx - half >= 0 and cy - half >= 0 and cx + half < world.width and cy + half < world.height:
+        hf = world.height_field[cy - half : cy + half + 1, cx - half : cx + half + 1]
+    else:
+        col_in = (xs >= 0) & (xs < world.width)
+        row_in = (ys >= 0) & (ys < world.height)
+        visible = visible & row_in[:, None] & col_in[None, :]
+        rows = np.clip(ys, 0, world.height - 1)
+        cols = np.clip(xs, 0, world.width - 1)
+        hf = world.height_field[rows[:, None], cols[None, :]]
+    rel = np.clip((hf.astype(np.float64) - state.z + world.z_max) / (2.0 * world.z_max), 0.0, 1.0)
+    patch = np.zeros((3, p, p))
+    np.copyto(patch[0], rel, where=visible)
+    lm_hit = np.zeros((p, p), dtype=bool)
     for lm in world.landmarks:
-        d2 = (ax - lm.x) ** 2 + (ay - lm.y) ** 2
-        lm_ch = np.maximum(lm_ch, (d2 <= lm.radius * lm.radius).astype(np.float64))
-    lm_ch = np.where(visible, lm_ch, 0.0)
-    mask_ch = 1.0 - visible.astype(np.float64)
-    return Observation(patch=np.stack([height_ch, lm_ch, mask_ch]), z_max=world.z_max)
+        r = lm.radius
+        if abs(lm.x - cx) > half + r or abs(lm.y - cy) > half + r:
+            continue  # the landmark's bounding box misses the patch
+        lm_hit |= (ys[:, None] - lm.y) ** 2 + (xs[None, :] - lm.x) ** 2 <= r * r
+    patch[1] = lm_hit & visible
+    patch[2] = ~visible
+    return Observation(patch=patch, z_max=world.z_max)
 
 
 # --------------------------------------------------------------- generation

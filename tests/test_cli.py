@@ -8,7 +8,7 @@ import pytest
 from tiernav import cli
 from tiernav.cli import main, render_replay
 from tiernav.config import parse_config
-from tiernav.errors import NumericsError
+from tiernav.errors import NumericsError, ShapeError, StateError
 
 CONFIG_TEXT = """\
 # desk-scale smoke experiment
@@ -163,6 +163,18 @@ def test_numerics_failure_exits_4(pipeline, monkeypatch, capsys):
     monkeypatch.setitem(cli.COMMANDS, "eval", boom)
     assert main(["eval", *base]) == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ShapeError, StateError])
+def test_shape_and_state_errors_exit_7(pipeline, monkeypatch, capsys, error):
+    _, _, base = pipeline
+
+    def boom(cfg, args):
+        raise error("synthetic contract violation")
+
+    monkeypatch.setitem(cli.COMMANDS, "eval", boom)
+    assert main(["eval", *base]) == 7
+    assert "model shape or state error" in capsys.readouterr().err
 
 
 def test_unsatisfiable_tier_exits_5(pipeline, tmp_path, capsys):

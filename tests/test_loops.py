@@ -11,6 +11,7 @@ from tiernav.teacher import build_dataset
 from tiernav.training import (
     IL_CURVE_COLUMNS,
     RL_CURVE_COLUMNS,
+    LossReport,
     PPOConfig,
     RewardConfig,
     Stage1Config,
@@ -183,6 +184,28 @@ def test_stage2_runs_and_reports(world, corpus, reward_cfg):
         assert set(row) == set(RL_CURVE_COLUMNS)
         assert 0.0 <= row["clip_fraction"] <= 1.0
         assert 0.0 <= row["probe_SR"] <= 1.0
+
+
+def test_stage2_mean_ratio_is_per_update(world, corpus, reward_cfg, monkeypatch):
+    # each update's LossReport averages the ratio over that update's own
+    # minibatches; only first_minibatch_ratio keeps the very first one
+    reports = []
+    check = LossReport.check
+
+    def record(self, lambda_rl, rl_enabled):
+        reports.append(self)
+        return check(self, lambda_rl, rl_enabled)
+
+    monkeypatch.setattr(LossReport, "check", record)
+    model = fresh_model(world, seed=12)
+    cfg = PPOConfig(rollout_steps=64, max_updates=2, minibatch_size=32, epochs_per_update=2)
+    res = train_stage2(model, [world], cfg, reward_cfg, corpus=corpus, seed=12, tiers=("easy",))
+    assert res.updates_run == 2 and len(reports) == 2
+    ratios = [r.mean_ratio for r in reports]
+    assert all(math.isfinite(r) and r > 0.0 for r in ratios)
+    assert ratios[0] != ratios[1]
+    assert abs(res.first_minibatch_ratio - 1.0) <= 1e-6
+    assert ratios[0] != res.first_minibatch_ratio
 
 
 def test_stage2_lambda_zero_keeps_rl_out_of_total(world, corpus, reward_cfg):
