@@ -12,7 +12,6 @@ active waypoint is reached and caches the encoded map between replans.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,9 @@ from .autodiff import Tensor
 from .errors import ContractError
 from .layers import BatchNorm2d, Conv2d, Embedding, Linear, Module
 from .mapper import MapEncoder, _pad_odd, encode_map, init_map, update_map
-from .teacher import EPS_WP, TRAJ_COLUMNS, _fmt, advance_waypoint, episode_plan, extract_waypoints
+from .teacher import EPS_WP, TRAJ_COLUMNS, advance_waypoint, episode_plan, extract_waypoints
 from .training import compute_reward
+from .util import write_csv
 from .world import BANDS, DIRS, TARGET_TAGS, Action, CityWorld, EpisodeSpec, UavState, render_observation, step
 
 
@@ -416,6 +416,12 @@ class TrajStep:
     dist: float
     feats: dict | None = None
 
+    def log_row(self) -> list:
+        """The step's TRAJ_COLUMNS cells, the one row format of every trajectory log."""
+        return [self.t, self.state.x, self.state.y, self.state.z, self.state.theta, self.action, self.k,
+                self.waypoint[0], self.waypoint[1], self.goal_hat[0], self.goal_hat[1],
+                self.progress_hat, self.value_hat, self.reward, self.dist]
+
 
 @dataclass
 class Trajectory:
@@ -477,29 +483,34 @@ def run_episode(
 
 
 def write_trajectory_log(path, traj: Trajectory):
-    lines = [",".join(TRAJ_COLUMNS)]
-    for s in traj.steps:
-        row = [s.t, s.state.x, s.state.y, s.state.z, s.state.theta, s.action, s.k,
-               s.waypoint[0], s.waypoint[1], s.goal_hat[0], s.goal_hat[1],
-               s.progress_hat, s.value_hat, s.reward, s.dist]
-        lines.append(",".join(_fmt(v) for v in row))
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_csv(path, TRAJ_COLUMNS, (s.log_row() for s in traj.steps))
 
 
 def read_trajectory_log(path):
+    """(rows, header) of a trajectory log; each row maps column -> float.
+
+    Any header that starts with TRAJ_COLUMNS is accepted, so corpus
+    episode files, which append label columns, read too. An empty file,
+    a log without steps, a foreign header, a row of another width than
+    the header or a non-numeric cell raises ContractError.
+    """
     with open(path) as f:
         lines = f.read().splitlines()
-    header = lines[0].split(",")
-    if tuple(header) != TRAJ_COLUMNS:
-        raise ContractError(f"{path}: unexpected trajectory header {header}")
+    if len(lines) < 2:
+        raise ContractError(f"{path}: empty trajectory log (no header or no steps)")
+    header = tuple(lines[0].split(","))
+    if header[: len(TRAJ_COLUMNS)] != TRAJ_COLUMNS:
+        raise ContractError(f"{path}: not a trajectory log (header {header[:4]}...)")
     rows = []
-    for line in lines[1:]:
+    for n, line in enumerate(lines[1:], start=2):
         vals = line.split(",")
-        rows.append({name: float(v) for name, v in zip(header, vals)})
-    return rows
+        if len(vals) != len(header):
+            raise ContractError(f"{path}: line {n} has {len(vals)} cells but the header has {len(header)}")
+        try:
+            rows.append({name: float(v) for name, v in zip(header, vals)})
+        except ValueError:
+            raise ContractError(f"{path}: line {n} has a non-numeric cell") from None
+    return rows, header
 
 
 # ----------------------------------------------------------- policy checkpoint

@@ -35,10 +35,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """float64 array + optional grad + tape links."""
 
@@ -73,11 +69,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
-
-
-def const(data) -> Tensor:
-    """Non-differentiable input tensor."""
-    return Tensor(data)
 
 
 def _accum(t: Tensor, g: np.ndarray):

@@ -8,12 +8,12 @@ and round-trips are bit-exact.
 
 from __future__ import annotations
 
-import os
 import struct
 
 import numpy as np
 
 from .errors import ContractError
+from .util import atomic_write
 
 MAGIC = b"TNCKPT01"
 
@@ -35,11 +35,7 @@ def save_checkpoint(path, arrays: dict, meta: dict | None = None):
         if arr.ndim:
             chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         chunks.append(arr.tobytes())
-    blob = b"".join(chunks)
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(blob)
-    os.replace(tmp, path)
+    atomic_write(path, b"".join(chunks))
 
 
 def load_checkpoint(path):

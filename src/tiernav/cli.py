@@ -32,6 +32,7 @@ from .agent import (
     RandomPolicy,
     TeacherPolicy,
     load_policy_into,
+    read_trajectory_log,
     save_policy,
 )
 from .config import parse_config
@@ -55,14 +56,14 @@ from .evaluation import (
     write_episode_trajectories,
     write_step_log,
 )
-from .teacher import TRAJ_COLUMNS, build_dataset, load_corpus, save_corpus
+from .teacher import build_dataset, load_corpus, save_corpus
 from .training import (
     IL_CURVE_COLUMNS,
     train_stage1,
     train_stage2,
     write_curve,
 )
-from .util import substream
+from .util import atomic_write, substream
 from .world import Action, generate_world, load_world, sample_episode, save_world
 
 
@@ -96,11 +97,7 @@ def _finish_run(run_dir: str, command: str, cfg, started: str, files):
         "files": sorted(set(list(files) + ["config.txt"])),
     }
     path = os.path.join(run_dir, "manifest.json")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -393,29 +390,13 @@ def cmd_sweep(cfg, args) -> int:
             {},
         )
     text = "\n".join(lines) + "\n"
-    with open(os.path.join(run_dir, "summary.txt"), "w") as f:
-        f.write(text)
+    atomic_write(os.path.join(run_dir, "summary.txt"), text)
     _finish_run(run_dir, f"sweep-{axis}", cfg, started, files + ["summary.txt"])
     sys.stdout.write(text)
     return 0
 
 
 # ------------------------------------------------------------------- replay
-
-
-def _read_log_rows(path):
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ConfigError(f"{path}: empty trajectory log")
-    header = tuple(lines[0].split(","))
-    if header[: len(TRAJ_COLUMNS)] != TRAJ_COLUMNS:
-        raise ConfigError(f"{path}: not a trajectory log (header {header[:4]}...)")
-    rows = []
-    for line in lines[1:]:
-        vals = line.split(",")
-        rows.append({name: float(v) for name, v in zip(header, vals)})
-    return rows, header
 
 
 def render_replay(rows, header, threshold_m: float) -> str:
@@ -460,11 +441,10 @@ def cmd_replay(cfg, args) -> int:
             f"{args.log} not found: replay requires a trajectory log; produce one with "
             "'tiernav eval' (eval.write_trajectories=true) or point --log at a corpus episode file"
         )
-    rows, header = _read_log_rows(args.log)
+    rows, header = read_trajectory_log(args.log)
     text = render_replay(rows, header, cfg["eval.threshold_m"])
     run_dir = _begin_run(cfg, args, "replay")
-    with open(os.path.join(run_dir, "replay.txt"), "w") as f:
-        f.write(text)
+    atomic_write(os.path.join(run_dir, "replay.txt"), text)
     _finish_run(run_dir, "replay", cfg, started, ["replay.txt"])
     sys.stdout.write(text)
     return 0

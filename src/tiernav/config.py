@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .training import PPOConfig, RewardConfig, Stage1Config
+from .util import atomic_write
 from .world import WorldConfig
 
 
@@ -253,10 +254,7 @@ class ExperimentConfig:
 
     def echo(self, out_dir):
         path = os.path.join(out_dir, "config.txt")
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as f:
-            f.write(self.render())
-        os.replace(tmp, path)
+        atomic_write(path, self.render())
         return path
 
     # typed views over the flat keys

@@ -17,8 +17,8 @@ import numpy as np
 
 from .agent import Trajectory, run_episode, write_trajectory_log
 from .errors import ContractError
-from .teacher import TRAJ_COLUMNS, _fmt
-from .util import substream
+from .teacher import TRAJ_COLUMNS
+from .util import atomic_write, substream, write_csv
 from .world import EpisodeSpec, sample_episode
 
 SPLITS = ("seen", "unseen")
@@ -221,20 +221,11 @@ def per_seed_sr(records, split=None, tier=None) -> dict:
 # ----------------------------------------------------------------- report IO
 
 
-def _atomic_write(path, text: str):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
 def write_benchmark_csv(path, report: BenchmarkReport):
-    lines = ["split,tier,NE,SR,OSR,SPL,n,seeds"]
-    for (split, tier), c in sorted(report.cells.items()):
-        seeds = ";".join(str(s) for s in report.seeds)
-        lines.append(",".join([split, tier, repr(c.ne), repr(c.sr), repr(c.osr),
-                               repr(c.spl), str(c.n), seeds]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    seeds = ";".join(str(s) for s in report.seeds)
+    write_csv(path, ("split", "tier", "NE", "SR", "OSR", "SPL", "n", "seeds"),
+              ([split, tier, c.ne, c.sr, c.osr, c.spl, c.n, seeds]
+               for (split, tier), c in sorted(report.cells.items())))
 
 
 def render_table(report: BenchmarkReport) -> str:
@@ -248,7 +239,7 @@ def render_table(report: BenchmarkReport) -> str:
 
 
 def write_benchmark_table(path, report: BenchmarkReport):
-    _atomic_write(path, render_table(report))
+    atomic_write(path, render_table(report))
 
 
 STEP_LOG_COLUMNS = ("split", "tier", "seed", "episode") + TRAJ_COLUMNS
@@ -256,15 +247,9 @@ STEP_LOG_COLUMNS = ("split", "tier", "seed", "episode") + TRAJ_COLUMNS
 
 def write_step_log(path, records):
     """All benchmark trajectories, one row per step, log schema columns."""
-    lines = [",".join(STEP_LOG_COLUMNS)]
-    for rec in records:
-        prefix = [rec.split, rec.tier, str(rec.seed), str(rec.index)]
-        for s in rec.traj.steps:
-            row = [s.t, s.state.x, s.state.y, s.state.z, s.state.theta, s.action, s.k,
-                   s.waypoint[0], s.waypoint[1], s.goal_hat[0], s.goal_hat[1],
-                   s.progress_hat, s.value_hat, s.reward, s.dist]
-            lines.append(",".join(prefix + [_fmt(v) for v in row]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, STEP_LOG_COLUMNS,
+              ([rec.split, rec.tier, rec.seed, rec.index] + s.log_row()
+               for rec in records for s in rec.traj.steps))
 
 
 def write_episode_trajectories(out_dir, records):
@@ -362,4 +347,4 @@ def write_ablation_table(path, report: AblationReport, tiers=TIERS):
         for (split, tier), c in sorted(row.report.cells.items()):
             cells.append(f"{split}/{tier} SR {c.sr:.2f} SPL {c.spl:.2f}")
         lines.append(f"{row.name:<24} dSR {row.mean_delta_sr:+.2f}  " + "  ".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -156,32 +156,3 @@ def encode_map(nav: NavMap, encoder: MapEncoder, mode: str = "infer") -> Encoded
         raise ContractError("encoded map feature contains non-finite values")
     return EncodedMap(feature=feat.data[0].copy())
 
-
-# -------------------------------------------------------------------- dump IO
-
-
-def dump_map(nav: NavMap, path):
-    with open(path, "w") as f:
-        f.write(f"tiernav-map 1 {nav.grid.shape[2]} {nav.grid.shape[1]}\n")
-        for ci, name in enumerate(CHANNELS):
-            f.write(f"channel {name}\n")
-            for row in nav.grid[ci]:
-                f.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_map(path) -> NavMap:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].startswith("tiernav-map"):
-        raise ContractError(f"{path}: not a map dump")
-    _, _, w, h = lines[0].split()
-    w, h = int(w), int(h)
-    grid = np.zeros((4, h, w))
-    i = 1
-    for _ in range(4):
-        name = lines[i].split()[1]
-        ci = CHANNELS.index(name)
-        for y in range(h):
-            grid[ci, y] = [float(v) for v in lines[i + 1 + y].split()]
-        i += 1 + h
-    return NavMap(grid=grid)

@@ -16,7 +16,6 @@ plan_path is deterministic, so both routes give the same plan.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import ContractError, GenerationError, InfeasibleError
 from .mapper import NavMap, init_map, update_map
-from .util import substream
+from .util import atomic_write, substream, write_csv
 from .world import (
     DIRS,
     Action,
@@ -33,10 +32,10 @@ from .world import (
     EpisodeSpec,
     Observation,
     UavState,
-    episode_from_dict,
-    episode_to_dict,
+    load_episodes,
     render_observation,
     sample_episode,
+    save_episodes,
     step,
     validate_state,
 )
@@ -344,39 +343,31 @@ TRAJ_COLUMNS = ("t", "x", "y", "z", "theta", "action", "k", "w_x", "w_y",
 LABEL_COLUMNS = ("expert_action", "wstar_x", "wstar_y", "p", "v", "g_x", "g_y")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+def _corpus_row(t: int, s: DemoStep, goal) -> list:
+    """One TRAJ_COLUMNS + LABEL_COLUMNS row; the teacher has no head outputs."""
+    return [t, s.state.x, s.state.y, s.state.z, s.state.theta, s.expert_action, s.k,
+            s.waypoint[0], s.waypoint[1], 0.0, 0.0, 0.0, 0.0, s.reward, s.dist,
+            s.expert_action, s.waypoint[0], s.waypoint[1], s.progress, s.value,
+            goal[0], goal[1]]
 
 
 def save_corpus(corpus_dir, demos, manifest: dict):
     """Write the corpus; manifest.txt goes last, so it marks a complete corpus."""
     os.makedirs(corpus_dir, exist_ok=True)
-    with open(os.path.join(corpus_dir, "episodes.jsonl"), "w") as f:
-        for demo in demos:
-            f.write(json.dumps(episode_to_dict(demo.episode), sort_keys=True) + "\n")
+    save_episodes([demo.episode for demo in demos], os.path.join(corpus_dir, "episodes.jsonl"))
     for i, demo in enumerate(demos):
-        rows = []
-        for t, s in enumerate(demo.steps):
-            row = [t, s.state.x, s.state.y, s.state.z, s.state.theta, s.expert_action, s.k,
-                   s.waypoint[0], s.waypoint[1], 0.0, 0.0, 0.0, 0.0, s.reward, s.dist,
-                   s.expert_action, s.waypoint[0], s.waypoint[1], s.progress, s.value,
-                   demo.episode.goal[0], demo.episode.goal[1]]
-            rows.append(",".join(_fmt(v) for v in row))
-        with open(os.path.join(corpus_dir, f"episode_{i:05d}.csv"), "w") as f:
-            f.write(",".join(TRAJ_COLUMNS + LABEL_COLUMNS) + "\n")
-            f.write("\n".join(rows) + "\n")
-    with open(os.path.join(corpus_dir, "manifest.txt"), "w") as f:
-        f.write("tiernav-corpus 1\n")
-        f.write(f"master_seed {manifest['master_seed']}\n")
-        f.write(f"episodes {manifest['episodes']}\n")
-        f.write(f"resampled {manifest['resampled']}\n")
-        f.write(f"gamma {manifest['gamma']!r}\n")
-        for t, c in sorted(manifest["tier_counts"].items()):
-            f.write(f"tier {t} {c}\n")
-        for wid in manifest["world_ids"]:
-            f.write(f"world {wid}\n")
+        write_csv(os.path.join(corpus_dir, f"episode_{i:05d}.csv"), TRAJ_COLUMNS + LABEL_COLUMNS,
+                  (_corpus_row(t, s, demo.episode.goal) for t, s in enumerate(demo.steps)))
+    lines = [
+        "tiernav-corpus 1",
+        f"master_seed {manifest['master_seed']}",
+        f"episodes {manifest['episodes']}",
+        f"resampled {manifest['resampled']}",
+        f"gamma {manifest['gamma']!r}",
+    ]
+    lines += [f"tier {t} {c}" for t, c in sorted(manifest["tier_counts"].items())]
+    lines += [f"world {wid}" for wid in manifest["world_ids"]]
+    atomic_write(os.path.join(corpus_dir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
 def load_manifest(corpus_dir) -> dict:
@@ -401,8 +392,7 @@ def load_manifest(corpus_dir) -> dict:
 def load_corpus(corpus_dir, worlds_by_id, r_prior: float = 12.0, use_prior: bool = True):
     """Rebuild demonstrations by deterministic replay of stored actions."""
     manifest = load_manifest(corpus_dir)
-    with open(os.path.join(corpus_dir, "episodes.jsonl")) as f:
-        episodes = [episode_from_dict(json.loads(line)) for line in f if line.strip()]
+    episodes = load_episodes(os.path.join(corpus_dir, "episodes.jsonl"))
     demos = []
     for i, ep in enumerate(episodes):
         world = worlds_by_id.get(ep.world_id)

@@ -22,7 +22,7 @@ from .errors import ConfigError, ContractError, NumericsError
 from .layers import Linear, Module, fan_in_uniform
 from .mapper import init_map, update_map
 from .optim import AdamW, clip_grad_norm
-from .util import substream
+from .util import substream, write_csv
 from .world import (
     Action,
     UavState,
@@ -92,17 +92,6 @@ def compute_reward(
     bonus = cfg.eta if (in_range and (stopped or not cfg.goal_bonus_on_stop)) else 0.0
     raw = cfg.alpha * (d_prev - d) + heading_term + bonus + cfg.delta
     return float(min(max(raw, cfg.r_min), cfg.r_max))
-
-
-def discounted_return(rewards, gamma: float) -> np.ndarray:
-    """Suffix sums G_t = sum_k gamma^k r_{t+k}."""
-    r = np.asarray(rewards, dtype=np.float64)
-    out = np.empty_like(r)
-    acc = 0.0
-    for t in range(r.size - 1, -1, -1):
-        acc = r[t] + gamma * acc
-        out[t] = acc
-    return out
 
 
 @dataclass
@@ -225,6 +214,26 @@ def total_loss(l_il, l_v, l_rl, lambda_rl: float, rl_enabled: bool):
     return ad.add(ad.add(as_t(l_il), as_t(l_v)), ad.scale(as_t(l_rl), lambda_rl))
 
 
+def ppo_minibatch_loss(lp_all, value, actions, lp_old, adv, targets, eps_clip: float,
+                       value_weight: float, entropy_weight: float):
+    """PPO loss of one minibatch: clipped surrogate, value MSE, entropy bonus.
+
+    lp_all is the [B, A] action log-probability tensor and value the
+    [B, 1] critic output; actions, old log-probs, advantages and value
+    targets are the minibatch's [B] constants. Returns the loss, the mean
+    policy entropy (a Tensor) and the probability ratios (an array). The
+    tape nodes are built in one fixed order (objective, value loss,
+    entropy, blend), so every caller sums gradients the same way.
+    """
+    lp_new = ad.pick(lp_all, actions)
+    obj = ppo_clip_objective(lp_new, lp_old, adv, eps_clip)
+    l_v = value_loss(value, targets[:, None])
+    ent = ad.neg(ad.scale(ad.sum_all(ad.mul(ad.exp(lp_all), lp_all)), 1.0 / len(actions)))
+    loss = ad.add(ad.neg(ad.mean_all(obj)),
+                  ad.sub(ad.scale(l_v, value_weight), ad.scale(ent, entropy_weight)))
+    return loss, ent, np.exp(lp_new.data - lp_old)
+
+
 @dataclass
 class LossReport:
     l_il: float
@@ -249,16 +258,8 @@ IL_CURVE_COLUMNS = ("epoch", "L_IL", "L_V", "L_BC", "L_WP", "L_total")
 
 
 def write_curve(path, rows, columns):
-    """Curve rows -> CSV, atomically, with repr-exact floats."""
-    from .teacher import _fmt  # shared cell formatting
-
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    """Curve rows (dicts) -> CSV, atomically, with repr-exact floats."""
+    write_csv(path, columns, ([row[c] for c in columns] for row in rows))
 
 
 # --------------------------------------------------------- param bookkeeping
@@ -561,20 +562,6 @@ def collect_rollouts(
     )
 
 
-def monte_carlo_targets(rollout: Rollout, gamma: float) -> np.ndarray:
-    """Plain discounted returns per segment (= GAE(lambda=1) targets)."""
-    r = np.asarray(rollout.rewards)
-    done = np.asarray(rollout.dones, dtype=bool)
-    out = np.zeros_like(r)
-    acc = float(rollout.bootstrap_value)
-    for t in range(r.size - 1, -1, -1):
-        if done[t]:
-            acc = 0.0
-        acc = r[t] + gamma * acc
-        out[t] = acc
-    return out
-
-
 def _forward_rollout(model, ro: Rollout, idx):
     # stored map features enter as constants: during PPO updates the
     # encoder trains only through the blended expert batches
@@ -717,19 +704,13 @@ def train_stage2(
             for lo in range(0, t_max - mb + 1, mb):
                 idx = perm[lo : lo + mb]
                 out = _forward_rollout(model, rollout, idx)
-                lp_all = _masked_log_probs(out.logits, rollout, idx)
-                lp_new = ad.pick(lp_all, rollout.actions[idx])
-                obj = ppo_clip_objective(lp_new, rollout.log_probs_old[idx], adv_n[idx], ppo_cfg.eps_clip)
-                ratio = np.exp(lp_new.data - rollout.log_probs_old[idx])
+                l_rl, ent, ratio = ppo_minibatch_loss(
+                    _masked_log_probs(out.logits, rollout, idx), out.value, rollout.actions[idx],
+                    rollout.log_probs_old[idx], adv_n[idx], targets[idx],
+                    ppo_cfg.eps_clip, ppo_cfg.value_weight, ppo_cfg.entropy_weight,
+                )
                 if math.isnan(first_ratio):
                     first_ratio = float(ratio.mean())
-                l_v_roll = value_loss(out.value, targets[idx][:, None])
-                probs = ad.exp(lp_all)
-                ent = ad.neg(ad.scale(ad.sum_all(ad.mul(probs, lp_all)), 1.0 / len(idx)))
-                l_rl = ad.add(
-                    ad.neg(ad.mean_all(obj)),
-                    ad.sub(ad.scale(l_v_roll, ppo_cfg.value_weight), ad.scale(ent, ppo_cfg.entropy_weight)),
-                )
                 if data is not None:
                     eidx = rng_exp.integers(0, data.n, size=min(expert_batch, data.n))
                     eout = _stage1_forward(model, data, eidx, "train")
@@ -956,14 +937,10 @@ def corridor_sanity(
             for lo in range(0, t_max - mb + 1, mb):
                 idx = perm[lo : lo + mb]
                 logits, v = net(rollout.state_feats[idx])
-                lp_all = ad.log_softmax(logits)
-                lp_new = ad.pick(lp_all, rollout.actions[idx])
-                obj = ppo_clip_objective(lp_new, rollout.log_probs_old[idx], adv_n[idx], eps_clip)
-                l_v = value_loss(v, targets[idx][:, None])
-                probs = ad.exp(lp_all)
-                ent = ad.neg(ad.scale(ad.sum_all(ad.mul(probs, lp_all)), 1.0 / len(idx)))
-                loss = ad.add(ad.neg(ad.mean_all(obj)),
-                              ad.sub(ad.scale(l_v, value_weight), ad.scale(ent, entropy_weight)))
+                loss, _, _ = ppo_minibatch_loss(
+                    ad.log_softmax(logits), v, rollout.actions[idx], rollout.log_probs_old[idx],
+                    adv_n[idx], targets[idx], eps_clip, value_weight, entropy_weight,
+                )
                 net.zero_grad()
                 ad.backward(loss)
                 clip_grad_norm(entries, 5.0)

@@ -1,11 +1,13 @@
-"""Seeding and small shared helpers.
+"""Seeding, artifact writing and small shared helpers.
 
 Every stochastic component draws from a substream derived from
 (master_seed, *tags) so results do not depend on call order elsewhere
-in the program.
+in the program. Every artifact reaches disk through atomic_write, so a
+reader never sees a half-written file under its final name.
 """
 
 import hashlib
+import os
 
 import numpy as np
 
@@ -25,3 +27,29 @@ def substream(master_seed: int, *tags) -> np.random.Generator:
 
 def stable_hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def atomic_write(path, data):
+    """Write str (as UTF-8) or bytes to <path>.tmp, then rename it onto path."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
+
+
+def _fmt(v) -> str:
+    """One CSV cell: str as is, integers in decimal, floats repr-exact."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def write_csv(path, columns, rows):
+    """Header line, then one line of comma-joined cells per row, atomically."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    atomic_write(path, "\n".join(lines) + "\n")

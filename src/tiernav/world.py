@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, ContractError, GenerationError
-from .util import stable_hash_bytes, substream
+from .util import atomic_write, stable_hash_bytes, substream
 
 if TYPE_CHECKING:
     from .teacher import ExpertPath
@@ -459,8 +459,7 @@ def serialize_world(world: CityWorld) -> str:
 
 
 def save_world(world: CityWorld, path):
-    with open(path, "w") as f:
-        f.write(serialize_world(world))
+    atomic_write(path, serialize_world(world))
 
 
 def load_world(path) -> CityWorld:
@@ -535,9 +534,7 @@ def episode_from_dict(d: dict) -> EpisodeSpec:
 
 
 def save_episodes(episodes, path):
-    with open(path, "w") as f:
-        for ep in episodes:
-            f.write(json.dumps(episode_to_dict(ep), sort_keys=True) + "\n")
+    atomic_write(path, "".join(json.dumps(episode_to_dict(ep), sort_keys=True) + "\n" for ep in episodes))
 
 
 def load_episodes(path):

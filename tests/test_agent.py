@@ -25,6 +25,7 @@ from tiernav.agent import (
     write_trajectory_log,
 )
 from tiernav.errors import ContractError
+from tiernav.teacher import TRAJ_COLUMNS
 from tiernav.training import RewardConfig
 from tiernav.util import substream
 from tiernav.world import (
@@ -327,7 +328,8 @@ def test_trajectory_log_round_trip(tmp_path):
     traj = run_episode(TeacherPolicy(), wd, ep, reward_cfg=RewardConfig())
     p = tmp_path / "traj.csv"
     write_trajectory_log(p, traj)
-    rows = read_trajectory_log(p)
+    rows, header = read_trajectory_log(p)
+    assert header == TRAJ_COLUMNS
     assert len(rows) == len(traj)
     for row, st in zip(rows, traj.steps):
         assert row["t"] == st.t

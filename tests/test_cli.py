@@ -9,6 +9,7 @@ from tiernav import cli
 from tiernav.cli import main, render_replay
 from tiernav.config import parse_config
 from tiernav.errors import NumericsError, ShapeError, StateError
+from tiernav.teacher import TRAJ_COLUMNS
 
 CONFIG_TEXT = """\
 # desk-scale smoke experiment
@@ -187,18 +188,18 @@ def test_unsatisfiable_tier_exits_5(pipeline, tmp_path, capsys):
 
 
 def test_interrupted_corpus_is_not_taken_as_input(pipeline, tmp_path, monkeypatch, capsys):
-    from tiernav import teacher
+    from tiernav import util
 
     cfg_path, _, _ = pipeline
     base = ["--config", cfg_path, "--out", str(tmp_path / "cut")]
     assert main(["gen-worlds", *base]) == 0
 
     def failing_open(path, mode="r", *args, **kwargs):
-        if "w" in mode and os.path.basename(path) == "episode_00001.csv":
+        if "w" in mode and os.path.basename(path) == "episode_00001.csv.tmp":
             raise OSError(28, "No space left on device")
         return open(path, mode, *args, **kwargs)
 
-    monkeypatch.setattr(teacher, "open", failing_open, raising=False)
+    monkeypatch.setattr(util, "open", failing_open, raising=False)
     assert main(["build-corpus", *base]) == 6
     assert "No space left on device" in capsys.readouterr().err
     monkeypatch.undo()
@@ -249,6 +250,24 @@ def test_replay_missing_log_exits_3(pipeline, tmp_path, capsys):
     base = ["--config", cfg_path, "--out", str(tmp_path / "rp2")]
     assert main(["replay", "--log", str(tmp_path / "nope.csv"), *base]) == 3
     assert "trajectory log" in capsys.readouterr().err
+
+
+TRAJ_HEADER = ",".join(TRAJ_COLUMNS)
+
+
+@pytest.mark.parametrize("body", [
+    TRAJ_HEADER + "\n0,1,1,2,0.0,2,0,3,1,0,0,0,0,0.1,x\n",
+    TRAJ_HEADER + "\n",
+    TRAJ_HEADER + "\n0,1,1,2,0.0,2\n",
+    "split,tier,NE,SR,OSR,SPL,n,seeds\nseen,easy,1.0,100.0,100.0,100.0,1,0\n",
+], ids=["non_numeric", "header_only", "short_row", "foreign_header"])
+def test_replay_malformed_log_exits_6(pipeline, tmp_path, capsys, body):
+    cfg_path, _, _ = pipeline
+    log = tmp_path / "bad.csv"
+    log.write_text(body)
+    base = ["--config", cfg_path, "--out", str(tmp_path / "rp3")]
+    assert main(["replay", "--log", str(log), *base]) == 6
+    assert str(log) in capsys.readouterr().err
 
 
 def test_replay_marks_waypoint_transitions():
@@ -312,3 +331,26 @@ def test_il_checkpoint_deterministic(pipeline, tmp_path):
     a = open(os.path.join(out, "il", "policy_il.ckpt"), "rb").read()
     b = open(os.path.join(alt, "il", "policy_il.ckpt"), "rb").read()
     assert a == b
+
+
+def _tree_bytes(root):
+    out = {}
+    for p in glob.glob(os.path.join(root, "**", "*"), recursive=True):
+        if os.path.isfile(p) and os.path.basename(p) != "manifest.json":
+            out[os.path.relpath(p, root)] = open(p, "rb").read()
+    return out
+
+
+def test_two_runs_are_byte_identical(pipeline, tmp_path):
+    cfg_path, _, _ = pipeline
+    trees = []
+    for name in ("a", "b"):
+        base = ["--config", cfg_path, "--out", str(tmp_path / name)]
+        for cmd in ("gen-worlds", "build-corpus", "train-il", "train-rl", "eval"):
+            assert main([cmd, *base]) == 0, cmd
+        trees.append(_tree_bytes(str(tmp_path / name)))
+    a, b = trees
+    assert any(name.startswith(os.path.join("eval", "trajectories")) for name in a)
+    assert not [name for name in a if name.endswith(".tmp")]
+    assert sorted(a) == sorted(b)
+    assert [name for name in a if a[name] != b[name]] == []

@@ -19,7 +19,6 @@ from tiernav.training import (
     compute_gae,
     corridor_sanity,
     critic_value_loss,
-    monte_carlo_targets,
     probe_success_rate,
     reinit_value_head,
     train_stage1,
@@ -139,13 +138,6 @@ def test_collect_rollout_deterministic(world, reward_cfg):
     assert a.bootstrap_value == b.bootstrap_value
 
 
-def test_monte_carlo_targets_match_gae_lambda1(world, reward_cfg):
-    model = fresh_model(world)
-    ro = collect_rollouts(model, [world], ("easy",), reward_cfg, 70, substream(13, "r"))
-    _, targets = compute_gae(ro, GAMMA, 1.0)
-    np.testing.assert_allclose(monte_carlo_targets(ro, GAMMA), targets, atol=1e-9)
-
-
 def test_reinit_value_head_scoped(world):
     model = fresh_model(world, seed=6)
     before = params_of(model)
@@ -162,7 +154,7 @@ def test_warm_critic_beats_fresh_on_small_run(world, corpus, reward_cfg):
     model = fresh_model(world, seed=7)
     train_stage1(corpus, model, Stage1Config(epochs=8, seed=7))
     ro = collect_rollouts(model, [world], ("easy",), reward_cfg, 96, substream(7, "r"))
-    targets = monte_carlo_targets(ro, GAMMA)
+    targets = compute_gae(ro, GAMMA, 1.0)[1]
     warm = critic_value_loss(model, ro, targets)
     reinit_value_head(model, substream(7, "re"))
     fresh = critic_value_loss(model, ro, targets)

@@ -13,10 +13,8 @@ from tiernav.mapper import (
     NavMap,
     ResidualBlock,
     SCConv,
-    dump_map,
     encode_map,
     init_map,
-    load_map,
     update_map,
 )
 from tiernav.optim import grad_check
@@ -286,16 +284,6 @@ def test_batchnorm_infer_applies_running_stats_in_encoder():
     var = bn.running_var
     expect = (x.data - mean[None, :, None, None]) / np.sqrt(var[None, :, None, None] + bn.eps)
     assert np.allclose(out.data, expect)
-
-
-def test_map_dump_round_trip(tmp_path):
-    g = substream(18, "grid").uniform(0, 1, size=(4, 10, 12))
-    nav = NavMap(grid=g)
-    path = tmp_path / "m.map"
-    dump_map(nav, path)
-    back = load_map(path)
-    assert np.array_equal(back.grid, nav.grid)
-    assert back.grid.shape == (4, 10, 12)
 
 
 def test_channel_names_fixed():

