@@ -21,7 +21,7 @@ from .autodiff import Tensor
 from .errors import ContractError
 from .layers import BatchNorm2d, Conv2d, Embedding, Linear, Module
 from .mapper import MapEncoder, _pad_odd, encode_map, init_map, update_map
-from .teacher import EPS_WP, TRAJ_COLUMNS, advance_waypoint, episode_plan, extract_waypoints
+from .teacher import EPS_WP, TRAJ_COLUMNS, advance_waypoint, episode_plan, extract_waypoints, read_trajectory_log
 from .training import compute_reward
 from .util import write_csv
 from .world import BANDS, DIRS, TARGET_TAGS, Action, CityWorld, EpisodeSpec, UavState, render_observation, step
@@ -484,33 +484,6 @@ def run_episode(
 
 def write_trajectory_log(path, traj: Trajectory):
     write_csv(path, TRAJ_COLUMNS, (s.log_row() for s in traj.steps))
-
-
-def read_trajectory_log(path):
-    """(rows, header) of a trajectory log; each row maps column -> float.
-
-    Any header that starts with TRAJ_COLUMNS is accepted, so corpus
-    episode files, which append label columns, read too. An empty file,
-    a log without steps, a foreign header, a row of another width than
-    the header or a non-numeric cell raises ContractError.
-    """
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if len(lines) < 2:
-        raise ContractError(f"{path}: empty trajectory log (no header or no steps)")
-    header = tuple(lines[0].split(","))
-    if header[: len(TRAJ_COLUMNS)] != TRAJ_COLUMNS:
-        raise ContractError(f"{path}: not a trajectory log (header {header[:4]}...)")
-    rows = []
-    for n, line in enumerate(lines[1:], start=2):
-        vals = line.split(",")
-        if len(vals) != len(header):
-            raise ContractError(f"{path}: line {n} has {len(vals)} cells but the header has {len(header)}")
-        try:
-            rows.append({name: float(v) for name, v in zip(header, vals)})
-        except ValueError:
-            raise ContractError(f"{path}: line {n} has a non-numeric cell") from None
-    return rows, header
 
 
 # ----------------------------------------------------------- policy checkpoint

@@ -365,12 +365,26 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(x.data @ weight.data + bias.data, (x, weight, bias), "linear", bw)
 
 
+def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
+    """Zero-pad the last two axes by p on each side (np.pad costs more at batch 1)."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    out[:, :, p : p + h, p : p + w] = x
+    return out
+
+
 def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """[N,C,H,W] -> [N, C*k*k, ho*wo]: the first ho x wo kxk windows at the stride."""
+    """[N,C,H,W] -> [N, C*k*k, ho*wo]: the first ho x wo kxk windows at the stride.
+
+    One strided view indexed (n, c, i, j, oy, ox) reads xp[n, c, oy*stride + i,
+    ox*stride + j]; the reshape copies it out in that order.
+    """
     n, c = xp.shape[:2]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, : stride * ho : stride, : stride * wo : stride]
-    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * k * k, ho * wo)
+    sn, sc, sh, sw = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (n, c, k, k, ho, wo), (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False
+    )
+    return win.reshape(n, c * k * k, ho * wo)
 
 
 def _col2im(gcols: np.ndarray, xshape, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
@@ -413,7 +427,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
         )
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
+    xp = _pad2d(xd, pad) if pad else xd
     cols = _im2col(xp, kh, stride, ho, wo)
     wmat = kernel.data.reshape(cout, cin * kh * kw)
     out = np.matmul(wmat[None], cols).reshape(n, cout, ho, wo)
@@ -434,7 +448,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
         if x.requires_grad:
             if stride == 1:
                 q = kh - 1 - pad  # q < 0: the output overhangs the input; crop it
-                gp = np.pad(gd, ((0, 0), (0, 0), (q, q), (q, q))) if q > 0 else gd[:, :, -q:, -q:]
+                gp = _pad2d(gd, q) if q > 0 else gd[:, :, -q:, -q:]
                 wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
                 gx = np.matmul(wflip[None], _im2col(gp, kh, 1, h, w)).reshape(n, cin, h, w)
             else:
@@ -454,7 +468,7 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     if kc != c or kh != kw or kh % 2 == 0:
         raise ShapeError(f"depthwise_conv2d: input {x.data.shape}, kernel {kernel.data.shape}")
     pad = (kh - 1) // 2
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = _pad2d(xd, pad)
     out = np.zeros_like(xd)
     for i in range(kh):
         for j in range(kw):

@@ -32,7 +32,6 @@ from .agent import (
     RandomPolicy,
     TeacherPolicy,
     load_policy_into,
-    read_trajectory_log,
     save_policy,
 )
 from .config import parse_config
@@ -49,6 +48,8 @@ from .errors import (
 from .evaluation import (
     ablation_suite,
     aggregate,
+    render_ablation_table,
+    render_table,
     run_benchmark,
     write_ablation_table,
     write_benchmark_csv,
@@ -56,7 +57,7 @@ from .evaluation import (
     write_episode_trajectories,
     write_step_log,
 )
-from .teacher import build_dataset, load_corpus, save_corpus
+from .teacher import build_dataset, load_corpus, read_trajectory_log, save_corpus
 from .training import (
     IL_CURVE_COLUMNS,
     train_stage1,
@@ -302,7 +303,7 @@ def cmd_eval(cfg, args) -> int:
         files += [os.path.join("trajectories", os.path.basename(p))
                   for p in glob.glob(os.path.join(traj_dir, "*.csv"))]
     _finish_run(run_dir, "eval", cfg, started, files)
-    sys.stdout.write(open(os.path.join(run_dir, "report.txt")).read())
+    sys.stdout.write(render_table(report))
     return 0
 
 
@@ -366,8 +367,7 @@ def _sweep_policy_axis(cfg, args, run_dir: str, variants, options):
         options=options,
     )
     write_ablation_table(os.path.join(run_dir, "ablation.txt"), report)
-    lines = [open(os.path.join(run_dir, "ablation.txt")).read().rstrip()]
-    return ["ablation.txt"], lines
+    return ["ablation.txt"], [render_ablation_table(report).rstrip()]
 
 
 def cmd_sweep(cfg, args) -> int:

@@ -337,7 +337,7 @@ def ablation_suite(
     return AblationReport(base=base, seeds=list(seeds), rows=rows)
 
 
-def write_ablation_table(path, report: AblationReport, tiers=TIERS):
+def render_ablation_table(report: AblationReport) -> str:
     lines = [f"ablation vs base {report.base!r}, seeds {report.seeds}"]
     for row in report.rows:
         if not row.trained:
@@ -347,4 +347,8 @@ def write_ablation_table(path, report: AblationReport, tiers=TIERS):
         for (split, tier), c in sorted(row.report.cells.items()):
             cells.append(f"{split}/{tier} SR {c.sr:.2f} SPL {c.spl:.2f}")
         lines.append(f"{row.name:<24} dSR {row.mean_delta_sr:+.2f}  " + "  ".join(cells))
-    atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_ablation_table(path, report: AblationReport):
+    atomic_write(path, render_ablation_table(report))

@@ -2,9 +2,12 @@
 
 plan_path runs A* over (x, y, z, heading) with unit move cost and a
 small turn cost, so paths come out smooth and their corners are
-informative waypoints. build_demonstration replays a plan through the
-simulator to attach observations, map state, progress, and exact
-discounted value labels.
+informative waypoints. Its heuristic is the Manhattan distance to the
+goal cell. Forward moves are 4-connected at unit cost, so that distance
+never overestimates the cost left: the heuristic is admissible and
+consistent, and every plan is optimal (Hart, Nilsson & Raphael 1968).
+build_demonstration replays a plan through the simulator to attach
+observations, map state, progress, and exact discounted value labels.
 
 An episode is planned once: sample_episode keeps the plan it verified
 reachability with on EpisodeSpec.plan, and build_demonstration and
@@ -64,6 +67,15 @@ class ExpertPath:
 def plan_path(world: CityWorld, start: UavState, goal) -> ExpertPath:
     """A* to the goal cell. Deterministic tie-break on (f, h, state index).
 
+    The heuristic is the Manhattan distance |x - gx| + |y - gy|. It is
+    admissible: reaching the goal takes at least that many forward
+    moves, each costing 1, and turns and altitude changes only add
+    cost. It is also consistent, as a forward move changes it by
+    exactly 1 and the other moves keep the cell. So the first goal
+    state popped is optimal, and the plan cost is the same as under
+    any other admissible heuristic; only equal-cost ties may resolve
+    to another path.
+
     A state is its flat index ((y*w + x)*zs + z)*4 + heading, so the
     g-scores, back-pointers and closed set are flat arrays, and only the
     states on the returned path are decoded back into tuples.
@@ -85,9 +97,10 @@ def plan_path(world: CityWorld, start: UavState, goal) -> ExpertPath:
     came = [0] * n  # parent index * 8 + action, for every state reached from another
     closed = bytearray(n)
     g_score[s0] = 0.0
-    h0 = math.hypot(sx - gx, sy - gy)
+    hcell = (np.abs(np.arange(w) - gx)[None, :] + np.abs(np.arange(h) - gy)[:, None]).ravel().tolist()
+    h0 = hcell[sy * w + sx]
     open_heap = [(h0, h0, s0)]
-    heappush, heappop, hypot = heapq.heappush, heapq.heappop, math.hypot
+    heappush, heappop = heapq.heappush, heapq.heappop
     while open_heap:
         _, h_cur, cur = heappop(open_heap)
         if closed[cur]:
@@ -109,7 +122,7 @@ def plan_path(world: CityWorld, start: UavState, goal) -> ExpertPath:
             if ng < g_score[nxt]:
                 g_score[nxt] = ng
                 came[nxt] = cur * 8 + _FORWARD
-                hn = hypot(nx - gx, ny - gy)
+                hn = hcell[c + dy * w + dx]
                 heappush(open_heap, (ng + hn, hn, nxt))
         # the other moves keep the cell, so their heuristic is h_cur
         ng = g_cur + TURN_COST
@@ -343,6 +356,33 @@ TRAJ_COLUMNS = ("t", "x", "y", "z", "theta", "action", "k", "w_x", "w_y",
 LABEL_COLUMNS = ("expert_action", "wstar_x", "wstar_y", "p", "v", "g_x", "g_y")
 
 
+def read_trajectory_log(path):
+    """(rows, header) of a trajectory log; each row maps column -> float.
+
+    Any header that starts with TRAJ_COLUMNS is accepted, so corpus
+    episode files, which append label columns, read too. An empty file,
+    a log without steps, a foreign header, a row of another width than
+    the header or a non-numeric cell raises ContractError.
+    """
+    with open(path) as f:
+        lines = f.read().splitlines()
+    if len(lines) < 2:
+        raise ContractError(f"{path}: empty trajectory log (no header or no steps)")
+    header = tuple(lines[0].split(","))
+    if header[: len(TRAJ_COLUMNS)] != TRAJ_COLUMNS:
+        raise ContractError(f"{path}: not a trajectory log (header {header[:4]}...)")
+    rows = []
+    for n, line in enumerate(lines[1:], start=2):
+        vals = line.split(",")
+        if len(vals) != len(header):
+            raise ContractError(f"{path}: line {n} has {len(vals)} cells but the header has {len(header)}")
+        try:
+            rows.append({name: float(v) for name, v in zip(header, vals)})
+        except ValueError:
+            raise ContractError(f"{path}: line {n} has a non-numeric cell") from None
+    return rows, header
+
+
 def _corpus_row(t: int, s: DemoStep, goal) -> list:
     """One TRAJ_COLUMNS + LABEL_COLUMNS row; the teacher has no head outputs."""
     return [t, s.state.x, s.state.y, s.state.z, s.state.theta, s.expert_action, s.k,
@@ -398,26 +438,24 @@ def load_corpus(corpus_dir, worlds_by_id, r_prior: float = 12.0, use_prior: bool
         world = worlds_by_id.get(ep.world_id)
         if world is None:
             raise ContractError(f"corpus references unknown world {ep.world_id}")
-        with open(os.path.join(corpus_dir, f"episode_{i:05d}.csv")) as f:
-            lines = f.read().splitlines()
-        header = lines[0].split(",")
-        cols = {name: j for j, name in enumerate(header)}
-        demo = _replay_records(world, ep, lines[1:], cols, r_prior, use_prior)
-        demos.append(demo)
+        path = os.path.join(corpus_dir, f"episode_{i:05d}.csv")
+        rows, header = read_trajectory_log(path)
+        if header != TRAJ_COLUMNS + LABEL_COLUMNS:
+            raise ContractError(f"{path}: not a corpus episode (no label columns)")
+        demos.append(_replay_records(world, ep, rows, r_prior, use_prior))
     return demos, manifest
 
 
-def _replay_records(world, ep, rows, cols, r_prior, use_prior) -> Demonstration:
+def _replay_records(world, ep, rows, r_prior, use_prior) -> Demonstration:
     nav = init_map(world, ep, r_prior=r_prior, use_prior=use_prior)
     state = ep.start
     steps = []
     maps = []
     waypoints = []
     for row in rows:
-        vals = row.split(",")
-        act = Action(int(vals[cols["action"]]))
-        k = int(vals[cols["k"]])
-        wp = (int(float(vals[cols["wstar_x"]])), int(float(vals[cols["wstar_y"]])))
+        act = Action(int(row["action"]))
+        k = int(row["k"])
+        wp = (int(row["wstar_x"]), int(row["wstar_y"]))
         while len(waypoints) <= k:
             waypoints.append(wp)
         waypoints[k] = wp
@@ -436,10 +474,10 @@ def _replay_records(world, ep, rows, cols, r_prior, use_prior) -> Demonstration:
                 expert_action=int(act),
                 waypoint=wp,
                 k=k,
-                progress=float(vals[cols["p"]]),
-                value=float(vals[cols["v"]]),
-                reward=float(vals[cols["r"]]),
-                dist=float(vals[cols["d"]]),
+                progress=row["p"],
+                value=row["v"],
+                reward=row["r"],
+                dist=row["d"],
             )
         )
         state = nxt

@@ -6,6 +6,7 @@ in the program. Every artifact reaches disk through atomic_write, so a
 reader never sees a half-written file under its final name.
 """
 
+import contextlib
 import hashlib
 import os
 
@@ -30,13 +31,22 @@ def stable_hash_bytes(data: bytes) -> str:
 
 
 def atomic_write(path, data):
-    """Write str (as UTF-8) or bytes to <path>.tmp, then rename it onto path."""
+    """Write str (as UTF-8) or bytes to <path>.tmp, then rename it onto path.
+
+    A write that fails removes its <path>.tmp and re-raises, so nothing
+    but the earlier file (or none) is left under either name.
+    """
     if isinstance(data, str):
         data = data.encode("utf-8")
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _fmt(v) -> str:

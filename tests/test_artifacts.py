@@ -1,5 +1,6 @@
 """Every artifact reaches disk through util.atomic_write: a write that
-fails before its rename leaves the earlier file (or none) in place."""
+fails before its rename leaves the earlier file (or none) in place, and
+no .tmp file behind."""
 
 import os
 from types import SimpleNamespace
@@ -54,14 +55,21 @@ WRITERS = {
 }
 
 
+def _read(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def _final_files(target):
-    """name -> bytes of what target holds under final names (.tmp leftovers aside)."""
+    """name -> bytes of every file target holds, <target>.tmp included."""
+    files = {}
     if os.path.isdir(target):
-        names = [n for n in sorted(os.listdir(target)) if not n.endswith(".tmp")]
-        return {n: open(os.path.join(target, n), "rb").read() for n in names}
-    if os.path.exists(target):
-        return {"": open(target, "rb").read()}
-    return {}
+        files = {n: _read(os.path.join(target, n)) for n in sorted(os.listdir(target))}
+    elif os.path.exists(target):
+        files = {"": _read(target)}
+    if os.path.exists(target + ".tmp"):
+        files[".tmp"] = _read(target + ".tmp")
+    return files
 
 
 def _refuse(src, dst):

@@ -2,6 +2,8 @@ import argparse
 import glob
 import json
 import os
+import shutil
+import warnings
 
 import pytest
 
@@ -205,6 +207,34 @@ def test_interrupted_corpus_is_not_taken_as_input(pipeline, tmp_path, monkeypatc
     monkeypatch.undo()
     assert main(["train-il", *base]) == 3
     assert "build-corpus" in capsys.readouterr().err
+
+
+def test_truncated_corpus_row_exits_6(pipeline, tmp_path, capsys):
+    cfg_path, _, _ = pipeline
+    base = ["--config", cfg_path, "--out", str(tmp_path / "cut_row")]
+    assert main(["gen-worlds", *base]) == 0
+    assert main(["build-corpus", *base]) == 0
+    episode = tmp_path / "cut_row" / "corpus" / "episode_00000.csv"
+    lines = episode.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:5])
+    episode.write_text("\n".join(lines) + "\n")
+    assert main(["train-il", *base]) == 6
+    assert str(episode) in capsys.readouterr().err
+
+
+def test_printed_reports_leave_no_file_open(pipeline, tmp_path, capsys):
+    cfg_path, out, _ = pipeline
+    alt = tmp_path / "printed"
+    for stage in ("worlds", "rl"):
+        shutil.copytree(os.path.join(out, stage), alt / stage)
+    base = ["--config", cfg_path, "--out", str(alt)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", "--policy", "teacher", *base, "--set", "eval.write_trajectories=false"]) == 0
+        assert capsys.readouterr().out == (alt / "eval" / "report.txt").read_text()
+        assert main(["sweep", "--axis", "controller", *base]) == 0
+        assert capsys.readouterr().out == (alt / "sweep-controller" / "ablation.txt").read_text()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_retry_after_failed_command_needs_no_force(pipeline, tmp_path):

@@ -1,8 +1,16 @@
-"""The flat-array A* against the dict/tuple planner it replaced.
+"""The flat-array A* against the dict/tuple planner it replaced, and
+against a brute-force Dijkstra.
 
-oracle_plan_path below is the earlier plan_path, kept verbatim as the
-reference: the corpus replay and the determinism contract need every
-plan to stay bit-identical, tie-breaks included.
+oracle_plan_path below is the earlier dict/tuple plan_path, with its
+heuristic made an argument. Under the Manhattan heuristic that
+plan_path uses, the two must give bit-identical plans, tie-breaks
+included, because the corpus replay and the determinism contract rest
+on them. Under the Euclidean heuristic that plan_path used before, the
+oracle is the old planner: its plans may take another path between
+equal-cost ties, but must keep the plan cost and the forward-move
+count, so shortest_path_length, max_steps and the SPL denominators do
+not move. dijkstra_cost checks optimality directly, with no heuristic
+and in exact integer cost units.
 """
 
 import heapq
@@ -22,11 +30,20 @@ from tiernav.world import (
     UavState,
     WorldConfig,
     generate_world,
+    step,
 )
 
 
-def oracle_plan_path(world: CityWorld, start: UavState, goal) -> ExpertPath:
-    """A* to the goal cell. Deterministic tie-break on (f, h, state index)."""
+def manhattan(dx, dy):
+    return abs(dx) + abs(dy)
+
+
+def oracle_plan_path(world: CityWorld, start: UavState, goal, heuristic=manhattan) -> ExpertPath:
+    """A* to the goal cell. Deterministic tie-break on (f, h, state index).
+
+    heuristic(dx, dy) sees the offset of a cell from the goal cell;
+    math.hypot gives the planner as it was before the Manhattan one.
+    """
     gx, gy = int(goal[0]), int(goal[1])
     if not world.in_bounds(gx, gy):
         raise ContractError(f"goal ({gx},{gy}) outside grid")
@@ -40,7 +57,7 @@ def oracle_plan_path(world: CityWorld, start: UavState, goal) -> ExpertPath:
         return ((s[1] * w + s[0]) * zs + s[2]) * 4 + s[3]
 
     def heur(s):
-        return math.hypot(s[0] - gx, s[1] - gy)
+        return heuristic(s[0] - gx, s[1] - gy)
 
     g_score = {s0: 0.0}
     came: dict = {}
@@ -124,13 +141,92 @@ def draw_endpoints(wd, tier, rng):
             return start, (int(gx), int(gy))
 
 
-@pytest.mark.parametrize("seed,cfg", ORACLE_WORLDS)
-def test_plan_path_matches_oracle(seed, cfg):
+def oracle_pairs(seed, cfg):
+    """The world and its 100 (start, goal) pairs, easy, medium and hard in turn."""
     wd = generate_world(seed, cfg)
     rng = substream(seed, "oracle")
-    for i in range(100):
-        start, goal = draw_endpoints(wd, ("easy", "medium", "hard")[i % 3], rng)
-        assert_same_plan(plan_path(wd, start, goal), oracle_plan_path(wd, start, goal))
+    return wd, [draw_endpoints(wd, ("easy", "medium", "hard")[i % 3], rng) for i in range(100)]
+
+
+# costs in tenths of a move, so that sums are exact and equal costs compare equal
+MOVE_UNITS = 10
+TURN_UNITS = round(TURN_COST * MOVE_UNITS)
+MOVES = (Action.FORWARD, Action.TURN_LEFT, Action.TURN_RIGHT, Action.GO_UP, Action.GO_DOWN)
+
+
+def action_units(action) -> int:
+    return TURN_UNITS if action in (Action.TURN_LEFT, Action.TURN_RIGHT) else MOVE_UNITS
+
+
+def plan_units(path: ExpertPath) -> int:
+    return sum(action_units(a) for a in path.actions)
+
+
+def transition_graph(world: CityWorld):
+    """Every valid state (x, y, z, heading) -> [(next state, cost units)], from the simulator's step."""
+    graph = {}
+    for y in range(world.height):
+        for x in range(world.width):
+            for z in range(max(world.z_min, int(world.height_field[y, x]) + 1), world.z_max + 1):
+                for hd in range(4):
+                    s = UavState(float(x), float(y), z, hd)
+                    succ = []
+                    for a in MOVES:
+                        nxt, blocked, _ = step(world, s, a)
+                        if not blocked:
+                            succ.append(((int(nxt.x), int(nxt.y), nxt.z, nxt.heading), action_units(a)))
+                    graph[(x, y, z, hd)] = succ
+    return graph
+
+
+def dijkstra_cost(world: CityWorld, start: UavState, goal, graph=None) -> int:
+    """Least cost, in units, from start to any state on the goal cell.
+
+    Plain Dijkstra over (x, y, z, heading), with no heuristic, and with
+    the simulator's step as the transition model rather than the
+    planner's own successor rules.
+    """
+    graph = graph or transition_graph(world)
+    s0 = (int(start.x), int(start.y), start.z, start.heading)
+    best = {s0: 0}
+    heap = [(0, s0)]
+    while heap:
+        d, s = heapq.heappop(heap)
+        if d > best[s]:
+            continue
+        if s[:2] == tuple(goal):
+            return d
+        for t, units in graph[s]:
+            if d + units < best.get(t, math.inf):
+                best[t] = d + units
+                heapq.heappush(heap, (d + units, t))
+    raise InfeasibleError(f"no path from {s0} to {tuple(goal)}")
+
+
+@pytest.mark.parametrize("seed,cfg", ORACLE_WORLDS)
+def test_plan_path_matches_oracle(seed, cfg):
+    wd, pairs = oracle_pairs(seed, cfg)
+    for start, goal in pairs:
+        assert_same_plan(plan_path(wd, start, goal), oracle_plan_path(wd, start, goal, manhattan))
+
+
+@pytest.mark.parametrize("seed,cfg", ORACLE_WORLDS)
+def test_plan_path_keeps_cost_and_forward_count_of_hypot_planner(seed, cfg):
+    wd, pairs = oracle_pairs(seed, cfg)
+    for start, goal in pairs:
+        new = plan_path(wd, start, goal)
+        old = oracle_plan_path(wd, start, goal, math.hypot)
+        assert plan_units(new) == plan_units(old), (start, goal)
+        assert new.remaining[0] == old.remaining[0], (start, goal)
+
+
+@pytest.mark.parametrize("seed,cfg", ORACLE_WORLDS)
+def test_plan_path_cost_is_optimal(seed, cfg):
+    assert TURN_UNITS == TURN_COST * MOVE_UNITS
+    wd, pairs = oracle_pairs(seed, cfg)
+    graph = transition_graph(wd)
+    for start, goal in pairs:
+        assert plan_units(plan_path(wd, start, goal)) == dijkstra_cost(wd, start, goal, graph), (start, goal)
 
 
 def walled_world():
@@ -142,7 +238,7 @@ def walled_world():
                      cruise_z=2, r_base=4, r_gain=2, world_id="walled")
 
 
-@pytest.mark.parametrize("planner", [plan_path, oracle_plan_path])
+@pytest.mark.parametrize("planner", [plan_path, oracle_plan_path, dijkstra_cost])
 def test_walled_in_start_infeasible(planner):
     with pytest.raises(InfeasibleError):
         planner(walled_world(), UavState(10.0, 10.0, 2, 0), (2, 2))
