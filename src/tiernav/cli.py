@@ -135,8 +135,12 @@ def _build_model(cfg) -> NavPolicy:
 
 
 def _controller(cfg) -> dict:
-    """Controller settings shared by every NeuralPolicy and stage-2 run."""
+    """Controller settings shared by every NeuralPolicy."""
     return {"avoid_blocked": cfg["model.avoid_blocked"], "replan_patience": cfg["model.replan_patience"]}
+
+
+def _eval_policy(cfg, model) -> NeuralPolicy:
+    return NeuralPolicy(model, flat=cfg["eval.flat"], **_controller(cfg))
 
 
 def _load_checkpoint_model(cfg, args, stage: str) -> NavPolicy:
@@ -236,16 +240,17 @@ def cmd_train_rl(cfg, args) -> int:
     model = _load_checkpoint_model(cfg, args, "il")
     run_dir = _begin_run(cfg, args, "rl")
     ckpt_dir = os.path.join(run_dir, "checkpoints")
+    policy = NeuralPolicy(model, flat=cfg["ppo.flat"], keep_feats=True, **_controller(cfg))
     result = train_stage2(
-        model, seen, cfg.ppo_config(), cfg.reward_config(),
+        policy, seen, cfg.ppo_config(), cfg.reward_config(),
         corpus=demos, seed=cfg["run.seed"], tiers=cfg.tier_list("ppo.tiers"),
         probe=_build_probe(cfg, unseen or seen, cfg["ppo.probe_episodes"]),
         probe_every=cfg["ppo.probe_every"], probe_threshold_m=cfg["eval.threshold_m"],
         expert_batch=cfg["ppo.expert_batch"], lambda_v=cfg["ppo.lambda_v"],
-        flat=cfg["ppo.flat"], use_prior=cfg["ppo.use_prior"], r_prior=cfg["ppo.r_prior"],
+        use_prior=cfg["ppo.use_prior"], r_prior=cfg["ppo.r_prior"],
         curve_path=os.path.join(run_dir, "curve_rl.csv"),
         checkpoint_dir=ckpt_dir, checkpoint_every=cfg["ppo.checkpoint_every"],
-        tier_brackets=cfg.tier_brackets(), **_controller(cfg),
+        tier_brackets=cfg.tier_brackets(),
     )
     save_policy(os.path.join(run_dir, "policy_rl.ckpt"), model,
                 meta={"stage": "rl", "config_hash": cfg.hash(),
@@ -269,8 +274,7 @@ def _make_policy(cfg, args, kind: str):
         return TeacherPolicy()
     if kind == "random":
         return RandomPolicy()
-    model = _load_checkpoint_model(cfg, args, kind)
-    return NeuralPolicy(model, flat=cfg["eval.flat"], **_controller(cfg))
+    return _eval_policy(cfg, _load_checkpoint_model(cfg, args, kind))
 
 
 def _bench_worlds(cfg, args) -> dict:
@@ -329,15 +333,15 @@ def _sweep_lambda(cfg, args, run_dir: str):
             model = _load_checkpoint_model(cfg, args, "il")
             ppo = cfg.ppo_config()
             ppo.lambda_rl = lam
+            policy = NeuralPolicy(model, flat=cfg["ppo.flat"], keep_feats=True, **_controller(cfg))
             train_stage2(
-                model, seen, ppo, cfg.reward_config(), corpus=demos, seed=seed,
+                policy, seen, ppo, cfg.reward_config(), corpus=demos, seed=seed,
                 tiers=cfg.tier_list("ppo.tiers"), expert_batch=cfg["ppo.expert_batch"],
-                lambda_v=cfg["ppo.lambda_v"], flat=cfg["ppo.flat"],
-                use_prior=cfg["ppo.use_prior"], r_prior=cfg["ppo.r_prior"],
-                tier_brackets=cfg.tier_brackets(), **_controller(cfg),
+                lambda_v=cfg["ppo.lambda_v"], use_prior=cfg["ppo.use_prior"],
+                r_prior=cfg["ppo.r_prior"], tier_brackets=cfg.tier_brackets(),
             )
             _, records = run_benchmark(
-                NeuralPolicy(model, **_controller(cfg)), {"unseen": unseen}, cfg["eval.episodes_per_tier"],
+                _eval_policy(cfg, model), {"unseen": unseen}, cfg["eval.episodes_per_tier"],
                 seeds=[0], tiers=cfg.tier_list("eval.tiers"),
                 tier_brackets=cfg.tier_brackets(), threshold_m=cfg["eval.threshold_m"],
                 use_prior=cfg["eval.use_prior"], r_prior=cfg["eval.r_prior"],
@@ -380,7 +384,7 @@ def cmd_sweep(cfg, args) -> int:
     elif axis == "prior":
         files, lines = _sweep_policy_axis(
             cfg, args, run_dir,
-            {"full": lambda m: NeuralPolicy(m, **ctl), "no_prior": lambda m: NeuralPolicy(m, **ctl)},
+            {"full": lambda m: _eval_policy(cfg, m), "no_prior": lambda m: _eval_policy(cfg, m)},
             {"no_prior": {"use_prior": False}},
         )
     else:  # controller

@@ -362,7 +362,9 @@ def read_trajectory_log(path):
     Any header that starts with TRAJ_COLUMNS is accepted, so corpus
     episode files, which append label columns, read too. An empty file,
     a log without steps, a foreign header, a row of another width than
-    the header or a non-numeric cell raises ContractError.
+    the header, a non-numeric cell, an action that is no Action code or
+    a waypoint index k that is not a non-negative integer raises
+    ContractError.
     """
     with open(path) as f:
         lines = f.read().splitlines()
@@ -377,9 +379,14 @@ def read_trajectory_log(path):
         if len(vals) != len(header):
             raise ContractError(f"{path}: line {n} has {len(vals)} cells but the header has {len(header)}")
         try:
-            rows.append({name: float(v) for name, v in zip(header, vals)})
+            row = {name: float(v) for name, v in zip(header, vals)}
         except ValueError:
             raise ContractError(f"{path}: line {n} has a non-numeric cell") from None
+        if not (row["action"].is_integer() and 0 <= row["action"] < len(Action)):
+            raise ContractError(f"{path}: line {n} has action {row['action']:g}, not an Action code")
+        if not (row["k"].is_integer() and row["k"] >= 0):
+            raise ContractError(f"{path}: line {n} has waypoint index k={row['k']:g}")
+        rows.append(row)
     return rows, header
 
 

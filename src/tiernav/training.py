@@ -20,7 +20,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, NumericsError
 from .layers import Linear, Module, fan_in_uniform
-from .mapper import init_map, update_map
 from .optim import AdamW, clip_grad_norm
 from .util import substream, write_csv
 from .world import (
@@ -201,16 +200,14 @@ def value_loss(value_pred, value_true):
     return ad.mse(vp, vt)
 
 
-def total_loss(l_il, l_v, l_rl, lambda_rl: float, rl_enabled: bool):
-    """Piecewise blend: IL + value + weighted RL when enabled, else IL."""
+def total_loss(l_il, l_v, l_rl, lambda_rl: float):
+    """Stage-2 blend: IL + value + lambda_rl-weighted RL."""
     if not (0.0 <= lambda_rl <= 1.0):
         raise ConfigError(f"lambda_rl must satisfy λ_RL ∈ [0,1], got {lambda_rl}")
 
     def as_t(x):
         return x if isinstance(x, Tensor) else Tensor(np.asarray(float(x)))
 
-    if not rl_enabled:
-        return as_t(l_il)
     return ad.add(ad.add(as_t(l_il), as_t(l_v)), ad.scale(as_t(l_rl), lambda_rl))
 
 
@@ -244,8 +241,8 @@ class LossReport:
     clip_fraction: float
     mean_ratio: float
 
-    def check(self, lambda_rl: float, rl_enabled: bool):
-        expected = (self.l_il + self.l_v + lambda_rl * self.l_rl) if rl_enabled else self.l_il
+    def check(self, lambda_rl: float):
+        expected = self.l_il + self.l_v + lambda_rl * self.l_rl
         if abs(self.l_total - expected) > 1e-12:
             raise ContractError(f"loss report inconsistent: total {self.l_total} vs composition {expected}")
 
@@ -475,89 +472,63 @@ def _state_value(model, ctrl, world, state, episode) -> float:
 
 
 def collect_rollouts(
-    model,
+    policy,
     worlds,
     tiers,
     reward_cfg: RewardConfig,
     n_steps: int,
     rng: np.random.Generator,
-    flat: bool = False,
     use_prior: bool = True,
     r_prior: float = 12.0,
-    max_steps=None,
     tier_brackets=None,
-    avoid_blocked: bool = True,
-    replan_patience: int = 16,
 ) -> Rollout:
     """Exactly n_steps of sampled experience across fresh episodes.
 
-    An episode ending in stop, or hitting its step budget, closes with
-    done=True (the budget is part of the task, so the horizon is
-    genuinely finite there). Only a buffer cut mid-episode leaves
-    done=False and records a critic bootstrap for the dangling tail.
+    policy is a NeuralPolicy built with keep_feats=True. An episode
+    ending in stop, or hitting its step budget, closes with done=True
+    (the budget is part of the task, so the horizon is genuinely finite
+    there). Only a buffer cut mid-episode leaves done=False and records
+    a critic bootstrap for the dangling tail.
     """
-    from .agent import ControllerState, tiered_step
+    from .agent import run_episode
 
-    patches, poses, idss, mfs, wpfs, masks = [], [], [], [], [], []
-    acts, lps, vals, rews, dones = [], [], [], [], []
+    steps = []
+    dones = []
     episode_returns = []
     bootstrap = 0.0
-    n = 0
-    while n < n_steps:
+    while len(steps) < n_steps:
         world = worlds[int(rng.integers(len(worlds)))]
         tier = tiers[int(rng.integers(len(tiers)))]
         ep = sample_episode(world, tier, rng, tiers=tier_brackets)
-        nav = init_map(world, ep, r_prior=r_prior, use_prior=use_prior)
-        ctrl = ControllerState()
-        state = ep.start
-        ep_ret = 0.0
-        cap = int(max_steps if max_steps is not None else ep.max_steps)
-        for t in range(cap):
-            obs = render_observation(world, state)
-            update_map(nav, state, obs)
-            action, ctrl, rec = tiered_step(
-                ctrl, model, world, state, nav, obs, ep.descriptor, "sample", rng,
-                flat=flat, keep_feats=True,
-                avoid_blocked=avoid_blocked, replan_patience=replan_patience,
-            )
-            nxt, _, terminal = env_step(world, state, Action(action))
-            r = compute_reward(state, nxt, ep.goal, world, reward_cfg,
-                               waypoint=rec.waypoint, stopped=terminal)
-            f = rec.feats
-            patches.append(f["patch"])
-            poses.append(f["pose"])
-            idss.append(f["desc_ids"])
-            mfs.append(f["map_feat"])
-            wpfs.append(f["wp_feats"])
-            masks.append(f["mask"])
-            acts.append(action)
-            lps.append(rec.log_prob)
-            vals.append(rec.value_hat)
-            rews.append(r)
-            dones.append(False)
-            ep_ret += r
-            state = nxt
-            n += 1
-            if terminal or t == cap - 1:
-                dones[-1] = True
-                episode_returns.append(ep_ret)
-                break
-            if n == n_steps:
-                bootstrap = _state_value(model, ctrl, world, state, ep)
-                break
+        traj = run_episode(policy, world, ep, mode="sample", rng=rng, reward_cfg=reward_cfg,
+                           r_prior=r_prior, use_prior=use_prior,
+                           max_steps=min(ep.max_steps, n_steps - len(steps)))
+        if any(s.feats is None for s in traj.steps):
+            raise ContractError("rollout steps carry no features; build the policy with keep_feats=True")
+        done = traj.stopped or len(traj) == ep.max_steps
+        steps.extend(traj.steps)
+        dones.extend([False] * (len(traj) - 1) + [done])
+        if done:
+            episode_returns.append(sum(s.reward for s in traj.steps))
+        else:
+            bootstrap = _state_value(policy.model, policy.ctrl, world, traj.final_state, ep)
+
+    def stack(key, dtype=None):
+        return np.array([s.feats[key] for s in steps], dtype=dtype)
+
     return Rollout(
-        actions=np.array(acts, dtype=np.int64),
-        log_probs_old=np.array(lps),
-        values_old=np.array(vals),
-        rewards=np.array(rews),
+        actions=np.array([s.action for s in steps], dtype=np.int64),
+        log_probs_old=np.array([s.log_prob for s in steps]),
+        values_old=np.array([s.value_hat for s in steps]),
+        rewards=np.array([s.reward for s in steps]),
         dones=np.array(dones, dtype=bool),
         bootstrap_value=bootstrap,
-        obs=np.array(patches),
-        state_feats=np.array(poses),
-        desc_feats=np.array(idss, dtype=np.int64),
-        map_feats=np.array(mfs),
-        wp_feats=np.array(wpfs),
-        masks=np.array(masks, dtype=bool),
+        obs=stack("patch"),
+        state_feats=stack("pose"),
+        desc_feats=stack("desc_ids", np.int64),
+        map_feats=stack("map_feat"),
+        wp_feats=stack("wp_feats"),
+        masks=stack("mask", bool),
         episode_returns=episode_returns,
     )
 
@@ -600,25 +571,16 @@ def critic_value_loss(model, rollout: Rollout, targets) -> float:
 # ------------------------------------------------------------ stage 2 (PPO)
 
 
-def _probe_success(traj, world, threshold_m: float) -> bool:
-    gx, gy = traj.episode.goal
-    ne = math.hypot(traj.final_state.x - gx, traj.final_state.y - gy) * world.cell_size
-    return traj.stopped and ne <= threshold_m
-
-
-def probe_success_rate(model, probe, threshold_m: float = 20.0, flat: bool = False,
-                       use_prior: bool = True, r_prior: float = 12.0,
-                       avoid_blocked: bool = True, replan_patience: int = 16) -> float:
+def probe_success_rate(policy, probe, threshold_m: float = 20.0,
+                       use_prior: bool = True, r_prior: float = 12.0) -> float:
     """Greedy SR over a fixed (world, episode) probe list."""
-    from .agent import NeuralPolicy, run_episode
+    from .agent import run_episode
+    from .evaluation import episode_metrics
 
     wins = 0
     for world, ep in probe:
-        policy = NeuralPolicy(model, flat=flat, avoid_blocked=avoid_blocked,
-                              replan_patience=replan_patience)
-        traj = run_episode(policy, world, ep, mode="greedy",
-                           r_prior=r_prior, use_prior=use_prior)
-        if _probe_success(traj, world, threshold_m):
+        traj = run_episode(policy, world, ep, mode="greedy", r_prior=r_prior, use_prior=use_prior)
+        if episode_metrics(traj, ep, threshold_m=threshold_m, cell_size=world.cell_size).success:
             wins += 1
     return wins / len(probe)
 
@@ -634,7 +596,7 @@ class Stage2Result:
 
 
 def train_stage2(
-    model,
+    policy,
     worlds,
     ppo_cfg: PPOConfig,
     reward_cfg: RewardConfig,
@@ -647,19 +609,19 @@ def train_stage2(
     expert_batch: int = 32,
     lambda_v: float = 0.05,  # same trunk cross-talk as stage 1
     freeze: tuple = (),
-    flat: bool = False,
     use_prior: bool = True,
     r_prior: float = 12.0,
     curve_path=None,
     checkpoint_dir=None,
     checkpoint_every: int = 0,
     tier_brackets=None,
-    avoid_blocked: bool = True,
-    replan_patience: int = 16,
 ) -> Stage2Result:
-    """On-policy fine-tuning blended with imitation per the piecewise
-    total loss. The critic arrives warm: whatever the stage-1 value
-    head learned is the starting critic.
+    """On-policy fine-tuning blended with imitation per total_loss. The
+    critic arrives warm: whatever the stage-1 value head learned is the
+    starting critic.
+
+    policy is a NeuralPolicy built with keep_feats=True; it collects the
+    rollouts and plays the probe, and its model is the one trained.
 
     Each update collects a fixed-size rollout, normalizes advantages
     batch-wide, then runs minibatch epochs minimizing
@@ -670,6 +632,7 @@ def train_stage2(
     """
     ppo_cfg.validate()
     reward_cfg.validate()
+    model = policy.model
     entries = _entries(model, freeze)
     opt = AdamW(entries, lr=ppo_cfg.lr)
     data = prepare_stage1_data(corpus, model) if corpus else None
@@ -683,11 +646,9 @@ def train_stage2(
     last_good = _snapshot(model)
     for u in range(ppo_cfg.max_updates):
         rollout = collect_rollouts(
-            model, worlds, tiers, reward_cfg, ppo_cfg.rollout_steps,
+            policy, worlds, tiers, reward_cfg, ppo_cfg.rollout_steps,
             substream(seed, "stage2-collect", u),
-            flat=flat, use_prior=use_prior, r_prior=r_prior,
-            tier_brackets=tier_brackets, avoid_blocked=avoid_blocked,
-            replan_patience=replan_patience,
+            use_prior=use_prior, r_prior=r_prior, tier_brackets=tier_brackets,
         )
         env_steps += len(rollout)
         adv, targets = compute_gae(rollout, ppo_cfg.gamma, ppo_cfg.lam_gae)
@@ -719,7 +680,7 @@ def train_stage2(
                 else:
                     l_il = Tensor(np.zeros(()))
                     l_v = Tensor(np.zeros(()))
-                l_total = total_loss(l_il, l_v, l_rl, ppo_cfg.lambda_rl, rl_enabled=True)
+                l_total = total_loss(l_il, l_v, l_rl, ppo_cfg.lambda_rl)
                 if not (np.isfinite(l_total.item()) and np.all(np.isfinite(ratio)) and ratio.mean() < 100.0):
                     blew = True
                     break
@@ -751,10 +712,8 @@ def train_stage2(
             continue
         means = {k: v / max(n_mb, 1) for k, v in sums.items()}
         if probe is not None and u % probe_every == 0:
-            probe_sr = probe_success_rate(model, probe, threshold_m=probe_threshold_m,
-                                          flat=flat, use_prior=use_prior, r_prior=r_prior,
-                                          avoid_blocked=avoid_blocked,
-                                          replan_patience=replan_patience)
+            probe_sr = probe_success_rate(policy, probe, threshold_m=probe_threshold_m,
+                                          use_prior=use_prior, r_prior=r_prior)
         report = LossReport(
             l_il=means["l_il"],
             l_v=means["l_v"],
@@ -764,7 +723,7 @@ def train_stage2(
             clip_fraction=clip_hits / max(n_samples, 1),
             mean_ratio=means["ratio"],
         )
-        report.check(ppo_cfg.lambda_rl, rl_enabled=True)
+        report.check(ppo_cfg.lambda_rl)
         curve.append({
             "update": u,
             "L_IL": report.l_il,

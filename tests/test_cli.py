@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from tiernav import cli
 from tiernav.cli import main, render_replay
 from tiernav.config import parse_config
 from tiernav.errors import NumericsError, ShapeError, StateError
+from tiernav.evaluation import ablation_suite, run_benchmark
 from tiernav.teacher import TRAJ_COLUMNS
 
 CONFIG_TEXT = """\
@@ -88,7 +90,7 @@ def test_pipeline_artifacts_and_manifests(pipeline):
         assert set(m["files"]) == on_disk - {"manifest.json"}
     assert os.path.isfile(os.path.join(out, "il", "policy_il.ckpt"))
     assert os.path.isfile(os.path.join(out, "rl", "policy_rl.ckpt"))
-    curve = open(os.path.join(out, "rl", "curve_rl.csv")).read().splitlines()
+    curve = Path(os.path.join(out, "rl", "curve_rl.csv")).read_text().splitlines()
     assert curve[0].startswith("update,")
     assert len(curve) == 2  # one update
 
@@ -103,7 +105,7 @@ def test_echoed_config_reparses_to_same_hash(pipeline):
 def test_eval_neural_policy(pipeline):
     _, out, base = pipeline
     assert main(["eval", *base]) == 0
-    report = open(os.path.join(out, "eval", "report.csv")).read().splitlines()
+    report = Path(os.path.join(out, "eval", "report.csv")).read_text().splitlines()
     assert report[0] == "split,tier,NE,SR,OSR,SPL,n,seeds"
     assert len(report) == 1 + 4  # 2 splits x 2 tiers
     assert glob.glob(os.path.join(out, "eval", "trajectories", "*.csv"))
@@ -118,7 +120,7 @@ def test_eval_teacher_needs_no_checkpoint(pipeline, tmp_path):
     assert main(["gen-worlds", *base]) == 0
     assert main(["eval", "--policy", "teacher", *base,
                  "--set", "eval.write_trajectories=false"]) == 0
-    text = open(os.path.join(alt, "eval", "report.txt")).read()
+    text = Path(os.path.join(alt, "eval", "report.txt")).read_text()
     for line in text.splitlines():
         if line.startswith(("seen", "unseen")):
             assert " 100.00" in line  # SR column
@@ -219,6 +221,25 @@ def test_truncated_corpus_row_exits_6(pipeline, tmp_path, capsys):
     lines[2] = ",".join(lines[2].split(",")[:5])
     episode.write_text("\n".join(lines) + "\n")
     assert main(["train-il", *base]) == 6
+    assert str(episode) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column,cell", [("action", "9"), ("k", "-1")])
+def test_out_of_range_log_cell_exits_6(pipeline, tmp_path, capsys, column, cell):
+    cfg_path, out, _ = pipeline
+    alt = tmp_path / "bad_cell"
+    for stage in ("worlds", "corpus", "il"):
+        shutil.copytree(os.path.join(out, stage), alt / stage)
+    episode = alt / "corpus" / "episode_00000.csv"
+    lines = episode.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[TRAJ_COLUMNS.index(column)] = cell
+    lines[1] = ",".join(cells)
+    episode.write_text("\n".join(lines) + "\n")
+    base = ["--config", cfg_path, "--out", str(alt)]
+    assert main(["train-il", "--force", *base]) == 6
+    assert str(episode) in capsys.readouterr().err
+    assert main(["replay", "--log", str(episode), *base]) == 6
     assert str(episode) in capsys.readouterr().err
 
 
@@ -323,21 +344,44 @@ def test_replay_marks_waypoint_transitions():
 def test_sweep_prior_and_controller(pipeline, monkeypatch):
     cfg_path, out, base = pipeline
     assert main(["sweep", "--axis", "prior", *base]) == 0
-    text = open(os.path.join(out, "sweep-prior", "ablation.txt")).read()
+    text = Path(os.path.join(out, "sweep-prior", "ablation.txt")).read_text()
     assert "full" in text and "no_prior" in text
     assert main(["sweep", "--axis", "controller", *base]) == 0
-    text = open(os.path.join(out, "sweep-controller", "summary.txt")).read()
+    text = Path(os.path.join(out, "sweep-controller", "summary.txt")).read_text()
     assert "tiered" in text and "flat" in text
+
+
+def test_sweeps_evaluate_with_eval_flat(pipeline, tmp_path, monkeypatch):
+    cfg_path, out, _ = pipeline
+    alt = tmp_path / "flat_eval"
+    for stage in ("worlds", "corpus", "il", "rl"):
+        shutil.copytree(os.path.join(out, stage), alt / stage)
+    flats = []
+
+    def recording_benchmark(policy, *args, **kwargs):
+        flats.append(policy.flat)
+        return run_benchmark(policy, *args, **kwargs)
+
+    def recording_suite(variants, *args, **kwargs):
+        flats.extend(policy.flat for policy in variants.values())
+        return ablation_suite(variants, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_benchmark", recording_benchmark)
+    monkeypatch.setattr(cli, "ablation_suite", recording_suite)
+    base = ["--config", cfg_path, "--out", str(alt), "--set", "eval.flat=true"]
+    assert main(["sweep", "--axis", "lambda_rl", *base]) == 0
+    assert main(["sweep", "--axis", "prior", *base]) == 0
+    assert flats == [True] * 4  # two lambdas x one seed, then the two prior variants
 
 
 def test_sweep_lambda_axis(pipeline):
     cfg_path, out, base = pipeline
     assert main(["sweep", "--axis", "lambda_rl", *base,
                  "--set", "ppo.max_updates=1", "--set", "eval.episodes_per_tier=1"]) == 0
-    rows = open(os.path.join(out, "sweep-lambda_rl", "sweep.csv")).read().splitlines()
+    rows = Path(os.path.join(out, "sweep-lambda_rl", "sweep.csv")).read_text().splitlines()
     assert rows[0] == "lambda_rl,seed,SR"
     assert len(rows) == 1 + 2  # two lambdas x one seed
-    summary = open(os.path.join(out, "sweep-lambda_rl", "summary.txt")).read()
+    summary = Path(os.path.join(out, "sweep-lambda_rl", "summary.txt")).read_text()
     assert "lambda=0.0" in summary and "lambda=0.2" in summary
 
 
@@ -346,10 +390,10 @@ def test_gen_worlds_deterministic(pipeline, tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     for target in (a, b):
         assert main(["gen-worlds", "--config", cfg_path, "--out", target]) == 0
-    wa = open(os.path.join(a, "worlds", "seen_00.txt")).read()
-    wb = open(os.path.join(b, "worlds", "seen_00.txt")).read()
+    wa = Path(os.path.join(a, "worlds", "seen_00.txt")).read_text()
+    wb = Path(os.path.join(b, "worlds", "seen_00.txt")).read_text()
     assert wa == wb
-    assert wa == open(os.path.join(out, "worlds", "seen_00.txt")).read()
+    assert wa == Path(os.path.join(out, "worlds", "seen_00.txt")).read_text()
 
 
 def test_il_checkpoint_deterministic(pipeline, tmp_path):
@@ -358,8 +402,8 @@ def test_il_checkpoint_deterministic(pipeline, tmp_path):
     base = ["--config", cfg_path, "--out", alt]
     for cmd in ("gen-worlds", "build-corpus", "train-il"):
         assert main([cmd, *base]) == 0
-    a = open(os.path.join(out, "il", "policy_il.ckpt"), "rb").read()
-    b = open(os.path.join(alt, "il", "policy_il.ckpt"), "rb").read()
+    a = Path(os.path.join(out, "il", "policy_il.ckpt")).read_bytes()
+    b = Path(os.path.join(alt, "il", "policy_il.ckpt")).read_bytes()
     assert a == b
 
 
@@ -367,7 +411,7 @@ def _tree_bytes(root):
     out = {}
     for p in glob.glob(os.path.join(root, "**", "*"), recursive=True):
         if os.path.isfile(p) and os.path.basename(p) != "manifest.json":
-            out[os.path.relpath(p, root)] = open(p, "rb").read()
+            out[os.path.relpath(p, root)] = Path(p).read_bytes()
     return out
 
 

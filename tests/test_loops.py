@@ -1,12 +1,18 @@
-"""Stage-1/stage-2 trainers, rollout collection, corridor sanity."""
+"""Stage-1/stage-2 trainers, rollout collection, corridor sanity.
+
+collect_rollouts runs every episode through agent.run_episode;
+oracle_collect_rollouts below is the hand-rolled collection loop it
+replaced, kept as the bit-exact reference for the rollout buffer.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from tiernav.agent import NavPolicy
+from tiernav.agent import ControllerState, NavPolicy, NeuralPolicy, TeacherPolicy, tiered_step
 from tiernav.errors import ContractError
+from tiernav.mapper import init_map, update_map
 from tiernav.teacher import build_dataset
 from tiernav.training import (
     IL_CURVE_COLUMNS,
@@ -14,9 +20,12 @@ from tiernav.training import (
     LossReport,
     PPOConfig,
     RewardConfig,
+    Rollout,
     Stage1Config,
+    _state_value,
     collect_rollouts,
     compute_gae,
+    compute_reward,
     corridor_sanity,
     critic_value_loss,
     probe_success_rate,
@@ -26,7 +35,7 @@ from tiernav.training import (
     write_curve,
 )
 from tiernav.util import substream
-from tiernav.world import WorldConfig, generate_world, sample_episode
+from tiernav.world import Action, WorldConfig, generate_world, render_observation, sample_episode, step
 
 GAMMA = 0.99
 
@@ -107,8 +116,8 @@ def test_stage1_rejects_stripped_corpus(world, reward_cfg):
 
 
 def test_collect_rollout_contract(world, reward_cfg):
-    model = fresh_model(world)
-    ro = collect_rollouts(model, [world], ("easy",), reward_cfg, 90, substream(3, "roll"))
+    policy = NeuralPolicy(fresh_model(world), keep_feats=True)
+    ro = collect_rollouts(policy, [world], ("easy",), reward_cfg, 90, substream(3, "roll"))
     assert len(ro) == 90
     assert ro.actions.shape == ro.log_probs_old.shape == ro.rewards.shape == (90,)
     assert ro.obs.shape[0] == 90 and ro.map_feats.shape[0] == 90
@@ -127,15 +136,105 @@ def test_collect_rollout_contract(world, reward_cfg):
 
 
 def test_collect_rollout_deterministic(world, reward_cfg):
-    model = fresh_model(world)
+    policy = NeuralPolicy(fresh_model(world), keep_feats=True)
     # first encode on a fresh net primes the BN running stats
-    collect_rollouts(model, [world], ("easy",), reward_cfg, 8, substream(11, "warm"))
-    a = collect_rollouts(model, [world], ("easy",), reward_cfg, 60, substream(11, "r"))
-    b = collect_rollouts(model, [world], ("easy",), reward_cfg, 60, substream(11, "r"))
+    collect_rollouts(policy, [world], ("easy",), reward_cfg, 8, substream(11, "warm"))
+    a = collect_rollouts(policy, [world], ("easy",), reward_cfg, 60, substream(11, "r"))
+    b = collect_rollouts(policy, [world], ("easy",), reward_cfg, 60, substream(11, "r"))
     assert np.array_equal(a.actions, b.actions)
     assert np.array_equal(a.rewards, b.rewards)
     assert np.array_equal(a.map_feats, b.map_feats)
     assert a.bootstrap_value == b.bootstrap_value
+
+
+def oracle_collect_rollouts(model, worlds, tiers, reward_cfg, n_steps, rng):
+    """The hand-rolled collection loop that collect_rollouts replaced."""
+    patches, poses, idss, mfs, wpfs, masks = [], [], [], [], [], []
+    acts, lps, vals, rews, dones = [], [], [], [], []
+    episode_returns = []
+    bootstrap = 0.0
+    n = 0
+    while n < n_steps:
+        world = worlds[int(rng.integers(len(worlds)))]
+        tier = tiers[int(rng.integers(len(tiers)))]
+        ep = sample_episode(world, tier, rng)
+        nav = init_map(world, ep)
+        ctrl = ControllerState()
+        state = ep.start
+        ep_ret = 0.0
+        cap = ep.max_steps
+        for t in range(cap):
+            obs = render_observation(world, state)
+            update_map(nav, state, obs)
+            action, ctrl, rec = tiered_step(ctrl, model, world, state, nav, obs, ep.descriptor, "sample", rng,
+                                            keep_feats=True)
+            nxt, _, terminal = step(world, state, Action(action))
+            r = compute_reward(state, nxt, ep.goal, world, reward_cfg, waypoint=rec.waypoint, stopped=terminal)
+            f = rec.feats
+            patches.append(f["patch"])
+            poses.append(f["pose"])
+            idss.append(f["desc_ids"])
+            mfs.append(f["map_feat"])
+            wpfs.append(f["wp_feats"])
+            masks.append(f["mask"])
+            acts.append(action)
+            lps.append(rec.log_prob)
+            vals.append(rec.value_hat)
+            rews.append(r)
+            dones.append(False)
+            ep_ret += r
+            state = nxt
+            n += 1
+            if terminal or t == cap - 1:
+                dones[-1] = True
+                episode_returns.append(ep_ret)
+                break
+            if n == n_steps:
+                bootstrap = _state_value(model, ctrl, world, state, ep)
+                break
+    return Rollout(
+        actions=np.array(acts, dtype=np.int64),
+        log_probs_old=np.array(lps),
+        values_old=np.array(vals),
+        rewards=np.array(rews),
+        dones=np.array(dones, dtype=bool),
+        bootstrap_value=bootstrap,
+        obs=np.array(patches),
+        state_feats=np.array(poses),
+        desc_feats=np.array(idss, dtype=np.int64),
+        map_feats=np.array(mfs),
+        wp_feats=np.array(wpfs),
+        masks=np.array(masks, dtype=bool),
+        episode_returns=episode_returns,
+    )
+
+
+ROLLOUT_ARRAYS = ("actions", "log_probs_old", "values_old", "rewards", "dones", "obs", "state_feats",
+                  "desc_feats", "map_feats", "wp_feats", "masks")
+
+
+def test_collect_rollouts_matches_oracle(world, reward_cfg):
+    # two same-seed fresh nets, so the BN-priming first encode is compared too
+    cut = 0
+    for seed in range(4):
+        for n_steps in (8, 60, 257):
+            args = ([world], ("easy", "medium"), reward_cfg, n_steps)
+            want = oracle_collect_rollouts(fresh_model(world, seed), *args, substream(seed, "oracle", n_steps))
+            got = collect_rollouts(NeuralPolicy(fresh_model(world, seed), keep_feats=True), *args,
+                                   substream(seed, "oracle", n_steps))
+            for name in ROLLOUT_ARRAYS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert np.array_equal(a, b), name
+            assert got.bootstrap_value == want.bootstrap_value
+            assert got.episode_returns == want.episode_returns
+            cut += not want.dones[-1]
+    assert cut > 0  # the mid-episode bootstrap path was taken
+
+
+def test_collect_rollouts_needs_step_features(world, reward_cfg):
+    with pytest.raises(ContractError):
+        collect_rollouts(NeuralPolicy(fresh_model(world)), [world], ("easy",), reward_cfg, 8, substream(3, "f"))
 
 
 def test_reinit_value_head_scoped(world):
@@ -153,7 +252,8 @@ def test_reinit_value_head_scoped(world):
 def test_warm_critic_beats_fresh_on_small_run(world, corpus, reward_cfg):
     model = fresh_model(world, seed=7)
     train_stage1(corpus, model, Stage1Config(epochs=8, seed=7))
-    ro = collect_rollouts(model, [world], ("easy",), reward_cfg, 96, substream(7, "r"))
+    policy = NeuralPolicy(model, keep_feats=True)
+    ro = collect_rollouts(policy, [world], ("easy",), reward_cfg, 96, substream(7, "r"))
     targets = compute_gae(ro, GAMMA, 1.0)[1]
     warm = critic_value_loss(model, ro, targets)
     reinit_value_head(model, substream(7, "re"))
@@ -167,8 +267,8 @@ def test_stage2_runs_and_reports(world, corpus, reward_cfg):
     train_stage1(corpus, model, Stage1Config(epochs=2, seed=8))
     probe = [(world, sample_episode(world, "easy", substream(8, "probe", i))) for i in range(2)]
     cfg = PPOConfig(rollout_steps=96, max_updates=2, minibatch_size=32, epochs_per_update=2)
-    res = train_stage2(model, [world], cfg, reward_cfg, corpus=corpus, seed=8,
-                       tiers=("easy",), probe=probe)
+    res = train_stage2(NeuralPolicy(model, keep_feats=True), [world], cfg, reward_cfg, corpus=corpus,
+                       seed=8, tiers=("easy",), probe=probe)
     assert res.updates_run == 2 and not res.aborted
     assert res.env_steps == 192
     assert abs(res.first_minibatch_ratio - 1.0) <= 1e-6
@@ -184,14 +284,15 @@ def test_stage2_mean_ratio_is_per_update(world, corpus, reward_cfg, monkeypatch)
     reports = []
     check = LossReport.check
 
-    def record(self, lambda_rl, rl_enabled):
+    def record(self, lambda_rl):
         reports.append(self)
-        return check(self, lambda_rl, rl_enabled)
+        return check(self, lambda_rl)
 
     monkeypatch.setattr(LossReport, "check", record)
     model = fresh_model(world, seed=12)
     cfg = PPOConfig(rollout_steps=64, max_updates=2, minibatch_size=32, epochs_per_update=2)
-    res = train_stage2(model, [world], cfg, reward_cfg, corpus=corpus, seed=12, tiers=("easy",))
+    res = train_stage2(NeuralPolicy(model, keep_feats=True), [world], cfg, reward_cfg, corpus=corpus,
+                       seed=12, tiers=("easy",))
     assert res.updates_run == 2 and len(reports) == 2
     ratios = [r.mean_ratio for r in reports]
     assert all(math.isfinite(r) and r > 0.0 for r in ratios)
@@ -204,7 +305,8 @@ def test_stage2_lambda_zero_keeps_rl_out_of_total(world, corpus, reward_cfg):
     model = fresh_model(world, seed=9)
     cfg = PPOConfig(rollout_steps=64, max_updates=1, minibatch_size=32,
                     epochs_per_update=1, lambda_rl=0.0)
-    res = train_stage2(model, [world], cfg, reward_cfg, corpus=corpus, seed=9, tiers=("easy",))
+    res = train_stage2(NeuralPolicy(model, keep_feats=True), [world], cfg, reward_cfg, corpus=corpus,
+                       seed=9, tiers=("easy",))
     row = res.curve[0]
     assert row["L_total"] == row["L_IL"] + row["L_V"]
 
@@ -214,7 +316,7 @@ def test_stage2_freeze_blocks_parameter_updates(world, corpus, reward_cfg):
     before = params_of(model)
     cfg = PPOConfig(rollout_steps=64, max_updates=1, minibatch_size=32, epochs_per_update=1,
                     lr=1e-3)
-    train_stage2(model, [world], cfg, reward_cfg, corpus=corpus, seed=10,
+    train_stage2(NeuralPolicy(model, keep_feats=True), [world], cfg, reward_cfg, corpus=corpus, seed=10,
                  tiers=("easy",), freeze=("map_encoder.",))
     after = params_of(model)
     for name in before:
@@ -227,20 +329,17 @@ def test_stage2_deterministic(world, corpus, reward_cfg):
     cfg = PPOConfig(rollout_steps=64, max_updates=1, minibatch_size=32, epochs_per_update=1)
     m1 = fresh_model(world, seed=11)
     m2 = fresh_model(world, seed=11)
-    train_stage2(m1, [world], cfg, reward_cfg, corpus=corpus, seed=11, tiers=("easy",))
-    train_stage2(m2, [world], cfg, reward_cfg, corpus=corpus, seed=11, tiers=("easy",))
+    for m in (m1, m2):
+        train_stage2(NeuralPolicy(m, keep_feats=True), [world], cfg, reward_cfg, corpus=corpus, seed=11,
+                     tiers=("easy",))
     assert_params_equal(params_of(m1), params_of(m2))
 
 
 def test_probe_success_rate_teacherlike(world):
-    # a model is not needed to pin the scoring rule: reuse the helper
-    # through train_stage2's probe path indirectly via a stopped teacher run
-    from tiernav.agent import TeacherPolicy, run_episode
-    from tiernav.training import _probe_success
-
+    # a model is not needed to pin the scoring rule: the teacher stops
+    # on the goal, so its probe run is a success
     ep = sample_episode(world, "easy", substream(21, "p"))
-    traj = run_episode(TeacherPolicy(), world, ep)
-    assert _probe_success(traj, world, threshold_m=20.0)
+    assert probe_success_rate(TeacherPolicy(), [(world, ep)], threshold_m=20.0) == 1.0
 
 
 def test_write_curve_byte_identical(tmp_path):

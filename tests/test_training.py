@@ -316,21 +316,20 @@ def test_value_loss_cases_and_grad():
 
 
 def test_total_loss_cases():
-    assert total_loss(1.0, 99.0, 99.0, 0.2, rl_enabled=False).data == 1.0
-    assert total_loss(1.0, 0.5, 2.0, 0.2, rl_enabled=True).data == pytest.approx(1.9, abs=1e-15)
-    assert total_loss(1.0, 0.5, 2.0, 0.0, rl_enabled=True).data == pytest.approx(1.5, abs=1e-15)
+    assert total_loss(1.0, 0.5, 2.0, 0.2).data == pytest.approx(1.9, abs=1e-15)
+    assert total_loss(1.0, 0.5, 2.0, 0.0).data == pytest.approx(1.5, abs=1e-15)
 
 
 def test_total_loss_linear_in_rl_term():
     lam = 0.35
-    a = total_loss(0.7, 0.2, 3.0, lam, rl_enabled=True).data
-    b = total_loss(0.7, 0.2, 1.0, lam, rl_enabled=True).data
+    a = total_loss(0.7, 0.2, 3.0, lam).data
+    b = total_loss(0.7, 0.2, 1.0, lam).data
     assert (a - b) == pytest.approx(lam * 2.0, abs=1e-12)
 
 
 def test_total_loss_range_error():
     with pytest.raises(ConfigError, match=r"λ_RL ∈ \[0,1\]"):
-        total_loss(1.0, 1.0, 1.0, 1.5, rl_enabled=True)
+        total_loss(1.0, 1.0, 1.0, 1.5)
 
 
 def test_ppo_config_validation():
@@ -348,11 +347,8 @@ def test_ppo_config_validation():
 def test_loss_report_check():
     rep = LossReport(l_il=1.0, l_v=0.5, l_rl=2.0, l_total=1.9, entropy=0.1,
                      clip_fraction=0.0, mean_ratio=1.0)
-    rep.check(0.2, rl_enabled=True)
+    rep.check(0.2)
     bad = LossReport(l_il=1.0, l_v=0.5, l_rl=2.0, l_total=2.0, entropy=0.1,
                      clip_fraction=0.0, mean_ratio=1.0)
     with pytest.raises(ContractError):
-        bad.check(0.2, rl_enabled=True)
-    solo = LossReport(l_il=0.7, l_v=9.0, l_rl=9.0, l_total=0.7, entropy=0.0,
-                      clip_fraction=0.0, mean_ratio=1.0)
-    solo.check(0.2, rl_enabled=False)
+        bad.check(0.2)
