@@ -3,7 +3,11 @@
 A Tensor wraps one array plus an optional gradient and links to the
 tensors that produced it, so the compute graph is the implicit DAG of
 parent pointers. backward() walks that DAG once in reverse topological
-order and accumulates gradients additively across fan-out.
+order and accumulates gradients additively across fan-out. It consumes
+the tape as it goes: each interior node drops its gradient, its parent
+links and its backward rule once it has propagated, so activations are
+freed as soon as their last consumer is done. Only leaves (parameters
+and inputs) keep their .grad.
 
 Only the primitives the map encoder and policy heads need are provided;
 each carries a hand-written backward rule. Everything is float64: the
@@ -87,8 +91,19 @@ def _node(data, parents, op, backward) -> Tensor:
     return Tensor(data, op=op)
 
 
+def _spent(g):
+    raise StateError("backward through a tape that an earlier backward consumed")
+
+
 def backward(loss: Tensor):
-    """Populate .grad on every tensor reachable from a scalar loss."""
+    """Populate .grad on every leaf reachable from a scalar loss.
+
+    The tape is consumed: once a node has propagated, its grad is None,
+    its parent links are cleared and its backward rule is replaced by
+    one that raises StateError. A second backward on the same loss, or a
+    new loss built on a spent node, therefore fails instead of silently
+    contributing nothing. Leaves (no backward rule) keep their .grad.
+    """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -112,9 +127,15 @@ def backward(loss: Tensor):
         else:
             stack.pop()
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = None
+        node._parents = ()
+        node._backward = _spent
 
 
 # ---------------------------------------------------------------- elementwise
@@ -408,6 +429,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
     its channel axes swapped. At stride 2 that padded gradient would
     need zeros between its samples, so there the column gradient is
     scattered back with _col2im instead.
+
+    The tape keeps no column matrix: backward rebuilds the columns from
+    the input it holds to form the kernel gradient. The columns are the
+    largest array a conv makes (k*k times its input), and rebuilding
+    them costs one strided copy next to the GEMM that consumes them.
     """
     squeeze = x.data.ndim == 3
     xd = x.data[None] if squeeze else x.data
@@ -427,8 +453,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
         )
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    xp = _pad2d(xd, pad) if pad else xd
-    cols = _im2col(xp, kh, stride, ho, wo)
+    cols = _im2col(_pad2d(xd, pad) if pad else xd, kh, stride, ho, wo)
     wmat = kernel.data.reshape(cout, cin * kh * kw)
     out = np.matmul(wmat[None], cols).reshape(n, cout, ho, wo)
     if bias is not None:
@@ -441,6 +466,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
         gd = g[None] if squeeze else g
         gflat = gd.reshape(n, cout, ho * wo)
         if kernel.requires_grad:
+            cols = _im2col(_pad2d(xd, pad) if pad else xd, kh, stride, ho, wo)
             gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)
             _accum(kernel, gw.reshape(kernel.data.shape))
         if bias is not None and bias.requires_grad:

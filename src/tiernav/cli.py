@@ -344,7 +344,7 @@ def _sweep_lambda(cfg, args, run_dir: str):
                 _eval_policy(cfg, model), {"unseen": unseen}, cfg["eval.episodes_per_tier"],
                 seeds=[0], tiers=cfg.tier_list("eval.tiers"),
                 tier_brackets=cfg.tier_brackets(), threshold_m=cfg["eval.threshold_m"],
-                use_prior=cfg["eval.use_prior"], r_prior=cfg["eval.r_prior"],
+                mode=cfg["eval.mode"], use_prior=cfg["eval.use_prior"], r_prior=cfg["eval.r_prior"],
             )
             sr[(lam, seed)] = _pooled_sr(records)
             rows.append({"lambda_rl": lam, "seed": seed, "SR": sr[(lam, seed)]})
@@ -361,14 +361,16 @@ def _sweep_lambda(cfg, args, run_dir: str):
 
 
 def _sweep_policy_axis(cfg, args, run_dir: str, variants, options):
+    """Evaluate each variant with the eval.* keys; an axis option overrides them."""
     model = _load_checkpoint_model(cfg, args, "rl")
     built = {name: ctor(model) for name, ctor in variants.items()}
     worlds = {"unseen": _load_worlds(cfg, args, "unseen") or _load_worlds(cfg, args, "seen")}
+    eval_kw = {"mode": cfg["eval.mode"], "use_prior": cfg["eval.use_prior"], "r_prior": cfg["eval.r_prior"]}
     report = ablation_suite(
         built, worlds, cfg["eval.episodes_per_tier"], cfg["sweep.seeds"],
         base=next(iter(variants)), tiers=cfg.tier_list("eval.tiers"),
         tier_brackets=cfg.tier_brackets(), threshold_m=cfg["eval.threshold_m"],
-        options=options,
+        options={name: {**eval_kw, **options.get(name, {})} for name in variants},
     )
     write_ablation_table(os.path.join(run_dir, "ablation.txt"), report)
     return ["ablation.txt"], [render_ablation_table(report).rstrip()]

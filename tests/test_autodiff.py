@@ -6,7 +6,8 @@ import pytest
 from tiernav import autodiff as ad
 from tiernav.autodiff import Tensor
 from tiernav.errors import ConfigError, ContractError, ShapeError, StateError
-from tiernav.optim import grad_check
+
+from gradcheck import grad_check
 
 
 def _param(rng, shape):
@@ -174,6 +175,39 @@ def test_backward_non_scalar_loss_rejected():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ContractError):
         ad.backward(ad.relu(x))
+
+
+def test_backward_consumes_interior_nodes_and_keeps_leaf_grads():
+    # loss = sum(relu(a @ b) * c); a, b, c > 0 so relu passes everything
+    a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+    b = Tensor([[5.0, 6.0], [7.0, 8.0]], requires_grad=True)
+    c = Tensor([[0.5, 1.0], [1.5, 2.0]], requires_grad=True)
+    prod = ad.matmul(a, b)
+    act = ad.relu(prod)
+    loss = ad.sum_all(ad.mul(act, c))
+    ad.backward(loss)
+    for node in (prod, act, loss):
+        assert node.grad is None and node._parents == ()
+    assert np.array_equal(a.grad, c.data @ b.data.T)
+    assert np.array_equal(b.grad, a.data.T @ c.data)
+    assert np.array_equal(c.grad, a.data @ b.data)
+
+
+def test_second_backward_on_same_loss_is_state_error():
+    x = Tensor([3.0], requires_grad=True)
+    loss = ad.sum_all(ad.square(x))
+    ad.backward(loss)
+    with pytest.raises(StateError):
+        ad.backward(loss)
+    assert x.grad[0] == 6.0
+
+
+def test_backward_through_spent_subgraph_is_state_error():
+    x = Tensor([3.0], requires_grad=True)
+    shared = ad.square(x)
+    ad.backward(ad.sum_all(shared))
+    with pytest.raises(StateError):
+        ad.backward(ad.sum_all(ad.scale(shared, 2.0)))
 
 
 def test_no_grad_builds_no_tape():

@@ -374,6 +374,36 @@ def test_sweeps_evaluate_with_eval_flat(pipeline, tmp_path, monkeypatch):
     assert flats == [True] * 4  # two lambdas x one seed, then the two prior variants
 
 
+def test_sweeps_evaluate_with_eval_keys(pipeline, tmp_path, monkeypatch):
+    cfg_path, out, _ = pipeline
+    alt = tmp_path / "keyed_eval"
+    for stage in ("worlds", "corpus", "il", "rl"):
+        shutil.copytree(os.path.join(out, stage), alt / stage)
+    bench_kwargs, suite_options = [], []
+
+    def recording_benchmark(*args, **kwargs):
+        bench_kwargs.append(kwargs)
+        return run_benchmark(*args, **kwargs)
+
+    def recording_suite(*args, **kwargs):
+        suite_options.append(kwargs["options"])
+        return ablation_suite(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_benchmark", recording_benchmark)
+    monkeypatch.setattr(cli, "ablation_suite", recording_suite)
+    base = ["--config", cfg_path, "--out", str(alt), "--set", "eval.mode=sample", "--set", "eval.r_prior=6"]
+    for axis in ("lambda_rl", "prior", "controller"):
+        assert main(["sweep", "--axis", axis, *base]) == 0, axis
+    keyed = {"mode": "sample", "use_prior": True, "r_prior": 6.0}
+    assert len(bench_kwargs) == 2  # two lambdas x one seed
+    for kwargs in bench_kwargs:
+        assert {k: kwargs[k] for k in keyed} == keyed
+    assert suite_options == [
+        {"full": keyed, "no_prior": {**keyed, "use_prior": False}},
+        {"tiered": keyed, "flat": keyed},
+    ]
+
+
 def test_sweep_lambda_axis(pipeline):
     cfg_path, out, base = pipeline
     assert main(["sweep", "--axis", "lambda_rl", *base,

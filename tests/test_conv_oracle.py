@@ -3,8 +3,10 @@
 oracle_conv2d below is the earlier conv2d, kept verbatim as the
 reference. The im2col columns, and so the forward output, must stay
 bit-identical; the gradients may differ only by the order of their
-float64 sums.
+float64 sums. The tape of conv2d itself keeps no column matrix.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,3 +151,21 @@ def test_conv2d_matches_oracle_on_3d_input(stride):
 @pytest.mark.parametrize("cin,side,cout,k,stride,pad", ENCODER_SHAPES)
 def test_conv2d_matches_oracle_at_encoder_shapes(cin, side, cout, k, stride, pad):
     _assert_matches_oracle((2, cin, side, side), cout, k, stride, pad, with_bias=False, seed=side)
+
+
+@pytest.mark.parametrize("cin,side,cout,k,stride,pad", [s for s in ENCODER_SHAPES if s[3] > 1])
+def test_conv2d_tape_holds_no_column_matrix(cin, side, cout, k, stride, pad):
+    n = 3
+    ho = (side + 2 * pad - k) // stride + 1
+    rng = np.random.default_rng(side)
+    x = Tensor(rng.normal(size=(n, cin, side, side)), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(cout, cin, k, k)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d(x, kernel, stride=stride, pad=pad)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held < n * cin * k * k * ho * ho * 8

@@ -17,9 +17,10 @@ from tiernav.mapper import (
     init_map,
     update_map,
 )
-from tiernav.optim import grad_check
 from tiernav.util import substream
 from tiernav.world import UavState, WorldConfig, generate_world, render_observation, sample_episode
+
+from gradcheck import grad_check
 
 
 def small_world(seed=2):
@@ -272,6 +273,90 @@ def test_encoder_all_params_receive_gradient():
     ad.backward(ad.mse(enc(x, "train"), target))
     for name, t, _ in enc.named_params():
         assert t.grad is not None and np.any(t.grad != 0), f"dead branch at {name}"
+
+
+def parent_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | None = None) -> Tensor:
+    """conv2d as it was while its tape kept the im2col columns for backward."""
+    squeeze = x.data.ndim == 3
+    xd = x.data[None] if squeeze else x.data
+    n, cin, h, w = xd.shape
+    cout, _, kh, kw = kernel.data.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = ad._pad2d(xd, pad) if pad else xd
+    cols = ad._im2col(xp, kh, stride, ho, wo)
+    wmat = kernel.data.reshape(cout, cin * kh * kw)
+    out = np.matmul(wmat[None], cols).reshape(n, cout, ho, wo)
+    if bias is not None:
+        out = out + bias.data[None, :, None, None]
+    if squeeze:
+        out = out[0]
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+
+    def bw(g):
+        gd = g[None] if squeeze else g
+        gflat = gd.reshape(n, cout, ho * wo)
+        if kernel.requires_grad:
+            gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)
+            ad._accum(kernel, gw.reshape(kernel.data.shape))
+        if bias is not None and bias.requires_grad:
+            ad._accum(bias, gd.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            if stride == 1:
+                q = kh - 1 - pad
+                gp = ad._pad2d(gd, q) if q > 0 else gd[:, :, -q:, -q:]
+                wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
+                gx = np.matmul(wflip[None], ad._im2col(gp, kh, 1, h, w)).reshape(n, cin, h, w)
+            else:
+                gcols = np.matmul(wmat.T[None], gflat)
+                gx = ad._col2im(gcols, xd.shape, kh, stride, pad, ho, wo)
+            ad._accum(x, gx[0] if squeeze else gx)
+
+    return ad._node(out, parents, "conv2d", bw)
+
+
+def parent_backward(loss: Tensor):
+    """backward as it was while it left the tape intact."""
+    order = []
+    state: dict[int, int] = {}
+    stack = [loss]
+    while stack:
+        node = stack[-1]
+        st = state.get(id(node), 0)
+        if st == 0:
+            state[id(node)] = 1
+            for p in node._parents:
+                if state.get(id(p), 0) == 0:
+                    stack.append(p)
+        elif st == 1:
+            state[id(node)] = 2
+            order.append(node)
+            stack.pop()
+        else:
+            stack.pop()
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def _encoder_grads(conv, backward):
+    enc = MapEncoder(substream(18, "enc"), widths=(8, 16), d_out=32)
+    x = Tensor(substream(19, "x").uniform(0, 1, size=(3, 4, 96, 96)))
+    target = Tensor(substream(20, "t").normal(size=(3, 32)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "conv2d", conv)
+        loss = ad.mse(enc(x, "train"), target)
+    backward(loss)
+    return {name: t.grad for name, t, _ in enc.named_params()}
+
+
+def test_encoder_grads_bit_identical_to_column_keeping_tape():
+    got = _encoder_grads(ad.conv2d, ad.backward)
+    want = _encoder_grads(parent_conv2d, parent_backward)
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_batchnorm_infer_applies_running_stats_in_encoder():

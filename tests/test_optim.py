@@ -8,7 +8,9 @@ from tiernav.autodiff import Tensor
 from tiernav.checkpoint import load_checkpoint, save_checkpoint
 from tiernav.errors import ContractError, NumericsError
 from tiernav.layers import BatchNorm2d, Conv2d, Linear, Module
-from tiernav.optim import AdamW, clip_grad_norm, grad_check
+from tiernav.optim import AdamW, clip_grad_norm
+
+from gradcheck import grad_check
 
 
 def test_adam_first_step_moves_by_lr_sign():
