@@ -266,13 +266,15 @@ def build_demonstration(
     are exact discounted suffix sums of the replayed rewards, so the
     one-step Bellman identity holds to float precision. keep_maps /
     keep_obs=False drop the bulky arrays for corpora that are only
-    written to disk (loading replays them back).
+    written to disk (loading replays them back); with both False no
+    observation is rendered and no map is built, as no label reads them.
     """
     from .training import compute_reward  # local import, avoids a module cycle
 
     path = episode_plan(world, episode)
     waypoints = extract_waypoints(path, world)
-    nav = init_map(world, episode, r_prior=r_prior, use_prior=use_prior)
+    perceive = keep_obs or keep_maps
+    nav = init_map(world, episode, r_prior=r_prior, use_prior=use_prior) if perceive else None
     state = episode.start
     actions = list(path.actions) + [Action.STOP]
     t_total = len(actions)
@@ -282,8 +284,9 @@ def build_demonstration(
     k = 0
     rewards = []
     for i, act in enumerate(actions):
-        obs = render_observation(world, state)
-        update_map(nav, state, obs)
+        if perceive:
+            obs = render_observation(world, state)
+            update_map(nav, state, obs)
         k = advance_waypoint(k, waypoints, state)
         if i == 0 or k != steps[-1].k:
             n_snapshots += 1
@@ -418,28 +421,40 @@ def save_corpus(corpus_dir, demos, manifest: dict):
 
 
 def load_manifest(corpus_dir) -> dict:
+    """Parse manifest.txt; a malformed line raises ContractError naming the file and line."""
+    path = os.path.join(corpus_dir, "manifest.txt")
     manifest = {"tier_counts": {}, "world_ids": []}
-    with open(os.path.join(corpus_dir, "manifest.txt")) as f:
+    with open(path) as f:
         lines = f.read().splitlines()
     if not lines or not lines[0].startswith("tiernav-corpus"):
         raise ContractError(f"{corpus_dir}: not a corpus directory")
-    for line in lines[1:]:
+    for n, line in enumerate(lines[1:], start=2):
         parts = line.split()
-        if parts[0] == "tier":
-            manifest["tier_counts"][parts[1]] = int(parts[2])
-        elif parts[0] == "world":
-            manifest["world_ids"].append(parts[1])
-        elif parts[0] == "gamma":
-            manifest["gamma"] = float(parts[1])
-        else:
-            manifest[parts[0]] = int(parts[1])
+        try:
+            if parts[0] == "tier":
+                tier, count = parts[1:]
+                manifest["tier_counts"][tier] = int(count)
+            elif parts[0] == "world":
+                (wid,) = parts[1:]
+                manifest["world_ids"].append(wid)
+            elif parts[0] == "gamma":
+                (gamma,) = parts[1:]
+                manifest["gamma"] = float(gamma)
+            else:
+                key, value = parts
+                manifest[key] = int(value)
+        except (IndexError, ValueError):
+            raise ContractError(f"{path}: line {n} is malformed: {line!r}") from None
     return manifest
 
 
 def load_corpus(corpus_dir, worlds_by_id, r_prior: float = 12.0, use_prior: bool = True):
     """Rebuild demonstrations by deterministic replay of stored actions."""
     manifest = load_manifest(corpus_dir)
-    episodes = load_episodes(os.path.join(corpus_dir, "episodes.jsonl"))
+    index = os.path.join(corpus_dir, "episodes.jsonl")
+    episodes = load_episodes(index)
+    if len(episodes) != manifest.get("episodes"):
+        raise ContractError(f"{index}: {len(episodes)} episodes, manifest.txt says {manifest.get('episodes')}")
     demos = []
     for i, ep in enumerate(episodes):
         world = worlds_by_id.get(ep.world_id)

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, NumericsError
-from .layers import Linear, Module, fan_in_uniform
+from .layers import Linear, Module
 from .optim import AdamW, clip_grad_norm
 from .util import substream, write_csv
 from .world import (
@@ -278,13 +278,6 @@ def _restore(model: Module, snap: dict):
         t.data[...] = snap[name]
     for name, arr in model.named_state():
         arr[...] = snap[name]
-
-
-def reinit_value_head(model, rng: np.random.Generator):
-    """Fresh fan-in init for the critic, in place (warm-start ablation)."""
-    w = model.value_head.weight
-    w.data[...] = fan_in_uniform(rng, w.data.shape, w.data.shape[0])
-    model.value_head.bias.data[...] = 0.0
 
 
 # ------------------------------------------------------------ stage 1 (IL)
@@ -553,19 +546,6 @@ def _masked_log_probs(out_logits, ro: Rollout, idx):
         return ad.log_softmax(out_logits)
     off = np.where(ro.masks[idx], 0.0, MASK_OFF)
     return ad.log_softmax(ad.add(out_logits, Tensor(off)))
-
-
-def critic_value_loss(model, rollout: Rollout, targets) -> float:
-    """Mean squared critic error over a rollout, no training."""
-    targets = np.asarray(targets, dtype=np.float64)
-    total = 0.0
-    t_max = len(rollout)
-    for lo in range(0, t_max, 256):
-        idx = np.arange(lo, min(lo + 256, t_max))
-        with ad.no_grad():
-            out = _forward_rollout(model, rollout, idx)
-        total += float(((out.value.data[:, 0] - targets[idx]) ** 2).sum())
-    return total / t_max
 
 
 # ------------------------------------------------------------ stage 2 (PPO)

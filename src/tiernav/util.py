@@ -51,6 +51,8 @@ def atomic_write(path, data):
 
 def _fmt(v) -> str:
     """One CSV cell: str as is, integers in decimal, floats repr-exact."""
+    if type(v) is float:  # the common cell; np.float64 and bool take the path below
+        return repr(v)
     if isinstance(v, str):
         return v
     if isinstance(v, (int, np.integer)):

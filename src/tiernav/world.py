@@ -450,8 +450,8 @@ def serialize_world(world: CityWorld) -> str:
         f"r_gain {world.r_gain}",
         "heights",
     ]
-    for y in range(world.height):
-        lines.append(" ".join(str(int(v)) for v in world.height_field[y]))
+    # astype truncates toward zero like int(), so a float field encodes as before
+    lines.extend(" ".join(map(str, row)) for row in world.height_field.astype(np.int64).tolist())
     lines.append(f"landmarks {len(world.landmarks)}")
     for lm in world.landmarks:
         lines.append(f"{lm.id} {lm.token} {lm.x} {lm.y} {lm.radius}")
@@ -463,38 +463,51 @@ def save_world(world: CityWorld, path):
 
 
 def load_world(path) -> CityWorld:
+    """Read a world file written by save_world.
+
+    A missing header key or heights marker, a heights block of another
+    shape than height x width, a non-integer cell, or a bad landmark
+    count or landmark line raises ContractError naming the file.
+    """
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or not lines[0].startswith("tiernav-world"):
         raise ContractError(f"{path}: not a world file")
-    head = {}
-    i = 1
-    while lines[i] != "heights":
-        key, val = lines[i].split(maxsplit=1)
-        head[key] = val
-        i += 1
-    i += 1
-    h, w = int(head["height"]), int(head["width"])
-    hf = np.array([[int(v) for v in lines[i + y].split()] for y in range(h)], dtype=np.int64)
-    i += h
-    n_lm = int(lines[i].split()[1])
-    i += 1
-    landmarks = []
-    for j in range(n_lm):
-        lid, token, x, y, r = lines[i + j].split()
-        landmarks.append(Landmark(id=int(lid), token=token, x=int(x), y=int(y), radius=int(r)))
-    world = CityWorld(
-        width=w,
-        height=h,
-        cell_size=float(head["cell_size"]),
-        height_field=hf,
-        landmarks=landmarks,
-        z_min=int(head["z_min"]),
-        z_max=int(head["z_max"]),
-        cruise_z=int(head["cruise_z"]),
-        r_base=int(head["r_base"]),
-        r_gain=int(head["r_gain"]),
-    )
+    try:
+        i = lines.index("heights")
+        head = dict(line.split(maxsplit=1) for line in lines[1:i])
+        h, w = int(head["height"]), int(head["width"])
+        rows = [line.split() for line in lines[i + 1 : i + 1 + h]]
+        if len(rows) != h or any(len(row) != w for row in rows):
+            raise ValueError(f"heights block is not {h} rows of {w} cells")
+        hf = np.array(rows, dtype=np.int64)
+        i += 1 + h
+        parts = lines[i].split() if i < len(lines) else []
+        if len(parts) != 2 or parts[0] != "landmarks" or int(parts[1]) != len(lines) - i - 1:
+            raise ValueError(f"line {i + 1} is not 'landmarks N' followed by N landmark lines")
+        landmarks = []
+        for n, line in enumerate(lines[i + 1 :], start=i + 2):
+            fields = line.split()
+            if len(fields) != 5:
+                raise ValueError(f"line {n} is not 'id token x y radius'")
+            lid, token, x, y, r = fields
+            landmarks.append(Landmark(id=int(lid), token=token, x=int(x), y=int(y), radius=int(r)))
+        world = CityWorld(
+            width=w,
+            height=h,
+            cell_size=float(head["cell_size"]),
+            height_field=hf,
+            landmarks=landmarks,
+            z_min=int(head["z_min"]),
+            z_max=int(head["z_max"]),
+            cruise_z=int(head["cruise_z"]),
+            r_base=int(head["r_base"]),
+            r_gain=int(head["r_gain"]),
+        )
+    except KeyError as e:
+        raise ContractError(f"{path}: header has no {e} line") from None
+    except (ValueError, OverflowError) as e:
+        raise ContractError(f"{path}: malformed world file: {e}") from None
     world.world_id = world_hash(world)
     return world
 
@@ -538,11 +551,17 @@ def save_episodes(episodes, path):
 
 
 def load_episodes(path):
+    """Episodes of a JSON-lines file; a line that is no episode raises ContractError."""
     out = []
     with open(path) as f:
-        for line in f:
+        for n, line in enumerate(f, start=1):
             if line.strip():
-                out.append(episode_from_dict(json.loads(line)))
+                try:
+                    out.append(episode_from_dict(json.loads(line)))
+                except KeyError as e:
+                    raise ContractError(f"{path}: line {n} has no {e} key") from None
+                except (ValueError, TypeError) as e:
+                    raise ContractError(f"{path}: line {n} is not an episode record: {e}") from None
     return out
 
 

@@ -224,6 +224,62 @@ def test_truncated_corpus_row_exits_6(pipeline, tmp_path, capsys):
     assert str(episode) in capsys.readouterr().err
 
 
+# Each entry maps (lines, first heights row, "landmarks N" line) to damaged lines.
+WORLD_DAMAGE = {
+    "cell_cut_from_row": lambda ls, r, lm: ls[:r] + [ls[r].rsplit(" ", 1)[0]] + ls[r + 1 :],
+    "column_cut_from_every_row": lambda ls, r, lm: ls[:r] + [row.rsplit(" ", 1)[0] for row in ls[r:lm]] + ls[lm:],
+    "truncated": lambda ls, r, lm: ls[: r + 5],
+    "no_heights_marker": lambda ls, r, lm: ls[: r - 1] + ls[r:],
+    "no_header_key": lambda ls, r, lm: [line for line in ls if not line.startswith("cruise_z ")],
+    "extra_row": lambda ls, r, lm: ls[: r + 1] + ls[r:],
+    "missing_row": lambda ls, r, lm: ls[:r] + ls[r + 1 :],
+    "non_integer_cell": lambda ls, r, lm: ls[:r] + ["1.5" + ls[r][1:]] + ls[r + 1 :],
+    "bad_landmark_count": lambda ls, r, lm: ls[:lm] + ["landmarks four"] + ls[lm + 1 :],
+    "landmark_count_too_high": lambda ls, r, lm: ls[:lm] + [f"landmarks {len(ls) - lm}"] + ls[lm + 1 :],
+    "bad_landmark_line": lambda ls, r, lm: ls[:-1] + [ls[-1].rsplit(" ", 1)[0]],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(WORLD_DAMAGE))
+def test_malformed_world_file_exits_6(pipeline, tmp_path, capsys, damage):
+    cfg_path, out, _ = pipeline
+    alt = tmp_path / "bad_world"
+    shutil.copytree(os.path.join(out, "worlds"), alt / "worlds")
+    world = alt / "worlds" / "seen_00.txt"
+    lines = world.read_text().splitlines()
+    landmarks_line = next(i for i, line in enumerate(lines) if line.startswith("landmarks "))
+    lines = WORLD_DAMAGE[damage](lines, lines.index("heights") + 1, landmarks_line)
+    world.write_text("\n".join(lines) + "\n")
+    assert main(["build-corpus", "--config", cfg_path, "--out", str(alt)]) == 6
+    assert str(world) in capsys.readouterr().err
+
+
+def _cut_mid_line(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:1]) + lines[1][: len(lines[1]) // 2]
+
+
+CORPUS_INDEX_DAMAGE = {
+    "episodes_cut_mid_line": ("episodes.jsonl", _cut_mid_line),
+    "episodes_key_renamed": ("episodes.jsonl", lambda text: text.replace('"max_steps"', '"max_step"', 1)),
+    "episodes_line_dropped": ("episodes.jsonl", lambda text: "".join(text.splitlines(keepends=True)[:-1])),
+    "manifest_bad_count": ("manifest.txt", lambda text: text.replace("\nepisodes ", "\nepisodes x", 1)),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CORPUS_INDEX_DAMAGE))
+def test_malformed_corpus_index_exits_6(pipeline, tmp_path, capsys, damage):
+    cfg_path, out, _ = pipeline
+    alt = tmp_path / "bad_index"
+    for stage in ("worlds", "corpus"):
+        shutil.copytree(os.path.join(out, stage), alt / stage)
+    name, edit = CORPUS_INDEX_DAMAGE[damage]
+    index = alt / "corpus" / name
+    index.write_text(edit(index.read_text()))
+    assert main(["train-il", "--config", cfg_path, "--out", str(alt)]) == 6
+    assert str(index) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("column,cell", [("action", "9"), ("k", "-1")])
 def test_out_of_range_log_cell_exits_6(pipeline, tmp_path, capsys, column, cell):
     cfg_path, out, _ = pipeline

@@ -27,15 +27,15 @@ from tiernav.training import (
     compute_gae,
     compute_reward,
     corridor_sanity,
-    critic_value_loss,
     probe_success_rate,
-    reinit_value_head,
     train_stage1,
     train_stage2,
     write_curve,
 )
 from tiernav.util import substream
 from tiernav.world import Action, WorldConfig, generate_world, render_observation, sample_episode, step
+
+from critic import critic_value_loss, reinit_value_head
 
 GAMMA = 0.99
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tiernav import teacher
 from tiernav.agent import TeacherPolicy, run_episode
 from tiernav.errors import ContractError, InfeasibleError
 from tiernav.teacher import (
@@ -349,13 +350,26 @@ def test_demo_snapshots_align_with_k_changes():
         assert 0 <= st.snapshot_id < len(demo.maps)
 
 
-def test_demo_keep_flags_drop_bulky_arrays():
+def test_demo_keep_flags_drop_bulky_arrays(monkeypatch):
     wd = generate_world(43, WorldConfig(width=48, height=48, n_landmarks=6))
-    ep = sample_episode(wd, "easy", substream(43, "demo"))
-    demo = build_demonstration(wd, ep, RewardConfig(), gamma=0.99, keep_maps=False, keep_obs=False)
-    assert demo.maps == []
-    assert all(st.obs is None for st in demo.steps)
-    assert all(st.snapshot_id >= 0 for st in demo.steps)
+    eps = [sample_episode(wd, tier, substream(43, "demo", tier)) for tier in ("easy", "medium")]
+    kept = [build_demonstration(wd, ep, RewardConfig(), gamma=0.99) for ep in eps]
+
+    def no_perception(*args, **kwargs):
+        raise AssertionError("a label-only demonstration must not render or map")
+
+    for name in ("render_observation", "update_map", "init_map"):
+        monkeypatch.setattr(teacher, name, no_perception)
+    fields = ("state", "expert_action", "waypoint", "k", "progress", "value", "reward", "dist", "snapshot_id")
+    for ep, full in zip(eps, kept):
+        demo = build_demonstration(wd, ep, RewardConfig(), gamma=0.99, keep_maps=False, keep_obs=False)
+        assert demo.maps == []
+        assert all(st.obs is None for st in demo.steps)
+        assert all(st.snapshot_id >= 0 for st in demo.steps)
+        assert demo.waypoints == full.waypoints
+        assert [[getattr(st, f) for f in fields] for st in demo.steps] == \
+            [[getattr(st, f) for f in fields] for st in full.steps]
+        assert demo.steps[-1].snapshot_id == len(full.maps) - 1
 
 
 def test_demo_unreachable_goal_raises():
