@@ -1,13 +1,12 @@
 """Command-line front end: world generation through evaluation.
 
-Each subcommand owns one subdirectory of the output root, writes its
-artifacts plus an echoed config there, and finishes with a manifest
-naming every produced file. Re-running a command refuses to touch a
-finished run directory (one with its manifest.json) unless --force is
-passed, so finished runs stay immutable; a directory without one is
-the leftover of a failed command and is replaced. Exit codes: 0 ok,
-2 bad configuration, 3 missing prerequisite artifact, 4 numerical
-failure during training, 5 no feasible world or episode (generation
+Each subcommand owns one subdirectory of the output root. Its run is
+built in `<name>.partial/` (artifacts, echoed config, and last a
+manifest.json naming every produced file), then renamed into place, so
+a directory under its final name is complete. Re-running a command
+refuses to replace a finished run unless --force is passed. Exit codes:
+0 ok, 2 bad configuration, 3 missing or incomplete prerequisite run
+directory, 4 numerical failure during training, 5 no feasible world or episode (generation
 retries exhausted, or no path), 6 unreadable, corrupt or inconsistent
 files (an I/O error, or artifacts that contradict each other or the
 config), 7 model shape or state error (tensor shapes that do not fit an
@@ -60,6 +59,7 @@ from .evaluation import (
 from .teacher import build_dataset, load_corpus, read_trajectory_log, save_corpus
 from .training import (
     IL_CURVE_COLUMNS,
+    RL_CURVE_COLUMNS,
     train_stage1,
     train_stage2,
     write_curve,
@@ -77,18 +77,19 @@ def _run_root(cfg, args) -> str:
 
 
 def _begin_run(cfg, args, name: str) -> str:
-    d = os.path.join(_run_root(cfg, args), name)
+    final = os.path.join(_run_root(cfg, args), name)
+    if os.path.exists(os.path.join(final, "manifest.json")) and not args.force:
+        raise ConfigError(f"run directory {final} already exists; pass --force to replace it")
+    d = final + ".partial"
     if os.path.exists(d):
-        # without a manifest the directory is a failed command's leftover
-        if os.path.exists(os.path.join(d, "manifest.json")) and not args.force:
-            raise ConfigError(f"run directory {d} already exists; pass --force to replace it")
         shutil.rmtree(d)
     os.makedirs(d)
     cfg.echo(d)
     return d
 
 
-def _finish_run(run_dir: str, command: str, cfg, started: str, files):
+def _finish_run(run_dir: str, command: str, cfg, started: str, files) -> str:
+    """Write manifest.json last, then rename the partial run over the old one."""
     manifest = {
         "command": command,
         "config_hash": cfg.hash(),
@@ -97,23 +98,29 @@ def _finish_run(run_dir: str, command: str, cfg, started: str, files):
         "ended": _now(),
         "files": sorted(set(list(files) + ["config.txt"])),
     }
-    path = os.path.join(run_dir, "manifest.json")
-    atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    atomic_write(os.path.join(run_dir, "manifest.json"),
+                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    final = run_dir.removesuffix(".partial")
+    if os.path.exists(final):
+        shutil.rmtree(final)
+    os.rename(run_dir, final)
+    return final
 
 
-def _require(path: str, producer: str):
-    if not os.path.exists(path):
+def _stage_dir(cfg, args, stage: str, producer: str) -> str:
+    """The finished run directory of a prerequisite stage: one with its manifest.json."""
+    d = os.path.join(_run_root(cfg, args), stage)
+    if not os.path.isfile(os.path.join(d, "manifest.json")):
         raise MissingPrerequisiteError(
-            f"{path} not found: this command requires {producer} output; run 'tiernav {producer}' first"
+            f"{d} is missing or incomplete (no manifest.json): this command requires "
+            f"{producer} output; run 'tiernav {producer}' first"
         )
+    return d
 
 
 def _load_worlds(cfg, args, split: str):
-    d = os.path.join(_run_root(cfg, args), "worlds")
-    _require(os.path.join(d, "manifest.json"), "gen-worlds")
-    paths = sorted(glob.glob(os.path.join(d, f"{split}_*.txt")))
-    return [load_world(p) for p in paths]
+    d = _stage_dir(cfg, args, "worlds", "gen-worlds")
+    return [load_world(p) for p in sorted(glob.glob(os.path.join(d, f"{split}_*.txt")))]
 
 
 def _patch_side(cfg) -> int:
@@ -144,10 +151,8 @@ def _eval_policy(cfg, model) -> NeuralPolicy:
 
 
 def _load_checkpoint_model(cfg, args, stage: str) -> NavPolicy:
-    path = os.path.join(_run_root(cfg, args), stage, f"policy_{stage}.ckpt")
-    _require(path, f"train-{stage}")
     model = _build_model(cfg)
-    load_policy_into(model, path)
+    load_policy_into(model, os.path.join(_stage_dir(cfg, args, stage, f"train-{stage}"), f"policy_{stage}.ckpt"))
     return model
 
 
@@ -166,7 +171,7 @@ def cmd_gen_worlds(cfg, args) -> int:
             name = f"{split}_{i:02d}.txt"
             save_world(world, os.path.join(run_dir, name))
             files.append(name)
-    _finish_run(run_dir, "gen-worlds", cfg, started, files)
+    run_dir = _finish_run(run_dir, "gen-worlds", cfg, started, files)
     print(f"gen-worlds: {len(files)} worlds -> {run_dir}")
     return 0
 
@@ -184,18 +189,20 @@ def cmd_build_corpus(cfg, args) -> int:
     save_corpus(run_dir, demos, manifest)
     files = sorted(os.path.basename(p) for p in glob.glob(os.path.join(run_dir, "*"))
                    if not p.endswith("config.txt"))
-    _finish_run(run_dir, "build-corpus", cfg, started, files)
+    run_dir = _finish_run(run_dir, "build-corpus", cfg, started, files)
     print(f"build-corpus: {len(demos)} demonstrations -> {run_dir}")
     return 0
 
 
 def _load_demos(cfg, args):
-    corpus_dir = os.path.join(_run_root(cfg, args), "corpus")
-    _require(os.path.join(corpus_dir, "manifest.txt"), "build-corpus")
+    corpus_dir = _stage_dir(cfg, args, "corpus", "build-corpus")
     worlds = _load_worlds(cfg, args, "seen")
     by_id = {w.world_id: w for w in worlds}
-    demos, _ = load_corpus(corpus_dir, by_id, r_prior=cfg["ppo.r_prior"],
-                           use_prior=cfg["ppo.use_prior"])
+    demos, manifest = load_corpus(corpus_dir, by_id, r_prior=cfg["ppo.r_prior"],
+                                  use_prior=cfg["ppo.use_prior"])
+    if manifest.get("gamma") != cfg["ppo.gamma"]:  # its value labels and PPO's GAE share gamma
+        raise ContractError(f"{os.path.join(corpus_dir, 'manifest.txt')}: corpus gamma "
+                            f"{manifest.get('gamma')!r}, config ppo.gamma {cfg['ppo.gamma']!r}")
     return demos, worlds
 
 
@@ -209,7 +216,7 @@ def cmd_train_il(cfg, args) -> int:
     save_policy(os.path.join(run_dir, "policy_il.ckpt"), model,
                 meta={"stage": "il", "config_hash": cfg.hash(),
                       "epochs_run": str(result.epochs_run)})
-    _finish_run(run_dir, "train-il", cfg, started, ["curve_il.csv", "policy_il.ckpt"])
+    run_dir = _finish_run(run_dir, "train-il", cfg, started, ["curve_il.csv", "policy_il.ckpt"])
     if result.aborted:
         raise NumericsError("stage-1 training aborted on a non-finite loss; "
                             "last clean parameters were kept")
@@ -233,11 +240,9 @@ def _build_probe(cfg, worlds, n: int):
 
 def cmd_train_rl(cfg, args) -> int:
     started = _now()
-    root = _run_root(cfg, args)
-    _require(os.path.join(root, "il", "policy_il.ckpt"), "train-il")
+    model = _load_checkpoint_model(cfg, args, "il")
     demos, seen = _load_demos(cfg, args)
     unseen = _load_worlds(cfg, args, "unseen")
-    model = _load_checkpoint_model(cfg, args, "il")
     run_dir = _begin_run(cfg, args, "rl")
     ckpt_dir = os.path.join(run_dir, "checkpoints")
     policy = NeuralPolicy(model, flat=cfg["ppo.flat"], keep_feats=True, **_controller(cfg))
@@ -248,17 +253,17 @@ def cmd_train_rl(cfg, args) -> int:
         probe_every=cfg["ppo.probe_every"], probe_threshold_m=cfg["eval.threshold_m"],
         expert_batch=cfg["ppo.expert_batch"], lambda_v=cfg["ppo.lambda_v"],
         use_prior=cfg["ppo.use_prior"], r_prior=cfg["ppo.r_prior"],
-        curve_path=os.path.join(run_dir, "curve_rl.csv"),
         checkpoint_dir=ckpt_dir, checkpoint_every=cfg["ppo.checkpoint_every"],
         tier_brackets=cfg.tier_brackets(),
     )
+    write_curve(os.path.join(run_dir, "curve_rl.csv"), result.curve, RL_CURVE_COLUMNS)
     save_policy(os.path.join(run_dir, "policy_rl.ckpt"), model,
                 meta={"stage": "rl", "config_hash": cfg.hash(),
                       "updates_run": str(result.updates_run)})
     files = ["curve_rl.csv", "policy_rl.ckpt"]
     files += [os.path.join("checkpoints", os.path.basename(p))
               for p in glob.glob(os.path.join(ckpt_dir, "*"))]
-    _finish_run(run_dir, "train-rl", cfg, started, files)
+    run_dir = _finish_run(run_dir, "train-rl", cfg, started, files)
     if result.aborted:
         raise NumericsError("stage-2 training aborted after repeated ratio blow-ups; "
                             "last clean parameters were kept")
@@ -320,8 +325,6 @@ def _pooled_sr(records) -> float:
 
 def _sweep_lambda(cfg, args, run_dir: str):
     """Stage-2 runs across the mixing coefficient grid, paired by seed."""
-    root = _run_root(cfg, args)
-    _require(os.path.join(root, "il", "policy_il.ckpt"), "train-il")
     demos, seen = _load_demos(cfg, args)
     unseen = _load_worlds(cfg, args, "unseen") or seen
     lambdas = list(cfg["sweep.lambdas"])

@@ -60,9 +60,6 @@ SCHEMA: dict = {
     # run bookkeeping
     "run.seed": Entry("int", 0, lo=0),
     "run.out": Entry("str", "runs/exp"),
-    # sequential execution keeps artifacts byte-stable; higher counts are
-    # accepted for config compatibility and currently run sequentially
-    "run.workers": Entry("int", 1, lo=1, hi=64),
     # world generation
     "world.width": Entry("int", _W.width, lo=32, hi=4096),
     "world.height": Entry("int", _W.height, lo=32, hi=4096),

@@ -402,7 +402,7 @@ def _corpus_row(t: int, s: DemoStep, goal) -> list:
 
 
 def save_corpus(corpus_dir, demos, manifest: dict):
-    """Write the corpus; manifest.txt goes last, so it marks a complete corpus."""
+    """Write the corpus: its episodes, and manifest.txt with its counts and gamma."""
     os.makedirs(corpus_dir, exist_ok=True)
     save_episodes([demo.episode for demo in demos], os.path.join(corpus_dir, "episodes.jsonl"))
     for i, demo in enumerate(demos):

@@ -262,10 +262,6 @@ def write_curve(path, rows, columns):
 # --------------------------------------------------------- param bookkeeping
 
 
-def _entries(model: Module, freeze=()):
-    return [e for e in model.named_params() if not any(e[0].startswith(p) for p in freeze)]
-
-
 def _snapshot(model: Module) -> dict:
     snap = {name: t.data.copy() for name, t, _ in model.named_params()}
     for name, arr in model.named_state():
@@ -297,7 +293,6 @@ class Stage1Config:
     max_grad_norm: float = 5.0
     seed: int = 0
     early_stop_ratio: float | None = None  # stop when L_IL < ratio * epoch-1 L_IL
-    freeze: tuple = ()
 
 
 @dataclass
@@ -391,7 +386,7 @@ def train_stage1(demos, model, cfg: Stage1Config) -> Stage1Result:
     teacher-forced. A non-finite loss or gradient rolls the model back
     to the end of the last clean epoch and aborts."""
     data = prepare_stage1_data(demos, model)
-    entries = _entries(model, cfg.freeze)
+    entries = model.named_params()
     opt = AdamW(entries, lr=cfg.lr, weight_decay=cfg.weight_decay)
     mb = min(cfg.minibatch_size, data.n)
     curve = []
@@ -588,10 +583,8 @@ def train_stage2(
     probe_threshold_m: float = 20.0,
     expert_batch: int = 32,
     lambda_v: float = 0.05,  # same trunk cross-talk as stage 1
-    freeze: tuple = (),
     use_prior: bool = True,
     r_prior: float = 12.0,
-    curve_path=None,
     checkpoint_dir=None,
     checkpoint_every: int = 0,
     tier_brackets=None,
@@ -613,7 +606,7 @@ def train_stage2(
     ppo_cfg.validate()
     reward_cfg.validate()
     model = policy.model
-    entries = _entries(model, freeze)
+    entries = model.named_params()
     opt = AdamW(entries, lr=ppo_cfg.lr)
     data = prepare_stage1_data(corpus, model) if corpus else None
     rng_exp = substream(seed, "stage2-expert")
@@ -721,8 +714,6 @@ def train_stage2(
 
             save_policy(os.path.join(checkpoint_dir, f"update_{u + 1:04d}.ckpt"), model,
                         meta={"stage": "rl", "update": str(u + 1)})
-    if curve_path is not None:
-        write_curve(curve_path, curve, RL_CURVE_COLUMNS)
     return Stage2Result(curve=curve, aborted=aborted, updates_run=len(curve),
                         env_steps=env_steps, first_minibatch_ratio=first_ratio,
                         final_probe_sr=probe_sr)

@@ -10,7 +10,7 @@ import pytest
 
 from tiernav import cli
 from tiernav.cli import main, render_replay
-from tiernav.config import parse_config
+from tiernav.config import SCHEMA, ExperimentConfig, parse_config
 from tiernav.errors import NumericsError, ShapeError, StateError
 from tiernav.evaluation import ablation_suite, run_benchmark
 from tiernav.teacher import TRAJ_COLUMNS
@@ -191,19 +191,23 @@ def test_unsatisfiable_tier_exits_5(pipeline, tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
-def test_interrupted_corpus_is_not_taken_as_input(pipeline, tmp_path, monkeypatch, capsys):
+def _fail_write(monkeypatch, name):
+    """Make every atomic write of a file named `name` fail as on a full disk."""
     from tiernav import util
 
-    cfg_path, _, _ = pipeline
-    base = ["--config", cfg_path, "--out", str(tmp_path / "cut")]
-    assert main(["gen-worlds", *base]) == 0
-
     def failing_open(path, mode="r", *args, **kwargs):
-        if "w" in mode and os.path.basename(path) == "episode_00001.csv.tmp":
+        if "w" in mode and os.path.basename(path) == name + ".tmp":
             raise OSError(28, "No space left on device")
         return open(path, mode, *args, **kwargs)
 
     monkeypatch.setattr(util, "open", failing_open, raising=False)
+
+
+def test_interrupted_corpus_is_not_taken_as_input(pipeline, tmp_path, monkeypatch, capsys):
+    cfg_path, _, _ = pipeline
+    base = ["--config", cfg_path, "--out", str(tmp_path / "cut")]
+    assert main(["gen-worlds", *base]) == 0
+    _fail_write(monkeypatch, "episode_00001.csv")
     assert main(["build-corpus", *base]) == 6
     assert "No space left on device" in capsys.readouterr().err
     monkeypatch.undo()
@@ -319,9 +323,56 @@ def test_retry_after_failed_command_needs_no_force(pipeline, tmp_path):
     base = ["--config", cfg_path, "--out", str(tmp_path / "retry")]
     assert main(["gen-worlds", *base]) == 0
     assert main(["build-corpus", *base, "--set", "world.tier_easy=200,300"]) == 5
-    # the failed run left corpus/ without a manifest.json behind
+    # the failed run left corpus.partial/ behind, and no corpus/
+    assert os.path.isdir(tmp_path / "retry" / "corpus.partial")
+    assert not os.path.exists(tmp_path / "retry" / "corpus")
     assert main(["build-corpus", *base]) == 0
-    assert os.path.isfile(os.path.join(str(tmp_path / "retry"), "corpus", "manifest.json"))
+    assert os.path.isfile(tmp_path / "retry" / "corpus" / "manifest.json")
+    assert not os.path.exists(tmp_path / "retry" / "corpus.partial")
+
+
+def test_failed_force_rebuild_keeps_previous_run(pipeline, tmp_path):
+    cfg_path, out, _ = pipeline
+    alt = tmp_path / "kept"
+    for stage in ("worlds", "corpus"):
+        shutil.copytree(os.path.join(out, stage), alt / stage)
+    before = _tree_bytes(str(alt / "corpus"), keep_manifest=True)
+    base = ["--config", cfg_path, "--out", str(alt)]
+    assert main(["build-corpus", "--force", *base, "--set", "world.tier_easy=200,300"]) == 5
+    assert _tree_bytes(str(alt / "corpus"), keep_manifest=True) == before
+    assert main(["train-il", *base]) == 0
+
+
+@pytest.mark.parametrize("stage,command,downstream", [
+    ("corpus", "build-corpus", (["train-il"],)),
+    ("il", "train-il", (["train-rl"], ["eval", "--policy", "il"])),
+])
+def test_run_without_manifest_is_not_taken_as_input(pipeline, tmp_path, monkeypatch, capsys,
+                                                    stage, command, downstream):
+    cfg_path, out, _ = pipeline
+    alt = tmp_path / "unfinished"
+    for upstream in ("worlds", "corpus"):
+        if upstream != stage:
+            shutil.copytree(os.path.join(out, upstream), alt / upstream)
+    base = ["--config", cfg_path, "--out", str(alt)]
+    with monkeypatch.context() as m:
+        _fail_write(m, "manifest.json")
+        assert main([command, *base]) == 6
+    assert "No space left on device" in capsys.readouterr().err
+    for argv in downstream:
+        assert main([*argv, *base]) == 3, argv
+        assert command in capsys.readouterr().err
+
+
+def test_corpus_for_another_gamma_exits_6(pipeline, tmp_path, capsys):
+    cfg_path, out, _ = pipeline
+    alt = tmp_path / "gamma"
+    for stage in ("worlds", "corpus"):
+        shutil.copytree(os.path.join(out, stage), alt / stage)
+    assert main(["train-il", "--config", cfg_path, "--out", str(alt), "--set", "ppo.gamma=0.9"]) == 6
+    err = capsys.readouterr().err
+    assert str(alt / "corpus" / "manifest.txt") in err
+    assert "corpus gamma 0.99," in err and "config ppo.gamma 0.9" in err
 
 
 def test_controller_keys_reach_eval_policy(pipeline):
@@ -493,10 +544,10 @@ def test_il_checkpoint_deterministic(pipeline, tmp_path):
     assert a == b
 
 
-def _tree_bytes(root):
+def _tree_bytes(root, keep_manifest=False):
     out = {}
     for p in glob.glob(os.path.join(root, "**", "*"), recursive=True):
-        if os.path.isfile(p) and os.path.basename(p) != "manifest.json":
+        if os.path.isfile(p) and (keep_manifest or os.path.basename(p) != "manifest.json"):
             out[os.path.relpath(p, root)] = Path(p).read_bytes()
     return out
 
@@ -514,3 +565,44 @@ def test_two_runs_are_byte_identical(pipeline, tmp_path):
     assert not [name for name in a if name.endswith(".tmp")]
     assert sorted(a) == sorted(b)
     assert [name for name in a if a[name] != b[name]] == []
+
+
+@pytest.fixture(scope="module")
+def every_command(pipeline, tmp_path_factory):
+    """Every subcommand and sweep axis on a fresh root, with config key reads recorded."""
+    cfg_path, _, _ = pipeline
+    root = tmp_path_factory.mktemp("every_command")
+    out = root / "out"
+    base = ["--config", cfg_path, "--out", str(out)]
+    read = set()
+    getitem = ExperimentConfig.__getitem__
+
+    def recording(self, key):
+        read.add(key)
+        return getitem(self, key)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ExperimentConfig, "__getitem__", recording)
+        for argv in (["gen-worlds"], ["build-corpus"], ["train-il"], ["train-rl"], ["eval"],
+                     ["sweep", "--axis", "lambda_rl"], ["sweep", "--axis", "prior"],
+                     ["sweep", "--axis", "controller"],
+                     ["replay", "--log", str(out / "corpus" / "episode_00000.csv")]):
+            assert main([*argv, *base]) == 0, argv
+        # without --out the output root is run.out, relative to the working directory
+        m.chdir(root)
+        assert main(["gen-worlds", "--config", cfg_path]) == 0
+    return root, read
+
+
+def test_every_schema_key_is_read(every_command):
+    _, read = every_command
+    assert sorted(set(SCHEMA) - read) == []
+
+
+def test_finished_commands_leave_no_partial_run(every_command):
+    root, _ = every_command
+    assert glob.glob(os.path.join(root, "**", "*.partial*"), recursive=True) == []
+    runs = glob.glob(os.path.join(root, "out", "*")) + glob.glob(os.path.join(root, "runs", "exp", "*"))
+    assert len(runs) == 10
+    for run in runs:
+        assert os.path.isfile(os.path.join(run, "manifest.json")), run
