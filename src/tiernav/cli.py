@@ -50,9 +50,7 @@ from .evaluation import (
     render_ablation_table,
     render_table,
     run_benchmark,
-    write_ablation_table,
     write_benchmark_csv,
-    write_benchmark_table,
     write_episode_trajectories,
     write_step_log,
 )
@@ -141,13 +139,15 @@ def _build_model(cfg) -> NavPolicy:
     )
 
 
-def _controller(cfg) -> dict:
-    """Controller settings shared by every NeuralPolicy."""
-    return {"avoid_blocked": cfg["model.avoid_blocked"], "replan_patience": cfg["model.replan_patience"]}
+def _neural_policy(cfg, model, **kw) -> NeuralPolicy:
+    """Every NeuralPolicy: the model.* controller keys, then kw on top."""
+    return NeuralPolicy(model, **{"flat": cfg["model.flat"], "avoid_blocked": cfg["model.avoid_blocked"],
+                                  "replan_patience": cfg["model.replan_patience"], **kw})
 
 
-def _eval_policy(cfg, model) -> NeuralPolicy:
-    return NeuralPolicy(model, flat=cfg["eval.flat"], **_controller(cfg))
+def _prior(cfg) -> dict:
+    """The landmark prior of every belief map: corpus replay, rollouts, probe and eval."""
+    return {"use_prior": cfg["model.use_prior"], "r_prior": cfg["model.r_prior"]}
 
 
 def _load_checkpoint_model(cfg, args, stage: str) -> NavPolicy:
@@ -184,7 +184,6 @@ def cmd_build_corpus(cfg, args) -> int:
         worlds, cfg["corpus.episodes"], cfg.tier_list("corpus.tiers"),
         cfg["run.seed"], cfg.reward_config(), cfg["ppo.gamma"],
         tier_brackets=cfg.tier_brackets(),
-        keep_maps=False, keep_obs=False,
     )
     save_corpus(run_dir, demos, manifest)
     files = sorted(os.path.basename(p) for p in glob.glob(os.path.join(run_dir, "*"))
@@ -198,8 +197,7 @@ def _load_demos(cfg, args):
     corpus_dir = _stage_dir(cfg, args, "corpus", "build-corpus")
     worlds = _load_worlds(cfg, args, "seen")
     by_id = {w.world_id: w for w in worlds}
-    demos, manifest = load_corpus(corpus_dir, by_id, r_prior=cfg["ppo.r_prior"],
-                                  use_prior=cfg["ppo.use_prior"])
+    demos, manifest = load_corpus(corpus_dir, by_id, **_prior(cfg))
     if manifest.get("gamma") != cfg["ppo.gamma"]:  # its value labels and PPO's GAE share gamma
         raise ContractError(f"{os.path.join(corpus_dir, 'manifest.txt')}: corpus gamma "
                             f"{manifest.get('gamma')!r}, config ppo.gamma {cfg['ppo.gamma']!r}")
@@ -245,14 +243,13 @@ def cmd_train_rl(cfg, args) -> int:
     unseen = _load_worlds(cfg, args, "unseen")
     run_dir = _begin_run(cfg, args, "rl")
     ckpt_dir = os.path.join(run_dir, "checkpoints")
-    policy = NeuralPolicy(model, flat=cfg["ppo.flat"], keep_feats=True, **_controller(cfg))
+    policy = _neural_policy(cfg, model, keep_feats=True)
     result = train_stage2(
         policy, seen, cfg.ppo_config(), cfg.reward_config(),
         corpus=demos, seed=cfg["run.seed"], tiers=cfg.tier_list("ppo.tiers"),
         probe=_build_probe(cfg, unseen or seen, cfg["ppo.probe_episodes"]),
         probe_every=cfg["ppo.probe_every"], probe_threshold_m=cfg["eval.threshold_m"],
-        expert_batch=cfg["ppo.expert_batch"], lambda_v=cfg["ppo.lambda_v"],
-        use_prior=cfg["ppo.use_prior"], r_prior=cfg["ppo.r_prior"],
+        expert_batch=cfg["ppo.expert_batch"], lambda_v=cfg["ppo.lambda_v"], **_prior(cfg),
         checkpoint_dir=ckpt_dir, checkpoint_every=cfg["ppo.checkpoint_every"],
         tier_brackets=cfg.tier_brackets(),
     )
@@ -279,7 +276,7 @@ def _make_policy(cfg, args, kind: str):
         return TeacherPolicy()
     if kind == "random":
         return RandomPolicy()
-    return _eval_policy(cfg, _load_checkpoint_model(cfg, args, kind))
+    return _neural_policy(cfg, _load_checkpoint_model(cfg, args, kind))
 
 
 def _bench_worlds(cfg, args) -> dict:
@@ -298,12 +295,12 @@ def cmd_eval(cfg, args) -> int:
     report, records = run_benchmark(
         policy, worlds_by_split, cfg["eval.episodes_per_tier"], cfg["eval.seeds"],
         tiers=cfg.tier_list("eval.tiers"), tier_brackets=cfg.tier_brackets(),
-        threshold_m=cfg["eval.threshold_m"], mode=cfg["eval.mode"],
-        use_prior=cfg["eval.use_prior"], r_prior=cfg["eval.r_prior"],
+        threshold_m=cfg["eval.threshold_m"], mode=cfg["eval.mode"], **_prior(cfg),
         config_echo={"config_hash": cfg.hash(), "policy": args.policy},
     )
+    text = render_table(report)
     write_benchmark_csv(os.path.join(run_dir, "report.csv"), report)
-    write_benchmark_table(os.path.join(run_dir, "report.txt"), report)
+    atomic_write(os.path.join(run_dir, "report.txt"), text)
     write_step_log(os.path.join(run_dir, "steps.csv"), records)
     files = ["report.csv", "report.txt", "steps.csv"]
     if cfg["eval.write_trajectories"]:
@@ -312,7 +309,7 @@ def cmd_eval(cfg, args) -> int:
         files += [os.path.join("trajectories", os.path.basename(p))
                   for p in glob.glob(os.path.join(traj_dir, "*.csv"))]
     _finish_run(run_dir, "eval", cfg, started, files)
-    sys.stdout.write(render_table(report))
+    sys.stdout.write(text)
     return 0
 
 
@@ -336,18 +333,17 @@ def _sweep_lambda(cfg, args, run_dir: str):
             model = _load_checkpoint_model(cfg, args, "il")
             ppo = cfg.ppo_config()
             ppo.lambda_rl = lam
-            policy = NeuralPolicy(model, flat=cfg["ppo.flat"], keep_feats=True, **_controller(cfg))
             train_stage2(
-                policy, seen, ppo, cfg.reward_config(), corpus=demos, seed=seed,
-                tiers=cfg.tier_list("ppo.tiers"), expert_batch=cfg["ppo.expert_batch"],
-                lambda_v=cfg["ppo.lambda_v"], use_prior=cfg["ppo.use_prior"],
-                r_prior=cfg["ppo.r_prior"], tier_brackets=cfg.tier_brackets(),
+                _neural_policy(cfg, model, keep_feats=True), seen, ppo, cfg.reward_config(),
+                corpus=demos, seed=seed, tiers=cfg.tier_list("ppo.tiers"),
+                expert_batch=cfg["ppo.expert_batch"], lambda_v=cfg["ppo.lambda_v"], **_prior(cfg),
+                tier_brackets=cfg.tier_brackets(),
             )
             _, records = run_benchmark(
-                _eval_policy(cfg, model), {"unseen": unseen}, cfg["eval.episodes_per_tier"],
+                _neural_policy(cfg, model), {"unseen": unseen}, cfg["eval.episodes_per_tier"],
                 seeds=[0], tiers=cfg.tier_list("eval.tiers"),
                 tier_brackets=cfg.tier_brackets(), threshold_m=cfg["eval.threshold_m"],
-                mode=cfg["eval.mode"], use_prior=cfg["eval.use_prior"], r_prior=cfg["eval.r_prior"],
+                mode=cfg["eval.mode"], **_prior(cfg),
             )
             sr[(lam, seed)] = _pooled_sr(records)
             rows.append({"lambda_rl": lam, "seed": seed, "SR": sr[(lam, seed)]})
@@ -364,40 +360,39 @@ def _sweep_lambda(cfg, args, run_dir: str):
 
 
 def _sweep_policy_axis(cfg, args, run_dir: str, variants, options):
-    """Evaluate each variant with the eval.* keys; an axis option overrides them."""
+    """Evaluate each variant of the RL checkpoint on the unseen worlds, else the seen ones.
+
+    variants maps name -> NeuralPolicy keyword overrides of the model.*
+    controller keys; options maps name -> run_benchmark overrides of
+    eval.mode and the model.* prior keys. Returns (files, summary lines).
+    """
     model = _load_checkpoint_model(cfg, args, "rl")
-    built = {name: ctor(model) for name, ctor in variants.items()}
+    built = {name: _neural_policy(cfg, model, **kw) for name, kw in variants.items()}
     worlds = {"unseen": _load_worlds(cfg, args, "unseen") or _load_worlds(cfg, args, "seen")}
-    eval_kw = {"mode": cfg["eval.mode"], "use_prior": cfg["eval.use_prior"], "r_prior": cfg["eval.r_prior"]}
+    eval_kw = {"mode": cfg["eval.mode"], **_prior(cfg)}
     report = ablation_suite(
         built, worlds, cfg["eval.episodes_per_tier"], cfg["sweep.seeds"],
         base=next(iter(variants)), tiers=cfg.tier_list("eval.tiers"),
         tier_brackets=cfg.tier_brackets(), threshold_m=cfg["eval.threshold_m"],
         options={name: {**eval_kw, **options.get(name, {})} for name in variants},
     )
-    write_ablation_table(os.path.join(run_dir, "ablation.txt"), report)
-    return ["ablation.txt"], [render_ablation_table(report).rstrip()]
+    text = render_ablation_table(report)
+    atomic_write(os.path.join(run_dir, "ablation.txt"), text)
+    return ["ablation.txt"], [text.rstrip()]
 
 
 def cmd_sweep(cfg, args) -> int:
     started = _now()
     axis = args.axis
     run_dir = _begin_run(cfg, args, f"sweep-{axis}")
-    ctl = _controller(cfg)
     if axis == "lambda_rl":
         files, lines = _sweep_lambda(cfg, args, run_dir)
     elif axis == "prior":
-        files, lines = _sweep_policy_axis(
-            cfg, args, run_dir,
-            {"full": lambda m: _eval_policy(cfg, m), "no_prior": lambda m: _eval_policy(cfg, m)},
-            {"no_prior": {"use_prior": False}},
-        )
+        files, lines = _sweep_policy_axis(cfg, args, run_dir, {"full": {}, "no_prior": {}},
+                                          {"no_prior": {"use_prior": False}})
     else:  # controller
-        files, lines = _sweep_policy_axis(
-            cfg, args, run_dir,
-            {"tiered": lambda m: NeuralPolicy(m, **ctl), "flat": lambda m: NeuralPolicy(m, flat=True, **ctl)},
-            {},
-        )
+        files, lines = _sweep_policy_axis(cfg, args, run_dir,
+                                          {"tiered": {"flat": False}, "flat": {"flat": True}}, {})
     text = "\n".join(lines) + "\n"
     atomic_write(os.path.join(run_dir, "summary.txt"), text)
     _finish_run(run_dir, f"sweep-{axis}", cfg, started, files + ["summary.txt"])

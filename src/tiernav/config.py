@@ -106,6 +106,10 @@ SCHEMA: dict = {
     # controller guards; patience 0 never forces a replan
     "model.avoid_blocked": Entry("bool", True),
     "model.replan_patience": Entry("int", 16, lo=0),
+    # one controller and belief map for corpus replay, training and eval
+    "model.flat": Entry("bool", False),
+    "model.use_prior": Entry("bool", True),
+    "model.r_prior": Entry("float", 12.0, lo=0.0, lo_open=True),
     # stage-1 imitation
     "il.epochs": Entry("int", _S1.epochs, lo=1, hi=100000),
     "il.lr": Entry("float", _S1.lr, lo=0.0, lo_open=True),
@@ -134,9 +138,6 @@ SCHEMA: dict = {
     "ppo.expert_batch": Entry("int", 32, lo=1),
     "ppo.lambda_v": Entry("float", 0.05, lo=0.0),
     "ppo.tiers": Entry("str", "easy,medium"),
-    "ppo.flat": Entry("bool", False),
-    "ppo.use_prior": Entry("bool", True),
-    "ppo.r_prior": Entry("float", 12.0, lo=0.0, lo_open=True),
     "ppo.probe_episodes": Entry("int", 12, lo=0, hi=10000),
     "ppo.probe_every": Entry("int", 1, lo=1),
     "ppo.checkpoint_every": Entry("int", 0, lo=0),
@@ -146,9 +147,6 @@ SCHEMA: dict = {
     "eval.seeds": Entry("ints", (0, 1, 2), lo=0),
     "eval.tiers": Entry("str", "easy,medium,hard"),
     "eval.mode": Entry("str", "greedy", choices=("greedy", "sample")),
-    "eval.use_prior": Entry("bool", True),
-    "eval.r_prior": Entry("float", 12.0, lo=0.0, lo_open=True),
-    "eval.flat": Entry("bool", False),
     "eval.write_trajectories": Entry("bool", False),
     # ablation sweeps
     "sweep.lambdas": Entry("floats", (0.0, 0.1, 0.2, 0.3), lo=0.0, hi=1.0),

@@ -18,7 +18,7 @@ import numpy as np
 from .agent import Trajectory, run_episode, write_trajectory_log
 from .errors import ContractError
 from .teacher import TRAJ_COLUMNS
-from .util import atomic_write, substream, write_csv
+from .util import substream, write_csv
 from .world import EpisodeSpec, sample_episode
 
 SPLITS = ("seen", "unseen")
@@ -238,10 +238,6 @@ def render_table(report: BenchmarkReport) -> str:
     return "\n".join(rows) + "\n"
 
 
-def write_benchmark_table(path, report: BenchmarkReport):
-    atomic_write(path, render_table(report))
-
-
 STEP_LOG_COLUMNS = ("split", "tier", "seed", "episode") + TRAJ_COLUMNS
 
 
@@ -265,10 +261,9 @@ def write_episode_trajectories(out_dir, records):
 @dataclass
 class AblationRow:
     name: str
-    trained: bool
-    report: BenchmarkReport | None
-    sr_by_seed: dict | None  # pooled over tiers
-    delta_sr_by_seed: dict | None  # vs the base variant, same seeds
+    report: BenchmarkReport
+    sr_by_seed: dict  # pooled over tiers
+    delta_sr_by_seed: dict  # vs the base variant, same seeds
     mean_delta_sr: float
 
 
@@ -298,57 +293,35 @@ def ablation_suite(
 ) -> AblationReport:
     """One benchmark row per variant over shared episode seeds.
 
-    variants maps name -> policy (None marks an untrained variant: the
-    row is kept, flagged, and the run continues). options maps name ->
-    extra run_benchmark keyword arguments, e.g. use_prior=False for the
+    variants maps name -> policy. options maps name -> extra
+    run_benchmark keyword arguments, e.g. use_prior=False for the
     channel-drop axis. Paired per-seed SR deltas are taken against the
     named base variant.
     """
     if base not in variants:
         raise ContractError(f"base variant {base!r} missing from the variant set")
     options = options or {}
-    rows = []
-    sr_maps = {}
+    runs = {}
     for name, policy in variants.items():
-        if policy is None:
-            rows.append(AblationRow(name=name, trained=False, report=None,
-                                    sr_by_seed=None, delta_sr_by_seed=None,
-                                    mean_delta_sr=math.nan))
-            continue
-        kw = dict(options.get(name, {}))
         report, records = run_benchmark(
             policy, worlds_by_split, episodes_per_tier, seeds,
-            tiers=tiers, tier_brackets=tier_brackets, threshold_m=threshold_m, **kw,
+            tiers=tiers, tier_brackets=tier_brackets, threshold_m=threshold_m, **options.get(name, {}),
         )
-        sr_map = per_seed_sr(records)
-        sr_maps[name] = sr_map
-        rows.append(AblationRow(name=name, trained=True, report=report,
-                                sr_by_seed=sr_map, delta_sr_by_seed=None,
-                                mean_delta_sr=math.nan))
-    base_sr = sr_maps.get(base)
-    if base_sr is None:
-        raise ContractError(f"base variant {base!r} has no trained policy")
-    for row in rows:
-        if not row.trained:
-            continue
-        deltas = {seed: row.sr_by_seed[seed] - base_sr[seed] for seed in base_sr}
-        row.delta_sr_by_seed = deltas
-        row.mean_delta_sr = math.fsum(deltas.values()) / len(deltas)
+        runs[name] = (report, per_seed_sr(records))
+    base_sr = runs[base][1]
+    rows = []
+    for name, (report, sr_map) in runs.items():
+        deltas = {seed: sr_map[seed] - base_sr[seed] for seed in base_sr}
+        rows.append(AblationRow(name=name, report=report, sr_by_seed=sr_map, delta_sr_by_seed=deltas,
+                                mean_delta_sr=math.fsum(deltas.values()) / len(deltas)))
     return AblationReport(base=base, seeds=list(seeds), rows=rows)
 
 
 def render_ablation_table(report: AblationReport) -> str:
     lines = [f"ablation vs base {report.base!r}, seeds {report.seeds}"]
     for row in report.rows:
-        if not row.trained:
-            lines.append(f"{row.name:<24} UNTRAINED")
-            continue
         cells = []
         for (split, tier), c in sorted(row.report.cells.items()):
             cells.append(f"{split}/{tier} SR {c.sr:.2f} SPL {c.spl:.2f}")
         lines.append(f"{row.name:<24} dSR {row.mean_delta_sr:+.2f}  " + "  ".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_ablation_table(path, report: AblationReport):
-    atomic_write(path, render_ablation_table(report))

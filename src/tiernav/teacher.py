@@ -6,8 +6,11 @@ informative waypoints. Its heuristic is the Manhattan distance to the
 goal cell. Forward moves are 4-connected at unit cost, so that distance
 never overestimates the cost left: the heuristic is admissible and
 consistent, and every plan is optimal (Hart, Nilsson & Raphael 1968).
-build_demonstration replays a plan through the simulator to attach
-observations, map state, progress, and exact discounted value labels.
+build_demonstration replays a plan through the simulator to label each
+step: expert action, waypoint, progress, reward, and exact discounted
+value. It renders nothing and builds no map. load_corpus replays a
+saved corpus and is the one place that adds observations and map
+snapshots to a demonstration.
 
 An episode is planned once: sample_episode keeps the plan it verified
 reachability with on EpisodeSpec.plan, and build_demonstration and
@@ -224,8 +227,6 @@ def extract_waypoints(path: ExpertPath, world: CityWorld):
 @dataclass
 class DemoStep:
     state: UavState
-    obs: Observation
-    snapshot_id: int
     expert_action: int
     waypoint: tuple
     k: int
@@ -233,14 +234,15 @@ class DemoStep:
     value: float
     reward: float
     dist: float
+    obs: Observation | None = None  # set by load_corpus
+    snapshot_id: int | None = None  # index into Demonstration.maps, set by load_corpus
 
 
 @dataclass
 class Demonstration:
     episode: EpisodeSpec
-    waypoints: list
     steps: list
-    maps: list  # NavMap snapshots, indexed by DemoStep.snapshot_id
+    maps: list  # NavMap snapshots, indexed by DemoStep.snapshot_id; empty until load_corpus
 
 
 def advance_waypoint(k: int, waypoints, state: UavState, eps: float = EPS_WP) -> int:
@@ -250,79 +252,54 @@ def advance_waypoint(k: int, waypoints, state: UavState, eps: float = EPS_WP) ->
     return k
 
 
-def build_demonstration(
-    world: CityWorld,
-    episode: EpisodeSpec,
-    reward_cfg,
-    gamma: float,
-    r_prior: float = 12.0,
-    use_prior: bool = True,
-    keep_maps: bool = True,
-    keep_obs: bool = True,
-) -> Demonstration:
+def build_demonstration(world: CityWorld, episode: EpisodeSpec, reward_cfg, gamma: float) -> Demonstration:
     """Replay the expert plan, labeling every step.
 
     Steps cover the planned actions plus the final stop. Value labels
     are exact discounted suffix sums of the replayed rewards, so the
-    one-step Bellman identity holds to float precision. keep_maps /
-    keep_obs=False drop the bulky arrays for corpora that are only
-    written to disk (loading replays them back); with both False no
-    observation is rendered and no map is built, as no label reads them.
+    one-step Bellman identity holds to float precision. No label reads
+    an observation or a map, so the demonstration has neither:
+    save_corpus writes its labels, and load_corpus replays them with
+    observations and map snapshots.
     """
     from .training import compute_reward  # local import, avoids a module cycle
 
     path = episode_plan(world, episode)
     waypoints = extract_waypoints(path, world)
-    perceive = keep_obs or keep_maps
-    nav = init_map(world, episode, r_prior=r_prior, use_prior=use_prior) if perceive else None
     state = episode.start
     actions = list(path.actions) + [Action.STOP]
     t_total = len(actions)
     steps = []
-    maps = []
-    n_snapshots = 0
     k = 0
-    rewards = []
     for i, act in enumerate(actions):
-        if perceive:
-            obs = render_observation(world, state)
-            update_map(nav, state, obs)
         k = advance_waypoint(k, waypoints, state)
-        if i == 0 or k != steps[-1].k:
-            n_snapshots += 1
-            if keep_maps:
-                maps.append(NavMap(grid=nav.grid.copy()))
-        snapshot_id = n_snapshots - 1
         nxt, blocked, terminal = step(world, state, act)
         if blocked:
             raise ContractError(f"expert action {act.name} blocked at ({state.x},{state.y},z{state.z}) during replay")
-        r = compute_reward(state, nxt, episode.goal, world, reward_cfg, waypoint=waypoints[k], stopped=terminal)
-        rewards.append(r)
         steps.append(
             DemoStep(
                 state=state,
-                obs=obs if keep_obs else None,
-                snapshot_id=snapshot_id,
                 expert_action=int(act),
                 waypoint=waypoints[k],
                 k=k,
                 progress=(i + 1) / t_total,
                 value=0.0,
-                reward=r,
+                reward=compute_reward(state, nxt, episode.goal, world, reward_cfg,
+                                      waypoint=waypoints[k], stopped=terminal),
                 dist=math.hypot(state.x - episode.goal[0], state.y - episode.goal[1]) * world.cell_size,
             )
         )
         state = nxt
     acc = 0.0
-    for i in range(t_total - 1, -1, -1):
-        acc = rewards[i] + gamma * acc
-        steps[i].value = acc
-    return Demonstration(episode=episode, waypoints=waypoints, steps=steps, maps=maps)
+    for st in reversed(steps):
+        acc = st.reward + gamma * acc
+        st.value = acc
+    return Demonstration(episode=episode, steps=steps, maps=[])
 
 
 def build_dataset(worlds, n_episodes: int, tiers, master_seed: int, reward_cfg, gamma: float,
-                  tier_brackets=None, **demo_kw):
-    """Tier-stratified demonstration corpus over one or more worlds.
+                  tier_brackets=None):
+    """Tier-stratified, label-only demonstration corpus over one or more worlds.
 
     Episode i draws from substream (master_seed, "corpus", i), so the
     corpus is independent of construction order. Returns (demos,
@@ -337,7 +314,7 @@ def build_dataset(worlds, n_episodes: int, tiers, master_seed: int, reward_cfg, 
         world = worlds[i % len(worlds)]
         rng = substream(master_seed, "corpus", i)
         ep = sample_episode(world, tier, rng, tiers=tier_brackets, stats=stats)
-        demos.append(build_demonstration(world, ep, reward_cfg, gamma, **demo_kw))
+        demos.append(build_demonstration(world, ep, reward_cfg, gamma))
         tier_counts[tier] += 1
     order = substream(master_seed, "corpus-shuffle").permutation(len(demos))
     demos = [demos[int(i)] for i in order]
@@ -449,7 +426,12 @@ def load_manifest(corpus_dir) -> dict:
 
 
 def load_corpus(corpus_dir, worlds_by_id, r_prior: float = 12.0, use_prior: bool = True):
-    """Rebuild demonstrations by deterministic replay of stored actions."""
+    """Rebuild demonstrations by deterministic replay of stored actions.
+
+    The replay renders each step's observation and keeps a snapshot of
+    the belief map, built with this landmark prior, whenever the
+    waypoint index changes.
+    """
     manifest = load_manifest(corpus_dir)
     index = os.path.join(corpus_dir, "episodes.jsonl")
     episodes = load_episodes(index)
@@ -473,14 +455,9 @@ def _replay_records(world, ep, rows, r_prior, use_prior) -> Demonstration:
     state = ep.start
     steps = []
     maps = []
-    waypoints = []
     for row in rows:
         act = Action(int(row["action"]))
         k = int(row["k"])
-        wp = (int(row["wstar_x"]), int(row["wstar_y"]))
-        while len(waypoints) <= k:
-            waypoints.append(wp)
-        waypoints[k] = wp
         obs = render_observation(world, state)
         update_map(nav, state, obs)
         if not steps or k != steps[-1].k:
@@ -491,16 +468,16 @@ def _replay_records(world, ep, rows, r_prior, use_prior) -> Demonstration:
         steps.append(
             DemoStep(
                 state=state,
-                obs=obs,
-                snapshot_id=len(maps) - 1,
                 expert_action=int(act),
-                waypoint=wp,
+                waypoint=(int(row["wstar_x"]), int(row["wstar_y"])),
                 k=k,
                 progress=row["p"],
                 value=row["v"],
                 reward=row["r"],
                 dist=row["d"],
+                obs=obs,
+                snapshot_id=len(maps) - 1,
             )
         )
         state = nxt
-    return Demonstration(episode=ep, waypoints=waypoints, steps=steps, maps=maps)
+    return Demonstration(episode=ep, steps=steps, maps=maps)

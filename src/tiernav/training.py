@@ -330,14 +330,14 @@ def prepare_stage1_data(demos, model) -> Stage1Data:
     snapshots = []
     for demo in demos:
         if not demo.maps:
-            raise ContractError("demonstration lacks map snapshots (built with keep_maps=False?)")
+            raise ContractError("demonstration lacks map snapshots; load it with load_corpus")
         base = len(snapshots)
         snapshots.extend(m.grid for m in demo.maps)
         gx, gy = demo.episode.goal
         d_ids = descriptor_ids(demo.episode.descriptor)
         for st in demo.steps:
             if st.obs is None:
-                raise ContractError("demonstration lacks observations (built with keep_obs=False?)")
+                raise ContractError("demonstration lacks observations; load it with load_corpus")
             patches.append(st.obs.patch)
             poses.append(pose_features(st.state, w, h, zm))
             ids.append(d_ids)

@@ -26,8 +26,7 @@ def _write_world(target, variant):
 def _write_corpus(target, variant):
     worlds = [generate_world(40, SMALL)]
     demos, manifest = build_dataset(worlds, 1 + variant, ("easy",), master_seed=5,
-                                    reward_cfg=RewardConfig(), gamma=0.99,
-                                    keep_maps=False, keep_obs=False)
+                                    reward_cfg=RewardConfig(), gamma=0.99)
     save_corpus(target, demos, manifest)
 
 

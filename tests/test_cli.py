@@ -13,6 +13,7 @@ from tiernav.cli import main, render_replay
 from tiernav.config import SCHEMA, ExperimentConfig, parse_config
 from tiernav.errors import NumericsError, ShapeError, StateError
 from tiernav.evaluation import ablation_suite, run_benchmark
+from tiernav.training import train_stage2
 from tiernav.teacher import TRAJ_COLUMNS
 
 CONFIG_TEXT = """\
@@ -475,7 +476,7 @@ def test_sweeps_evaluate_with_eval_flat(pipeline, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_benchmark", recording_benchmark)
     monkeypatch.setattr(cli, "ablation_suite", recording_suite)
-    base = ["--config", cfg_path, "--out", str(alt), "--set", "eval.flat=true"]
+    base = ["--config", cfg_path, "--out", str(alt), "--set", "model.flat=true"]
     assert main(["sweep", "--axis", "lambda_rl", *base]) == 0
     assert main(["sweep", "--axis", "prior", *base]) == 0
     assert flats == [True] * 4  # two lambdas x one seed, then the two prior variants
@@ -487,24 +488,33 @@ def test_sweeps_evaluate_with_eval_keys(pipeline, tmp_path, monkeypatch):
     for stage in ("worlds", "corpus", "il", "rl"):
         shutil.copytree(os.path.join(out, stage), alt / stage)
     bench_kwargs, suite_options = [], []
+    trained, evaluated = [], []
 
-    def recording_benchmark(*args, **kwargs):
+    def recording_stage2(policy, *args, **kwargs):
+        trained.append((policy.flat, kwargs["use_prior"], kwargs["r_prior"]))
+        return train_stage2(policy, *args, **kwargs)
+
+    def recording_benchmark(policy, *args, **kwargs):
         bench_kwargs.append(kwargs)
-        return run_benchmark(*args, **kwargs)
+        evaluated.append((policy.flat, kwargs["use_prior"], kwargs["r_prior"]))
+        return run_benchmark(policy, *args, **kwargs)
 
     def recording_suite(*args, **kwargs):
         suite_options.append(kwargs["options"])
         return ablation_suite(*args, **kwargs)
 
+    monkeypatch.setattr(cli, "train_stage2", recording_stage2)
     monkeypatch.setattr(cli, "run_benchmark", recording_benchmark)
     monkeypatch.setattr(cli, "ablation_suite", recording_suite)
-    base = ["--config", cfg_path, "--out", str(alt), "--set", "eval.mode=sample", "--set", "eval.r_prior=6"]
+    base = ["--config", cfg_path, "--out", str(alt), "--set", "eval.mode=sample", "--set", "model.r_prior=6",
+            "--set", "model.flat=true"]
     for axis in ("lambda_rl", "prior", "controller"):
         assert main(["sweep", "--axis", axis, *base]) == 0, axis
     keyed = {"mode": "sample", "use_prior": True, "r_prior": 6.0}
     assert len(bench_kwargs) == 2  # two lambdas x one seed
     for kwargs in bench_kwargs:
         assert {k: kwargs[k] for k in keyed} == keyed
+    assert trained == evaluated == [(True, True, 6.0)] * 2  # the lambda sweep trains as it evaluates
     assert suite_options == [
         {"full": keyed, "no_prior": {**keyed, "use_prior": False}},
         {"tiered": keyed, "flat": keyed},

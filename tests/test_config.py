@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from tiernav.cli import main
 from tiernav.config import SCHEMA, parse_config
 from tiernav.errors import ConfigError
 from tiernav.training import PPOConfig, RewardConfig, Stage1Config
@@ -57,6 +58,22 @@ def test_unknown_key_named(tmp_path):
         parse_config(None, ["nope=1"])
 
 
+@pytest.mark.parametrize("via", ["file", "set"])
+@pytest.mark.parametrize("key", ["ppo.flat", "ppo.use_prior", "ppo.r_prior",
+                                 "eval.flat", "eval.use_prior", "eval.r_prior"])
+def test_stage_copies_of_model_keys_exit_2(tmp_path, capsys, key, via):
+    # one model.* key each replaced these: a config that still sets one is refused
+    value = "12.0" if key.endswith("r_prior") else "true"
+    if via == "file":
+        argv = ["--config", _write(tmp_path, f"{key} = {value}\n")]
+    else:
+        argv = ["--set", f"{key}={value}"]
+    assert main(["gen-worlds", *argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_type_mismatch_names_line(tmp_path):
     path = _write(tmp_path, "world.width = twelve\n")
     with pytest.raises(ConfigError) as e:
@@ -83,14 +100,14 @@ def test_comments_and_inline_comments(tmp_path):
 
 
 def test_bool_and_list_parsing():
-    cfg = parse_config(None, ["eval.use_prior=false", "eval.seeds=4, 5,6",
+    cfg = parse_config(None, ["model.use_prior=false", "eval.seeds=4, 5,6",
                               "model.enc_widths=4,8", "sweep.lambdas=0.0,0.25"])
-    assert cfg["eval.use_prior"] is False
+    assert cfg["model.use_prior"] is False
     assert cfg["eval.seeds"] == (4, 5, 6)
     assert cfg["model.enc_widths"] == (4, 8)
     assert cfg["sweep.lambdas"] == (0.0, 0.25)
     with pytest.raises(ConfigError, match="true or false"):
-        parse_config(None, ["eval.use_prior=maybe"])
+        parse_config(None, ["model.use_prior=maybe"])
 
 
 def test_bracket_parsing():

@@ -5,6 +5,7 @@ oracle_collect_rollouts below is the hand-rolled collection loop it
 replaced, kept as the bit-exact reference for the rollout buffer.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from tiernav.agent import ControllerState, NavPolicy, NeuralPolicy, TeacherPolicy, tiered_step
 from tiernav.errors import ContractError
 from tiernav.mapper import init_map, update_map
-from tiernav.teacher import build_dataset
+from tiernav.teacher import build_dataset, build_demonstration, load_corpus, save_corpus
 from tiernav.training import (
     IL_CURVE_COLUMNS,
     RL_CURVE_COLUMNS,
@@ -51,9 +52,11 @@ def reward_cfg():
 
 
 @pytest.fixture(scope="module")
-def corpus(world, reward_cfg):
-    demos, _ = build_dataset([world], 8, ("easy", "medium"), 77, reward_cfg, GAMMA)
-    return demos
+def corpus(world, reward_cfg, tmp_path_factory):
+    # trainers read observations and map snapshots, which only the corpus replay adds
+    root = tmp_path_factory.mktemp("corpus")
+    save_corpus(root, *build_dataset([world], 8, ("easy", "medium"), 77, reward_cfg, GAMMA))
+    return load_corpus(root, {world.world_id: world})[0]
 
 
 def fresh_model(world, seed=0):
@@ -103,15 +106,13 @@ def test_stage1_early_stop(world, corpus):
     assert res.final_il < 0.8 * res.first_epoch_il
 
 
-def test_stage1_rejects_stripped_corpus(world, reward_cfg):
+def test_stage1_rejects_stripped_corpus(world, reward_cfg, corpus):
     ep = sample_episode(world, "easy", substream(5, "ep"))
-    from tiernav.teacher import build_demonstration
-
-    bare = [build_demonstration(world, ep, reward_cfg, GAMMA, keep_maps=False)]
-    with pytest.raises(ContractError):
+    bare = [build_demonstration(world, ep, reward_cfg, GAMMA)]
+    with pytest.raises(ContractError, match="load_corpus"):
         train_stage1(bare, fresh_model(world), Stage1Config(epochs=1))
-    blind = [build_demonstration(world, ep, reward_cfg, GAMMA, keep_obs=False)]
-    with pytest.raises(ContractError):
+    blind = [dataclasses.replace(corpus[0], steps=[dataclasses.replace(st, obs=None) for st in corpus[0].steps])]
+    with pytest.raises(ContractError, match="load_corpus"):
         train_stage1(blind, fresh_model(world), Stage1Config(epochs=1))
 
 

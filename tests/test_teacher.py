@@ -14,6 +14,7 @@ from tiernav.teacher import (
     advance_waypoint,
     build_dataset,
     build_demonstration,
+    episode_plan,
     extract_waypoints,
     load_corpus,
     load_manifest,
@@ -31,6 +32,7 @@ from tiernav.world import (
     episode_from_dict,
     episode_to_dict,
     generate_world,
+    render_observation,
     sample_episode,
     step,
 )
@@ -156,7 +158,7 @@ def test_sampled_episode_carries_its_plan():
     # a replanned episode demonstrates and replays exactly like the carried one
     carried = build_demonstration(wd, ep, RewardConfig(), gamma=0.99)
     replanned = build_demonstration(wd, back, RewardConfig(), gamma=0.99)
-    assert carried.waypoints == replanned.waypoints
+    assert extract_waypoints(episode_plan(wd, ep), wd) == extract_waypoints(episode_plan(wd, back), wd)
     for a, b in zip(carried.steps, replanned.steps, strict=True):
         assert (a.state, a.expert_action, a.k, a.waypoint, a.reward, a.value) == \
             (b.state, b.expert_action, b.k, b.waypoint, b.reward, b.value)
@@ -336,40 +338,49 @@ def test_demo_rewards_match_compute_reward():
 
 
 def test_demo_waypoint_index_monotone():
-    _, _, demo = build_one(seed=37, tier="medium")
+    wd, ep, demo = build_one(seed=37, tier="medium")
     ks = [st.k for st in demo.steps]
     assert all(b >= a for a, b in zip(ks, ks[1:]))
-    assert ks[-1] == len(demo.waypoints) - 1
+    assert ks[-1] == len(extract_waypoints(episode_plan(wd, ep), wd)) - 1
 
 
-def test_demo_snapshots_align_with_k_changes():
-    _, _, demo = build_one(seed=41, tier="medium")
+def _replayed(tmp_path, wd, demos):
+    """demos saved as a corpus and loaded back: the replay adds observations and maps."""
+    manifest = {"master_seed": 0, "episodes": len(demos), "resampled": 0,
+                "tier_counts": {"easy": len(demos)}, "world_ids": [wd.world_id], "gamma": 0.99}
+    save_corpus(tmp_path / "c", demos, manifest)
+    return load_corpus(tmp_path / "c", {wd.world_id: wd})[0]
+
+
+def test_demo_snapshots_align_with_k_changes(tmp_path):
+    wd, _, built = build_one(seed=41, tier="medium")
+    (demo,) = _replayed(tmp_path, wd, [built])
     n_k = len({st.k for st in demo.steps})
     assert len(demo.maps) == n_k
     for st in demo.steps:
         assert 0 <= st.snapshot_id < len(demo.maps)
 
 
-def test_demo_keep_flags_drop_bulky_arrays(monkeypatch):
+def test_label_only_demo_gains_perception_on_load(tmp_path, monkeypatch):
     wd = generate_world(43, WorldConfig(width=48, height=48, n_landmarks=6))
     eps = [sample_episode(wd, tier, substream(43, "demo", tier)) for tier in ("easy", "medium")]
-    kept = [build_demonstration(wd, ep, RewardConfig(), gamma=0.99) for ep in eps]
 
     def no_perception(*args, **kwargs):
         raise AssertionError("a label-only demonstration must not render or map")
 
-    for name in ("render_observation", "update_map", "init_map"):
-        monkeypatch.setattr(teacher, name, no_perception)
-    fields = ("state", "expert_action", "waypoint", "k", "progress", "value", "reward", "dist", "snapshot_id")
-    for ep, full in zip(eps, kept):
-        demo = build_demonstration(wd, ep, RewardConfig(), gamma=0.99, keep_maps=False, keep_obs=False)
+    with monkeypatch.context() as m:
+        for name in ("render_observation", "update_map", "init_map"):
+            m.setattr(teacher, name, no_perception)
+        built = [build_demonstration(wd, ep, RewardConfig(), gamma=0.99) for ep in eps]
+    fields = ("state", "expert_action", "waypoint", "k", "progress", "value", "reward", "dist")
+    for demo, back in zip(built, _replayed(tmp_path, wd, built), strict=True):
         assert demo.maps == []
-        assert all(st.obs is None for st in demo.steps)
-        assert all(st.snapshot_id >= 0 for st in demo.steps)
-        assert demo.waypoints == full.waypoints
+        assert all(st.obs is None and st.snapshot_id is None for st in demo.steps)
         assert [[getattr(st, f) for f in fields] for st in demo.steps] == \
-            [[getattr(st, f) for f in fields] for st in full.steps]
-        assert demo.steps[-1].snapshot_id == len(full.maps) - 1
+            [[getattr(st, f) for f in fields] for st in back.steps]
+        for st in back.steps:
+            np.testing.assert_array_equal(st.obs.patch, render_observation(wd, st.state).patch)
+        assert back.steps[-1].snapshot_id == len(back.maps) - 1
 
 
 def test_demo_unreachable_goal_raises():
@@ -386,11 +397,9 @@ def test_demo_unreachable_goal_raises():
 def test_build_dataset_stratified_and_deterministic():
     worlds = [generate_world(s, WorldConfig(width=48, height=48, n_landmarks=5)) for s in (61, 62)]
     demos1, man1 = build_dataset(worlds, 12, ("easy", "medium"), master_seed=77,
-                                 reward_cfg=RewardConfig(), gamma=0.99,
-                                 keep_maps=False, keep_obs=False)
+                                 reward_cfg=RewardConfig(), gamma=0.99)
     demos2, man2 = build_dataset(worlds, 12, ("easy", "medium"), master_seed=77,
-                                 reward_cfg=RewardConfig(), gamma=0.99,
-                                 keep_maps=False, keep_obs=False)
+                                 reward_cfg=RewardConfig(), gamma=0.99)
     assert man1 == man2
     assert len(demos1) == 12
     assert man1["tier_counts"] == {"easy": 6, "medium": 6}
@@ -402,9 +411,9 @@ def test_build_dataset_stratified_and_deterministic():
 def test_build_dataset_different_seed_differs():
     worlds = [generate_world(61, WorldConfig(width=48, height=48, n_landmarks=5))]
     a, _ = build_dataset(worlds, 6, ("easy",), master_seed=1,
-                         reward_cfg=RewardConfig(), gamma=0.99, keep_maps=False, keep_obs=False)
+                         reward_cfg=RewardConfig(), gamma=0.99)
     b, _ = build_dataset(worlds, 6, ("easy",), master_seed=2,
-                         reward_cfg=RewardConfig(), gamma=0.99, keep_maps=False, keep_obs=False)
+                         reward_cfg=RewardConfig(), gamma=0.99)
     starts_a = [d.episode.start for d in a]
     starts_b = [d.episode.start for d in b]
     assert starts_a != starts_b
@@ -413,8 +422,7 @@ def test_build_dataset_different_seed_differs():
 def test_corpus_round_trip(tmp_path):
     worlds = [generate_world(91, WorldConfig(width=48, height=48, n_landmarks=5))]
     demos, manifest = build_dataset(worlds, 4, ("easy",), master_seed=5,
-                                    reward_cfg=RewardConfig(), gamma=0.99,
-                                    keep_maps=False, keep_obs=False)
+                                    reward_cfg=RewardConfig(), gamma=0.99)
     root = tmp_path / "corpus"
     save_corpus(root, demos, manifest)
     man_back = load_manifest(root)
@@ -440,8 +448,7 @@ def test_corpus_round_trip(tmp_path):
 def test_corpus_rewrite_is_byte_identical(tmp_path):
     worlds = [generate_world(91, WorldConfig(width=48, height=48, n_landmarks=5))]
     demos, manifest = build_dataset(worlds, 3, ("easy",), master_seed=5,
-                                    reward_cfg=RewardConfig(), gamma=0.99,
-                                    keep_maps=False, keep_obs=False)
+                                    reward_cfg=RewardConfig(), gamma=0.99)
     r1 = tmp_path / "c1"
     r2 = tmp_path / "c2"
     save_corpus(r1, demos, manifest)
@@ -464,7 +471,7 @@ def test_corpus_tamper_detected(tmp_path):
         shortest_path_length=45.0,
         max_steps=36,
     )
-    demo = build_demonstration(wd, ep, RewardConfig(), gamma=0.99, keep_maps=False, keep_obs=False)
+    demo = build_demonstration(wd, ep, RewardConfig(), gamma=0.99)
     manifest = {"master_seed": 0, "episodes": 1, "resampled": 0,
                 "tier_counts": {"easy": 1}, "world_ids": [wd.world_id], "gamma": 0.99}
     root = tmp_path / "c"
