@@ -21,7 +21,7 @@ from .autodiff import Tensor
 from .errors import ContractError
 from .layers import BatchNorm2d, Conv2d, Embedding, Linear, Module
 from .mapper import MapEncoder, _pad_odd, encode_map, init_map, update_map
-from .teacher import EPS_WP, TRAJ_COLUMNS, advance_waypoint, episode_plan, extract_waypoints, read_trajectory_log
+from .teacher import EPS_WP, TRAJ_COLUMNS, advance_waypoint, episode_plan, extract_waypoints
 from .training import compute_reward
 from .util import write_csv
 from .world import BANDS, DIRS, TARGET_TAGS, Action, CityWorld, EpisodeSpec, UavState, render_observation, step

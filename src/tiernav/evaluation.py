@@ -13,15 +13,12 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .agent import Trajectory, run_episode, write_trajectory_log
 from .errors import ContractError
 from .teacher import TRAJ_COLUMNS
 from .util import substream, write_csv
 from .world import EpisodeSpec, sample_episode
 
-SPLITS = ("seen", "unseen")
 TIERS = ("easy", "medium", "hard")
 
 
@@ -162,7 +159,6 @@ def run_benchmark(
     mode: str = "greedy",
     use_prior: bool = True,
     r_prior: float = 12.0,
-    max_steps=None,
     config_echo=None,
 ):
     """Stratified evaluation over splits, tiers, and seeds.
@@ -185,7 +181,7 @@ def run_benchmark(
                     traj = run_episode(
                         policy, world, ep, mode=mode,
                         rng=substream(seed, "bench-rng", split, tier, i),
-                        r_prior=r_prior, use_prior=use_prior, max_steps=max_steps,
+                        r_prior=r_prior, use_prior=use_prior,
                     )
                     result = episode_metrics(
                         traj, ep, threshold_m=threshold_m, cell_size=world.cell_size,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, GenerationError, InfeasibleError
+from .errors import ContractError, InfeasibleError
 from .mapper import NavMap, init_map, update_map
 from .util import atomic_write, substream, write_csv
 from .world import (

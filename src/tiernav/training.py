@@ -19,18 +19,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, NumericsError
-from .layers import Linear, Module
+from .layers import Module
 from .optim import AdamW, clip_grad_norm
 from .util import substream, write_csv
-from .world import (
-    Action,
-    UavState,
-    corridor_world,
-    distance_to_goal,
-    render_observation,
-    sample_episode,
-    step as env_step,
-)
+from .world import UavState, distance_to_goal, render_observation, sample_episode
 
 
 @dataclass
@@ -231,22 +223,6 @@ def ppo_minibatch_loss(lp_all, value, actions, lp_old, adv, targets, eps_clip: f
     return loss, ent, np.exp(lp_new.data - lp_old)
 
 
-@dataclass
-class LossReport:
-    l_il: float
-    l_v: float
-    l_rl: float
-    l_total: float
-    entropy: float
-    clip_fraction: float
-    mean_ratio: float
-
-    def check(self, lambda_rl: float):
-        expected = self.l_il + self.l_v + lambda_rl * self.l_rl
-        if abs(self.l_total - expected) > 1e-12:
-            raise ContractError(f"loss report inconsistent: total {self.l_total} vs composition {expected}")
-
-
 # ------------------------------------------------------------- curve files
 
 RL_CURVE_COLUMNS = ("update", "L_IL", "L_V", "L_RL", "L_total", "entropy",
@@ -274,6 +250,18 @@ def _restore(model: Module, snap: dict):
         t.data[...] = snap[name]
     for name, arr in model.named_state():
         arr[...] = snap[name]
+
+
+def _descend(model: Module, loss, opt: AdamW, max_grad_norm: float) -> bool:
+    """One clipped AdamW step on loss; False when a gradient is non-finite."""
+    model.zero_grad()
+    ad.backward(loss)
+    clip_grad_norm(opt.entries, max_grad_norm)
+    try:
+        opt.step()
+    except NumericsError:
+        return False
+    return True
 
 
 # ------------------------------------------------------------ stage 1 (IL)
@@ -386,8 +374,7 @@ def train_stage1(demos, model, cfg: Stage1Config) -> Stage1Result:
     teacher-forced. A non-finite loss or gradient rolls the model back
     to the end of the last clean epoch and aborts."""
     data = prepare_stage1_data(demos, model)
-    entries = model.named_params()
-    opt = AdamW(entries, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     mb = min(cfg.minibatch_size, data.n)
     curve = []
     aborted = False
@@ -409,15 +396,7 @@ def train_stage1(demos, model, cfg: Stage1Config) -> Stage1Result:
                 ad.add(l_il, ad.scale(l_v, cfg.lambda_v)),
                 ad.add(ad.scale(l_bc, cfg.lambda_bc), ad.scale(l_wp, cfg.lambda_wp)),
             )
-            if not np.isfinite(loss.item()):
-                failed = True
-                break
-            model.zero_grad()
-            ad.backward(loss)
-            clip_grad_norm(entries, cfg.max_grad_norm)
-            try:
-                opt.step()
-            except NumericsError:
+            if not (np.isfinite(loss.item()) and _descend(model, loss, opt, cfg.max_grad_norm)):
                 failed = True
                 break
             acc["L_IL"] += l_il.item()
@@ -528,8 +507,9 @@ def _forward_rollout(model, ro: Rollout, idx):
                                ro.desc_feats[idx], ro.obs[idx], ro.wp_feats[idx])
 
 
-def _masked_log_probs(out_logits, ro: Rollout, idx):
-    """Log-softmax restricted to the actions legal at collection time.
+def _rollout_heads(model, ro: Rollout, idx):
+    """Action log-probs, restricted to the actions legal at collection
+    time, and critic values of rollout rows idx.
 
     The additive offset reproduces the controller's masked decode
     exactly, so a first-minibatch ratio is 1 to the last bit; masked
@@ -537,10 +517,9 @@ def _masked_log_probs(out_logits, ro: Rollout, idx):
     """
     from .agent import MASK_OFF
 
-    if ro.masks is None:
-        return ad.log_softmax(out_logits)
+    out = _forward_rollout(model, ro, idx)
     off = np.where(ro.masks[idx], 0.0, MASK_OFF)
-    return ad.log_softmax(ad.add(out_logits, Tensor(off)))
+    return ad.log_softmax(ad.add(out.logits, Tensor(off))), out.value
 
 
 # ------------------------------------------------------------ stage 2 (PPO)
@@ -558,6 +537,64 @@ def probe_success_rate(policy, probe, threshold_m: float = 20.0,
         if episode_metrics(traj, ep, threshold_m=threshold_m, cell_size=world.cell_size).success:
             wins += 1
     return wins / len(probe)
+
+
+def ppo_update(model, rollout: Rollout, forward, cfg: PPOConfig, opt: AdamW, shuffles, expert=None):
+    """One PPO update of model on a collected rollout.
+
+    Advantages are normalized batch-wide; then each generator in shuffles
+    gives one epoch's permutation, walked in minibatches that minimize
+    total_loss(L_IL, L_V, ppo_minibatch_loss). forward(model, rollout, idx)
+    returns the [B, A] action log-probs and [B, 1] values of rows idx.
+    expert, when given, is called after each minibatch's RL loss and
+    returns a fresh imitation batch's (L_IL, L_V); without it both are 0.
+
+    A non-finite loss or ratio, a mean ratio of 100 or more, or a
+    non-finite gradient stops the update. Returns (means, first_ratio):
+    the update's mean l_il, l_v, l_rl, entropy, ratio and clip_fraction,
+    or None when it blew up, and the first minibatch's mean ratio either
+    way.
+    """
+    adv, targets = compute_gae(rollout, cfg.gamma, cfg.lam_gae)
+    adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
+    t_max = len(rollout)
+    mb = min(cfg.minibatch_size, t_max)
+    sums = {"l_il": 0.0, "l_v": 0.0, "l_rl": 0.0, "entropy": 0.0, "ratio": 0.0}
+    clip_hits = 0
+    n_samples = 0
+    n_mb = 0
+    first_ratio = math.nan
+    for rng in shuffles:
+        perm = rng.permutation(t_max)
+        for lo in range(0, t_max - mb + 1, mb):
+            idx = perm[lo : lo + mb]
+            lp_all, value = forward(model, rollout, idx)
+            l_rl, ent, ratio = ppo_minibatch_loss(
+                lp_all, value, rollout.actions[idx], rollout.log_probs_old[idx], adv_n[idx],
+                targets[idx], cfg.eps_clip, cfg.value_weight, cfg.entropy_weight,
+            )
+            if n_mb == 0:
+                first_ratio = float(ratio.mean())
+            if expert is not None:
+                l_il, l_v = expert()
+            else:
+                l_il = Tensor(np.zeros(()))
+                l_v = Tensor(np.zeros(()))
+            l_total = total_loss(l_il, l_v, l_rl, cfg.lambda_rl)
+            if not (np.isfinite(l_total.item()) and np.all(np.isfinite(ratio)) and ratio.mean() < 100.0
+                    and _descend(model, l_total, opt, cfg.max_grad_norm)):
+                return None, first_ratio
+            sums["l_il"] += l_il.item()
+            sums["l_v"] += l_v.item()
+            sums["l_rl"] += l_rl.item()
+            sums["entropy"] += ent.item()
+            sums["ratio"] += float(ratio.mean())
+            clip_hits += int(np.sum(np.abs(ratio - 1.0) > cfg.eps_clip))
+            n_samples += len(idx)
+            n_mb += 1
+    means = {k: v / max(n_mb, 1) for k, v in sums.items()}
+    means["clip_fraction"] = clip_hits / max(n_samples, 1)
+    return means, first_ratio
 
 
 @dataclass
@@ -596,20 +633,27 @@ def train_stage2(
     policy is a NeuralPolicy built with keep_feats=True; it collects the
     rollouts and plays the probe, and its model is the one trained.
 
-    Each update collects a fixed-size rollout, normalizes advantages
-    batch-wide, then runs minibatch epochs minimizing
-    L_IL + L_V + lambda_rl * (policy + c_v*value - c_ent*entropy),
-    the imitation terms coming from fresh expert batches. A non-finite
-    loss or a ratio explosion rolls back to the last clean update and
-    halves the learning rate once; the second blow-up aborts.
+    Each update collects a fixed-size rollout and runs one ppo_update,
+    minimizing L_IL + L_V + lambda_rl * (policy + c_v*value - c_ent*entropy)
+    with the imitation terms drawn from fresh expert batches. An update
+    that blows up rolls back to the last clean update and halves the
+    learning rate once; the second blow-up aborts.
     """
     ppo_cfg.validate()
     reward_cfg.validate()
     model = policy.model
-    entries = model.named_params()
-    opt = AdamW(entries, lr=ppo_cfg.lr)
-    data = prepare_stage1_data(corpus, model) if corpus else None
-    rng_exp = substream(seed, "stage2-expert")
+    opt = AdamW(model.named_params(), lr=ppo_cfg.lr)
+    expert = None
+    if corpus:
+        data = prepare_stage1_data(corpus, model)
+        rng_exp = substream(seed, "stage2-expert")
+
+        def expert():
+            eidx = rng_exp.integers(0, data.n, size=min(expert_batch, data.n))
+            eout = _stage1_forward(model, data, eidx, "train")
+            return (il_loss(eout.goal, data.goal[eidx], eout.progress, data.progress[eidx]),
+                    ad.scale(value_loss(eout.value, data.value[eidx]), lambda_v))
+
     curve = []
     aborted = False
     halved = False
@@ -624,87 +668,29 @@ def train_stage2(
             use_prior=use_prior, r_prior=r_prior, tier_brackets=tier_brackets,
         )
         env_steps += len(rollout)
-        adv, targets = compute_gae(rollout, ppo_cfg.gamma, ppo_cfg.lam_gae)
-        adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
-        t_max = len(rollout)
-        mb = min(ppo_cfg.minibatch_size, t_max)
-        sums = {"l_il": 0.0, "l_v": 0.0, "l_rl": 0.0, "entropy": 0.0, "ratio": 0.0}
-        clip_hits = 0
-        n_samples = 0
-        n_mb = 0
-        blew = False
-        for e in range(ppo_cfg.epochs_per_update):
-            perm = substream(seed, "stage2-shuffle", u, e).permutation(t_max)
-            for lo in range(0, t_max - mb + 1, mb):
-                idx = perm[lo : lo + mb]
-                out = _forward_rollout(model, rollout, idx)
-                l_rl, ent, ratio = ppo_minibatch_loss(
-                    _masked_log_probs(out.logits, rollout, idx), out.value, rollout.actions[idx],
-                    rollout.log_probs_old[idx], adv_n[idx], targets[idx],
-                    ppo_cfg.eps_clip, ppo_cfg.value_weight, ppo_cfg.entropy_weight,
-                )
-                if math.isnan(first_ratio):
-                    first_ratio = float(ratio.mean())
-                if data is not None:
-                    eidx = rng_exp.integers(0, data.n, size=min(expert_batch, data.n))
-                    eout = _stage1_forward(model, data, eidx, "train")
-                    l_il = il_loss(eout.goal, data.goal[eidx], eout.progress, data.progress[eidx])
-                    l_v = ad.scale(value_loss(eout.value, data.value[eidx]), lambda_v)
-                else:
-                    l_il = Tensor(np.zeros(()))
-                    l_v = Tensor(np.zeros(()))
-                l_total = total_loss(l_il, l_v, l_rl, ppo_cfg.lambda_rl)
-                if not (np.isfinite(l_total.item()) and np.all(np.isfinite(ratio)) and ratio.mean() < 100.0):
-                    blew = True
-                    break
-                model.zero_grad()
-                ad.backward(l_total)
-                clip_grad_norm(entries, ppo_cfg.max_grad_norm)
-                try:
-                    opt.step()
-                except NumericsError:
-                    blew = True
-                    break
-                sums["l_il"] += l_il.item()
-                sums["l_v"] += l_v.item()
-                sums["l_rl"] += l_rl.item()
-                sums["entropy"] += ent.item()
-                sums["ratio"] += float(ratio.mean())
-                clip_hits += int(np.sum(np.abs(ratio - 1.0) > ppo_cfg.eps_clip))
-                n_samples += len(idx)
-                n_mb += 1
-            if blew:
-                break
-        if blew:
+        shuffles = (substream(seed, "stage2-shuffle", u, e) for e in range(ppo_cfg.epochs_per_update))
+        means, ratio = ppo_update(model, rollout, _rollout_heads, ppo_cfg, opt, shuffles, expert)
+        if math.isnan(first_ratio):
+            first_ratio = ratio
+        if means is None:
             _restore(model, last_good)
             if halved:
                 aborted = True
                 break
             halved = True
-            opt = AdamW(entries, lr=opt.lr * 0.5)
+            opt = AdamW(opt.entries, lr=opt.lr * 0.5)
             continue
-        means = {k: v / max(n_mb, 1) for k, v in sums.items()}
         if probe is not None and u % probe_every == 0:
             probe_sr = probe_success_rate(policy, probe, threshold_m=probe_threshold_m,
                                           use_prior=use_prior, r_prior=r_prior)
-        report = LossReport(
-            l_il=means["l_il"],
-            l_v=means["l_v"],
-            l_rl=means["l_rl"],
-            l_total=means["l_il"] + means["l_v"] + ppo_cfg.lambda_rl * means["l_rl"],
-            entropy=means["entropy"],
-            clip_fraction=clip_hits / max(n_samples, 1),
-            mean_ratio=means["ratio"],
-        )
-        report.check(ppo_cfg.lambda_rl)
         curve.append({
             "update": u,
-            "L_IL": report.l_il,
-            "L_V": report.l_v,
-            "L_RL": report.l_rl,
-            "L_total": report.l_total,
-            "entropy": report.entropy,
-            "clip_fraction": report.clip_fraction,
+            "L_IL": means["l_il"],
+            "L_V": means["l_v"],
+            "L_RL": means["l_rl"],
+            "L_total": means["l_il"] + means["l_v"] + ppo_cfg.lambda_rl * means["l_rl"],
+            "entropy": means["entropy"],
+            "clip_fraction": means["clip_fraction"],
             "mean_return": float(np.mean(rollout.episode_returns)) if rollout.episode_returns else math.nan,
             "probe_SR": probe_sr,
         })
@@ -717,167 +703,3 @@ def train_stage2(
     return Stage2Result(curve=curve, aborted=aborted, updates_run=len(curve),
                         env_steps=env_steps, first_minibatch_ratio=first_ratio,
                         final_probe_sr=probe_sr)
-
-
-# ------------------------------------------------------- corridor sanity task
-
-
-class CorridorNet(Module):
-    """Two-logit actor plus critic on a four-number feature vector."""
-
-    def __init__(self, rng, d_in: int = 4, hidden: int = 32):
-        self.fc = Linear(rng, d_in, hidden)
-        self.pi = Linear(rng, hidden, 2)
-        self.v = Linear(rng, hidden, 1)
-
-    def __call__(self, x):
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-        h = ad.relu(self.fc(x))
-        return self.pi(h), self.v(h)
-
-
-def _corridor_features(state: UavState, goal, world, cfg: RewardConfig) -> np.ndarray:
-    d = distance_to_goal(state, goal, world.cell_size)
-    span = world.width * world.cell_size
-    return np.array([d / span, 1.0 if d < cfg.d_goal else 0.0, state.x / world.width, 1.0])
-
-
-# corridor actions: logit 0 -> forward, logit 1 -> stop
-_CORRIDOR_ACTIONS = (int(Action.FORWARD), int(Action.STOP))
-
-
-@dataclass
-class CorridorResult:
-    reached: bool
-    env_steps: int
-    sr: float
-    updates: int
-    curve: list
-
-
-def _corridor_probe_sr(net, world, goal, cfg, threshold_m: float, max_steps: int, starts) -> float:
-    wins = 0
-    mid = world.height // 2
-    for x0 in starts:
-        state = UavState(x=float(x0), y=float(mid), z=world.cruise_z, heading=0)
-        stopped = False
-        for _ in range(max_steps):
-            with ad.no_grad():
-                logits, _ = net(_corridor_features(state, goal, world, cfg)[None])
-            a = int(np.argmax(logits.data[0]))
-            state, _, terminal = env_step(world, state, Action(_CORRIDOR_ACTIONS[a]))
-            if terminal:
-                stopped = True
-                break
-        ne = math.hypot(state.x - goal[0], state.y - goal[1]) * world.cell_size
-        if stopped and ne <= threshold_m:
-            wins += 1
-    return wins / len(starts)
-
-
-def corridor_sanity(
-    seed: int,
-    max_env_steps: int = 20000,
-    target_sr: float = 0.95,
-    rollout_steps: int = 512,
-    lr: float = 3e-3,
-    hidden: int = 32,
-    probe_n: int = 20,
-    threshold_m: float = 20.0,
-    gamma: float = 0.99,
-    lam_gae: float = 0.95,
-    eps_clip: float = 0.2,
-    epochs: int = 4,
-    minibatch: int = 64,
-    value_weight: float = 0.5,
-    entropy_weight: float = 0.03,  # 0.01 lets the stop logit die before it ever pays off
-) -> CorridorResult:
-    """Forward/stop policy gradient check on the walled strip.
-
-    The net must learn to drive toward the beacon and stop inside the
-    success radius. Returns as soon as the greedy probe clears the
-    target rate, reporting how many environment steps that took.
-    """
-    world = corridor_world()
-    goal = (world.width - 2, world.height // 2)
-    cfg = RewardConfig(goal_bonus_on_stop=True)
-    net = CorridorNet(substream(seed, "corridor-net"), hidden=hidden)
-    entries = net.named_params()
-    opt = AdamW(entries, lr=lr)
-    rng = substream(seed, "corridor-env")
-    mid = world.height // 2
-    ep_cap = 60
-    starts = np.unique(np.linspace(1, world.width - 6, probe_n).round().astype(int))
-    env_steps = 0
-    curve = []
-    update = 0
-    sr = _corridor_probe_sr(net, world, goal, cfg, threshold_m, ep_cap, starts)
-    while env_steps < max_env_steps and sr < target_sr:
-        feats, acts, lps, vals, rews, dones = [], [], [], [], [], []
-        bootstrap = 0.0
-        ep_returns = []
-        n = 0
-        while n < rollout_steps:
-            state = UavState(x=float(rng.integers(1, world.width - 5)), y=float(mid),
-                             z=world.cruise_z, heading=0)
-            ep_ret = 0.0
-            for t in range(ep_cap):
-                phi = _corridor_features(state, goal, world, cfg)
-                with ad.no_grad():
-                    logits, v = net(phi[None])
-                lp = ad.log_softmax(logits).data[0]
-                a = int(rng.choice(2, p=np.exp(lp) / np.exp(lp).sum()))
-                nxt, _, terminal = env_step(world, state, Action(_CORRIDOR_ACTIONS[a]))
-                r = compute_reward(state, nxt, goal, world, cfg, stopped=terminal)
-                feats.append(phi)
-                acts.append(a)
-                lps.append(float(lp[a]))
-                vals.append(float(v.data[0, 0]))
-                rews.append(r)
-                dones.append(False)
-                ep_ret += r
-                state = nxt
-                n += 1
-                if terminal or t == ep_cap - 1:
-                    dones[-1] = True
-                    ep_returns.append(ep_ret)
-                    break
-                if n == rollout_steps:
-                    with ad.no_grad():
-                        _, vb = net(_corridor_features(state, goal, world, cfg)[None])
-                    bootstrap = float(vb.data[0, 0])
-                    break
-        env_steps += n
-        rollout = Rollout(
-            actions=np.array(acts, dtype=np.int64),
-            log_probs_old=np.array(lps),
-            values_old=np.array(vals),
-            rewards=np.array(rews),
-            dones=np.array(dones, dtype=bool),
-            bootstrap_value=bootstrap,
-            state_feats=np.array(feats),
-            episode_returns=ep_returns,
-        )
-        adv, targets = compute_gae(rollout, gamma, lam_gae)
-        adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
-        t_max = len(rollout)
-        mb = min(minibatch, t_max)
-        for e in range(epochs):
-            perm = substream(seed, "corridor-shuffle", update, e).permutation(t_max)
-            for lo in range(0, t_max - mb + 1, mb):
-                idx = perm[lo : lo + mb]
-                logits, v = net(rollout.state_feats[idx])
-                loss, _, _ = ppo_minibatch_loss(
-                    ad.log_softmax(logits), v, rollout.actions[idx], rollout.log_probs_old[idx],
-                    adv_n[idx], targets[idx], eps_clip, value_weight, entropy_weight,
-                )
-                net.zero_grad()
-                ad.backward(loss)
-                clip_grad_norm(entries, 5.0)
-                opt.step()
-        update += 1
-        sr = _corridor_probe_sr(net, world, goal, cfg, threshold_m, ep_cap, starts)
-        curve.append({"update": update, "env_steps": env_steps, "sr": sr,
-                      "mean_return": float(np.mean(ep_returns)) if ep_returns else math.nan})
-    return CorridorResult(reached=sr >= target_sr, env_steps=env_steps, sr=sr,
-                          updates=update, curve=curve)

@@ -563,29 +563,3 @@ def load_episodes(path):
                 except (ValueError, TypeError) as e:
                     raise ContractError(f"{path}: line {n} is not an episode record: {e}") from None
     return out
-
-
-def corridor_world(length: int = 40, half_width: int = 1, cell_size: float = 5.0) -> CityWorld:
-    """Thin walled strip used by the policy-gradient sanity task."""
-    h = 2 * half_width + 3
-    hf = np.zeros((h, length), dtype=np.int64)
-    hf[0, :] = 4
-    hf[-1, :] = 4
-    landmarks = [
-        Landmark(id=0, token="gatehouse", x=1, y=h // 2, radius=1),
-        Landmark(id=1, token="beacon", x=length - 2, y=h // 2, radius=1),
-    ]
-    world = CityWorld(
-        width=length,
-        height=h,
-        cell_size=cell_size,
-        height_field=hf,
-        landmarks=landmarks,
-        z_min=1,
-        z_max=4,
-        cruise_z=2,
-        r_base=4,
-        r_gain=2,
-    )
-    world.world_id = world_hash(world)
-    return world

@@ -17,7 +17,6 @@ from tiernav.agent import (
     load_policy_into,
     macro_plan,
     pose_features,
-    read_trajectory_log,
     run_episode,
     save_policy,
     tiered_step,
@@ -25,7 +24,7 @@ from tiernav.agent import (
     write_trajectory_log,
 )
 from tiernav.errors import ContractError
-from tiernav.teacher import TRAJ_COLUMNS
+from tiernav.teacher import TRAJ_COLUMNS, read_trajectory_log
 from tiernav.training import RewardConfig
 from tiernav.util import substream
 from tiernav.world import (

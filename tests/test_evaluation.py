@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tiernav import evaluation as ev
-from tiernav.agent import NavPolicy, NeuralPolicy, RandomPolicy, TeacherPolicy, TrajStep, Trajectory, run_episode
+from tiernav.agent import NavPolicy, NeuralPolicy, RandomPolicy, TeacherPolicy, TrajStep, Trajectory
 from tiernav.errors import ContractError
 from tiernav.evaluation import (
     BenchmarkCell,

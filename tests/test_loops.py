@@ -11,14 +11,15 @@ import math
 import numpy as np
 import pytest
 
+from tiernav import autodiff as ad, training
 from tiernav.agent import ControllerState, NavPolicy, NeuralPolicy, TeacherPolicy, tiered_step
-from tiernav.errors import ContractError
+from tiernav.errors import ContractError, NumericsError
 from tiernav.mapper import init_map, update_map
+from tiernav.optim import AdamW
 from tiernav.teacher import build_dataset, build_demonstration, load_corpus, save_corpus
 from tiernav.training import (
     IL_CURVE_COLUMNS,
     RL_CURVE_COLUMNS,
-    LossReport,
     PPOConfig,
     RewardConfig,
     Rollout,
@@ -27,7 +28,6 @@ from tiernav.training import (
     collect_rollouts,
     compute_gae,
     compute_reward,
-    corridor_sanity,
     probe_success_rate,
     train_stage1,
     train_stage2,
@@ -36,6 +36,7 @@ from tiernav.training import (
 from tiernav.util import substream
 from tiernav.world import Action, WorldConfig, generate_world, render_observation, sample_episode, step
 
+from corridor import corridor_sanity
 from critic import critic_value_loss, reinit_value_head
 
 GAMMA = 0.99
@@ -73,6 +74,12 @@ def assert_params_equal(a, b, invert=False):
     assert same != invert
 
 
+def assert_snapshots_equal(a, b):
+    assert sorted(a) == sorted(b)
+    for k in a:
+        assert a[k].tobytes() == b[k].tobytes(), k
+
+
 def test_stage1_zero_epochs_noop(world, corpus):
     model = fresh_model(world)
     before = params_of(model)
@@ -104,6 +111,35 @@ def test_stage1_early_stop(world, corpus):
     res = train_stage1(corpus, model, Stage1Config(epochs=40, seed=2, early_stop_ratio=0.8))
     assert res.epochs_run < 40
     assert res.final_il < 0.8 * res.first_epoch_il
+
+
+def test_stage1_nonfinite_loss_rolls_back_to_last_epoch(world, corpus, monkeypatch):
+    # count one epoch's minibatches on a reference run that stops after epoch 1
+    calls = []
+    il_loss = training.il_loss
+
+    def counting(*args):
+        calls.append(1)
+        return il_loss(*args)
+
+    monkeypatch.setattr(training, "il_loss", counting)
+    ref = fresh_model(world, seed=13)
+    ref_res = train_stage1(corpus, ref, Stage1Config(epochs=1, seed=13, minibatch_size=32))
+    n_mb = len(calls)
+    assert n_mb >= 2
+
+    def poisoned(*args):
+        calls.append(1)
+        out = il_loss(*args)
+        # the second minibatch of epoch 2, after one clean step in that epoch
+        return ad.scale(out, math.nan) if len(calls) == 2 * n_mb + 2 else out
+
+    monkeypatch.setattr(training, "il_loss", poisoned)
+    model = fresh_model(world, seed=13)
+    res = train_stage1(corpus, model, Stage1Config(epochs=3, seed=13, minibatch_size=32))
+    assert res.aborted
+    assert res.epochs_run == 1 and res.curve == ref_res.curve
+    assert_snapshots_equal(training._snapshot(model), training._snapshot(ref))
 
 
 def test_stage1_rejects_stripped_corpus(world, reward_cfg, corpus):
@@ -280,22 +316,23 @@ def test_stage2_runs_and_reports(world, corpus, reward_cfg):
 
 
 def test_stage2_mean_ratio_is_per_update(world, corpus, reward_cfg, monkeypatch):
-    # each update's LossReport averages the ratio over that update's own
+    # each update's means average the ratio over that update's own
     # minibatches; only first_minibatch_ratio keeps the very first one
     reports = []
-    check = LossReport.check
+    ppo_update = training.ppo_update
 
-    def record(self, lambda_rl):
-        reports.append(self)
-        return check(self, lambda_rl)
+    def record(*args, **kwargs):
+        means, first_ratio = ppo_update(*args, **kwargs)
+        reports.append(means)
+        return means, first_ratio
 
-    monkeypatch.setattr(LossReport, "check", record)
+    monkeypatch.setattr(training, "ppo_update", record)
     model = fresh_model(world, seed=12)
     cfg = PPOConfig(rollout_steps=64, max_updates=2, minibatch_size=32, epochs_per_update=2)
     res = train_stage2(NeuralPolicy(model, keep_feats=True), [world], cfg, reward_cfg, corpus=corpus,
                        seed=12, tiers=("easy",))
     assert res.updates_run == 2 and len(reports) == 2
-    ratios = [r.mean_ratio for r in reports]
+    ratios = [r["ratio"] for r in reports]
     assert all(math.isfinite(r) and r > 0.0 for r in ratios)
     assert ratios[0] != ratios[1]
     assert abs(res.first_minibatch_ratio - 1.0) <= 1e-6
@@ -320,6 +357,61 @@ def test_stage2_deterministic(world, corpus, reward_cfg):
         train_stage2(NeuralPolicy(m, keep_feats=True), [world], cfg, reward_cfg, corpus=corpus, seed=11,
                      tiers=("easy",))
     assert_params_equal(params_of(m1), params_of(m2))
+
+
+def _blow_up_steps(monkeypatch, failing_calls):
+    """Make AdamW.step raise on the given 1-based call numbers; returns the
+    (optimizer, lr) of every call and the parameters at each rollout start."""
+    steps = []
+    starts = []
+    step = AdamW.step
+    collect = training.collect_rollouts
+
+    def failing_step(self):
+        steps.append((self, self.lr))
+        if len(steps) in failing_calls:
+            raise NumericsError("injected")
+        return step(self)
+
+    def recording_collect(policy, *args, **kwargs):
+        starts.append(training._snapshot(policy.model))
+        return collect(policy, *args, **kwargs)
+
+    monkeypatch.setattr(AdamW, "step", failing_step)
+    monkeypatch.setattr(training, "collect_rollouts", recording_collect)
+    return steps, starts
+
+
+def test_stage2_blow_up_rolls_back_and_halves_lr(world, corpus, reward_cfg, monkeypatch):
+    # two minibatch steps per update; the second step of update 1 fails
+    steps, starts = _blow_up_steps(monkeypatch, {4})
+    model = fresh_model(world, seed=14)
+    cfg = PPOConfig(rollout_steps=64, max_updates=3, minibatch_size=32, epochs_per_update=1)
+    res = train_stage2(NeuralPolicy(model, keep_feats=True), [world], cfg, reward_cfg, corpus=corpus,
+                       seed=14, tiers=("easy",))
+    assert not res.aborted
+    assert [row["update"] for row in res.curve] == [0, 2]
+    assert len(steps) == 6 and len(starts) == 3
+    # update 2 starts from the parameters update 0 ended with
+    assert_snapshots_equal(starts[2], starts[1])
+    assert not all(np.array_equal(starts[1][k], starts[0][k]) for k in starts[0])
+    first_opt = steps[0][0]
+    assert all(opt is first_opt and lr == cfg.lr for opt, lr in steps[:4])
+    next_opt = steps[4][0]
+    assert next_opt is not first_opt
+    assert all(opt is next_opt and lr == 0.5 * cfg.lr for opt, lr in steps[4:])
+
+
+def test_stage2_second_blow_up_aborts(world, corpus, reward_cfg, monkeypatch):
+    steps, starts = _blow_up_steps(monkeypatch, {4, 5})
+    model = fresh_model(world, seed=14)
+    cfg = PPOConfig(rollout_steps=64, max_updates=4, minibatch_size=32, epochs_per_update=1)
+    res = train_stage2(NeuralPolicy(model, keep_feats=True), [world], cfg, reward_cfg, corpus=corpus,
+                       seed=14, tiers=("easy",))
+    assert res.aborted
+    assert [row["update"] for row in res.curve] == [0]
+    assert len(starts) == 3 and len(steps) == 5  # no fourth rollout, no further step
+    assert_snapshots_equal(training._snapshot(model), starts[1])
 
 
 def test_probe_success_rate_teacherlike(world):

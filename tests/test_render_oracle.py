@@ -15,11 +15,12 @@ from tiernav.world import (
     Observation,
     UavState,
     WorldConfig,
-    corridor_world,
     generate_world,
     render_observation,
     validate_state,
 )
+
+from corridor import corridor_world
 
 
 def oracle_render_observation(world: CityWorld, state: UavState) -> Observation:

@@ -9,7 +9,6 @@ from tiernav import autodiff as ad
 from tiernav.autodiff import Tensor
 from tiernav.errors import ConfigError, ContractError
 from tiernav.training import (
-    LossReport,
     PPOConfig,
     RewardConfig,
     Rollout,
@@ -343,12 +342,3 @@ def test_ppo_config_validation():
         PPOConfig(eps_clip=0.0).validate()
     PPOConfig().validate()
 
-
-def test_loss_report_check():
-    rep = LossReport(l_il=1.0, l_v=0.5, l_rl=2.0, l_total=1.9, entropy=0.1,
-                     clip_fraction=0.0, mean_ratio=1.0)
-    rep.check(0.2)
-    bad = LossReport(l_il=1.0, l_v=0.5, l_rl=2.0, l_total=2.0, entropy=0.1,
-                     clip_fraction=0.0, mean_ratio=1.0)
-    with pytest.raises(ContractError):
-        bad.check(0.2)

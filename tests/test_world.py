@@ -14,7 +14,6 @@ from tiernav.world import (
     Landmark,
     UavState,
     WorldConfig,
-    corridor_world,
     distance_to_goal,
     generate_world,
     load_episodes,
@@ -26,6 +25,8 @@ from tiernav.world import (
     step,
     world_hash,
 )
+
+from corridor import corridor_world
 
 
 def flat_world(w=32, h=32, **kw):
