@@ -1,4 +1,4 @@
-"""Policy network, tiered controller, and the episode runner.
+"""Policy network, tiered controller, and the lockstep episode runner.
 
 The policy fuses four context streams (encoded belief map, observation
 patch, normalized pose, goal descriptor embedding) through a small
@@ -7,12 +7,19 @@ logits. The action head deliberately sees only the observation, pose,
 and active waypoint, so the global map can steer behaviour only
 through the waypoints it produces. The controller replans whenever the
 active waypoint is reached and caches the encoded map between replans.
+
+run_episode is the one episode loop. It steps up to WIDTH episodes in
+lockstep, and one controller tick (tiered_step) serves all live slots
+with two batched forward passes: one for the slots that replan, one
+for every slot. Each episode carries its own sampling generator, so
+the slot count changes no result beyond the last bits of a batched
+network row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,11 +27,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError
 from .layers import BatchNorm2d, Conv2d, Embedding, Linear, Module
-from .mapper import MapEncoder, _pad_odd, encode_map, init_map, update_map
+from .mapper import MapEncoder, NavMap, _pad_odd, encode_map, init_map, update_map
 from .teacher import EPS_WP, TRAJ_COLUMNS, advance_waypoint, episode_plan, extract_waypoints
 from .training import compute_reward
 from .util import write_csv
-from .world import BANDS, DIRS, TARGET_TAGS, Action, CityWorld, EpisodeSpec, UavState, render_observation, step
+from .world import (BANDS, DIRS, TARGET_TAGS, Action, CityWorld, EpisodeSpec, Observation, UavState,
+                    render_observation, step)
 
 
 def pose_features(state: UavState, width: int, height: int, z_max: int) -> np.ndarray:
@@ -216,7 +224,6 @@ class ControllerState:
     k: int = 0
     waypoint: tuple | None = None
     replan_count: int = 0
-    done: bool = False
     map_feat: np.ndarray | None = None
     steps_since_replan: int = 0
 
@@ -232,38 +239,56 @@ class StepRecord:
     feats: dict | None = None
 
 
-def macro_plan(model: NavPolicy, map_feat, state, descriptor, obs, flat: bool = False):
-    """One waypoint from the fused context, clamped into the grid.
+@dataclass
+class Slot:
+    """One live episode of the runner: what a policy reads to act on it.
+
+    ctx is the policy's own per-episode state (whatever begin_episode
+    returned); rng is the episode's sampling stream.
+    """
+
+    world: CityWorld
+    episode: EpisodeSpec
+    state: UavState
+    nav: NavMap
+    obs: Observation | None
+    ctx: object
+    rng: object = None
+    index: int = 0  # job order
+    steps: list = field(default_factory=list)
+    stopped: bool = False
+
+
+def macro_plan(model: NavPolicy, map_feats, poses, ids, patches, flat: bool = False) -> list:
+    """One waypoint per row from the fused context, clamped into the grid.
 
     flat mode bypasses the waypoint head and follows the decoded goal
     regression directly (the tiered-vs-flat ablation axis).
     """
-    pose = pose_features(state, model.width, model.height, model.z_max)[None]
-    ids = descriptor_ids(descriptor)[None]
     with ad.no_grad():
-        out = model.forward_heads(np.asarray(map_feat)[None], pose, ids, obs.patch[None], np.zeros((1, 5)))
-    src = out.goal.data[0] if flat else out.waypoint.data[0]
-    cell = model.decode_cells(src)
-    return (float(cell[0]), float(cell[1]))
+        out = model.forward_heads(map_feats, poses, ids, patches, np.zeros((len(poses), 5)))
+    cells = model.decode_cells(out.goal.data if flat else out.waypoint.data)
+    return [(float(x), float(y)) for x, y in cells]
 
 
 def tiered_step(
-    ctrl: ControllerState,
     model: NavPolicy,
-    world: CityWorld,
-    state: UavState,
-    nav,
-    obs,
-    descriptor,
+    slots,
     mode: str,
-    rng=None,
     flat: bool = False,
     eps_wp: float = EPS_WP,
-    keep_feats: bool = False,
     avoid_blocked: bool = True,
     replan_patience: int = 16,
-):
-    """One controller tick: replan if the waypoint is reached, then act.
+    feats: bool = False,
+) -> list:
+    """One controller tick for every slot: replan where the waypoint is
+    reached, then act. Returns one (action, StepRecord) per slot.
+
+    Each slot's ctx is its ControllerState, updated in place. Maps are
+    encoded one slot at a time, in slot order, so the first encode of an
+    untrained model primes its BatchNorm statistics exactly as a lone
+    episode would; the replanning slots then share one forward_heads
+    call, and all slots share one more for the action decode.
 
     Two guards keep the state machine out of degenerate loops the
     demonstrations cannot teach recovery from: actions the observation
@@ -273,132 +298,150 @@ def tiered_step(
     """
     if mode not in ("greedy", "sample"):
         raise ContractError(f"unknown decode mode {mode!r}")
-    trigger = ctrl.waypoint is None or math.hypot(state.x - ctrl.waypoint[0], state.y - ctrl.waypoint[1]) < eps_wp
-    if replan_patience and ctrl.steps_since_replan >= replan_patience:
-        trigger = True
-    if trigger or ctrl.map_feat is None:
-        bn = model.bn_mode()
-        ctrl.map_feat = encode_map(nav, model.map_encoder, mode=bn).feature
-    if trigger:
-        ctrl.waypoint = macro_plan(model, ctrl.map_feat, state, descriptor, obs, flat=flat)
-        ctrl.k += 1
-        ctrl.replan_count += 1
-        ctrl.steps_since_replan = 0
-    ctrl.steps_since_replan += 1
-    pose = pose_features(state, model.width, model.height, model.z_max)
-    ids = descriptor_ids(descriptor)
-    wp_feats = waypoint_context(state, ctrl.waypoint, model.width, model.height)
-    mask = action_mask(world, state, obs) if avoid_blocked else np.ones(6, dtype=bool)
+    replan = []
+    for i, s in enumerate(slots):
+        ctrl, state = s.ctx, s.state
+        trigger = ctrl.waypoint is None or math.hypot(state.x - ctrl.waypoint[0], state.y - ctrl.waypoint[1]) < eps_wp
+        if replan_patience and ctrl.steps_since_replan >= replan_patience:
+            trigger = True
+        if trigger or ctrl.map_feat is None:
+            ctrl.map_feat = encode_map(s.nav, model.map_encoder, mode=model.bn_mode()).feature
+        if trigger:
+            replan.append(i)
+    maps = np.array([s.ctx.map_feat for s in slots])
+    poses = np.array([pose_features(s.state, model.width, model.height, model.z_max) for s in slots])
+    ids = np.array([descriptor_ids(s.episode.descriptor) for s in slots])
+    patches = np.array([s.obs.patch for s in slots])
+    if replan:
+        for i, wp in zip(replan, macro_plan(model, maps[replan], poses[replan], ids[replan], patches[replan],
+                                            flat=flat)):
+            ctrl = slots[i].ctx
+            ctrl.waypoint = wp
+            ctrl.k += 1
+            ctrl.replan_count += 1
+            ctrl.steps_since_replan = 0
+    wps = np.array([waypoint_context(s.state, s.ctx.waypoint, model.width, model.height) for s in slots])
     with ad.no_grad():
-        out = model.forward_heads(ctrl.map_feat[None], pose[None], ids[None], obs.patch[None], wp_feats[None])
-    log_probs = masked_log_softmax(out.logits.data[0], mask)
-    if mode == "greedy":
-        action = int(np.argmax(log_probs))
-    else:
-        probs = np.exp(log_probs)
-        probs /= probs.sum()
-        action = int(rng.choice(6, p=probs))
-    if action == int(Action.STOP):
-        ctrl.done = True
-    goal_cells = model.decode_cells(out.goal.data[0])
-    feats = None
-    if keep_feats:
-        feats = {
-            "patch": obs.patch.copy(),
-            "pose": pose,
-            "desc_ids": ids,
-            "map_feat": ctrl.map_feat.copy(),
-            "wp_feats": wp_feats,
-            "mask": mask,
-        }
-    rec = StepRecord(
-        k=ctrl.k,
-        waypoint=ctrl.waypoint,
-        goal_hat=(float(goal_cells[0]), float(goal_cells[1])),
-        progress_hat=float(out.progress.data[0, 0]),
-        value_hat=float(out.value.data[0, 0]),
-        log_prob=float(log_probs[action]),
-        feats=feats,
-    )
-    return action, ctrl, rec
+        out = model.forward_heads(maps, poses, ids, patches, wps)
+    goal_cells = model.decode_cells(out.goal.data)
+    picks = []
+    for i, s in enumerate(slots):
+        ctrl = s.ctx
+        ctrl.steps_since_replan += 1
+        mask = action_mask(s.world, s.state, s.obs) if avoid_blocked else np.ones(6, dtype=bool)
+        log_probs = masked_log_softmax(out.logits.data[i], mask)
+        if mode == "greedy":
+            action = int(np.argmax(log_probs))
+        else:
+            probs = np.exp(log_probs)
+            probs /= probs.sum()
+            action = int(s.rng.choice(6, p=probs))
+        rec = StepRecord(
+            k=ctrl.k,
+            waypoint=ctrl.waypoint,
+            goal_hat=(float(goal_cells[i, 0]), float(goal_cells[i, 1])),
+            progress_hat=float(out.progress.data[i, 0]),
+            value_hat=float(out.value.data[i, 0]),
+            log_prob=float(log_probs[action]),
+        )
+        if feats:
+            rec.feats = {"patch": s.obs.patch.copy(), "pose": poses[i], "desc_ids": ids[i],
+                         "map_feat": ctrl.map_feat.copy(), "wp_feats": wps[i], "mask": mask}
+        picks.append((action, rec))
+    return picks
 
 
 # -------------------------------------------------------------------- policies
+#
+# A policy's begin_episode(world, episode) returns its per-episode state,
+# which the runner keeps as Slot.ctx; act(slots, mode, feats) returns one
+# (action, StepRecord) per live slot.
 
 
 class NeuralPolicy:
     """Tiered (or flat) controller around a NavPolicy."""
 
     def __init__(self, model: NavPolicy, flat: bool = False, eps_wp: float = EPS_WP,
-                 keep_feats: bool = False, avoid_blocked: bool = True, replan_patience: int = 16):
+                 avoid_blocked: bool = True, replan_patience: int = 16):
         self.model = model
         self.flat = flat
         self.eps_wp = eps_wp
-        self.keep_feats = keep_feats
         self.avoid_blocked = avoid_blocked
         self.replan_patience = replan_patience
-        self.ctrl = None
-        self._descriptor = None
 
-    def begin_episode(self, world: CityWorld, episode: EpisodeSpec):
-        self.ctrl = ControllerState()
-        self._descriptor = episode.descriptor
+    def begin_episode(self, world: CityWorld, episode: EpisodeSpec) -> ControllerState:
+        return ControllerState()
 
-    def act(self, world, state, nav, obs, mode, rng):
-        action, self.ctrl, rec = tiered_step(
-            self.ctrl, self.model, world, state, nav, obs, self._descriptor, mode, rng,
-            flat=self.flat, eps_wp=self.eps_wp, keep_feats=self.keep_feats,
-            avoid_blocked=self.avoid_blocked, replan_patience=self.replan_patience,
-        )
-        return action, rec
+    def act(self, slots, mode, feats=False):
+        return tiered_step(self.model, slots, mode, flat=self.flat, eps_wp=self.eps_wp,
+                           avoid_blocked=self.avoid_blocked, replan_patience=self.replan_patience,
+                           feats=feats)
+
+
+@dataclass
+class TeacherEpisode:
+    actions: list
+    waypoints: list
+    i: int = 0
+    k: int = 0
 
 
 class TeacherPolicy:
     """Replays the planner's action sequence; the evaluation oracle."""
 
-    def begin_episode(self, world: CityWorld, episode: EpisodeSpec):
+    def begin_episode(self, world: CityWorld, episode: EpisodeSpec) -> TeacherEpisode:
         path = episode_plan(world, episode)
-        self.actions = list(path.actions) + [Action.STOP]
-        self.waypoints = extract_waypoints(path, world)
-        self.goal = episode.goal
-        self.i = 0
-        self.k = 0
+        return TeacherEpisode(actions=list(path.actions) + [Action.STOP],
+                              waypoints=extract_waypoints(path, world))
 
-    def act(self, world, state, nav, obs, mode, rng):
-        self.k = advance_waypoint(self.k, self.waypoints, state)
-        action = self.actions[self.i] if self.i < len(self.actions) else Action.STOP
-        self.i += 1
-        rec = StepRecord(
-            k=self.k,
-            waypoint=self.waypoints[self.k],
-            goal_hat=(float(self.goal[0]), float(self.goal[1])),
-            progress_hat=min(self.i / len(self.actions), 1.0),
-            value_hat=0.0,
-            log_prob=0.0,
-        )
-        return int(action), rec
+    def act(self, slots, mode, feats=False):
+        picks = []
+        for s in slots:
+            ep = s.ctx
+            ep.k = advance_waypoint(ep.k, ep.waypoints, s.state)
+            action = ep.actions[ep.i] if ep.i < len(ep.actions) else Action.STOP
+            ep.i += 1
+            gx, gy = s.episode.goal
+            picks.append((int(action), StepRecord(
+                k=ep.k,
+                waypoint=ep.waypoints[ep.k],
+                goal_hat=(float(gx), float(gy)),
+                progress_hat=min(ep.i / len(ep.actions), 1.0),
+                value_hat=0.0,
+                log_prob=0.0,
+            )))
+        return picks
 
 
 class RandomPolicy:
     """Uniform over the six actions; the no-skill baseline."""
 
     def begin_episode(self, world, episode):
-        self.goal = episode.goal
+        return None
 
-    def act(self, world, state, nav, obs, mode, rng):
-        action = int(rng.integers(0, 6))
-        rec = StepRecord(
-            k=0,
-            waypoint=(float(self.goal[0]), float(self.goal[1])),
-            goal_hat=(math.nan, math.nan),
-            progress_hat=math.nan,
-            value_hat=math.nan,
-            log_prob=-math.log(6.0),
-        )
-        return action, rec
+    def act(self, slots, mode, feats=False):
+        picks = []
+        for s in slots:
+            gx, gy = s.episode.goal
+            picks.append((int(s.rng.integers(0, 6)), StepRecord(
+                k=0,
+                waypoint=(float(gx), float(gy)),
+                goal_hat=(math.nan, math.nan),
+                progress_hat=math.nan,
+                value_hat=math.nan,
+                log_prob=-math.log(6.0),
+            )))
+        return picks
 
 
 # --------------------------------------------------------------------- runner
+
+WIDTH = 8  # episodes stepped in lockstep; a module constant, not a config key
+# Steps of room before a rollout cut that each live slot keeps from a new
+# episode. A start costs an A* plan and a map encode and is wasted if the
+# episode begins past the cut, while a held-back start costs only a few
+# thinner ticks; holding a start back changes no result.
+SLOT_ROOM = 12
 
 
 @dataclass
@@ -437,46 +480,78 @@ class Trajectory:
 
 def run_episode(
     policy,
-    world: CityWorld,
-    episode: EpisodeSpec,
+    jobs,
     mode: str = "greedy",
-    rng=None,
     reward_cfg=None,
     r_prior: float = 12.0,
     use_prior: bool = True,
-    max_steps=None,
-) -> Trajectory:
-    """render -> update_map -> act -> step until stop or the step cap."""
-    nav = init_map(world, episode, r_prior=r_prior, use_prior=use_prior)
-    state = episode.start
-    policy.begin_episode(world, episode)
-    limit = int(max_steps if max_steps is not None else episode.max_steps)
-    steps = []
-    stopped = False
-    for t in range(limit):
-        obs = render_observation(world, state)
-        update_map(nav, state, obs)
-        action, rec = policy.act(world, state, nav, obs, mode, rng)
-        nxt, _, terminal = step(world, state, Action(action))
-        r = 0.0
-        if reward_cfg is not None:
-            r = compute_reward(state, nxt, episode.goal, world, reward_cfg,
-                               waypoint=rec.waypoint, stopped=terminal)
-        d = math.hypot(state.x - episode.goal[0], state.y - episode.goal[1]) * world.cell_size
-        steps.append(
-            TrajStep(
-                t=t, state=state, action=int(action), k=rec.k, waypoint=rec.waypoint,
-                goal_hat=rec.goal_hat, progress_hat=rec.progress_hat,
-                value_hat=rec.value_hat, log_prob=rec.log_prob,
-                reward=r, dist=d, feats=rec.feats,
-            )
-        )
-        state = nxt
-        if terminal:
-            stopped = True
-            break
-    return Trajectory(episode=episode, steps=steps, final_state=state,
-                      stopped=stopped, truncated=not stopped)
+    feats: bool = False,
+    n_steps=None,
+) -> list:
+    """Step episodes in lockstep, WIDTH at a time; one Trajectory per job,
+    in job order.
+
+    jobs yields (world, episode, rng) and is read lazily: a slot freed by
+    a finished episode takes the next job, so the slots that share a tick
+    depend only on the job order. Each tick renders and maps every live
+    slot, then asks the policy for all their actions at once, then steps
+    each world. An episode ends on stop or at its step budget.
+
+    With n_steps, the trajectories are read as one stream of steps cut at
+    n_steps (rollout collection). A job starts only while the steps taken
+    so far leave room before the cut, SLOT_ROOM steps for each live slot;
+    once no slot is live, any room will do, so every job that reaches the
+    cut is played. A slot stops one step past the furthest cut it can
+    still reach (each earlier live job takes at least one more step), so
+    the step at the cut state is recorded, and with it the value that
+    bootstraps the cut tail.
+    feats keeps each step's network inputs (StepRecord.feats).
+    """
+    jobs = iter(jobs)
+    taken = []  # steps so far of every started job, in job order
+    trajs = []
+    live = []
+    while True:
+        while len(live) < WIDTH and (n_steps is None or sum(taken) + SLOT_ROOM * len(live) < n_steps):
+            job = next(jobs, None)
+            if job is None:
+                break
+            world, episode, rng = job
+            nav = init_map(world, episode, r_prior=r_prior, use_prior=use_prior)
+            live.append(Slot(world=world, episode=episode, state=episode.start, nav=nav, obs=None,
+                             ctx=policy.begin_episode(world, episode), rng=rng, index=len(trajs)))
+            taken.append(0)
+            trajs.append(None)
+        if not live:
+            return trajs
+        for s in live:
+            s.obs = render_observation(s.world, s.state)
+            update_map(s.nav, s.state, s.obs)
+        for s, (action, rec) in zip(live, policy.act(live, mode, feats)):
+            nxt, _, s.stopped = step(s.world, s.state, Action(action))
+            r = 0.0
+            if reward_cfg is not None:
+                r = compute_reward(s.state, nxt, s.episode.goal, s.world, reward_cfg,
+                                   waypoint=rec.waypoint, stopped=s.stopped)
+            d = math.hypot(s.state.x - s.episode.goal[0], s.state.y - s.episode.goal[1]) * s.world.cell_size
+            s.steps.append(TrajStep(
+                t=len(s.steps), state=s.state, action=int(action), k=rec.k, waypoint=rec.waypoint,
+                goal_hat=rec.goal_hat, progress_hat=rec.progress_hat, value_hat=rec.value_hat,
+                log_prob=rec.log_prob, reward=r, dist=d, feats=rec.feats,
+            ))
+            s.state = nxt
+            taken[s.index] += 1
+        running = []
+        for s in live:
+            cap = int(s.episode.max_steps)
+            if n_steps is not None:  # running holds the earlier jobs that step again
+                cap = min(cap, n_steps - sum(taken[: s.index]) - len(running) + 1)
+            if s.stopped or len(s.steps) >= cap:
+                trajs[s.index] = Trajectory(episode=s.episode, steps=s.steps, final_state=s.state,
+                                            stopped=s.stopped, truncated=not s.stopped)
+            else:
+                running.append(s)
+        live = running
 
 
 # --------------------------------------------------------------- trajectory IO

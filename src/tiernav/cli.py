@@ -243,7 +243,7 @@ def cmd_train_rl(cfg, args) -> int:
     unseen = _load_worlds(cfg, args, "unseen")
     run_dir = _begin_run(cfg, args, "rl")
     ckpt_dir = os.path.join(run_dir, "checkpoints")
-    policy = _neural_policy(cfg, model, keep_feats=True)
+    policy = _neural_policy(cfg, model)
     result = train_stage2(
         policy, seen, cfg.ppo_config(), cfg.reward_config(),
         corpus=demos, seed=cfg["run.seed"], tiers=cfg.tier_list("ppo.tiers"),
@@ -334,7 +334,7 @@ def _sweep_lambda(cfg, args, run_dir: str):
             ppo = cfg.ppo_config()
             ppo.lambda_rl = lam
             train_stage2(
-                _neural_policy(cfg, model, keep_feats=True), seen, ppo, cfg.reward_config(),
+                _neural_policy(cfg, model), seen, ppo, cfg.reward_config(),
                 corpus=demos, seed=seed, tiers=cfg.tier_list("ppo.tiers"),
                 expert_batch=cfg["ppo.expert_batch"], lambda_v=cfg["ppo.lambda_v"], **_prior(cfg),
                 tier_brackets=cfg.tier_brackets(),

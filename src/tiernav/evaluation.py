@@ -164,11 +164,14 @@ def run_benchmark(
     """Stratified evaluation over splits, tiers, and seeds.
 
     Episode i of (split, tier, seed) draws from its own substream and a
-    round-robin world, so reports depend only on the seed list. Returns
-    (report, records); records keep the trajectories for step logs.
+    round-robin world, so reports depend only on the seed list. All
+    episodes are played in one lockstep run (agent.run_episode), in
+    split, tier, seed, index order. Returns (report, records); records
+    keep the trajectories for step logs.
     """
     seeds = list(seeds)
-    records = []
+    keys = []
+    jobs = []
     for split, worlds in worlds_by_split.items():
         if not worlds:
             continue
@@ -178,17 +181,17 @@ def run_benchmark(
                     world = worlds[i % len(worlds)]
                     ep = sample_episode(world, tier, substream(seed, "bench", split, tier, i),
                                         tiers=tier_brackets)
-                    traj = run_episode(
-                        policy, world, ep, mode=mode,
-                        rng=substream(seed, "bench-rng", split, tier, i),
-                        r_prior=r_prior, use_prior=use_prior,
-                    )
-                    result = episode_metrics(
-                        traj, ep, threshold_m=threshold_m, cell_size=world.cell_size,
-                        episode_id=f"{split}/{tier}/s{seed}/{i}",
-                    )
-                    records.append(BenchmarkRecord(split=split, tier=tier, seed=seed,
-                                                   index=i, result=result, traj=traj))
+                    keys.append((split, tier, seed, i))
+                    jobs.append((world, ep, substream(seed, "bench-rng", split, tier, i)))
+    trajs = run_episode(policy, jobs, mode=mode, r_prior=r_prior, use_prior=use_prior)
+    records = []
+    for (split, tier, seed, i), (world, ep, _), traj in zip(keys, jobs, trajs):
+        result = episode_metrics(
+            traj, ep, threshold_m=threshold_m, cell_size=world.cell_size,
+            episode_id=f"{split}/{tier}/s{seed}/{i}",
+        )
+        records.append(BenchmarkRecord(split=split, tier=tier, seed=seed,
+                                       index=i, result=result, traj=traj))
     cells = {}
     for split in worlds_by_split:
         if not worlds_by_split[split]:

@@ -10,6 +10,8 @@ keeping an imitation term in the blend.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -22,7 +24,7 @@ from .errors import ConfigError, ContractError, NumericsError
 from .layers import Module
 from .optim import AdamW, clip_grad_norm
 from .util import substream, write_csv
-from .world import UavState, distance_to_goal, render_observation, sample_episode
+from .world import UavState, distance_to_goal, sample_episode
 
 
 @dataclass
@@ -425,60 +427,54 @@ def train_stage1(demos, model, cfg: Stage1Config) -> Stage1Result:
 # --------------------------------------------------------- rollout collection
 
 
-def _state_value(model, ctrl, world, state, episode) -> float:
-    """Critic bootstrap at a state the buffer cut before acting on."""
-    from .agent import descriptor_ids, pose_features, waypoint_context
-
-    obs = render_observation(world, state)
-    pose = pose_features(state, model.width, model.height, model.z_max)
-    ids = descriptor_ids(episode.descriptor)
-    wp = waypoint_context(state, ctrl.waypoint, model.width, model.height)
-    with ad.no_grad():
-        out = model.forward_heads(ctrl.map_feat[None], pose[None], ids[None], obs.patch[None], wp[None])
-    return float(out.value.data[0, 0])
-
-
 def collect_rollouts(
     policy,
     worlds,
     tiers,
     reward_cfg: RewardConfig,
     n_steps: int,
-    rng: np.random.Generator,
+    streams,
     use_prior: bool = True,
     r_prior: float = 12.0,
     tier_brackets=None,
 ) -> Rollout:
     """Exactly n_steps of sampled experience across fresh episodes.
 
-    policy is a NeuralPolicy built with keep_feats=True. An episode
-    ending in stop, or hitting its step budget, closes with done=True
-    (the budget is part of the task, so the horizon is genuinely finite
-    there). Only a buffer cut mid-episode leaves done=False and records
-    a critic bootstrap for the dangling tail.
+    Episode j draws its world, tier, episode and actions from the
+    generator streams(j), and the policy plays the episodes in lockstep
+    (agent.run_episode). Their steps are concatenated in episode order
+    and cut at exactly n_steps. An episode ending in stop, or hitting its
+    step budget, closes with done=True (the budget is part of the task,
+    so the horizon is genuinely finite there). Only a cut mid-episode
+    leaves done=False; the critic value the policy computed at the cut
+    state bootstraps the dangling tail.
     """
     from .agent import run_episode
+
+    def jobs():
+        for j in itertools.count():
+            rng = streams(j)
+            world = worlds[int(rng.integers(len(worlds)))]
+            tier = tiers[int(rng.integers(len(tiers)))]
+            yield world, sample_episode(world, tier, rng, tiers=tier_brackets), rng
 
     steps = []
     dones = []
     episode_returns = []
     bootstrap = 0.0
-    while len(steps) < n_steps:
-        world = worlds[int(rng.integers(len(worlds)))]
-        tier = tiers[int(rng.integers(len(tiers)))]
-        ep = sample_episode(world, tier, rng, tiers=tier_brackets)
-        traj = run_episode(policy, world, ep, mode="sample", rng=rng, reward_cfg=reward_cfg,
-                           r_prior=r_prior, use_prior=use_prior,
-                           max_steps=min(ep.max_steps, n_steps - len(steps)))
-        if any(s.feats is None for s in traj.steps):
-            raise ContractError("rollout steps carry no features; build the policy with keep_feats=True")
-        done = traj.stopped or len(traj) == ep.max_steps
-        steps.extend(traj.steps)
-        dones.extend([False] * (len(traj) - 1) + [done])
-        if done:
+    for traj in run_episode(policy, jobs(), mode="sample", reward_cfg=reward_cfg, r_prior=r_prior,
+                            use_prior=use_prior, feats=True, n_steps=n_steps):
+        room = n_steps - len(steps)
+        if room <= 0:
+            break
+        if len(traj) <= room and (traj.stopped or len(traj) == traj.episode.max_steps):
+            steps.extend(traj.steps)
+            dones.extend([False] * (len(traj) - 1) + [True])
             episode_returns.append(sum(s.reward for s in traj.steps))
         else:
-            bootstrap = _state_value(policy.model, policy.ctrl, world, traj.final_state, ep)
+            steps.extend(traj.steps[:room])
+            dones.extend([False] * room)
+            bootstrap = traj.steps[room].value_hat
 
     def stack(key, dtype=None):
         return np.array([s.feats[key] for s in steps], dtype=dtype)
@@ -527,15 +523,14 @@ def _rollout_heads(model, ro: Rollout, idx):
 
 def probe_success_rate(policy, probe, threshold_m: float = 20.0,
                        use_prior: bool = True, r_prior: float = 12.0) -> float:
-    """Greedy SR over a fixed (world, episode) probe list."""
+    """Greedy SR over a fixed (world, episode) probe list, played in lockstep."""
     from .agent import run_episode
     from .evaluation import episode_metrics
 
-    wins = 0
-    for world, ep in probe:
-        traj = run_episode(policy, world, ep, mode="greedy", r_prior=r_prior, use_prior=use_prior)
-        if episode_metrics(traj, ep, threshold_m=threshold_m, cell_size=world.cell_size).success:
-            wins += 1
+    trajs = run_episode(policy, [(world, ep, None) for world, ep in probe], mode="greedy",
+                        r_prior=r_prior, use_prior=use_prior)
+    wins = sum(episode_metrics(traj, ep, threshold_m=threshold_m, cell_size=world.cell_size).success
+               for traj, (world, ep) in zip(trajs, probe))
     return wins / len(probe)
 
 
@@ -630,8 +625,8 @@ def train_stage2(
     critic arrives warm: whatever the stage-1 value head learned is the
     starting critic.
 
-    policy is a NeuralPolicy built with keep_feats=True; it collects the
-    rollouts and plays the probe, and its model is the one trained.
+    policy is a NeuralPolicy; it collects the rollouts and plays the
+    probe, and its model is the one trained.
 
     Each update collects a fixed-size rollout and runs one ppo_update,
     minimizing L_IL + L_V + lambda_rl * (policy + c_v*value - c_ent*entropy)
@@ -664,7 +659,7 @@ def train_stage2(
     for u in range(ppo_cfg.max_updates):
         rollout = collect_rollouts(
             policy, worlds, tiers, reward_cfg, ppo_cfg.rollout_steps,
-            substream(seed, "stage2-collect", u),
+            functools.partial(substream, seed, "stage2-collect", u),
             use_prior=use_prior, r_prior=r_prior, tier_brackets=tier_brackets,
         )
         env_steps += len(rollout)

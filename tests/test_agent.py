@@ -1,5 +1,6 @@
 """Policy heads, controller state machine, episode runner, log IO."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from tiernav.agent import (
     NavPolicy,
     NeuralPolicy,
     RandomPolicy,
+    Slot,
     TeacherPolicy,
     ControllerState,
     descriptor_ids,
@@ -43,6 +45,10 @@ def world_and_episode(seed=3, tier="medium"):
     wd = generate_world(seed, WorldConfig(width=48, height=48, n_landmarks=6))
     ep = sample_episode(wd, tier, substream(seed, "ep"))
     return wd, ep
+
+
+def run_one(policy, world, episode, rng=None, **kw):
+    return run_episode(policy, [(world, episode, rng)], **kw)[0]
 
 
 def make_model(seed=0, width=48, height=48, z_max=4, n_landmarks=6, patch_side=25, **kw):
@@ -173,13 +179,18 @@ def dummy_obs(patch_side, z_max=4):
     return Observation(patch=np.zeros((3, patch_side, patch_side)), z_max=z_max)
 
 
+def plan_inputs(state, descriptor, width=96):
+    """One macro_plan row: map feature, pose, descriptor ids and patch."""
+    return (np.zeros((1, 64)), pose_features(state, width, width, 4)[None],
+            descriptor_ids(descriptor)[None], dummy_obs(25).patch[None])
+
+
 def test_macro_plan_clamps_to_grid():
     model = make_model(width=96, height=96, patch_side=25)
     model.waypoint_head.weight.data[...] = 0.0
     model.waypoint_head.bias.data[...] = (-0.1, 0.5)
-    wp = macro_plan(model, np.zeros(64), UavState(10.0, 10.0, 2, 0),
-                    GoalDescriptor(0, 0, "near", 0), dummy_obs(25))
-    assert wp == (0.0, 48.0)
+    wp = macro_plan(model, *plan_inputs(UavState(10.0, 10.0, 2, 0), GoalDescriptor(0, 0, "near", 0)))
+    assert wp == [(0.0, 48.0)]
 
 
 def test_macro_plan_flat_follows_goal_head():
@@ -188,30 +199,31 @@ def test_macro_plan_flat_follows_goal_head():
     model.goal_head.bias.data[...] = (0.25, 0.75)
     model.waypoint_head.weight.data[...] = 0.0
     model.waypoint_head.bias.data[...] = (0.9, 0.9)
-    st = UavState(10.0, 10.0, 2, 0)
-    d = GoalDescriptor(0, 0, "near", 0)
-    assert macro_plan(model, np.zeros(64), st, d, dummy_obs(25), flat=True) == (24.0, 72.0)
-    assert macro_plan(model, np.zeros(64), st, d, dummy_obs(25), flat=False) == (86.4, 86.4)
+    inputs = plan_inputs(UavState(10.0, 10.0, 2, 0), GoalDescriptor(0, 0, "near", 0))
+    assert macro_plan(model, *inputs, flat=True) == [(24.0, 72.0)]
+    assert macro_plan(model, *inputs, flat=False) == [(86.4, 86.4)]
+
+
+def start_slot(wd, ep, ctrl=None, rng=None):
+    from tiernav.mapper import init_map
+
+    return Slot(world=wd, episode=ep, state=ep.start, nav=init_map(wd, ep),
+                obs=render_observation(wd, ep.start), ctx=ctrl or ControllerState(), rng=rng)
 
 
 def test_tiered_step_replans_at_waypoint():
     wd, ep = world_and_episode()
     model = make_model()
-    nav_obs = render_observation(wd, ep.start)
-    from tiernav.mapper import init_map
-
-    nav = init_map(wd, ep)
-    ctrl = ControllerState(k=3, waypoint=(ep.start.x, ep.start.y), replan_count=3,
-                           map_feat=np.zeros(64))
-    _, ctrl, _ = tiered_step(ctrl, model, wd, ep.start, nav, nav_obs, ep.descriptor, "greedy")
-    assert ctrl.k == 4
-    assert ctrl.replan_count == 4
+    near = start_slot(wd, ep, ControllerState(k=3, waypoint=(ep.start.x, ep.start.y), replan_count=3,
+                                              map_feat=np.zeros(64)))
     # far waypoint: no replan
-    ctrl2 = ControllerState(k=3, waypoint=(ep.start.x + 30, ep.start.y), replan_count=3,
-                            map_feat=np.zeros(64))
-    _, ctrl2, _ = tiered_step(ctrl2, model, wd, ep.start, nav, nav_obs, ep.descriptor, "greedy")
-    assert ctrl2.k == 3
-    assert ctrl2.waypoint == (ep.start.x + 30, ep.start.y)
+    far = start_slot(wd, ep, ControllerState(k=3, waypoint=(ep.start.x + 30, ep.start.y), replan_count=3,
+                                             map_feat=np.zeros(64)))
+    tiered_step(model, [near, far], "greedy")
+    assert near.ctx.k == 4
+    assert near.ctx.replan_count == 4
+    assert far.ctx.k == 3
+    assert far.ctx.waypoint == (ep.start.x + 30, ep.start.y)
 
 
 def test_tiered_step_greedy_argmax():
@@ -219,30 +231,21 @@ def test_tiered_step_greedy_argmax():
     model = make_model()
     model.action_head.weight.data[...] = 0.0
     model.action_head.bias.data[...] = [0, 0, 5, 0, 0, 0]
-    from tiernav.mapper import init_map
-
-    nav = init_map(wd, ep)
-    obs = render_observation(wd, ep.start)
-    action, _, _ = tiered_step(ControllerState(), model, wd, ep.start, nav, obs, ep.descriptor, "greedy")
+    [(action, _)] = tiered_step(model, [start_slot(wd, ep)], "greedy")
     assert action == 2
     # argmax invariant under constant logit shifts
     model.action_head.bias.data[...] = np.array([0, 0, 5, 0, 0, 0]) + 11.0
-    action2, _, _ = tiered_step(ControllerState(), model, wd, ep.start, nav, obs, ep.descriptor, "greedy")
+    [(action2, _)] = tiered_step(model, [start_slot(wd, ep)], "greedy")
     assert action2 == 2
 
 
 def test_tiered_step_sample_mode_valid_actions():
     wd, ep = world_and_episode()
     model = make_model()
-    from tiernav.mapper import init_map
-
-    nav = init_map(wd, ep)
-    obs = render_observation(wd, ep.start)
-    rng = substream(7, "samp")
-    ctrl = ControllerState()
+    slot = start_slot(wd, ep, rng=substream(7, "samp"))
     seen = set()
     for _ in range(40):
-        action, ctrl, rec = tiered_step(ctrl, model, wd, ep.start, nav, obs, ep.descriptor, "sample", rng)
+        [(action, rec)] = tiered_step(model, [slot], "sample")
         assert 0 <= action < 6
         assert math.isfinite(rec.log_prob) and rec.log_prob <= 0.0
         seen.add(action)
@@ -252,28 +255,25 @@ def test_tiered_step_sample_mode_valid_actions():
 def test_tiered_step_rejects_unknown_mode():
     wd, ep = world_and_episode()
     model = make_model()
-    from tiernav.mapper import init_map
-
-    nav = init_map(wd, ep)
-    obs = render_observation(wd, ep.start)
     with pytest.raises(ContractError):
-        tiered_step(ControllerState(), model, wd, ep.start, nav, obs, ep.descriptor, "beam")
+        tiered_step(model, [start_slot(wd, ep)], "beam")
 
 
 class AlwaysStop:
     def begin_episode(self, world, episode):
-        pass
+        return None
 
-    def act(self, world, state, nav, obs, mode, rng):
+    def act(self, slots, mode, feats=False):
         from tiernav.agent import StepRecord
 
-        return int(Action.STOP), StepRecord(k=0, waypoint=(0.0, 0.0), goal_hat=(0.0, 0.0),
-                                            progress_hat=0.0, value_hat=0.0, log_prob=0.0)
+        return [(int(Action.STOP), StepRecord(k=0, waypoint=(0.0, 0.0), goal_hat=(0.0, 0.0),
+                                              progress_hat=0.0, value_hat=0.0, log_prob=0.0))
+                for _ in slots]
 
 
 def test_run_episode_always_stop():
     wd, ep = world_and_episode()
-    traj = run_episode(AlwaysStop(), wd, ep)
+    traj = run_one(AlwaysStop(), wd, ep)
     assert len(traj) == 1
     assert traj.stopped and not traj.truncated
     assert traj.final_state == ep.start
@@ -281,7 +281,7 @@ def test_run_episode_always_stop():
 
 def test_run_episode_teacher_reaches_goal():
     wd, ep = world_and_episode(seed=11)
-    traj = run_episode(TeacherPolicy(), wd, ep, reward_cfg=RewardConfig())
+    traj = run_one(TeacherPolicy(), wd, ep, reward_cfg=RewardConfig())
     assert traj.stopped
     ne = math.hypot(traj.final_state.x - ep.goal[0], traj.final_state.y - ep.goal[1])
     assert ne * wd.cell_size <= 10.0
@@ -291,7 +291,7 @@ def test_run_episode_teacher_reaches_goal():
 def test_run_episode_truncates_at_cap():
     wd, ep = world_and_episode()
     model = make_model(seed=5)
-    traj = run_episode(NeuralPolicy(model), wd, ep, mode="greedy", max_steps=7)
+    traj = run_one(NeuralPolicy(model), wd, dataclasses.replace(ep, max_steps=7), mode="greedy")
     if not traj.stopped:
         assert len(traj) == 7 and traj.truncated
 
@@ -299,9 +299,9 @@ def test_run_episode_truncates_at_cap():
 def test_run_episode_greedy_deterministic():
     wd, ep = world_and_episode(seed=13)
     model = make_model(seed=13)
-    run_episode(NeuralPolicy(model), wd, ep, mode="greedy")  # primes BN stats
-    t1 = run_episode(NeuralPolicy(model), wd, ep, mode="greedy")
-    t2 = run_episode(NeuralPolicy(model), wd, ep, mode="greedy")
+    run_one(NeuralPolicy(model), wd, ep, mode="greedy")  # primes BN stats
+    t1 = run_one(NeuralPolicy(model), wd, ep, mode="greedy")
+    t2 = run_one(NeuralPolicy(model), wd, ep, mode="greedy")
     assert len(t1) == len(t2)
     for a, b in zip(t1.steps, t2.steps):
         assert a.state == b.state and a.action == b.action
@@ -311,7 +311,7 @@ def test_run_episode_greedy_deterministic():
 def test_replan_trigger_rule_holds_along_episode():
     wd, ep = world_and_episode(seed=17)
     model = make_model(seed=17)
-    traj = run_episode(NeuralPolicy(model), wd, ep, mode="sample", rng=substream(17, "roll"))
+    traj = run_one(NeuralPolicy(model), wd, ep, substream(17, "roll"), mode="sample")
     assert traj.steps[0].k == 1  # no waypoint yet at t=0 forces a replan
     for prev, cur in zip(traj.steps, traj.steps[1:]):
         d = math.hypot(cur.state.x - prev.waypoint[0], cur.state.y - prev.waypoint[1])
@@ -324,7 +324,7 @@ def test_replan_trigger_rule_holds_along_episode():
 
 def test_trajectory_log_round_trip(tmp_path):
     wd, ep = world_and_episode(seed=19)
-    traj = run_episode(TeacherPolicy(), wd, ep, reward_cfg=RewardConfig())
+    traj = run_one(TeacherPolicy(), wd, ep, reward_cfg=RewardConfig())
     p = tmp_path / "traj.csv"
     write_trajectory_log(p, traj)
     rows, header = read_trajectory_log(p)
@@ -344,14 +344,14 @@ def test_trajectory_log_round_trip(tmp_path):
 def test_policy_checkpoint_round_trip(tmp_path):
     wd, ep = world_and_episode(seed=23)
     model = make_model(seed=23)
-    run_episode(NeuralPolicy(model), wd, ep, mode="greedy")  # primes BN
+    run_one(NeuralPolicy(model), wd, ep, mode="greedy")  # primes BN
     path = tmp_path / "p.ckpt"
     save_policy(path, model, meta={"stage": "test"})
     clone = make_model(seed=99)
     meta = load_policy_into(clone, path)
     assert meta["stage"] == "test"
-    t1 = run_episode(NeuralPolicy(model), wd, ep, mode="greedy")
-    t2 = run_episode(NeuralPolicy(clone), wd, ep, mode="greedy")
+    t1 = run_one(NeuralPolicy(model), wd, ep, mode="greedy")
+    t2 = run_one(NeuralPolicy(clone), wd, ep, mode="greedy")
     for a, b in zip(t1.steps, t2.steps):
         assert a.action == b.action and a.value_hat == b.value_hat
 
@@ -367,6 +367,6 @@ def test_policy_checkpoint_mismatch(tmp_path):
 
 def test_random_policy_runs():
     wd, ep = world_and_episode(seed=29)
-    traj = run_episode(RandomPolicy(), wd, ep, rng=substream(29, "rand"))
+    traj = run_one(RandomPolicy(), wd, ep, substream(29, "rand"))
     assert 1 <= len(traj) <= ep.max_steps
     assert all(0 <= s.action < 6 for s in traj.steps)

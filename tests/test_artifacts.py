@@ -41,7 +41,7 @@ def _write_checkpoint(target, variant):
 def _write_step_log(target, variant):
     world = generate_world(40, SMALL)
     ep = sample_episode(world, "easy", util.substream(variant, "ep"))
-    traj = run_episode(TeacherPolicy(), world, ep)
+    [traj] = run_episode(TeacherPolicy(), [(world, ep, None)])
     write_step_log(target, [SimpleNamespace(split="seen", tier="easy", seed=variant, index=0, traj=traj)])
 
 

@@ -16,6 +16,8 @@ from tiernav.evaluation import ablation_suite, run_benchmark
 from tiernav.training import train_stage2
 from tiernav.teacher import TRAJ_COLUMNS
 
+from serial import serial_eval
+
 CONFIG_TEXT = """\
 # desk-scale smoke experiment
 run.seed = 7
@@ -125,6 +127,22 @@ def test_eval_teacher_needs_no_checkpoint(pipeline, tmp_path):
     for line in text.splitlines():
         if line.startswith(("seen", "unseen")):
             assert " 100.00" in line  # SR column
+
+
+@pytest.mark.parametrize("episodes", [1, 5])  # 5 per cell runs 20 episodes, more than WIDTH slots
+@pytest.mark.parametrize("kind", ["teacher", "random"])
+def test_eval_matches_serial_reference(pipeline, tmp_path, kind, episodes):
+    cfg_path, _, _ = pipeline
+    sets = [f"eval.episodes_per_tier={episodes}", "eval.write_trajectories=false"]
+    alt = str(tmp_path / "out")
+    base = ["--config", cfg_path, "--out", alt, *[a for kv in sets for a in ("--set", kv)]]
+    assert main(["gen-worlds", *base]) == 0
+    assert main(["eval", "--policy", kind, *base]) == 0
+    cfg = parse_config(cfg_path, sets)
+    ref = tmp_path / "serial"
+    serial_eval(kind, cli._bench_worlds(cfg, argparse.Namespace(out=alt)), cfg, str(ref))
+    for name in ("report.csv", "report.txt", "steps.csv"):
+        assert Path(alt, "eval", name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_train_rl_requires_il(pipeline, tmp_path, capsys):

@@ -66,3 +66,32 @@ def test_scan_flags_unused_imports():
         "    return np.zeros(1), run_episode\n"
     )
     assert unused_imports(source) == [(2, "os"), (8, "save_policy")]
+
+
+def load_spans():
+    """perfbench/spans.py, imported by path without importing tiernav through it."""
+    import importlib.util
+
+    path = SRC.parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_span_names_resolve():
+    # a rename in tiernav that the traced benchmark runs would trip over fails here first
+    import importlib
+
+    from tiernav import autodiff
+
+    spans = load_spans()
+    missing = []
+    for name, modname, path, _, _ in spans.SPANS:
+        obj = importlib.import_module(f"tiernav.{modname}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(name)
+    missing += [f"autodiff.{f}" for f in spans.AUTODIFF_FUNCS if not callable(getattr(autodiff, f, None))]
+    assert missing == []

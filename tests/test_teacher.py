@@ -162,8 +162,7 @@ def test_sampled_episode_carries_its_plan():
     for a, b in zip(carried.steps, replanned.steps, strict=True):
         assert (a.state, a.expert_action, a.k, a.waypoint, a.reward, a.value) == \
             (b.state, b.expert_action, b.k, b.waypoint, b.reward, b.value)
-    ta = run_episode(TeacherPolicy(), wd, ep, reward_cfg=RewardConfig())
-    tb = run_episode(TeacherPolicy(), wd, back, reward_cfg=RewardConfig())
+    ta, tb = run_episode(TeacherPolicy(), [(wd, ep, None), (wd, back, None)], reward_cfg=RewardConfig())
     assert [(s.state, s.action, s.k, s.waypoint, s.reward) for s in ta.steps] == \
         [(s.state, s.action, s.k, s.waypoint, s.reward) for s in tb.steps]
     assert ta.steps[-1].action == Action.STOP
