@@ -8,9 +8,10 @@ refuses to replace a finished run unless --force is passed. Exit codes:
 0 ok, 2 bad configuration, 3 missing or incomplete prerequisite run
 directory, 4 numerical failure during training, 5 no feasible world or episode (generation
 retries exhausted, or no path), 6 unreadable, corrupt or inconsistent
-files (an I/O error, or artifacts that contradict each other or the
-config), 7 model shape or state error (tensor shapes that do not fit an
-operation, or a layer used before its state was populated).
+files (an I/O error, bytes that are not UTF-8 text, or artifacts that
+contradict each other or the config), 7 model shape or state error
+(tensor shapes that do not fit an operation, or a layer used before its
+state was populated).
 """
 
 from __future__ import annotations
@@ -246,12 +247,10 @@ def cmd_train_rl(cfg, args) -> int:
     policy = _neural_policy(cfg, model)
     result = train_stage2(
         policy, seen, cfg.ppo_config(), cfg.reward_config(),
-        corpus=demos, seed=cfg["run.seed"], tiers=cfg.tier_list("ppo.tiers"),
+        corpus=demos, seed=cfg["run.seed"],
         probe=_build_probe(cfg, unseen or seen, cfg["ppo.probe_episodes"]),
-        probe_every=cfg["ppo.probe_every"], probe_threshold_m=cfg["eval.threshold_m"],
-        expert_batch=cfg["ppo.expert_batch"], lambda_v=cfg["ppo.lambda_v"], **_prior(cfg),
-        checkpoint_dir=ckpt_dir, checkpoint_every=cfg["ppo.checkpoint_every"],
-        tier_brackets=cfg.tier_brackets(),
+        probe_threshold_m=cfg["eval.threshold_m"], **_prior(cfg),
+        checkpoint_dir=ckpt_dir, tier_brackets=cfg.tier_brackets(),
     )
     write_curve(os.path.join(run_dir, "curve_rl.csv"), result.curve, RL_CURVE_COLUMNS)
     save_policy(os.path.join(run_dir, "policy_rl.ckpt"), model,
@@ -320,10 +319,16 @@ def _pooled_sr(records) -> float:
     return aggregate([r.result for r in records]).sr
 
 
+def _sweep_worlds(cfg, args) -> dict:
+    """The one split a sweep evaluates, under its own name: unseen, else seen."""
+    unseen = _load_worlds(cfg, args, "unseen")
+    return {"unseen": unseen} if unseen else {"seen": _load_worlds(cfg, args, "seen")}
+
+
 def _sweep_lambda(cfg, args, run_dir: str):
     """Stage-2 runs across the mixing coefficient grid, paired by seed."""
     demos, seen = _load_demos(cfg, args)
-    unseen = _load_worlds(cfg, args, "unseen") or seen
+    worlds = _sweep_worlds(cfg, args)
     lambdas = list(cfg["sweep.lambdas"])
     seeds = list(cfg["sweep.seeds"])
     sr = {}
@@ -335,12 +340,10 @@ def _sweep_lambda(cfg, args, run_dir: str):
             ppo.lambda_rl = lam
             train_stage2(
                 _neural_policy(cfg, model), seen, ppo, cfg.reward_config(),
-                corpus=demos, seed=seed, tiers=cfg.tier_list("ppo.tiers"),
-                expert_batch=cfg["ppo.expert_batch"], lambda_v=cfg["ppo.lambda_v"], **_prior(cfg),
-                tier_brackets=cfg.tier_brackets(),
+                corpus=demos, seed=seed, **_prior(cfg), tier_brackets=cfg.tier_brackets(),
             )
             _, records = run_benchmark(
-                _neural_policy(cfg, model), {"unseen": unseen}, cfg["eval.episodes_per_tier"],
+                _neural_policy(cfg, model), worlds, cfg["eval.episodes_per_tier"],
                 seeds=[0], tiers=cfg.tier_list("eval.tiers"),
                 tier_brackets=cfg.tier_brackets(), threshold_m=cfg["eval.threshold_m"],
                 mode=cfg["eval.mode"], **_prior(cfg),
@@ -348,7 +351,7 @@ def _sweep_lambda(cfg, args, run_dir: str):
             sr[(lam, seed)] = _pooled_sr(records)
             rows.append({"lambda_rl": lam, "seed": seed, "SR": sr[(lam, seed)]})
     write_curve(os.path.join(run_dir, "sweep.csv"), rows, ("lambda_rl", "seed", "SR"))
-    lines = ["lambda_rl sweep, unseen-world SR (paired stage-2 seeds)"]
+    lines = [f"lambda_rl sweep, {next(iter(worlds))}-world SR (paired stage-2 seeds)"]
     base = lambdas[0]
     for lam in lambdas:
         vals = [sr[(lam, s)] for s in seeds]
@@ -368,7 +371,7 @@ def _sweep_policy_axis(cfg, args, run_dir: str, variants, options):
     """
     model = _load_checkpoint_model(cfg, args, "rl")
     built = {name: _neural_policy(cfg, model, **kw) for name, kw in variants.items()}
-    worlds = {"unseen": _load_worlds(cfg, args, "unseen") or _load_worlds(cfg, args, "seen")}
+    worlds = _sweep_worlds(cfg, args)
     eval_kw = {"mode": cfg["eval.mode"], **_prior(cfg)}
     report = ablation_suite(
         built, worlds, cfg["eval.episodes_per_tier"], cfg["sweep.seeds"],
@@ -515,7 +518,7 @@ def main(argv=None) -> int:
     except (GenerationError, InfeasibleError) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 5
-    except (OSError, ContractError) as e:
+    except (OSError, UnicodeDecodeError, ContractError) as e:
         print(f"unreadable, corrupt or inconsistent files: {e}", file=sys.stderr)
         return 6
     except (ShapeError, StateError) as e:

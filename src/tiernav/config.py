@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .training import PPOConfig, RewardConfig, Stage1Config
@@ -114,33 +114,33 @@ SCHEMA: dict = {
     "il.epochs": Entry("int", _S1.epochs, lo=1, hi=100000),
     "il.lr": Entry("float", _S1.lr, lo=0.0, lo_open=True),
     "il.weight_decay": Entry("float", _S1.weight_decay, lo=0.0),
-    "il.minibatch": Entry("int", _S1.minibatch_size, lo=1),
+    "il.minibatch": Entry("int", _S1.minibatch, lo=1),
     "il.lambda_v": Entry("float", _S1.lambda_v, lo=0.0),
     "il.lambda_bc": Entry("float", _S1.lambda_bc, lo=0.0),
     "il.lambda_wp": Entry("float", _S1.lambda_wp, lo=0.0),
     "il.max_grad_norm": Entry("float", _S1.max_grad_norm, lo=0.0, lo_open=True),
     # 0 disables early stopping
-    "il.early_stop_ratio": Entry("float", 0.0, lo=0.0, hi=1.0),
+    "il.early_stop_ratio": Entry("float", _S1.early_stop_ratio, lo=0.0, hi=1.0),
     # stage-2 PPO
     "ppo.gamma": Entry("float", _P.gamma, lo=0.0, hi=1.0, lo_open=True, hi_open=True,
                        label="γ ∈ (0,1)"),
-    "ppo.lambda_gae": Entry("float", _P.lam_gae, lo=0.0, hi=1.0),
+    "ppo.lambda_gae": Entry("float", _P.lambda_gae, lo=0.0, hi=1.0),
     "ppo.eps_clip": Entry("float", _P.eps_clip, lo=0.0, lo_open=True),
     "ppo.lambda_rl": Entry("float", _P.lambda_rl, lo=0.0, hi=1.0, label="λ_RL ∈ [0,1]"),
     "ppo.rollout_steps": Entry("int", _P.rollout_steps, lo=1),
     "ppo.epochs_per_update": Entry("int", _P.epochs_per_update, lo=1),
-    "ppo.minibatch": Entry("int", _P.minibatch_size, lo=1),
+    "ppo.minibatch": Entry("int", _P.minibatch, lo=1),
     "ppo.lr": Entry("float", _P.lr, lo=0.0, lo_open=True),
     "ppo.entropy_weight": Entry("float", _P.entropy_weight, lo=0.0),
     "ppo.value_weight": Entry("float", _P.value_weight, lo=0.0),
     "ppo.max_updates": Entry("int", _P.max_updates, lo=0),
     "ppo.max_grad_norm": Entry("float", _P.max_grad_norm, lo=0.0, lo_open=True),
-    "ppo.expert_batch": Entry("int", 32, lo=1),
-    "ppo.lambda_v": Entry("float", 0.05, lo=0.0),
-    "ppo.tiers": Entry("str", "easy,medium"),
+    "ppo.expert_batch": Entry("int", _P.expert_batch, lo=1),
+    "ppo.lambda_v": Entry("float", _P.lambda_v, lo=0.0),
+    "ppo.tiers": Entry("str", ",".join(_P.tiers)),
     "ppo.probe_episodes": Entry("int", 12, lo=0, hi=10000),
-    "ppo.probe_every": Entry("int", 1, lo=1),
-    "ppo.checkpoint_every": Entry("int", 0, lo=0),
+    "ppo.probe_every": Entry("int", _P.probe_every, lo=1),
+    "ppo.checkpoint_every": Entry("int", _P.checkpoint_every, lo=0),
     # evaluation
     "eval.threshold_m": Entry("float", 20.0, lo=0.0, lo_open=True),
     "eval.episodes_per_tier": Entry("int", 10, lo=1, hi=10000),
@@ -252,58 +252,27 @@ class ExperimentConfig:
         atomic_write(path, self.render())
         return path
 
-    # typed views over the flat keys
+    # typed views: each field of a section's dataclass is the key <section>.<field name>
+
+    def _view(self, cls, section: str, **by_hand):
+        return cls(**{f.name: self[f"{section}.{f.name}"] for f in fields(cls) if f.name not in by_hand},
+                   **by_hand)
 
     def world_config(self) -> WorldConfig:
-        return WorldConfig(
-            width=self["world.width"], height=self["world.height"],
-            cell_size=self["world.cell_size"], z_min=self["world.z_min"],
-            z_max=self["world.z_max"], cruise_z=self["world.cruise_z"],
-            r_base=self["world.r_base"], r_gain=self["world.r_gain"],
-            n_landmarks=self["world.n_landmarks"],
-            obstacle_density=self["world.obstacle_density"],
-            building_min=self["world.building_min"],
-            building_max=self["world.building_max"],
-            max_retries=self["world.max_retries"],
-        )
+        return self._view(WorldConfig, "world")
 
     def reward_config(self) -> RewardConfig:
-        cfg = RewardConfig(
-            alpha=self["reward.alpha"], beta=self["reward.beta"],
-            eta=self["reward.eta"], delta=self["reward.delta"],
-            d_goal=self["reward.d_goal"], r_min=self["reward.r_min"],
-            r_max=self["reward.r_max"],
-            heading_reference=self["reward.heading_reference"],
-            goal_bonus_on_stop=self["reward.goal_bonus_on_stop"],
-        )
+        cfg = self._view(RewardConfig, "reward")
         cfg.validate()
         return cfg
 
     def ppo_config(self) -> PPOConfig:
-        cfg = PPOConfig(
-            gamma=self["ppo.gamma"], lam_gae=self["ppo.lambda_gae"],
-            eps_clip=self["ppo.eps_clip"], lambda_rl=self["ppo.lambda_rl"],
-            rollout_steps=self["ppo.rollout_steps"],
-            epochs_per_update=self["ppo.epochs_per_update"],
-            minibatch_size=self["ppo.minibatch"], lr=self["ppo.lr"],
-            entropy_weight=self["ppo.entropy_weight"],
-            value_weight=self["ppo.value_weight"],
-            max_updates=self["ppo.max_updates"],
-            max_grad_norm=self["ppo.max_grad_norm"],
-        )
+        cfg = self._view(PPOConfig, "ppo", tiers=self.tier_list("ppo.tiers"))
         cfg.validate()
         return cfg
 
     def stage1_config(self) -> Stage1Config:
-        ratio = self["il.early_stop_ratio"]
-        return Stage1Config(
-            epochs=self["il.epochs"], lr=self["il.lr"],
-            weight_decay=self["il.weight_decay"],
-            minibatch_size=self["il.minibatch"], lambda_v=self["il.lambda_v"],
-            lambda_bc=self["il.lambda_bc"], lambda_wp=self["il.lambda_wp"],
-            max_grad_norm=self["il.max_grad_norm"], seed=self["run.seed"],
-            early_stop_ratio=ratio if ratio > 0.0 else None,
-        )
+        return self._view(Stage1Config, "il", seed=self["run.seed"])
 
     def tier_brackets(self) -> dict:
         return {name: self[f"world.tier_{name}"] for name in _TIER_NAMES}
@@ -330,8 +299,11 @@ def parse_config(path=None, overrides=()) -> ExperimentConfig:
     if path is not None:
         if not os.path.isfile(path):
             raise ConfigError(f"config file not found: {path}")
-        with open(path) as f:
-            raw = f.read().splitlines()
+        try:
+            with open(path, encoding="utf-8") as f:
+                raw = f.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
         for lineno, rawline in enumerate(raw, start=1):
             line = _strip_comment(rawline).strip()
             if not line:

@@ -140,9 +140,6 @@ class BenchmarkReport:
     threshold_m: float
     config_echo: dict
 
-    def cell(self, split: str, tier: str) -> BenchmarkCell:
-        return self.cells[(split, tier)]
-
     def validate(self):
         for c in self.cells.values():
             c.validate()

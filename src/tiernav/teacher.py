@@ -62,10 +62,6 @@ class ExpertPath:
     actions: list  # Action values, no trailing stop
     remaining: np.ndarray  # geodesic meters left before each state
 
-    @property
-    def cells(self):
-        return [(s[0], s[1], s[2]) for s in self.states]
-
 
 def plan_path(world: CityWorld, start: UavState, goal) -> ExpertPath:
     """A* to the goal cell. Deterministic tie-break on (f, h, state index).

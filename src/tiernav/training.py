@@ -90,25 +90,30 @@ def compute_reward(
 @dataclass
 class PPOConfig:
     gamma: float = 0.99
-    lam_gae: float = 0.95
+    lambda_gae: float = 0.95
     eps_clip: float = 0.2
     lambda_rl: float = 0.2
     rollout_steps: int = 1024
     epochs_per_update: int = 4
-    minibatch_size: int = 64
+    minibatch: int = 64
     lr: float = 3e-5
     entropy_weight: float = 0.01
     value_weight: float = 0.5
     max_updates: int = 30
     max_grad_norm: float = 5.0
+    tiers: tuple = ("easy", "medium")  # rollout episode tiers
+    expert_batch: int = 32
+    lambda_v: float = 0.05  # same trunk cross-talk as stage 1
+    probe_every: int = 1
+    checkpoint_every: int = 0  # 0 writes no per-update checkpoints
 
     def validate(self):
         if not (0.0 <= self.lambda_rl <= 1.0):
             raise ConfigError(f"lambda_rl must satisfy λ_RL ∈ [0,1], got {self.lambda_rl}")
         if not (0.0 < self.gamma < 1.0):
             raise ConfigError(f"gamma must lie in (0,1), got {self.gamma}")
-        if not (0.0 <= self.lam_gae <= 1.0):
-            raise ConfigError(f"lam_gae must lie in [0,1], got {self.lam_gae}")
+        if not (0.0 <= self.lambda_gae <= 1.0):
+            raise ConfigError(f"lambda_gae must lie in [0,1], got {self.lambda_gae}")
         if self.eps_clip <= 0:
             raise ConfigError(f"eps_clip must be positive, got {self.eps_clip}")
 
@@ -274,7 +279,7 @@ class Stage1Config:
     epochs: int = 200
     lr: float = 1.5e-3
     weight_decay: float = 1e-4
-    minibatch_size: int = 64
+    minibatch: int = 64
     # value targets are discounted returns, O(100); unit weight lets the
     # value MSE monopolize the clipped gradient through the shared trunk
     lambda_v: float = 0.05
@@ -282,7 +287,7 @@ class Stage1Config:
     lambda_wp: float = 1.0
     max_grad_norm: float = 5.0
     seed: int = 0
-    early_stop_ratio: float | None = None  # stop when L_IL < ratio * epoch-1 L_IL
+    early_stop_ratio: float = 0.0  # stop when L_IL < ratio * epoch-1 L_IL; 0 is off
 
 
 @dataclass
@@ -377,7 +382,7 @@ def train_stage1(demos, model, cfg: Stage1Config) -> Stage1Result:
     to the end of the last clean epoch and aborts."""
     data = prepare_stage1_data(demos, model)
     opt = AdamW(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    mb = min(cfg.minibatch_size, data.n)
+    mb = min(cfg.minibatch, data.n)
     curve = []
     aborted = False
     first_il = math.nan
@@ -417,7 +422,7 @@ def train_stage1(demos, model, cfg: Stage1Config) -> Stage1Result:
         if math.isnan(first_il):
             first_il = row["L_IL"]
         last_good = _snapshot(model)
-        if cfg.early_stop_ratio is not None and row["L_IL"] < cfg.early_stop_ratio * first_il:
+        if cfg.early_stop_ratio > 0.0 and row["L_IL"] < cfg.early_stop_ratio * first_il:
             break
     final_il = curve[-1]["L_IL"] if curve else math.nan
     return Stage1Result(curve=curve, aborted=aborted, epochs_run=len(curve),
@@ -550,10 +555,10 @@ def ppo_update(model, rollout: Rollout, forward, cfg: PPOConfig, opt: AdamW, shu
     or None when it blew up, and the first minibatch's mean ratio either
     way.
     """
-    adv, targets = compute_gae(rollout, cfg.gamma, cfg.lam_gae)
+    adv, targets = compute_gae(rollout, cfg.gamma, cfg.lambda_gae)
     adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
     t_max = len(rollout)
-    mb = min(cfg.minibatch_size, t_max)
+    mb = min(cfg.minibatch, t_max)
     sums = {"l_il": 0.0, "l_v": 0.0, "l_rl": 0.0, "entropy": 0.0, "ratio": 0.0}
     clip_hits = 0
     n_samples = 0
@@ -609,16 +614,11 @@ def train_stage2(
     reward_cfg: RewardConfig,
     corpus=None,
     seed: int = 0,
-    tiers=("easy", "medium"),
     probe=None,
-    probe_every: int = 1,
     probe_threshold_m: float = 20.0,
-    expert_batch: int = 32,
-    lambda_v: float = 0.05,  # same trunk cross-talk as stage 1
     use_prior: bool = True,
     r_prior: float = 12.0,
     checkpoint_dir=None,
-    checkpoint_every: int = 0,
     tier_brackets=None,
 ) -> Stage2Result:
     """On-policy fine-tuning blended with imitation per total_loss. The
@@ -632,7 +632,9 @@ def train_stage2(
     minimizing L_IL + L_V + lambda_rl * (policy + c_v*value - c_ent*entropy)
     with the imitation terms drawn from fresh expert batches. An update
     that blows up rolls back to the last clean update and halves the
-    learning rate once; the second blow-up aborts.
+    learning rate once; the second blow-up aborts. The probe runs every
+    ppo_cfg.probe_every updates, and with ppo_cfg.checkpoint_every > 0
+    every that many updates a checkpoint goes to checkpoint_dir.
     """
     ppo_cfg.validate()
     reward_cfg.validate()
@@ -644,10 +646,10 @@ def train_stage2(
         rng_exp = substream(seed, "stage2-expert")
 
         def expert():
-            eidx = rng_exp.integers(0, data.n, size=min(expert_batch, data.n))
+            eidx = rng_exp.integers(0, data.n, size=min(ppo_cfg.expert_batch, data.n))
             eout = _stage1_forward(model, data, eidx, "train")
             return (il_loss(eout.goal, data.goal[eidx], eout.progress, data.progress[eidx]),
-                    ad.scale(value_loss(eout.value, data.value[eidx]), lambda_v))
+                    ad.scale(value_loss(eout.value, data.value[eidx]), ppo_cfg.lambda_v))
 
     curve = []
     aborted = False
@@ -658,7 +660,7 @@ def train_stage2(
     last_good = _snapshot(model)
     for u in range(ppo_cfg.max_updates):
         rollout = collect_rollouts(
-            policy, worlds, tiers, reward_cfg, ppo_cfg.rollout_steps,
+            policy, worlds, ppo_cfg.tiers, reward_cfg, ppo_cfg.rollout_steps,
             functools.partial(substream, seed, "stage2-collect", u),
             use_prior=use_prior, r_prior=r_prior, tier_brackets=tier_brackets,
         )
@@ -675,7 +677,7 @@ def train_stage2(
             halved = True
             opt = AdamW(opt.entries, lr=opt.lr * 0.5)
             continue
-        if probe is not None and u % probe_every == 0:
+        if probe is not None and u % ppo_cfg.probe_every == 0:
             probe_sr = probe_success_rate(policy, probe, threshold_m=probe_threshold_m,
                                           use_prior=use_prior, r_prior=r_prior)
         curve.append({
@@ -690,9 +692,10 @@ def train_stage2(
             "probe_SR": probe_sr,
         })
         last_good = _snapshot(model)
-        if checkpoint_dir and checkpoint_every and (u + 1) % checkpoint_every == 0:
+        if checkpoint_dir and ppo_cfg.checkpoint_every and (u + 1) % ppo_cfg.checkpoint_every == 0:
             from .agent import save_policy
 
+            os.makedirs(checkpoint_dir, exist_ok=True)
             save_policy(os.path.join(checkpoint_dir, f"update_{u + 1:04d}.ckpt"), model,
                         meta={"stage": "rl", "update": str(u + 1)})
     return Stage2Result(curve=curve, aborted=aborted, updates_run=len(curve),

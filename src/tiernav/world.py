@@ -47,6 +47,14 @@ LANDMARK_TOKENS = (
 TARGET_TAGS = ("pad", "lot", "gate", "roof")
 
 BANDS = ("near", "mid", "far")
+BAND_EDGES = (4.0, 8.0)  # goal-to-landmark cells where near ends and far begins
+
+# sample_episode: goals lie up to BAND_MAX cells from their landmark, an
+# episode's step budget is BUDGET_FACTOR times its plan's forward moves,
+# and MAX_TRIES failed draws raise GenerationError
+BAND_MAX = 12.0
+BUDGET_FACTOR = 4.0
+MAX_TRIES = 400
 
 # straight-line distance brackets in cells, upper bound exclusive
 DEFAULT_TIERS = {"easy": (8.0, 24.0), "medium": (24.0, 48.0), "hard": (48.0, float("inf"))}
@@ -333,8 +341,12 @@ def generate_world(seed: int, cfg: WorldConfig | None = None) -> CityWorld:
     )
 
 
+def _text_id(text: str) -> str:
+    return stable_hash_bytes(text.encode("utf-8"))[:16]
+
+
 def world_hash(world: CityWorld) -> str:
-    return stable_hash_bytes(serialize_world(world).encode("utf-8"))[:16]
+    return _text_id(serialize_world(world))
 
 
 # ------------------------------------------------------------------ episodes
@@ -359,10 +371,6 @@ def sample_episode(
     difficulty: str,
     rng: np.random.Generator,
     tiers: dict | None = None,
-    band_edges=(4.0, 8.0),
-    band_max: float = 12.0,
-    budget_factor: float = 4.0,
-    max_tries: int = 400,
     stats: dict | None = None,
 ) -> EpisodeSpec:
     """Goal near a landmark, start in the difficulty's distance bracket.
@@ -388,9 +396,9 @@ def sample_episode(
         if stats is not None:
             stats["resampled"] = stats.get("resampled", 0) + 1
 
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         lm = world.landmarks[int(rng.integers(len(world.landmarks)))]
-        dist = float(rng.uniform(1.5, band_max))
+        dist = float(rng.uniform(1.5, BAND_MAX))
         ang = float(rng.uniform(0.0, 2.0 * math.pi))
         gx = int(round(lm.x + dist * math.cos(ang)))
         gy = int(round(lm.y + dist * math.sin(ang)))
@@ -418,7 +426,7 @@ def sample_episode(
         desc = GoalDescriptor(
             landmark_id=lm.id,
             sector=_sector_of(gx - lm.x, gy - lm.y),
-            band=_band_of(math.hypot(gx - lm.x, gy - lm.y), band_edges),
+            band=_band_of(math.hypot(gx - lm.x, gy - lm.y), BAND_EDGES),
             tag=int(rng.integers(len(TARGET_TAGS))),
         )
         return EpisodeSpec(
@@ -428,10 +436,10 @@ def sample_episode(
             descriptor=desc,
             difficulty=difficulty,
             shortest_path_length=ell,
-            max_steps=int(math.ceil(budget_factor * ell / world.cell_size)),
+            max_steps=int(math.ceil(BUDGET_FACTOR * ell / world.cell_size)),
             plan=plan,
         )
-    raise GenerationError(f"no feasible ({difficulty}) episode after {max_tries} tries in world {world.world_id}")
+    raise GenerationError(f"no feasible ({difficulty}) episode after {MAX_TRIES} tries in world {world.world_id}")
 
 
 # ------------------------------------------------------------------- file IO
@@ -470,7 +478,8 @@ def load_world(path) -> CityWorld:
     count or landmark line raises ContractError naming the file.
     """
     with open(path) as f:
-        lines = f.read().splitlines()
+        text = f.read()
+    lines = text.splitlines()
     if not lines or not lines[0].startswith("tiernav-world"):
         raise ContractError(f"{path}: not a world file")
     try:
@@ -508,7 +517,7 @@ def load_world(path) -> CityWorld:
         raise ContractError(f"{path}: header has no {e} line") from None
     except (ValueError, OverflowError) as e:
         raise ContractError(f"{path}: malformed world file: {e}") from None
-    world.world_id = world_hash(world)
+    world.world_id = _text_id(text)  # save_world's text: the world_hash of the world it wrote
     return world
 
 

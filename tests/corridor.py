@@ -126,8 +126,8 @@ def corridor_sanity(
     world = corridor_world()
     goal = (world.width - 2, world.height // 2)
     cfg = RewardConfig(goal_bonus_on_stop=True)
-    ppo_cfg = PPOConfig(gamma=gamma, lam_gae=lam_gae, eps_clip=eps_clip, lambda_rl=1.0,
-                        epochs_per_update=epochs, minibatch_size=minibatch, lr=lr,
+    ppo_cfg = PPOConfig(gamma=gamma, lambda_gae=lam_gae, eps_clip=eps_clip, lambda_rl=1.0,
+                        epochs_per_update=epochs, minibatch=minibatch, lr=lr,
                         entropy_weight=entropy_weight, value_weight=value_weight, max_grad_norm=5.0)
     net = CorridorNet(substream(seed, "corridor-net"), hidden=hidden)
     opt = AdamW(net.named_params(), lr=ppo_cfg.lr)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from tiernav import cli
+from tiernav.agent import load_policy_into
 from tiernav.cli import main, render_replay
 from tiernav.config import SCHEMA, ExperimentConfig, parse_config
 from tiernav.errors import NumericsError, ShapeError, StateError
@@ -145,6 +146,21 @@ def test_eval_matches_serial_reference(pipeline, tmp_path, kind, episodes):
         assert Path(alt, "eval", name).read_bytes() == (ref / name).read_bytes(), name
 
 
+def test_train_rl_writes_checkpoints(pipeline, tmp_path):
+    cfg_path, out, _ = pipeline
+    alt = tmp_path / "ckpt"
+    for stage in ("worlds", "corpus", "il"):
+        shutil.copytree(os.path.join(out, stage), alt / stage)
+    sets = ["ppo.checkpoint_every=1", "ppo.max_updates=2"]
+    base = ["--config", cfg_path, "--out", str(alt), *[a for kv in sets for a in ("--set", kv)]]
+    assert main(["train-rl", *base]) == 0
+    names = [os.path.join("checkpoints", f"update_{u:04d}.ckpt") for u in (1, 2)]
+    assert [f for f in _manifest(str(alt), "rl")["files"] if f.startswith("checkpoints")] == names
+    cfg = parse_config(cfg_path, sets)
+    for name in names:
+        assert load_policy_into(cli._build_model(cfg), str(alt / "rl" / name))["stage"] == "rl"
+
+
 def test_train_rl_requires_il(pipeline, tmp_path, capsys):
     cfg_path, out, _ = pipeline
     alt = str(tmp_path / "no_il")
@@ -275,6 +291,23 @@ def test_malformed_world_file_exits_6(pipeline, tmp_path, capsys, damage):
     world.write_text("\n".join(lines) + "\n")
     assert main(["build-corpus", "--config", cfg_path, "--out", str(alt)]) == 6
     assert str(world) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target,code", [("config", 2), ("world", 6)])
+def test_non_utf8_byte_exits(pipeline, tmp_path, capsys, target, code):
+    cfg_path, out, _ = pipeline
+    alt = tmp_path / "bytes"
+    shutil.copytree(os.path.join(out, "worlds"), alt / "worlds")
+    config = tmp_path / "exp.txt"
+    shutil.copy(cfg_path, config)
+    bad = config if target == "config" else alt / "worlds" / "seen_00.txt"
+    data = bad.read_bytes()
+    bad.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])
+    assert main(["build-corpus", "--config", str(config), "--out", str(alt)]) == code
+    err = capsys.readouterr().err
+    assert "0xff" in err
+    if target == "config":
+        assert str(config) in err
 
 
 def _cut_mid_line(text):
@@ -537,6 +570,19 @@ def test_sweeps_evaluate_with_eval_keys(pipeline, tmp_path, monkeypatch):
         {"full": keyed, "no_prior": {**keyed, "use_prior": False}},
         {"tiered": keyed, "flat": keyed},
     ]
+
+
+def test_sweeps_name_the_split_they_evaluate(pipeline, tmp_path):
+    cfg_path, _, _ = pipeline
+    root = tmp_path / "seen_only"
+    base = ["--config", cfg_path, "--out", str(root), "--set", "world.n_unseen=0"]
+    for argv in (["gen-worlds"], ["build-corpus"], ["train-il"], ["train-rl"],
+                 ["sweep", "--axis", "lambda_rl"], ["sweep", "--axis", "prior"]):
+        assert main([*argv, *base]) == 0, argv
+    summary = (root / "sweep-lambda_rl" / "summary.txt").read_text()
+    assert summary.startswith("lambda_rl sweep, seen-world SR")
+    ablation = (root / "sweep-prior" / "ablation.txt").read_text()
+    assert "seen/easy" in ablation and "unseen" not in ablation
 
 
 def test_sweep_lambda_axis(pipeline):

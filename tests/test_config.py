@@ -1,9 +1,10 @@
 import math
+from dataclasses import fields
 
 import pytest
 
 from tiernav.cli import main
-from tiernav.config import SCHEMA, parse_config
+from tiernav.config import SCHEMA, _render_value, parse_config
 from tiernav.errors import ConfigError
 from tiernav.training import PPOConfig, RewardConfig, Stage1Config
 from tiernav.world import WorldConfig
@@ -171,11 +172,39 @@ def test_typed_views_match_dataclasses():
     assert ppo == PPOConfig()
     s1 = cfg.stage1_config()
     assert s1.epochs == Stage1Config().epochs
-    assert s1.early_stop_ratio is None
+    assert s1.early_stop_ratio == 0.0
     s1b = parse_config(None, ["il.early_stop_ratio=0.1"]).stage1_config()
     assert s1b.early_stop_ratio == 0.1
     r = cfg.reward_config()
     assert r == RewardConfig()
+
+
+SECTIONS = ((WorldConfig, "world"), (RewardConfig, "reward"), (PPOConfig, "ppo"), (Stage1Config, "il"))
+
+
+@pytest.mark.parametrize("cls,section", SECTIONS, ids=[section for _, section in SECTIONS])
+def test_each_field_is_the_key_of_its_name(cls, section):
+    # run.seed is the one field not named after a key of its section
+    for f in fields(cls):
+        if f.name == "seed":
+            continue
+        key = f"{section}.{f.name}"
+        assert key in SCHEMA, key
+        entry = SCHEMA[key]
+        default = ",".join(f.default) if isinstance(f.default, tuple) else f.default  # ppo.tiers
+        assert _render_value(entry, default) == _render_value(entry, entry.default), key
+
+
+def test_views_carry_set_keys():
+    cfg = parse_config(None, ["ppo.tiers=hard,easy", "ppo.lambda_gae=0.5", "ppo.minibatch=7",
+                              "ppo.checkpoint_every=3", "il.minibatch=5", "il.early_stop_ratio=0.25",
+                              "world.max_retries=9", "reward.r_max=4.5", "run.seed=11"])
+    ppo = cfg.ppo_config()
+    assert (ppo.tiers, ppo.lambda_gae, ppo.minibatch, ppo.checkpoint_every) == (("hard", "easy"), 0.5, 7, 3)
+    s1 = cfg.stage1_config()
+    assert (s1.minibatch, s1.early_stop_ratio, s1.seed) == (5, 0.25, 11)
+    assert cfg.world_config().max_retries == 9
+    assert cfg.reward_config().r_max == 4.5
 
 
 def test_echo_writes_config(tmp_path):

@@ -1,6 +1,9 @@
-"""Source hygiene: every name a tiernav module imports is read in that module."""
+"""Source hygiene: every name a tiernav module imports is read in that module,
+and every public top-level function and class is named by the program."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -95,3 +98,43 @@ def test_traced_span_names_resolve():
             missing.append(name)
     missing += [f"autodiff.{f}" for f in spans.AUTODIFF_FUNCS if not callable(getattr(autodiff, f, None))]
     assert missing == []
+
+
+def named(tree):
+    """Counts of the identifiers a tree reads or looks up: names, attributes, dotted-name strings."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[\w.]+", node.value):
+            out.update(node.value.split("."))  # perfbench/spans.py looks spans up by name
+    return out
+
+
+def unnamed_public(sources):
+    """(file, name) of each public top-level def or class in a tiernav module that no
+    source in `sources` (path -> text) names outside that definition."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    total = sum((named(tree) for tree in trees.values()), Counter())
+    return [(path.name, node.name) for path, tree in trees.items() if path.parent.name == "tiernav"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            and total[node.name] == named(node)[node.name]]
+
+
+def program_sources():
+    return {p: p.read_text() for p in [*MODULES, *sorted((SRC.parent.parent / "perfbench").glob("*.py"))]}
+
+
+def test_every_public_definition_is_named_by_the_program():
+    # tests/ do not count: a public function that only tests call is dead code
+    assert unnamed_public(program_sources()) == []
+
+
+def test_scan_flags_definitions_only_tests_call():
+    sources = program_sources()
+    world = SRC / "world.py"
+    sources[world] += "\n\ndef orphan(x):\n    return orphan(x - 1) if x else 0\n"
+    assert unnamed_public(sources) == [("world.py", "orphan")]

@@ -130,7 +130,7 @@ def test_stage1_nonfinite_loss_rolls_back_to_last_epoch(world, corpus, monkeypat
 
     monkeypatch.setattr(training, "il_loss", counting)
     ref = fresh_model(world, seed=13)
-    ref_res = train_stage1(corpus, ref, Stage1Config(epochs=1, seed=13, minibatch_size=32))
+    ref_res = train_stage1(corpus, ref, Stage1Config(epochs=1, seed=13, minibatch=32))
     n_mb = len(calls)
     assert n_mb >= 2
 
@@ -142,7 +142,7 @@ def test_stage1_nonfinite_loss_rolls_back_to_last_epoch(world, corpus, monkeypat
 
     monkeypatch.setattr(training, "il_loss", poisoned)
     model = fresh_model(world, seed=13)
-    res = train_stage1(corpus, model, Stage1Config(epochs=3, seed=13, minibatch_size=32))
+    res = train_stage1(corpus, model, Stage1Config(epochs=3, seed=13, minibatch=32))
     assert res.aborted
     assert res.epochs_run == 1 and res.curve == ref_res.curve
     assert_snapshots_equal(training._snapshot(model), training._snapshot(ref))
@@ -395,9 +395,9 @@ def test_stage2_runs_and_reports(world, corpus, reward_cfg):
     model = fresh_model(world, seed=8)
     train_stage1(corpus, model, Stage1Config(epochs=2, seed=8))
     probe = [(world, sample_episode(world, "easy", substream(8, "probe", i))) for i in range(2)]
-    cfg = PPOConfig(rollout_steps=96, max_updates=2, minibatch_size=32, epochs_per_update=2)
+    cfg = PPOConfig(rollout_steps=96, max_updates=2, minibatch=32, epochs_per_update=2, tiers=("easy",))
     res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus,
-                       seed=8, tiers=("easy",), probe=probe)
+                       seed=8, probe=probe)
     assert res.updates_run == 2 and not res.aborted
     assert res.env_steps == 192
     assert abs(res.first_minibatch_ratio - 1.0) <= 1e-6
@@ -420,9 +420,9 @@ def test_stage2_mean_ratio_is_per_update(world, corpus, reward_cfg, monkeypatch)
 
     monkeypatch.setattr(training, "ppo_update", record)
     model = fresh_model(world, seed=12)
-    cfg = PPOConfig(rollout_steps=64, max_updates=2, minibatch_size=32, epochs_per_update=2)
+    cfg = PPOConfig(rollout_steps=64, max_updates=2, minibatch=32, epochs_per_update=2, tiers=("easy",))
     res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus,
-                       seed=12, tiers=("easy",))
+                       seed=12)
     assert res.updates_run == 2 and len(reports) == 2
     ratios = [r["ratio"] for r in reports]
     assert all(math.isfinite(r) and r > 0.0 for r in ratios)
@@ -433,21 +433,20 @@ def test_stage2_mean_ratio_is_per_update(world, corpus, reward_cfg, monkeypatch)
 
 def test_stage2_lambda_zero_keeps_rl_out_of_total(world, corpus, reward_cfg):
     model = fresh_model(world, seed=9)
-    cfg = PPOConfig(rollout_steps=64, max_updates=1, minibatch_size=32,
-                    epochs_per_update=1, lambda_rl=0.0)
+    cfg = PPOConfig(rollout_steps=64, max_updates=1, minibatch=32,
+                    epochs_per_update=1, lambda_rl=0.0, tiers=("easy",))
     res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus,
-                       seed=9, tiers=("easy",))
+                       seed=9)
     row = res.curve[0]
     assert row["L_total"] == row["L_IL"] + row["L_V"]
 
 
 def test_stage2_deterministic(world, corpus, reward_cfg):
-    cfg = PPOConfig(rollout_steps=64, max_updates=1, minibatch_size=32, epochs_per_update=1)
+    cfg = PPOConfig(rollout_steps=64, max_updates=1, minibatch=32, epochs_per_update=1, tiers=("easy",))
     m1 = fresh_model(world, seed=11)
     m2 = fresh_model(world, seed=11)
     for m in (m1, m2):
-        train_stage2(NeuralPolicy(m), [world], cfg, reward_cfg, corpus=corpus, seed=11,
-                     tiers=("easy",))
+        train_stage2(NeuralPolicy(m), [world], cfg, reward_cfg, corpus=corpus, seed=11)
     assert_params_equal(params_of(m1), params_of(m2))
 
 
@@ -478,9 +477,9 @@ def test_stage2_blow_up_rolls_back_and_halves_lr(world, corpus, reward_cfg, monk
     # two minibatch steps per update; the second step of update 1 fails
     steps, starts = _blow_up_steps(monkeypatch, {4})
     model = fresh_model(world, seed=14)
-    cfg = PPOConfig(rollout_steps=64, max_updates=3, minibatch_size=32, epochs_per_update=1)
+    cfg = PPOConfig(rollout_steps=64, max_updates=3, minibatch=32, epochs_per_update=1, tiers=("easy",))
     res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus,
-                       seed=14, tiers=("easy",))
+                       seed=14)
     assert not res.aborted
     assert [row["update"] for row in res.curve] == [0, 2]
     assert len(steps) == 6 and len(starts) == 3
@@ -497,9 +496,9 @@ def test_stage2_blow_up_rolls_back_and_halves_lr(world, corpus, reward_cfg, monk
 def test_stage2_second_blow_up_aborts(world, corpus, reward_cfg, monkeypatch):
     steps, starts = _blow_up_steps(monkeypatch, {4, 5})
     model = fresh_model(world, seed=14)
-    cfg = PPOConfig(rollout_steps=64, max_updates=4, minibatch_size=32, epochs_per_update=1)
+    cfg = PPOConfig(rollout_steps=64, max_updates=4, minibatch=32, epochs_per_update=1, tiers=("easy",))
     res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus,
-                       seed=14, tiers=("easy",))
+                       seed=14)
     assert res.aborted
     assert [row["update"] for row in res.curve] == [0]
     assert len(starts) == 3 and len(steps) == 5  # no fourth rollout, no further step

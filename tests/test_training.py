@@ -337,7 +337,7 @@ def test_ppo_config_validation():
     with pytest.raises(ConfigError):
         PPOConfig(gamma=1.0).validate()
     with pytest.raises(ConfigError):
-        PPOConfig(lam_gae=1.2).validate()
+        PPOConfig(lambda_gae=1.2).validate()
     with pytest.raises(ConfigError):
         PPOConfig(eps_clip=0.0).validate()
     PPOConfig().validate()
