@@ -223,7 +223,6 @@ class NavPolicy(Module):
 class ControllerState:
     k: int = 0
     waypoint: tuple | None = None
-    replan_count: int = 0
     map_feat: np.ndarray | None = None
     steps_since_replan: int = 0
 
@@ -318,7 +317,6 @@ def tiered_step(
             ctrl = slots[i].ctx
             ctrl.waypoint = wp
             ctrl.k += 1
-            ctrl.replan_count += 1
             ctrl.steps_since_replan = 0
     wps = np.array([waypoint_context(s.state, s.ctx.waypoint, model.width, model.height) for s in slots])
     with ad.no_grad():
@@ -472,7 +470,6 @@ class Trajectory:
     steps: list
     final_state: UavState
     stopped: bool  # stop chosen before truncation
-    truncated: bool
 
     def __len__(self):
         return len(self.steps)
@@ -548,7 +545,7 @@ def run_episode(
                 cap = min(cap, n_steps - sum(taken[: s.index]) - len(running) + 1)
             if s.stopped or len(s.steps) >= cap:
                 trajs[s.index] = Trajectory(episode=s.episode, steps=s.steps, final_state=s.state,
-                                            stopped=s.stopped, truncated=not s.stopped)
+                                            stopped=s.stopped)
             else:
                 running.append(s)
         live = running

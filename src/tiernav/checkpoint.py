@@ -56,13 +56,19 @@ def load_checkpoint(path):
     def take_u32():
         return struct.unpack("<I", take(4))[0]
 
+    def take_str():
+        try:
+            return take(take_u32()).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ContractError(f"{path}: a metadata entry or array name is not UTF-8: {e}") from None
+
     meta = {}
     for _ in range(take_u32()):
-        key = take(take_u32()).decode("utf-8")
-        meta[key] = take(take_u32()).decode("utf-8")
+        key = take_str()
+        meta[key] = take_str()
     arrays = {}
     for _ in range(take_u32()):
-        name = take(take_u32()).decode("utf-8")
+        name = take_str()
         ndim = take_u32()
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim)) if ndim else ()
         count = int(np.prod(shape)) if ndim else 1

@@ -46,9 +46,7 @@ from .errors import (
     StateError,
 )
 from .evaluation import (
-    ablation_suite,
     aggregate,
-    render_ablation_table,
     render_table,
     run_benchmark,
     write_benchmark_csv,
@@ -63,7 +61,7 @@ from .training import (
     train_stage2,
     write_curve,
 )
-from .util import atomic_write, substream
+from .util import atomic_write, substream, write_csv
 from .world import Action, generate_world, load_world, sample_episode, save_world
 
 
@@ -205,16 +203,20 @@ def _load_demos(cfg, args):
     return demos, worlds
 
 
+def _train_il(cfg, demos, path: str):
+    """Stage 1 on a fresh model, saved to path even when it aborts; returns its result."""
+    model = _build_model(cfg)
+    result = train_stage1(demos, model, cfg.stage1_config())
+    save_policy(path, model, meta={"stage": "il", "config_hash": cfg.hash(), "epochs_run": str(result.epochs_run)})
+    return result
+
+
 def cmd_train_il(cfg, args) -> int:
     started = _now()
     demos, _ = _load_demos(cfg, args)
     run_dir = _begin_run(cfg, args, "il")
-    model = _build_model(cfg)
-    result = train_stage1(demos, model, cfg.stage1_config())
+    result = _train_il(cfg, demos, os.path.join(run_dir, "policy_il.ckpt"))
     write_curve(os.path.join(run_dir, "curve_il.csv"), result.curve, IL_CURVE_COLUMNS)
-    save_policy(os.path.join(run_dir, "policy_il.ckpt"), model,
-                meta={"stage": "il", "config_hash": cfg.hash(),
-                      "epochs_run": str(result.epochs_run)})
     run_dir = _finish_run(run_dir, "train-il", cfg, started, ["curve_il.csv", "policy_il.ckpt"])
     if result.aborted:
         raise NumericsError("stage-1 training aborted on a non-finite loss; "
@@ -295,7 +297,6 @@ def cmd_eval(cfg, args) -> int:
         policy, worlds_by_split, cfg["eval.episodes_per_tier"], cfg["eval.seeds"],
         tiers=cfg.tier_list("eval.tiers"), tier_brackets=cfg.tier_brackets(),
         threshold_m=cfg["eval.threshold_m"], mode=cfg["eval.mode"], **_prior(cfg),
-        config_echo={"config_hash": cfg.hash(), "policy": args.policy},
     )
     text = render_table(report)
     write_benchmark_csv(os.path.join(run_dir, "report.csv"), report)
@@ -315,90 +316,68 @@ def cmd_eval(cfg, args) -> int:
 # -------------------------------------------------------------------- sweep
 
 
-def _pooled_sr(records) -> float:
-    return aggregate([r.result for r in records]).sr
-
-
-def _sweep_worlds(cfg, args) -> dict:
-    """The one split a sweep evaluates, under its own name: unseen, else seen."""
-    unseen = _load_worlds(cfg, args, "unseen")
-    return {"unseen": unseen} if unseen else {"seen": _load_worlds(cfg, args, "seen")}
-
-
-def _sweep_lambda(cfg, args, run_dir: str):
-    """Stage-2 runs across the mixing coefficient grid, paired by seed."""
-    demos, seen = _load_demos(cfg, args)
-    worlds = _sweep_worlds(cfg, args)
-    lambdas = list(cfg["sweep.lambdas"])
-    seeds = list(cfg["sweep.seeds"])
-    sr = {}
-    rows = []
-    for lam in lambdas:
-        for seed in seeds:
-            model = _load_checkpoint_model(cfg, args, "il")
-            ppo = cfg.ppo_config()
-            ppo.lambda_rl = lam
-            train_stage2(
-                _neural_policy(cfg, model), seen, ppo, cfg.reward_config(),
-                corpus=demos, seed=seed, **_prior(cfg), tier_brackets=cfg.tier_brackets(),
-            )
-            _, records = run_benchmark(
-                _neural_policy(cfg, model), worlds, cfg["eval.episodes_per_tier"],
-                seeds=[0], tiers=cfg.tier_list("eval.tiers"),
-                tier_brackets=cfg.tier_brackets(), threshold_m=cfg["eval.threshold_m"],
-                mode=cfg["eval.mode"], **_prior(cfg),
-            )
-            sr[(lam, seed)] = _pooled_sr(records)
-            rows.append({"lambda_rl": lam, "seed": seed, "SR": sr[(lam, seed)]})
-    write_curve(os.path.join(run_dir, "sweep.csv"), rows, ("lambda_rl", "seed", "SR"))
-    lines = [f"lambda_rl sweep, {next(iter(worlds))}-world SR (paired stage-2 seeds)"]
-    base = lambdas[0]
-    for lam in lambdas:
-        vals = [sr[(lam, s)] for s in seeds]
-        mean = sum(vals) / len(vals)
-        delta = mean - sum(sr[(base, s)] for s in seeds) / len(seeds)
-        per_seed = ", ".join(f"s{s}:{sr[(lam, s)]:.1f}" for s in seeds)
-        lines.append(f"lambda={lam:<5} mean SR {mean:6.2f}  d(vs {base}) {delta:+6.2f}  [{per_seed}]")
-    return ["sweep.csv"], lines
-
-
-def _sweep_policy_axis(cfg, args, run_dir: str, variants, options):
-    """Evaluate each variant of the RL checkpoint on the unseen worlds, else the seen ones.
-
-    variants maps name -> NeuralPolicy keyword overrides of the model.*
-    controller keys; options maps name -> run_benchmark overrides of
-    eval.mode and the model.* prior keys. Returns (files, summary lines).
-    """
-    model = _load_checkpoint_model(cfg, args, "rl")
-    built = {name: _neural_policy(cfg, model, **kw) for name, kw in variants.items()}
-    worlds = _sweep_worlds(cfg, args)
-    eval_kw = {"mode": cfg["eval.mode"], **_prior(cfg)}
-    report = ablation_suite(
-        built, worlds, cfg["eval.episodes_per_tier"], cfg["sweep.seeds"],
-        base=next(iter(variants)), tiers=cfg.tier_list("eval.tiers"),
-        tier_brackets=cfg.tier_brackets(), threshold_m=cfg["eval.threshold_m"],
-        options={name: {**eval_kw, **options.get(name, {})} for name in variants},
-    )
-    text = render_ablation_table(report)
-    atomic_write(os.path.join(run_dir, "ablation.txt"), text)
-    return ["ablation.txt"], [text.rstrip()]
+def _sweep_arms(cfg, axis: str) -> list:
+    """(name, --set overrides) of each arm of an axis; the first arm is the base."""
+    if axis == "lambda_rl":
+        return [(f"lambda={lam}", [f"ppo.lambda_rl={lam}"]) for lam in cfg["sweep.lambdas"]]
+    if axis == "prior":
+        return [("full", ["model.use_prior=true"]), ("no_prior", ["model.use_prior=false"])]
+    return [("tiered", ["model.flat=false"]), ("flat", ["model.flat=true"])]
 
 
 def cmd_sweep(cfg, args) -> int:
+    """Train and evaluate every arm of an axis on each sweep seed, paired by seed.
+
+    Each arm is the config with its overrides on top. It starts stage 2
+    from il/policy_il.ckpt when its belief-map prior is the config's;
+    otherwise it first trains stage 1 on the corpus replayed under its
+    own prior, into policy_il_<arm>.ckpt. Arms are evaluated on the
+    unseen worlds, else the seen ones.
+    """
     started = _now()
     axis = args.axis
+    shared_il = os.path.join(_stage_dir(cfg, args, "il", "train-il"), "policy_il.ckpt")
+    unseen = _load_worlds(cfg, args, "unseen")
+    worlds = {"unseen": unseen} if unseen else {"seen": _load_worlds(cfg, args, "seen")}
+    seeds = list(cfg["sweep.seeds"])
+    arms = _sweep_arms(cfg, axis)
     run_dir = _begin_run(cfg, args, f"sweep-{axis}")
-    if axis == "lambda_rl":
-        files, lines = _sweep_lambda(cfg, args, run_dir)
-    elif axis == "prior":
-        files, lines = _sweep_policy_axis(cfg, args, run_dir, {"full": {}, "no_prior": {}},
-                                          {"no_prior": {"use_prior": False}})
-    else:  # controller
-        files, lines = _sweep_policy_axis(cfg, args, run_dir,
-                                          {"tiered": {"flat": False}, "flat": {"flat": True}}, {})
+    files, results = [], {}  # (arm, seed) -> that run's episode results
+    for name, overrides in arms:
+        arm = parse_config(args.config, [*args.set, *overrides])
+        demos, seen = _load_demos(arm, args)
+        il_path = shared_il
+        if _prior(arm) != _prior(cfg):
+            files.append(f"policy_il_{name}.ckpt")
+            il_path = os.path.join(run_dir, files[-1])
+            if _train_il(arm, demos, il_path).aborted:
+                raise NumericsError(f"stage-1 training of sweep arm {name!r} aborted on a non-finite loss")
+        for seed in seeds:
+            model = _build_model(arm)
+            load_policy_into(model, il_path)
+            train_stage2(_neural_policy(arm, model), seen, arm.ppo_config(), arm.reward_config(),
+                         corpus=demos, seed=seed, **_prior(arm), tier_brackets=arm.tier_brackets())
+            _, records = run_benchmark(
+                _neural_policy(arm, model), worlds, arm["eval.episodes_per_tier"], seeds=[0],
+                tiers=arm.tier_list("eval.tiers"), tier_brackets=arm.tier_brackets(),
+                threshold_m=arm["eval.threshold_m"], mode=arm["eval.mode"], **_prior(arm),
+            )
+            results[(name, seed)] = [r.result for r in records]
+    cells = {key: aggregate(group) for key, group in results.items()}
+    write_csv(os.path.join(run_dir, "sweep.csv"), ("variant", "seed", "NE", "SR", "OSR", "SPL"),
+              ([name, seed, c.ne, c.sr, c.osr, c.spl] for (name, seed), c in cells.items()))
+    base = arms[0][0]
+    lines = [f"{axis} sweep, {next(iter(worlds))}-world means over stage-2 seeds "
+             f"{', '.join(map(str, seeds))}; dSR paired by seed vs {base}"]
+    for name, _ in arms:
+        c = aggregate(r for s in seeds for r in results[(name, s)])
+        deltas = [cells[(name, s)].sr - cells[(base, s)].sr for s in seeds]
+        per_seed = ", ".join(f"s{s}:{d:+.2f}" for s, d in zip(seeds, deltas))
+        lines.append(f"{name:<12} NE {c.ne:7.2f} m  SR {c.sr:6.2f}  OSR {c.osr:6.2f}  SPL {c.spl:6.2f}  "
+                     f"dSR {math.fsum(deltas) / len(deltas):+6.2f} [{per_seed}]")
     text = "\n".join(lines) + "\n"
     atomic_write(os.path.join(run_dir, "summary.txt"), text)
-    _finish_run(run_dir, f"sweep-{axis}", cfg, started, files + ["summary.txt"])
+    _finish_run(run_dir, f"sweep-{axis}", cfg, started, files + ["sweep.csv", "summary.txt"])
     sys.stdout.write(text)
     return 0
 
@@ -481,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="benchmark a policy over splits and tiers")
     common(sp)
     sp.add_argument("--policy", default="rl", choices=("rl", "il", "teacher", "random"))
-    sp = sub.add_parser("sweep", help="ablation sweeps")
+    sp = sub.add_parser("sweep", help="train and evaluate each arm of an ablation axis (needs train-il)")
     common(sp)
     sp.add_argument("--axis", default="lambda_rl", choices=("lambda_rl", "prior", "controller"))
     sp = sub.add_parser("replay", help="render a trajectory log step by step")
@@ -518,7 +497,7 @@ def main(argv=None) -> int:
     except (GenerationError, InfeasibleError) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 5
-    except (OSError, UnicodeDecodeError, ContractError) as e:
+    except (OSError, ContractError) as e:
         print(f"unreadable, corrupt or inconsistent files: {e}", file=sys.stderr)
         return 6
     except (ShapeError, StateError) as e:

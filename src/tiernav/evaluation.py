@@ -1,4 +1,4 @@
-"""Navigation metrics, benchmark runs, and the ablation harness.
+"""Navigation metrics and benchmark runs.
 
 Four per-episode numbers: final-distance error, success (stopped in
 range), oracle success (ever in range), and path-efficiency-weighted
@@ -77,7 +77,7 @@ def episode_metrics(traj: Trajectory, episode: EpisodeSpec, threshold_m: float =
         path_len_m=path,
         shortest_m=float(episode.shortest_path_length),
         steps_used=len(traj.steps),
-        truncated=traj.truncated,
+        truncated=not traj.stopped,
         tier=episode.difficulty,
     )
     result.validate(threshold_m)
@@ -138,7 +138,6 @@ class BenchmarkReport:
     seeds: list
     episodes_per_tier: int
     threshold_m: float
-    config_echo: dict
 
     def validate(self):
         for c in self.cells.values():
@@ -156,7 +155,6 @@ def run_benchmark(
     mode: str = "greedy",
     use_prior: bool = True,
     r_prior: float = 12.0,
-    config_echo=None,
 ):
     """Stratified evaluation over splits, tiers, and seeds.
 
@@ -197,21 +195,9 @@ def run_benchmark(
             group = [r.result for r in records if r.split == split and r.tier == tier]
             cells[(split, tier)] = aggregate(group)
     report = BenchmarkReport(cells=cells, seeds=seeds, episodes_per_tier=episodes_per_tier,
-                             threshold_m=threshold_m, config_echo=dict(config_echo or {}))
+                             threshold_m=threshold_m)
     report.validate()
     return report, records
-
-
-def per_seed_sr(records, split=None, tier=None) -> dict:
-    """seed -> SR percent over the matching records (paired comparisons)."""
-    out = {}
-    for rec in records:
-        if split is not None and rec.split != split:
-            continue
-        if tier is not None and rec.tier != tier:
-            continue
-        out.setdefault(rec.seed, []).append(rec.result)
-    return {seed: aggregate(group).sr for seed, group in sorted(out.items())}
 
 
 # ----------------------------------------------------------------- report IO
@@ -249,75 +235,3 @@ def write_episode_trajectories(out_dir, records):
     for rec in records:
         name = f"{rec.split}_{rec.tier}_s{rec.seed}_{rec.index:03d}.csv"
         write_trajectory_log(os.path.join(out_dir, name), rec.traj)
-
-
-# ------------------------------------------------------------------ ablations
-
-
-@dataclass
-class AblationRow:
-    name: str
-    report: BenchmarkReport
-    sr_by_seed: dict  # pooled over tiers
-    delta_sr_by_seed: dict  # vs the base variant, same seeds
-    mean_delta_sr: float
-
-
-@dataclass
-class AblationReport:
-    base: str
-    seeds: list
-    rows: list
-
-    def row(self, name: str) -> AblationRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise ContractError(f"no ablation row named {name!r}")
-
-
-def ablation_suite(
-    variants: dict,
-    worlds_by_split: dict,
-    episodes_per_tier: int,
-    seeds,
-    base: str,
-    tiers=TIERS,
-    tier_brackets=None,
-    threshold_m: float = 20.0,
-    options: dict | None = None,
-) -> AblationReport:
-    """One benchmark row per variant over shared episode seeds.
-
-    variants maps name -> policy. options maps name -> extra
-    run_benchmark keyword arguments, e.g. use_prior=False for the
-    channel-drop axis. Paired per-seed SR deltas are taken against the
-    named base variant.
-    """
-    if base not in variants:
-        raise ContractError(f"base variant {base!r} missing from the variant set")
-    options = options or {}
-    runs = {}
-    for name, policy in variants.items():
-        report, records = run_benchmark(
-            policy, worlds_by_split, episodes_per_tier, seeds,
-            tiers=tiers, tier_brackets=tier_brackets, threshold_m=threshold_m, **options.get(name, {}),
-        )
-        runs[name] = (report, per_seed_sr(records))
-    base_sr = runs[base][1]
-    rows = []
-    for name, (report, sr_map) in runs.items():
-        deltas = {seed: sr_map[seed] - base_sr[seed] for seed in base_sr}
-        rows.append(AblationRow(name=name, report=report, sr_by_seed=sr_map, delta_sr_by_seed=deltas,
-                                mean_delta_sr=math.fsum(deltas.values()) / len(deltas)))
-    return AblationReport(base=base, seeds=list(seeds), rows=rows)
-
-
-def render_ablation_table(report: AblationReport) -> str:
-    lines = [f"ablation vs base {report.base!r}, seeds {report.seeds}"]
-    for row in report.rows:
-        cells = []
-        for (split, tier), c in sorted(row.report.cells.items()):
-            cells.append(f"{split}/{tier} SR {c.sr:.2f} SPL {c.spl:.2f}")
-        lines.append(f"{row.name:<24} dSR {row.mean_delta_sr:+.2f}  " + "  ".join(cells))
-    return "\n".join(lines) + "\n"

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ContractError, InfeasibleError
 from .mapper import NavMap, init_map, update_map
-from .util import atomic_write, substream, write_csv
+from .util import atomic_write, read_text, substream, write_csv
 from .world import (
     DIRS,
     Action,
@@ -342,8 +342,7 @@ def read_trajectory_log(path):
     a waypoint index k that is not a non-negative integer raises
     ContractError.
     """
-    with open(path) as f:
-        lines = f.read().splitlines()
+    lines = read_text(path).splitlines()
     if len(lines) < 2:
         raise ContractError(f"{path}: empty trajectory log (no header or no steps)")
     header = tuple(lines[0].split(","))
@@ -397,8 +396,7 @@ def load_manifest(corpus_dir) -> dict:
     """Parse manifest.txt; a malformed line raises ContractError naming the file and line."""
     path = os.path.join(corpus_dir, "manifest.txt")
     manifest = {"tier_counts": {}, "world_ids": []}
-    with open(path) as f:
-        lines = f.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("tiernav-corpus"):
         raise ContractError(f"{corpus_dir}: not a corpus directory")
     for n, line in enumerate(lines[1:], start=2):

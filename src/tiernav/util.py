@@ -12,6 +12,8 @@ import os
 
 import numpy as np
 
+from .errors import ContractError
+
 
 def _tag_to_int(tag) -> int:
     if isinstance(tag, (int, np.integer)):
@@ -28,6 +30,15 @@ def substream(master_seed: int, *tags) -> np.random.Generator:
 
 def stable_hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of a file; bytes that are not UTF-8 raise ContractError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise ContractError(f"{path}: not UTF-8 text: {e}") from None
 
 
 def atomic_write(path, data):

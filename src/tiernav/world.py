@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, ContractError, GenerationError
-from .util import atomic_write, stable_hash_bytes, substream
+from .util import atomic_write, read_text, stable_hash_bytes, substream
 
 if TYPE_CHECKING:
     from .teacher import ExpertPath
@@ -477,8 +477,7 @@ def load_world(path) -> CityWorld:
     shape than height x width, a non-integer cell, or a bad landmark
     count or landmark line raises ContractError naming the file.
     """
-    with open(path) as f:
-        text = f.read()
+    text = read_text(path)
     lines = text.splitlines()
     if not lines or not lines[0].startswith("tiernav-world"):
         raise ContractError(f"{path}: not a world file")
@@ -562,13 +561,12 @@ def save_episodes(episodes, path):
 def load_episodes(path):
     """Episodes of a JSON-lines file; a line that is no episode raises ContractError."""
     out = []
-    with open(path) as f:
-        for n, line in enumerate(f, start=1):
-            if line.strip():
-                try:
-                    out.append(episode_from_dict(json.loads(line)))
-                except KeyError as e:
-                    raise ContractError(f"{path}: line {n} has no {e} key") from None
-                except (ValueError, TypeError) as e:
-                    raise ContractError(f"{path}: line {n} is not an episode record: {e}") from None
+    for n, line in enumerate(read_text(path).splitlines(), start=1):
+        if line.strip():
+            try:
+                out.append(episode_from_dict(json.loads(line)))
+            except KeyError as e:
+                raise ContractError(f"{path}: line {n} has no {e} key") from None
+            except (ValueError, TypeError) as e:
+                raise ContractError(f"{path}: line {n} is not an episode record: {e}") from None
     return out

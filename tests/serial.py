@@ -44,7 +44,7 @@ def serial_trajectory(kind, world, episode, rng) -> Trajectory:
         state = nxt
         if stopped:
             break
-    return Trajectory(episode=episode, steps=steps, final_state=state, stopped=stopped, truncated=not stopped)
+    return Trajectory(episode=episode, steps=steps, final_state=state, stopped=stopped)
 
 
 def serial_eval(kind, worlds_by_split, cfg, out_dir):
@@ -68,7 +68,7 @@ def serial_eval(kind, worlds_by_split, cfg, out_dir):
     cells = {(split, tier): aggregate(r.result for r in records if r.split == split and r.tier == tier)
              for split in worlds_by_split for tier in tiers}
     report = BenchmarkReport(cells=cells, seeds=seeds, episodes_per_tier=cfg["eval.episodes_per_tier"],
-                             threshold_m=threshold_m, config_echo={})
+                             threshold_m=threshold_m)
     os.makedirs(out_dir, exist_ok=True)
     write_benchmark_csv(os.path.join(out_dir, "report.csv"), report)
     atomic_write(os.path.join(out_dir, "report.txt"), render_table(report))

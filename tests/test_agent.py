@@ -214,14 +214,13 @@ def start_slot(wd, ep, ctrl=None, rng=None):
 def test_tiered_step_replans_at_waypoint():
     wd, ep = world_and_episode()
     model = make_model()
-    near = start_slot(wd, ep, ControllerState(k=3, waypoint=(ep.start.x, ep.start.y), replan_count=3,
+    near = start_slot(wd, ep, ControllerState(k=3, waypoint=(ep.start.x, ep.start.y),
                                               map_feat=np.zeros(64)))
     # far waypoint: no replan
-    far = start_slot(wd, ep, ControllerState(k=3, waypoint=(ep.start.x + 30, ep.start.y), replan_count=3,
+    far = start_slot(wd, ep, ControllerState(k=3, waypoint=(ep.start.x + 30, ep.start.y),
                                              map_feat=np.zeros(64)))
     tiered_step(model, [near, far], "greedy")
     assert near.ctx.k == 4
-    assert near.ctx.replan_count == 4
     assert far.ctx.k == 3
     assert far.ctx.waypoint == (ep.start.x + 30, ep.start.y)
 
@@ -275,7 +274,7 @@ def test_run_episode_always_stop():
     wd, ep = world_and_episode()
     traj = run_one(AlwaysStop(), wd, ep)
     assert len(traj) == 1
-    assert traj.stopped and not traj.truncated
+    assert traj.stopped
     assert traj.final_state == ep.start
 
 
@@ -293,7 +292,7 @@ def test_run_episode_truncates_at_cap():
     model = make_model(seed=5)
     traj = run_one(NeuralPolicy(model), wd, dataclasses.replace(ep, max_steps=7), mode="greedy")
     if not traj.stopped:
-        assert len(traj) == 7 and traj.truncated
+        assert len(traj) == 7
 
 
 def test_run_episode_greedy_deterministic():

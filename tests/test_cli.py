@@ -13,9 +13,9 @@ from tiernav.agent import load_policy_into
 from tiernav.cli import main, render_replay
 from tiernav.config import SCHEMA, ExperimentConfig, parse_config
 from tiernav.errors import NumericsError, ShapeError, StateError
-from tiernav.evaluation import ablation_suite, run_benchmark
-from tiernav.training import train_stage2
-from tiernav.teacher import TRAJ_COLUMNS
+from tiernav.evaluation import run_benchmark
+from tiernav.training import train_stage1, train_stage2
+from tiernav.teacher import TRAJ_COLUMNS, load_corpus
 
 from serial import serial_eval
 
@@ -75,6 +75,13 @@ def pipeline(tmp_path_factory):
 def _manifest(out, name):
     with open(os.path.join(out, name, "manifest.json")) as f:
         return json.load(f)
+
+
+def _stage_copy(out, dest, stages=("worlds", "corpus", "il")):
+    """A fresh output root holding copies of the named runs; sweeps need no rl/."""
+    for stage in stages:
+        shutil.copytree(os.path.join(out, stage), dest / stage)
+    return dest
 
 
 def test_pipeline_artifacts_and_manifests(pipeline):
@@ -293,21 +300,32 @@ def test_malformed_world_file_exits_6(pipeline, tmp_path, capsys, damage):
     assert str(world) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("target,code", [("config", 2), ("world", 6)])
+# target -> (file under the output root, or the config file, and the command that reads it)
+NON_UTF8_TARGETS = {
+    "config": (None, "train-il"),
+    "world": ("worlds/seen_00.txt", "train-il"),
+    "episodes": ("corpus/episodes.jsonl", "train-il"),
+    "manifest": ("corpus/manifest.txt", "train-il"),
+    "episode": ("corpus/episode_00000.csv", "train-il"),
+    "checkpoint": ("il/policy_il.ckpt", "train-rl"),
+}
+
+
+@pytest.mark.parametrize("target,code", [("config", 2), *((t, 6) for t in NON_UTF8_TARGETS if t != "config")])
 def test_non_utf8_byte_exits(pipeline, tmp_path, capsys, target, code):
     cfg_path, out, _ = pipeline
-    alt = tmp_path / "bytes"
-    shutil.copytree(os.path.join(out, "worlds"), alt / "worlds")
+    alt = _stage_copy(out, tmp_path / "bytes")
     config = tmp_path / "exp.txt"
     shutil.copy(cfg_path, config)
-    bad = config if target == "config" else alt / "worlds" / "seen_00.txt"
+    name, command = NON_UTF8_TARGETS[target]
+    bad = alt / name if name else config
     data = bad.read_bytes()
-    bad.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])
-    assert main(["build-corpus", "--config", str(config), "--out", str(alt)]) == code
+    at = 16 if target == "checkpoint" else len(data) // 2  # byte 16 starts the first metadata key
+    bad.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+    assert main([command, "--config", str(config), "--out", str(alt)]) == code
     err = capsys.readouterr().err
     assert "0xff" in err
-    if target == "config":
-        assert str(config) in err
+    assert str(bad) in err
 
 
 def _cut_mid_line(text):
@@ -357,16 +375,14 @@ def test_out_of_range_log_cell_exits_6(pipeline, tmp_path, capsys, column, cell)
 
 def test_printed_reports_leave_no_file_open(pipeline, tmp_path, capsys):
     cfg_path, out, _ = pipeline
-    alt = tmp_path / "printed"
-    for stage in ("worlds", "rl"):
-        shutil.copytree(os.path.join(out, stage), alt / stage)
+    alt = _stage_copy(out, tmp_path / "printed")
     base = ["--config", cfg_path, "--out", str(alt)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["eval", "--policy", "teacher", *base, "--set", "eval.write_trajectories=false"]) == 0
         assert capsys.readouterr().out == (alt / "eval" / "report.txt").read_text()
         assert main(["sweep", "--axis", "controller", *base]) == 0
-        assert capsys.readouterr().out == (alt / "sweep-controller" / "ablation.txt").read_text()
+        assert capsys.readouterr().out == (alt / "sweep-controller" / "summary.txt").read_text()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
@@ -500,89 +516,118 @@ def test_replay_marks_waypoint_transitions():
     assert "STOP" in text and "FORWARD" in text
 
 
-def test_sweep_prior_and_controller(pipeline, monkeypatch):
+def test_sweep_prior_and_controller(pipeline):
     cfg_path, out, base = pipeline
-    assert main(["sweep", "--axis", "prior", *base]) == 0
-    text = Path(os.path.join(out, "sweep-prior", "ablation.txt")).read_text()
-    assert "full" in text and "no_prior" in text
-    assert main(["sweep", "--axis", "controller", *base]) == 0
-    text = Path(os.path.join(out, "sweep-controller", "summary.txt")).read_text()
-    assert "tiered" in text and "flat" in text
+    for axis, arms in (("prior", ["full", "no_prior"]), ("controller", ["tiered", "flat"])):
+        assert main(["sweep", "--axis", axis, *base]) == 0
+        rows = Path(out, f"sweep-{axis}", "sweep.csv").read_text().splitlines()
+        assert rows[0] == "variant,seed,NE,SR,OSR,SPL"
+        assert [row.split(",")[:2] for row in rows[1:]] == [[arm, "0"] for arm in arms]
+        summary = Path(out, f"sweep-{axis}", "summary.txt").read_text().splitlines()
+        assert [line.split()[0] for line in summary[1:]] == arms
+    # only the arm without the prior has its own stage-1 policy, trained under its config
+    assert [f for f in _manifest(out, "sweep-prior")["files"] if f.endswith(".ckpt")] == ["policy_il_no_prior.ckpt"]
+    assert not [f for f in _manifest(out, "sweep-controller")["files"] if f.endswith(".ckpt")]
+    cfg = parse_config(cfg_path, ["model.use_prior=false"])
+    meta = load_policy_into(cli._build_model(cfg), os.path.join(out, "sweep-prior", "policy_il_no_prior.ckpt"))
+    assert (meta["stage"], meta["config_hash"]) == ("il", cfg.hash())
+
+
+def _record_sweep(monkeypatch):
+    """Record what each stage-1 run, stage-2 run and benchmark of a sweep was given."""
+    calls = {"replay": [], "stage1": [], "stage2": [], "bench": []}
+
+    def replay(*args, **kwargs):
+        calls["replay"].append(kwargs["use_prior"])
+        return load_corpus(*args, **kwargs)
+
+    def stage1(demos, model, cfg):
+        calls["stage1"].append(model)
+        return train_stage1(demos, model, cfg)
+
+    def stage2(policy, worlds, ppo, *args, **kwargs):
+        calls["stage2"].append((policy.flat, kwargs["use_prior"], kwargs["r_prior"], ppo.lambda_rl, kwargs["seed"]))
+        return train_stage2(policy, worlds, ppo, *args, **kwargs)
+
+    def bench(policy, *args, **kwargs):
+        calls["bench"].append((policy.flat, kwargs["use_prior"], kwargs["r_prior"], kwargs["mode"]))
+        return run_benchmark(policy, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_corpus", replay)
+    monkeypatch.setattr(cli, "train_stage1", stage1)
+    monkeypatch.setattr(cli, "train_stage2", stage2)
+    monkeypatch.setattr(cli, "run_benchmark", bench)
+    return calls
+
+
+# axis -> each arm's (flat, use_prior, lambda_rl) on the smoke config
+SWEEP_ARMS = {
+    "lambda_rl": [(False, True, 0.0), (False, True, 0.2)],
+    "prior": [(False, True, 0.2), (False, False, 0.2)],
+    "controller": [(False, True, 0.2), (True, True, 0.2)],
+}
+
+
+@pytest.mark.parametrize("axis", sorted(SWEEP_ARMS))
+def test_sweep_trains_each_arm_on_each_seed(pipeline, tmp_path, monkeypatch, axis):
+    cfg_path, out, _ = pipeline
+    alt = _stage_copy(out, tmp_path / "arms")
+    calls = _record_sweep(monkeypatch)
+    base = ["--config", cfg_path, "--out", str(alt), "--set", "sweep.seeds=3,5"]
+    assert main(["sweep", "--axis", axis, *base]) == 0
+    arms = SWEEP_ARMS[axis]
+    assert calls["stage2"] == [(flat, prior, 12.0, lam, seed) for flat, prior, lam in arms for seed in (3, 5)]
+    assert calls["bench"] == [(flat, prior, 12.0, "greedy") for flat, prior, _ in arms for _ in (3, 5)]
+    # one corpus replay per arm under its own prior; stage 1 only for the arm whose prior differs
+    assert calls["replay"] == [prior for _, prior, _ in arms]
+    assert len(calls["stage1"]) == (axis == "prior")
+
+
+def test_sweep_requires_il(pipeline, tmp_path, capsys):
+    cfg_path, out, _ = pipeline
+    alt = _stage_copy(out, tmp_path / "no_il", ("worlds", "corpus"))
+    assert main(["sweep", "--axis", "controller", "--config", cfg_path, "--out", str(alt)]) == 3
+    assert "train-il" in capsys.readouterr().err
+    assert not os.path.exists(alt / "sweep-controller.partial")
 
 
 def test_sweeps_evaluate_with_eval_flat(pipeline, tmp_path, monkeypatch):
     cfg_path, out, _ = pipeline
-    alt = tmp_path / "flat_eval"
-    for stage in ("worlds", "corpus", "il", "rl"):
-        shutil.copytree(os.path.join(out, stage), alt / stage)
-    flats = []
-
-    def recording_benchmark(policy, *args, **kwargs):
-        flats.append(policy.flat)
-        return run_benchmark(policy, *args, **kwargs)
-
-    def recording_suite(variants, *args, **kwargs):
-        flats.extend(policy.flat for policy in variants.values())
-        return ablation_suite(variants, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "run_benchmark", recording_benchmark)
-    monkeypatch.setattr(cli, "ablation_suite", recording_suite)
+    alt = _stage_copy(out, tmp_path / "flat_eval")
+    calls = _record_sweep(monkeypatch)
     base = ["--config", cfg_path, "--out", str(alt), "--set", "model.flat=true"]
     assert main(["sweep", "--axis", "lambda_rl", *base]) == 0
     assert main(["sweep", "--axis", "prior", *base]) == 0
-    assert flats == [True] * 4  # two lambdas x one seed, then the two prior variants
+    # two lambdas x one seed, then the two prior arms
+    assert [flat for flat, *_ in calls["stage2"]] == [flat for flat, *_ in calls["bench"]] == [True] * 4
 
 
 def test_sweeps_evaluate_with_eval_keys(pipeline, tmp_path, monkeypatch):
     cfg_path, out, _ = pipeline
-    alt = tmp_path / "keyed_eval"
-    for stage in ("worlds", "corpus", "il", "rl"):
-        shutil.copytree(os.path.join(out, stage), alt / stage)
-    bench_kwargs, suite_options = [], []
-    trained, evaluated = [], []
-
-    def recording_stage2(policy, *args, **kwargs):
-        trained.append((policy.flat, kwargs["use_prior"], kwargs["r_prior"]))
-        return train_stage2(policy, *args, **kwargs)
-
-    def recording_benchmark(policy, *args, **kwargs):
-        bench_kwargs.append(kwargs)
-        evaluated.append((policy.flat, kwargs["use_prior"], kwargs["r_prior"]))
-        return run_benchmark(policy, *args, **kwargs)
-
-    def recording_suite(*args, **kwargs):
-        suite_options.append(kwargs["options"])
-        return ablation_suite(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "train_stage2", recording_stage2)
-    monkeypatch.setattr(cli, "run_benchmark", recording_benchmark)
-    monkeypatch.setattr(cli, "ablation_suite", recording_suite)
+    alt = _stage_copy(out, tmp_path / "keyed_eval")
+    calls = _record_sweep(monkeypatch)
     base = ["--config", cfg_path, "--out", str(alt), "--set", "eval.mode=sample", "--set", "model.r_prior=6",
-            "--set", "model.flat=true"]
-    for axis in ("lambda_rl", "prior", "controller"):
+            "--set", "model.use_prior=false"]
+    for axis in ("prior", "controller"):
         assert main(["sweep", "--axis", axis, *base]) == 0, axis
-    keyed = {"mode": "sample", "use_prior": True, "r_prior": 6.0}
-    assert len(bench_kwargs) == 2  # two lambdas x one seed
-    for kwargs in bench_kwargs:
-        assert {k: kwargs[k] for k in keyed} == keyed
-    assert trained == evaluated == [(True, True, 6.0)] * 2  # the lambda sweep trains as it evaluates
-    assert suite_options == [
-        {"full": keyed, "no_prior": {**keyed, "use_prior": False}},
-        {"tiered": keyed, "flat": keyed},
-    ]
+    assert calls["bench"] == [(False, True, 6.0, "sample"), (False, False, 6.0, "sample"),
+                              (False, False, 6.0, "sample"), (True, False, 6.0, "sample")]
+    assert [key[:3] for key in calls["stage2"]] == [key[:3] for key in calls["bench"]]
+    # without the prior in the config, the arm that restores it trains its own stage 1
+    assert len(calls["stage1"]) == 1
+    assert "policy_il_full.ckpt" in _manifest(str(alt), "sweep-prior")["files"]
 
 
 def test_sweeps_name_the_split_they_evaluate(pipeline, tmp_path):
     cfg_path, _, _ = pipeline
     root = tmp_path / "seen_only"
     base = ["--config", cfg_path, "--out", str(root), "--set", "world.n_unseen=0"]
-    for argv in (["gen-worlds"], ["build-corpus"], ["train-il"], ["train-rl"],
+    for argv in (["gen-worlds"], ["build-corpus"], ["train-il"],
                  ["sweep", "--axis", "lambda_rl"], ["sweep", "--axis", "prior"]):
         assert main([*argv, *base]) == 0, argv
-    summary = (root / "sweep-lambda_rl" / "summary.txt").read_text()
-    assert summary.startswith("lambda_rl sweep, seen-world SR")
-    ablation = (root / "sweep-prior" / "ablation.txt").read_text()
-    assert "seen/easy" in ablation and "unseen" not in ablation
+    for axis in ("lambda_rl", "prior"):
+        summary = (root / f"sweep-{axis}" / "summary.txt").read_text()
+        assert summary.startswith(f"{axis} sweep, seen-world means")
 
 
 def test_sweep_lambda_axis(pipeline):
@@ -590,8 +635,8 @@ def test_sweep_lambda_axis(pipeline):
     assert main(["sweep", "--axis", "lambda_rl", *base,
                  "--set", "ppo.max_updates=1", "--set", "eval.episodes_per_tier=1"]) == 0
     rows = Path(os.path.join(out, "sweep-lambda_rl", "sweep.csv")).read_text().splitlines()
-    assert rows[0] == "lambda_rl,seed,SR"
-    assert len(rows) == 1 + 2  # two lambdas x one seed
+    assert rows[0] == "variant,seed,NE,SR,OSR,SPL"
+    assert [row.split(",")[:2] for row in rows[1:]] == [["lambda=0.0", "0"], ["lambda=0.2", "0"]]
     summary = Path(os.path.join(out, "sweep-lambda_rl", "summary.txt")).read_text()
     assert "lambda=0.0" in summary and "lambda=0.2" in summary
 
@@ -631,11 +676,13 @@ def test_two_runs_are_byte_identical(pipeline, tmp_path):
     trees = []
     for name in ("a", "b"):
         base = ["--config", cfg_path, "--out", str(tmp_path / name)]
-        for cmd in ("gen-worlds", "build-corpus", "train-il", "train-rl", "eval"):
-            assert main([cmd, *base]) == 0, cmd
+        for argv in (["gen-worlds"], ["build-corpus"], ["train-il"], ["train-rl"], ["eval"],
+                     ["sweep", "--axis", "prior"]):
+            assert main([*argv, *base]) == 0, argv
         trees.append(_tree_bytes(str(tmp_path / name)))
     a, b = trees
     assert any(name.startswith(os.path.join("eval", "trajectories")) for name in a)
+    assert os.path.join("sweep-prior", "policy_il_no_prior.ckpt") in a
     assert not [name for name in a if name.endswith(".tmp")]
     assert sorted(a) == sorted(b)
     assert [name for name in a if a[name] != b[name]] == []

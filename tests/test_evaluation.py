@@ -9,10 +9,8 @@ from tiernav.errors import ContractError
 from tiernav.evaluation import (
     BenchmarkCell,
     EpisodeResult,
-    ablation_suite,
     aggregate,
     episode_metrics,
-    per_seed_sr,
     render_table,
     run_benchmark,
     write_benchmark_csv,
@@ -47,8 +45,7 @@ def _traj(points, stopped, spec) -> Trajectory:
                               log_prob=0.0, reward=0.0, dist=0.0))
     fx, fy = points[-1]
     final = UavState(x=float(fx), y=float(fy), z=3, heading=0)
-    return Trajectory(episode=spec, steps=steps, final_state=final,
-                      stopped=stopped, truncated=not stopped)
+    return Trajectory(episode=spec, steps=steps, final_state=final, stopped=stopped)
 
 
 # ----------------------------------------------------------- episode metrics
@@ -125,15 +122,14 @@ def test_vertical_moves_add_no_path_length():
              for t, z in enumerate((3, 4, 5))]
     traj = Trajectory(episode=spec, steps=steps,
                       final_state=UavState(x=0.0, y=0.0, z=5, heading=0),
-                      stopped=True, truncated=False)
+                      stopped=True)
     r = episode_metrics(traj, spec, cell_size=CELL)
     assert r.path_len_m == 0.0
 
 
 def test_empty_trajectory_rejected():
     spec = _spec(goal=(1, 0), shortest_m=5.0)
-    traj = Trajectory(episode=spec, steps=[], final_state=spec.start,
-                      stopped=False, truncated=True)
+    traj = Trajectory(episode=spec, steps=[], final_state=spec.start, stopped=False)
     with pytest.raises(ContractError):
         episode_metrics(traj, spec)
 
@@ -330,42 +326,3 @@ def test_benchmark_csv_header(bench_worlds, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "split,tier,NE,SR,OSR,SPL,n,seeds"
     assert lines[1].startswith("seen,easy,")
-
-
-def test_per_seed_sr_pools_by_seed(bench_worlds):
-    _, records = run_benchmark(
-        TeacherPolicy(), bench_worlds, episodes_per_tier=2, seeds=[5, 6],
-        tiers=("easy",), tier_brackets=BRACKETS,
-    )
-    srs = per_seed_sr(records)
-    assert set(srs) == {5, 6}
-    assert all(v == 100.0 for v in srs.values())
-
-
-# ----------------------------------------------------------------- ablations
-
-
-def test_ablation_suite_rows(bench_worlds):
-    variants = {
-        "full": TeacherPolicy(),
-        "no_prior": TeacherPolicy(),
-    }
-    options = {"no_prior": {"use_prior": False}}
-    report = ablation_suite(
-        variants, {"seen": bench_worlds["seen"][:1]}, episodes_per_tier=2,
-        seeds=[0, 1], base="full", tiers=("easy",), tier_brackets=BRACKETS,
-        options=options,
-    )
-    full = report.row("full")
-    assert full.mean_delta_sr == 0.0
-    assert all(d == 0.0 for d in full.delta_sr_by_seed.values())
-    drop = report.row("no_prior")
-    assert set(drop.delta_sr_by_seed) == {0, 1}
-    with pytest.raises(ContractError):
-        report.row("nope")
-
-
-def test_ablation_requires_trained_base(bench_worlds):
-    with pytest.raises(ContractError):
-        ablation_suite({"a": TeacherPolicy()}, {"seen": bench_worlds["seen"][:1]}, 1, [0],
-                       base="b", tiers=("easy",), tier_brackets=BRACKETS)

@@ -1,5 +1,6 @@
 """Source hygiene: every name a tiernav module imports is read in that module,
-and every public top-level function and class is named by the program."""
+every text-mode open() names its encoding, and every public top-level
+function and class is named by the program."""
 
 import ast
 import re
@@ -69,6 +70,38 @@ def test_scan_flags_unused_imports():
         "    return np.zeros(1), run_episode\n"
     )
     assert unused_imports(source) == [(2, "os"), (8, "save_policy")]
+
+
+def unencoded_opens(source: str):
+    """Line numbers of open() calls in text mode that name no encoding."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+        if not binary and "encoding" not in keywords and len(node.args) < 4:
+            out.append(node.lineno)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_text_opens_name_an_encoding(path):
+    assert unencoded_opens(path.read_text()) == []
+
+
+def test_scan_flags_text_opens_without_encoding():
+    source = (
+        "open(p)\n"
+        "open(p, 'rb')\n"
+        "open(p, encoding='utf-8')\n"
+        "open(p, 'w')\n"
+        "open(p, mode='wb')\n"
+        "open(p, mode=m)\n"
+        "open(p, 'r', -1, 'utf-8')\n"
+    )
+    assert unencoded_opens(source) == [1, 4, 6]
 
 
 def load_spans():

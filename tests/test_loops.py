@@ -301,7 +301,7 @@ def assert_same_trajectories(a, b):
     assert len(a) == len(b)
     for ta, tb in zip(a, b):
         assert [(s.t, s.state, s.action, s.k) for s in ta.steps] == [(s.t, s.state, s.action, s.k) for s in tb.steps]
-        assert (ta.final_state, ta.stopped, ta.truncated) == (tb.final_state, tb.stopped, tb.truncated)
+        assert (ta.final_state, ta.stopped) == (tb.final_state, tb.stopped)
         for name in ("value_hat", "log_prob", "progress_hat", "goal_hat", "waypoint"):
             np.testing.assert_allclose([getattr(s, name) for s in ta.steps], [getattr(s, name) for s in tb.steps],
                                        rtol=0, atol=1e-12, err_msg=name)
