@@ -25,14 +25,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ContractError
 from .layers import BatchNorm2d, Conv2d, Embedding, Linear, Module
 from .mapper import MapEncoder, NavMap, _pad_odd, encode_map, init_map, update_map
 from .teacher import EPS_WP, TRAJ_COLUMNS, advance_waypoint, episode_plan, extract_waypoints
-from .training import compute_reward
 from .util import write_csv
 from .world import (BANDS, DIRS, TARGET_TAGS, Action, CityWorld, EpisodeSpec, Observation, UavState,
-                    render_observation, step)
+                    compute_reward, render_observation, step)
 
 
 def pose_features(state: UavState, width: int, height: int, z_max: int) -> np.ndarray:
@@ -569,8 +569,6 @@ def policy_arrays(model: NavPolicy) -> dict:
 
 
 def save_policy(path, model: NavPolicy, meta=None):
-    from .checkpoint import save_checkpoint
-
     base = {
         "kind": "policy",
         "width": str(model.width),
@@ -585,8 +583,6 @@ def save_policy(path, model: NavPolicy, meta=None):
 
 def load_policy_into(model: NavPolicy, path) -> dict:
     """Copy a saved parameter set into an already-built model, in place."""
-    from .checkpoint import load_checkpoint
-
     arrays, meta = load_checkpoint(path)
     # the map encoder takes any map size, so the array shapes alone
     # would not catch a policy trained for another world geometry
@@ -599,10 +595,10 @@ def load_policy_into(model: NavPolicy, path) -> dict:
     if set(arrays) != set(own):
         missing = sorted(set(own) - set(arrays))[:3]
         extra = sorted(set(arrays) - set(own))[:3]
-        raise ContractError(f"checkpoint mismatch: missing {missing}, unexpected {extra}")
+        raise ContractError(f"checkpoint {path} mismatch: missing {missing}, unexpected {extra}")
     for name, arr in own.items():
         saved = arrays[name]
         if saved.shape != arr.shape:
-            raise ContractError(f"checkpoint array {name}: shape {saved.shape} vs model {arr.shape}")
+            raise ContractError(f"checkpoint {path} array {name}: shape {saved.shape} vs model {arr.shape}")
         arr[...] = saved
     return meta

@@ -328,9 +328,9 @@ def _sweep_arms(cfg, axis: str) -> list:
 def cmd_sweep(cfg, args) -> int:
     """Train and evaluate every arm of an axis on each sweep seed, paired by seed.
 
-    Each arm is the config with its overrides on top. It starts stage 2
-    from il/policy_il.ckpt when its belief-map prior is the config's;
-    otherwise it first trains stage 1 on the corpus replayed under its
+    Each arm is the config with its overrides on top. An arm whose
+    belief-map prior is the config's starts stage 2 from il/policy_il.ckpt;
+    any other arm first trains stage 1 on the corpus replayed under its
     own prior, into policy_il_<arm>.ckpt. Arms are evaluated on the
     unseen worlds, else the seen ones.
     """

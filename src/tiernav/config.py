@@ -16,9 +16,9 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .training import PPOConfig, RewardConfig, Stage1Config
+from .training import PPOConfig, Stage1Config
 from .util import atomic_write
-from .world import WorldConfig
+from .world import RewardConfig, WorldConfig
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,7 @@
 """Expert demonstrator.
 
-plan_path runs A* over (x, y, z, heading) with unit move cost and a
-small turn cost, so paths come out smooth and their corners are
-informative waypoints. Its heuristic is the Manhattan distance to the
-goal cell. Forward moves are 4-connected at unit cost, so that distance
-never overestimates the cost left: the heuristic is admissible and
-consistent, and every plan is optimal (Hart, Nilsson & Raphael 1968).
+extract_waypoints turns a teacher plan (world.plan_path) into corner
+and landmark-anchored waypoints, spacing-capped, goal last.
 build_demonstration replays a plan through the simulator to label each
 step: expert action, waypoint, progress, reward, and exact discounted
 value. It renders nothing and builds no map. load_corpus replays a
@@ -21,130 +17,32 @@ plan_path is deterministic, so both routes give the same plan.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ContractError, InfeasibleError
+from .errors import ContractError
 from .mapper import NavMap, init_map, update_map
 from .util import atomic_write, read_text, substream, write_csv
 from .world import (
-    DIRS,
     Action,
     CityWorld,
     EpisodeSpec,
+    ExpertPath,
     Observation,
     UavState,
+    compute_reward,
     load_episodes,
+    plan_path,
     render_observation,
     sample_episode,
     save_episodes,
     step,
-    validate_state,
 )
 
-TURN_COST = 0.1
 S_MAX = 12  # max waypoint spacing in forward moves
 R_ANCHOR = 3.0  # landmark-to-path snap distance
 EPS_WP = 1.5  # waypoint-reached radius in cells
-
-# action codes as plain ints for the planner's back-pointers
-_GO_UP, _GO_DOWN, _FORWARD = int(Action.GO_UP), int(Action.GO_DOWN), int(Action.FORWARD)
-_TURN_LEFT, _TURN_RIGHT = int(Action.TURN_LEFT), int(Action.TURN_RIGHT)
-
-
-@dataclass
-class ExpertPath:
-    states: list  # (x, y, z, heading) tuples, len = len(actions)+1
-    actions: list  # Action values, no trailing stop
-    remaining: np.ndarray  # geodesic meters left before each state
-
-
-def plan_path(world: CityWorld, start: UavState, goal) -> ExpertPath:
-    """A* to the goal cell. Deterministic tie-break on (f, h, state index).
-
-    The heuristic is the Manhattan distance |x - gx| + |y - gy|. It is
-    admissible: reaching the goal takes at least that many forward
-    moves, each costing 1, and turns and altitude changes only add
-    cost. It is also consistent, as a forward move changes it by
-    exactly 1 and the other moves keep the cell. So the first goal
-    state popped is optimal, and the plan cost is the same as under
-    any other admissible heuristic; only equal-cost ties may resolve
-    to another path.
-
-    A state is its flat index ((y*w + x)*zs + z)*4 + heading, so the
-    g-scores, back-pointers and closed set are flat arrays, and only the
-    states on the returned path are decoded back into tuples.
-    """
-    gx, gy = int(goal[0]), int(goal[1])
-    if not world.in_bounds(gx, gy):
-        raise ContractError(f"goal ({gx},{gy}) outside grid")
-    validate_state(world, start)  # an out-of-range start would alias another state's index
-    w, h = world.width, world.height
-    zs = world.z_max + 1
-    z_max, z_min = world.z_max, world.z_min
-    hf = world.height_field.ravel().tolist()  # hf[y*w + x]
-    goal_cell = gy * w + gx
-    sx, sy = start.cell()
-    s0 = ((sy * w + sx) * zs + start.z) * 4 + start.heading
-    fwd_offset = [(dy * w + dx) * zs * 4 for dx, dy in DIRS]  # index step of a forward move
-    n = w * h * zs * 4
-    g_score = [math.inf] * n
-    came = [0] * n  # parent index * 8 + action, for every state reached from another
-    closed = bytearray(n)
-    g_score[s0] = 0.0
-    hcell = (np.abs(np.arange(w) - gx)[None, :] + np.abs(np.arange(h) - gy)[:, None]).ravel().tolist()
-    h0 = hcell[sy * w + sx]
-    open_heap = [(h0, h0, s0)]
-    heappush, heappop = heapq.heappush, heapq.heappop
-    while open_heap:
-        _, h_cur, cur = heappop(open_heap)
-        if closed[cur]:
-            continue
-        closed[cur] = 1
-        hd = cur & 3
-        r = cur >> 2
-        c = r // zs
-        if c == goal_cell:
-            return _reconstruct(world, came, cur, s0, zs)
-        z = r % zs
-        x, y = c % w, c // w
-        g_cur = g_score[cur]
-        dx, dy = DIRS[hd]
-        nx, ny = x + dx, y + dy
-        if 0 <= nx < w and 0 <= ny < h and hf[c + dy * w + dx] < z:
-            nxt = cur + fwd_offset[hd]
-            ng = g_cur + 1.0
-            if ng < g_score[nxt]:
-                g_score[nxt] = ng
-                came[nxt] = cur * 8 + _FORWARD
-                hn = hcell[c + dy * w + dx]
-                heappush(open_heap, (ng + hn, hn, nxt))
-        # the other moves keep the cell, so their heuristic is h_cur
-        ng = g_cur + TURN_COST
-        nxt = cur - hd + ((hd + 1) & 3)
-        if ng < g_score[nxt]:
-            g_score[nxt] = ng
-            came[nxt] = cur * 8 + _TURN_LEFT
-            heappush(open_heap, (ng + h_cur, h_cur, nxt))
-        nxt = cur - hd + ((hd - 1) & 3)
-        if ng < g_score[nxt]:
-            g_score[nxt] = ng
-            came[nxt] = cur * 8 + _TURN_RIGHT
-            heappush(open_heap, (ng + h_cur, h_cur, nxt))
-        ng = g_cur + 1.0
-        if z + 1 <= z_max and ng < g_score[cur + 4]:
-            g_score[cur + 4] = ng
-            came[cur + 4] = cur * 8 + _GO_UP
-            heappush(open_heap, (ng + h_cur, h_cur, cur + 4))
-        if z - 1 >= z_min and z - 1 > hf[c] and ng < g_score[cur - 4]:
-            g_score[cur - 4] = ng
-            came[cur - 4] = cur * 8 + _GO_DOWN
-            heappush(open_heap, (ng + h_cur, h_cur, cur - 4))
-    raise InfeasibleError(f"no path from ({sx},{sy},z{start.z}) to ({gx},{gy})")
 
 
 def episode_plan(world: CityWorld, episode: EpisodeSpec) -> ExpertPath:
@@ -152,30 +50,6 @@ def episode_plan(world: CityWorld, episode: EpisodeSpec) -> ExpertPath:
     if episode.plan is not None:
         return episode.plan
     return plan_path(world, episode.start, episode.goal)
-
-
-def _reconstruct(world: CityWorld, came, goal_idx: int, start_idx: int, zs: int) -> ExpertPath:
-    w = world.width
-    states = []
-    actions = []
-    cur = goal_idx
-    while True:
-        r = cur >> 2
-        c = r // zs
-        states.append((c % w, c // w, r % zs, cur & 3))
-        if cur == start_idx:
-            break
-        actions.append(Action(came[cur] & 7))
-        cur = came[cur] >> 3
-    states.reverse()
-    actions.reverse()
-    n_fwd_after = np.zeros(len(actions) + 1)
-    acc = 0
-    for i in range(len(actions) - 1, -1, -1):
-        if actions[i] == Action.FORWARD:
-            acc += 1
-        n_fwd_after[i] = acc
-    return ExpertPath(states=states, actions=actions, remaining=n_fwd_after * world.cell_size)
 
 
 def extract_waypoints(path: ExpertPath, world: CityWorld):
@@ -258,8 +132,6 @@ def build_demonstration(world: CityWorld, episode: EpisodeSpec, reward_cfg, gamm
     save_corpus writes its labels, and load_corpus replays them with
     observations and map snapshots.
     """
-    from .training import compute_reward  # local import, avoids a module cycle
-
     path = episode_plan(world, episode)
     waypoints = extract_waypoints(path, world)
     state = episode.start
@@ -424,7 +296,8 @@ def load_corpus(corpus_dir, worlds_by_id, r_prior: float = 12.0, use_prior: bool
 
     The replay renders each step's observation and keeps a snapshot of
     the belief map, built with this landmark prior, whenever the
-    waypoint index changes.
+    waypoint index changes. A row whose logged pose is not the replayed
+    state raises ContractError naming the file and line.
     """
     manifest = load_manifest(corpus_dir)
     index = os.path.join(corpus_dir, "episodes.jsonl")
@@ -440,16 +313,19 @@ def load_corpus(corpus_dir, worlds_by_id, r_prior: float = 12.0, use_prior: bool
         rows, header = read_trajectory_log(path)
         if header != TRAJ_COLUMNS + LABEL_COLUMNS:
             raise ContractError(f"{path}: not a corpus episode (no label columns)")
-        demos.append(_replay_records(world, ep, rows, r_prior, use_prior))
+        demos.append(_replay_records(world, ep, rows, path, r_prior, use_prior))
     return demos, manifest
 
 
-def _replay_records(world, ep, rows, r_prior, use_prior) -> Demonstration:
+def _replay_records(world, ep, rows, path, r_prior, use_prior) -> Demonstration:
     nav = init_map(world, ep, r_prior=r_prior, use_prior=use_prior)
     state = ep.start
     steps = []
     maps = []
-    for row in rows:
+    for n, row in enumerate(rows, start=2):
+        if (row["x"], row["y"], row["z"], row["theta"]) != (state.x, state.y, state.z, state.theta):
+            raise ContractError(f"{path}: line {n} logs a pose other than the replayed state "
+                                f"({state.x:g},{state.y:g},z{state.z},heading {state.heading})")
         act = Action(int(row["action"]))
         k = int(row["k"])
         obs = render_observation(world, state)
@@ -458,7 +334,7 @@ def _replay_records(world, ep, rows, r_prior, use_prior) -> Demonstration:
             maps.append(NavMap(grid=nav.grid.copy()))
         nxt, blocked, terminal = step(world, state, act)
         if blocked:
-            raise ContractError(f"stored expert action {act.name} blocked during corpus replay")
+            raise ContractError(f"{path}: line {n} has expert action {act.name}, blocked during corpus replay")
         steps.append(
             DemoStep(
                 state=state,

@@ -1,8 +1,6 @@
-"""Reward shaping, advantage estimation, the loss family, and the
-two-stage trainers (imitation, then clipped policy-gradient blending).
+"""Advantage estimation, the loss family, and the two-stage trainers
+(imitation, then clipped policy-gradient blending).
 
-The reward is shaped: a distance-progress term, a heading-alignment
-term, an in-range bonus, a constant step penalty, then a hard clip.
 Stage 1 regresses goal/progress/value/waypoint/action labels from
 teacher demonstrations; stage 2 runs PPO on collected rollouts while
 keeping an imitation term in the blend.
@@ -19,72 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .agent import MASK_OFF, descriptor_ids, pose_features, run_episode, save_policy, waypoint_context
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, NumericsError
+from .evaluation import episode_metrics
 from .layers import Module
 from .optim import AdamW, clip_grad_norm
 from .util import substream, write_csv
-from .world import UavState, distance_to_goal, sample_episode
-
-
-@dataclass
-class RewardConfig:
-    alpha: float = 1.0  # per meter of approach
-    beta: float = 0.5
-    eta: float = 10.0
-    delta: float = -0.01
-    d_goal: float = 10.0  # meters
-    r_min: float = -5.0
-    r_max: float = 5.0
-    heading_reference: str = "final_goal"  # or current_waypoint
-    # Extension: gate the eta bonus on the stop action. The plain
-    # in-range bonus saturates the clip on every in-range step, so a
-    # policy trained on it farms the zone instead of stopping. Off by
-    # default to keep the published form.
-    goal_bonus_on_stop: bool = False
-
-    def validate(self):
-        if not self.r_min < self.r_max:
-            raise ConfigError(f"reward clip bounds inverted: [{self.r_min}, {self.r_max}]")
-        if not self.d_goal > 0:
-            raise ConfigError(f"d_goal must be positive, got {self.d_goal}")
-        if self.heading_reference not in ("final_goal", "current_waypoint"):
-            raise ConfigError(f"unknown heading_reference {self.heading_reference!r}")
-
-
-def _wrapped_angle(a: float, b: float) -> float:
-    """|a-b| wrapped into [0, pi]."""
-    d = abs(a - b) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
-
-
-def compute_reward(
-    prev_state: UavState,
-    state: UavState,
-    goal,
-    world,
-    cfg: RewardConfig,
-    waypoint=None,
-    stopped: bool = False,
-) -> float:
-    """Shaped step reward, clipped to [r_min, r_max].
-
-    raw = alpha*(d_prev - d) + beta*(1 - |theta - theta*|/pi)
-          + eta*[d < d_goal] + delta
-    theta* points from the current position toward the reference target
-    (final goal, or the active waypoint when so configured).
-    """
-    d_prev = distance_to_goal(prev_state, goal, world.cell_size)
-    d = distance_to_goal(state, goal, world.cell_size)
-    ref = goal
-    if cfg.heading_reference == "current_waypoint" and waypoint is not None:
-        ref = waypoint
-    theta_star = math.atan2(ref[1] - state.y, ref[0] - state.x)
-    heading_term = cfg.beta * (1.0 - _wrapped_angle(state.theta, theta_star) / math.pi)
-    in_range = d < cfg.d_goal
-    bonus = cfg.eta if (in_range and (stopped or not cfg.goal_bonus_on_stop)) else 0.0
-    raw = cfg.alpha * (d_prev - d) + heading_term + bonus + cfg.delta
-    return float(min(max(raw, cfg.r_min), cfg.r_max))
+from .world import RewardConfig, sample_episode
 
 
 @dataclass
@@ -317,8 +257,6 @@ class Stage1Data:
 
 
 def prepare_stage1_data(demos, model) -> Stage1Data:
-    from .agent import descriptor_ids, pose_features, waypoint_context  # lazy, breaks the module cycle
-
     w, h, zm = model.width, model.height, model.z_max
     patches, poses, ids, wps, snap_idx = [], [], [], [], []
     actions, wstar, progress, value, goal = [], [], [], [], []
@@ -454,7 +392,6 @@ def collect_rollouts(
     leaves done=False; the critic value the policy computed at the cut
     state bootstraps the dangling tail.
     """
-    from .agent import run_episode
 
     def jobs():
         for j in itertools.count():
@@ -516,8 +453,6 @@ def _rollout_heads(model, ro: Rollout, idx):
     exactly, so a first-minibatch ratio is 1 to the last bit; masked
     entries carry zero probability and zero gradient.
     """
-    from .agent import MASK_OFF
-
     out = _forward_rollout(model, ro, idx)
     off = np.where(ro.masks[idx], 0.0, MASK_OFF)
     return ad.log_softmax(ad.add(out.logits, Tensor(off))), out.value
@@ -529,9 +464,6 @@ def _rollout_heads(model, ro: Rollout, idx):
 def probe_success_rate(policy, probe, threshold_m: float = 20.0,
                        use_prior: bool = True, r_prior: float = 12.0) -> float:
     """Greedy SR over a fixed (world, episode) probe list, played in lockstep."""
-    from .agent import run_episode
-    from .evaluation import episode_metrics
-
     trajs = run_episode(policy, [(world, ep, None) for world, ep in probe], mode="greedy",
                         r_prior=r_prior, use_prior=use_prior)
     wins = sum(episode_metrics(traj, ep, threshold_m=threshold_m, cell_size=world.cell_size).success
@@ -693,8 +625,6 @@ def train_stage2(
         })
         last_good = _snapshot(model)
         if checkpoint_dir and ppo_cfg.checkpoint_every and (u + 1) % ppo_cfg.checkpoint_every == 0:
-            from .agent import save_policy
-
             os.makedirs(checkpoint_dir, exist_ok=True)
             save_policy(os.path.join(checkpoint_dir, f"update_{u + 1:04d}.ckpt"), model,
                         meta={"stage": "rl", "update": str(u + 1)})

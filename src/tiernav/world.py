@@ -5,25 +5,33 @@ ground) plus named landmarks. The vehicle moves over a discrete
 six-action space at integer altitudes; the top-down observation is a
 square patch whose visible radius grows with altitude, which is what
 makes the vertical actions worth taking.
+
+The step reward is shaped: a distance-progress term, a heading-alignment
+term, an in-range bonus, a constant step penalty, then a hard clip.
+
+plan_path runs A* over (x, y, z, heading) with unit move cost and a
+small turn cost, so paths come out smooth and their corners are
+informative waypoints. Its heuristic is the Manhattan distance to the
+goal cell. Forward moves are 4-connected at unit cost, so that distance
+never overestimates the cost left: the heuristic is admissible and
+consistent, and every plan is optimal (Hart, Nilsson & Raphael 1968).
+sample_episode verifies each episode's reachability with it.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, GenerationError
+from .errors import ConfigError, ContractError, GenerationError, InfeasibleError
 from .util import atomic_write, read_text, stable_hash_bytes, substream
-
-if TYPE_CHECKING:
-    from .teacher import ExpertPath
 
 
 class Action(IntEnum):
@@ -202,6 +210,66 @@ def distance_to_goal(state: UavState, goal, cell_size: float) -> float:
     return math.hypot(state.x - goal[0], state.y - goal[1]) * cell_size
 
 
+@dataclass
+class RewardConfig:
+    alpha: float = 1.0  # per meter of approach
+    beta: float = 0.5
+    eta: float = 10.0
+    delta: float = -0.01
+    d_goal: float = 10.0  # meters
+    r_min: float = -5.0
+    r_max: float = 5.0
+    heading_reference: str = "final_goal"  # or current_waypoint
+    # Extension: gate the eta bonus on the stop action. The plain
+    # in-range bonus saturates the clip on every in-range step, so a
+    # policy trained on it farms the zone instead of stopping. Off by
+    # default to keep the published form.
+    goal_bonus_on_stop: bool = False
+
+    def validate(self):
+        if not self.r_min < self.r_max:
+            raise ConfigError(f"reward clip bounds inverted: [{self.r_min}, {self.r_max}]")
+        if not self.d_goal > 0:
+            raise ConfigError(f"d_goal must be positive, got {self.d_goal}")
+        if self.heading_reference not in ("final_goal", "current_waypoint"):
+            raise ConfigError(f"unknown heading_reference {self.heading_reference!r}")
+
+
+def _wrapped_angle(a: float, b: float) -> float:
+    """|a-b| wrapped into [0, pi]."""
+    d = abs(a - b) % (2.0 * math.pi)
+    return min(d, 2.0 * math.pi - d)
+
+
+def compute_reward(
+    prev_state: UavState,
+    state: UavState,
+    goal,
+    world,
+    cfg: RewardConfig,
+    waypoint=None,
+    stopped: bool = False,
+) -> float:
+    """Shaped step reward, clipped to [r_min, r_max].
+
+    raw = alpha*(d_prev - d) + beta*(1 - |theta - theta*|/pi)
+          + eta*[d < d_goal] + delta
+    theta* points from the current position toward the reference target
+    (final goal, or the active waypoint when so configured).
+    """
+    d_prev = distance_to_goal(prev_state, goal, world.cell_size)
+    d = distance_to_goal(state, goal, world.cell_size)
+    ref = goal
+    if cfg.heading_reference == "current_waypoint" and waypoint is not None:
+        ref = waypoint
+    theta_star = math.atan2(ref[1] - state.y, ref[0] - state.x)
+    heading_term = cfg.beta * (1.0 - _wrapped_angle(state.theta, theta_star) / math.pi)
+    in_range = d < cfg.d_goal
+    bonus = cfg.eta if (in_range and (stopped or not cfg.goal_bonus_on_stop)) else 0.0
+    raw = cfg.alpha * (d_prev - d) + heading_term + bonus + cfg.delta
+    return float(min(max(raw, cfg.r_min), cfg.r_max))
+
+
 @functools.lru_cache(maxsize=64)
 def _visibility_disk(half: int, radius: int) -> np.ndarray:
     """Read-only [2*half+1]^2 mask of offsets within radius of the center.
@@ -349,6 +417,130 @@ def world_hash(world: CityWorld) -> str:
     return _text_id(serialize_world(world))
 
 
+# ------------------------------------------------------------------- planner
+
+TURN_COST = 0.1
+
+# action codes as plain ints for the planner's back-pointers
+_GO_UP, _GO_DOWN, _FORWARD = int(Action.GO_UP), int(Action.GO_DOWN), int(Action.FORWARD)
+_TURN_LEFT, _TURN_RIGHT = int(Action.TURN_LEFT), int(Action.TURN_RIGHT)
+
+
+@dataclass
+class ExpertPath:
+    states: list  # (x, y, z, heading) tuples, len = len(actions)+1
+    actions: list  # Action values, no trailing stop
+    remaining: np.ndarray  # geodesic meters left before each state
+
+
+def plan_path(world: CityWorld, start: UavState, goal) -> ExpertPath:
+    """A* to the goal cell. Deterministic tie-break on (f, h, state index).
+
+    The heuristic is the Manhattan distance |x - gx| + |y - gy|. It is
+    admissible: reaching the goal takes at least that many forward
+    moves, each costing 1, and turns and altitude changes only add
+    cost. It is also consistent, as a forward move changes it by
+    exactly 1 and the other moves keep the cell. So the first goal
+    state popped is optimal, and the plan cost is the same as under
+    any other admissible heuristic; only equal-cost ties may resolve
+    to another path.
+
+    A state is its flat index ((y*w + x)*zs + z)*4 + heading, so the
+    g-scores, back-pointers and closed set are flat arrays, and only the
+    states on the returned path are decoded back into tuples.
+    """
+    gx, gy = int(goal[0]), int(goal[1])
+    if not world.in_bounds(gx, gy):
+        raise ContractError(f"goal ({gx},{gy}) outside grid")
+    validate_state(world, start)  # an out-of-range start would alias another state's index
+    w, h = world.width, world.height
+    zs = world.z_max + 1
+    z_max, z_min = world.z_max, world.z_min
+    hf = world.height_field.ravel().tolist()  # hf[y*w + x]
+    goal_cell = gy * w + gx
+    sx, sy = start.cell()
+    s0 = ((sy * w + sx) * zs + start.z) * 4 + start.heading
+    fwd_offset = [(dy * w + dx) * zs * 4 for dx, dy in DIRS]  # index step of a forward move
+    n = w * h * zs * 4
+    g_score = [math.inf] * n
+    came = [0] * n  # parent index * 8 + action, for every state reached from another
+    closed = bytearray(n)
+    g_score[s0] = 0.0
+    hcell = (np.abs(np.arange(w) - gx)[None, :] + np.abs(np.arange(h) - gy)[:, None]).ravel().tolist()
+    h0 = hcell[sy * w + sx]
+    open_heap = [(h0, h0, s0)]
+    heappush, heappop = heapq.heappush, heapq.heappop
+    while open_heap:
+        _, h_cur, cur = heappop(open_heap)
+        if closed[cur]:
+            continue
+        closed[cur] = 1
+        hd = cur & 3
+        r = cur >> 2
+        c = r // zs
+        if c == goal_cell:
+            return _reconstruct(world, came, cur, s0, zs)
+        z = r % zs
+        x, y = c % w, c // w
+        g_cur = g_score[cur]
+        dx, dy = DIRS[hd]
+        nx, ny = x + dx, y + dy
+        if 0 <= nx < w and 0 <= ny < h and hf[c + dy * w + dx] < z:
+            nxt = cur + fwd_offset[hd]
+            ng = g_cur + 1.0
+            if ng < g_score[nxt]:
+                g_score[nxt] = ng
+                came[nxt] = cur * 8 + _FORWARD
+                hn = hcell[c + dy * w + dx]
+                heappush(open_heap, (ng + hn, hn, nxt))
+        # the other moves keep the cell, so their heuristic is h_cur
+        ng = g_cur + TURN_COST
+        nxt = cur - hd + ((hd + 1) & 3)
+        if ng < g_score[nxt]:
+            g_score[nxt] = ng
+            came[nxt] = cur * 8 + _TURN_LEFT
+            heappush(open_heap, (ng + h_cur, h_cur, nxt))
+        nxt = cur - hd + ((hd - 1) & 3)
+        if ng < g_score[nxt]:
+            g_score[nxt] = ng
+            came[nxt] = cur * 8 + _TURN_RIGHT
+            heappush(open_heap, (ng + h_cur, h_cur, nxt))
+        ng = g_cur + 1.0
+        if z + 1 <= z_max and ng < g_score[cur + 4]:
+            g_score[cur + 4] = ng
+            came[cur + 4] = cur * 8 + _GO_UP
+            heappush(open_heap, (ng + h_cur, h_cur, cur + 4))
+        if z - 1 >= z_min and z - 1 > hf[c] and ng < g_score[cur - 4]:
+            g_score[cur - 4] = ng
+            came[cur - 4] = cur * 8 + _GO_DOWN
+            heappush(open_heap, (ng + h_cur, h_cur, cur - 4))
+    raise InfeasibleError(f"no path from ({sx},{sy},z{start.z}) to ({gx},{gy})")
+
+
+def _reconstruct(world: CityWorld, came, goal_idx: int, start_idx: int, zs: int) -> ExpertPath:
+    w = world.width
+    states = []
+    actions = []
+    cur = goal_idx
+    while True:
+        r = cur >> 2
+        c = r // zs
+        states.append((c % w, c // w, r % zs, cur & 3))
+        if cur == start_idx:
+            break
+        actions.append(Action(came[cur] & 7))
+        cur = came[cur] >> 3
+    states.reverse()
+    actions.reverse()
+    n_fwd_after = np.zeros(len(actions) + 1)
+    acc = 0
+    for i in range(len(actions) - 1, -1, -1):
+        if actions[i] == Action.FORWARD:
+            acc += 1
+        n_fwd_after[i] = acc
+    return ExpertPath(states=states, actions=actions, remaining=n_fwd_after * world.cell_size)
+
+
 # ------------------------------------------------------------------ episodes
 
 
@@ -382,9 +574,6 @@ def sample_episode(
     retried; if the caller passes a stats dict, each retry bumps
     stats["resampled"].
     """
-    from .errors import InfeasibleError
-    from .teacher import plan_path  # planner lives downstream; cycle broken lazily
-
     if difficulty not in (tiers or DEFAULT_TIERS):
         raise ConfigError(f"unknown difficulty tier {difficulty!r}")
     lo, hi = (tiers or DEFAULT_TIERS)[difficulty]

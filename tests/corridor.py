@@ -11,9 +11,10 @@ from tiernav.autodiff import Tensor
 from tiernav.errors import NumericsError
 from tiernav.layers import Linear, Module
 from tiernav.optim import AdamW
-from tiernav.training import PPOConfig, RewardConfig, Rollout, compute_reward, ppo_update
+from tiernav.training import PPOConfig, Rollout, ppo_update
 from tiernav.util import substream
-from tiernav.world import Action, CityWorld, Landmark, UavState, distance_to_goal, step as env_step, world_hash
+from tiernav.world import (Action, CityWorld, Landmark, RewardConfig, UavState, compute_reward, distance_to_goal,
+                           step as env_step, world_hash)
 
 
 def corridor_world(length: int = 40, half_width: int = 1, cell_size: float = 5.0) -> CityWorld:

@@ -27,12 +27,12 @@ from tiernav.agent import (
 )
 from tiernav.errors import ContractError
 from tiernav.teacher import TRAJ_COLUMNS, read_trajectory_log
-from tiernav.training import RewardConfig
 from tiernav.util import substream
 from tiernav.world import (
     Action,
     GoalDescriptor,
     Observation,
+    RewardConfig,
     UavState,
     WorldConfig,
     generate_world,
@@ -360,8 +360,13 @@ def test_policy_checkpoint_mismatch(tmp_path):
     path = tmp_path / "p.ckpt"
     save_policy(path, model)
     other = make_model(seed=1, trunk_hidden=96)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="shape") as shape:
         load_policy_into(other, path)
+    assert str(path) in str(shape.value)
+    deeper = make_model(seed=1, enc_widths=(8, 16, 16))
+    with pytest.raises(ContractError, match="missing") as keys:
+        load_policy_into(deeper, path)
+    assert str(path) in str(keys.value)
 
 
 def test_random_policy_runs():

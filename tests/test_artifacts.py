@@ -13,8 +13,8 @@ from tiernav.agent import TeacherPolicy, run_episode
 from tiernav.checkpoint import save_checkpoint
 from tiernav.evaluation import write_step_log
 from tiernav.teacher import build_dataset, save_corpus
-from tiernav.training import RewardConfig, write_curve
-from tiernav.world import WorldConfig, generate_world, sample_episode, save_world
+from tiernav.training import write_curve
+from tiernav.world import RewardConfig, WorldConfig, generate_world, sample_episode, save_world
 
 SMALL = WorldConfig(width=32, height=32, n_landmarks=4, z_max=3)
 

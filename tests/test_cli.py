@@ -270,6 +270,22 @@ def test_truncated_corpus_row_exits_6(pipeline, tmp_path, capsys):
     assert str(episode) in capsys.readouterr().err
 
 
+def test_corpus_row_off_its_replayed_pose_exits_6(pipeline, tmp_path, capsys):
+    cfg_path, out, _ = pipeline
+    alt = _stage_copy(out, tmp_path / "moved_row", ("worlds", "corpus"))
+    base = ["--config", cfg_path, "--out", str(alt)]
+    episode = alt / "corpus" / "episode_00000.csv"
+    lines = episode.read_text().splitlines()
+    x = TRAJ_COLUMNS.index("x")
+    cells = lines[2].split(",")
+    cells[x] = repr(float(cells[x]) + 1.0)
+    lines[2] = ",".join(cells)
+    episode.write_text("\n".join(lines) + "\n")
+    assert main(["train-il", *base]) == 6
+    err = capsys.readouterr().err
+    assert str(episode) in err and "line 3" in err
+
+
 # Each entry maps (lines, first heights row, "landmarks N" line) to damaged lines.
 WORLD_DAMAGE = {
     "cell_cut_from_row": lambda ls, r, lm: ls[:r] + [ls[r].rsplit(" ", 1)[0]] + ls[r + 1 :],

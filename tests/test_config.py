@@ -6,8 +6,8 @@ import pytest
 from tiernav.cli import main
 from tiernav.config import SCHEMA, _render_value, parse_config
 from tiernav.errors import ConfigError
-from tiernav.training import PPOConfig, RewardConfig, Stage1Config
-from tiernav.world import WorldConfig
+from tiernav.training import PPOConfig, Stage1Config
+from tiernav.world import RewardConfig, WorldConfig
 
 
 def _write(tmp_path, text, name="exp.txt"):

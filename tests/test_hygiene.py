@@ -1,4 +1,5 @@
 """Source hygiene: every name a tiernav module imports is read in that module,
+every import sits at module level and names only modules earlier in ORDER,
 every text-mode open() names its encoding, and every public top-level
 function and class is named by the program."""
 
@@ -70,6 +71,73 @@ def test_scan_flags_unused_imports():
         "    return np.zeros(1), run_episode\n"
     )
     assert unused_imports(source) == [(2, "os"), (8, "save_policy")]
+
+
+def nested_imports(source: str):
+    """Line numbers of import statements that are not direct children of the module body."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_sit_at_module_level(path):
+    assert nested_imports(path.read_text()) == []
+
+
+def test_scan_flags_nested_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from .world import CityWorld\n"
+        "def f():\n"
+        "    import json\n"
+        "    from .agent import run_episode\n"
+        "class C:\n"
+        "    from .util import substream\n"
+    )
+    assert nested_imports(source) == [5, 7, 8, 10]
+
+
+# each module imports only from modules before it
+ORDER = ("errors", "util", "autodiff", "layers", "optim", "checkpoint", "world", "mapper",
+         "teacher", "agent", "evaluation", "training", "config", "cli")
+
+
+def backward_imports(module: str, source: str):
+    """(line, target) of each relative import in `module` that names a module at or
+    after its own place in ORDER; names of the package itself (__version__) are allowed."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        targets = [node.module.split(".")[0]] if node.module else [a.name for a in node.names if a.name in ORDER]
+        out += [(node.lineno, t) for t in targets if ORDER.index(t) >= ORDER.index(module)]
+    return out
+
+
+def test_order_names_every_module():
+    assert sorted(ORDER) == sorted(p.stem for p in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_follow_module_order(path):
+    assert backward_imports(path.stem, path.read_text()) == []
+
+
+def test_scan_flags_imports_against_the_order():
+    source = (
+        "from . import __version__\n"
+        "from . import autodiff as ad, training\n"
+        "from .world import step\n"
+        "from .agent import run_episode\n"
+        "from .teacher.sub import x\n"
+        "import numpy as np\n"
+    )
+    assert backward_imports("teacher", source) == [(2, "training"), (4, "agent"), (5, "teacher")]
 
 
 def unencoded_opens(source: str):

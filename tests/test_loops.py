@@ -28,19 +28,18 @@ from tiernav.training import (
     IL_CURVE_COLUMNS,
     RL_CURVE_COLUMNS,
     PPOConfig,
-    RewardConfig,
     Rollout,
     Stage1Config,
     collect_rollouts,
     compute_gae,
-    compute_reward,
     probe_success_rate,
     train_stage1,
     train_stage2,
     write_curve,
 )
 from tiernav.util import substream
-from tiernav.world import Action, WorldConfig, generate_world, render_observation, sample_episode, step
+from tiernav.world import (Action, RewardConfig, WorldConfig, compute_reward, generate_world, render_observation,
+                           sample_episode, step)
 
 from corridor import corridor_sanity
 from critic import critic_value_loss, reinit_value_head
@@ -311,7 +310,7 @@ def test_probe_does_not_depend_on_width(world, monkeypatch):
     # more probe episodes than slots, so freed slots take later episodes
     probe = [(world, sample_episode(world, ("easy", "medium")[i % 2], substream(31, "probe", i)))
              for i in range(DEFAULT_WIDTH + 3)]
-    run_episode = agent.run_episode
+    run_episode = training.run_episode
 
     def probe_run():
         played = []
@@ -321,7 +320,7 @@ def test_probe_does_not_depend_on_width(world, monkeypatch):
             return played
 
         with monkeypatch.context() as m:
-            m.setattr(agent, "run_episode", recording)
+            m.setattr(training, "run_episode", recording)
             sr = probe_success_rate(NeuralPolicy(fresh_model(world, 31)), probe)
         return sr, played
 

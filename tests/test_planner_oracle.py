@@ -20,16 +20,18 @@ import numpy as np
 import pytest
 
 from tiernav.errors import ContractError, InfeasibleError
-from tiernav.teacher import TURN_COST, ExpertPath, plan_path
 from tiernav.util import substream
 from tiernav.world import (
     DIRS,
+    TURN_COST,
     Action,
     CityWorld,
+    ExpertPath,
     Landmark,
     UavState,
     WorldConfig,
     generate_world,
+    plan_path,
     step,
 )
 

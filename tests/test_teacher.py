@@ -18,20 +18,21 @@ from tiernav.teacher import (
     extract_waypoints,
     load_corpus,
     load_manifest,
-    plan_path,
     save_corpus,
 )
-from tiernav.training import RewardConfig, compute_reward
 from tiernav.util import substream
 from tiernav.world import (
     Action,
     CityWorld,
     Landmark,
+    RewardConfig,
     UavState,
     WorldConfig,
+    compute_reward,
     episode_from_dict,
     episode_to_dict,
     generate_world,
+    plan_path,
     render_observation,
     sample_episode,
     step,

@@ -10,17 +10,14 @@ from tiernav.autodiff import Tensor
 from tiernav.errors import ConfigError, ContractError
 from tiernav.training import (
     PPOConfig,
-    RewardConfig,
     Rollout,
-    _wrapped_angle,
     compute_gae,
-    compute_reward,
     il_loss,
     ppo_clip_objective,
     total_loss,
     value_loss,
 )
-from tiernav.world import UavState
+from tiernav.world import RewardConfig, UavState, _wrapped_angle, compute_reward
 
 
 class MeterWorld:
