@@ -383,6 +383,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(x.data @ weight.data + bias.data, (x, weight, bias), "linear", bw)
 
 
+_BLOCK_BYTES = 1 << 20  # im2col columns per conv2d block: about an L2 cache
+
+
 def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
     """Zero-pad the last two axes by p on each side (np.pad costs more at batch 1)."""
     n, c, h, w = x.shape
@@ -427,10 +430,21 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
     need zeros between its samples, so there the column gradient is
     scattered back with _col2im instead.
 
-    The tape keeps no column matrix: backward rebuilds the columns from
-    the input it holds to form the kernel gradient. The columns are the
-    largest array a conv makes (k*k times its input), and rebuilding
-    them costs one strided copy next to the GEMM that consumes them.
+    The columns are built one block of whole samples at a time, about
+    _BLOCK_BYTES each, and each block's GEMMs run before the next block
+    is built (cache blocking, Goto and van de Geijn 2008). A whole-batch
+    column matrix is k*k times the input, tens of MB at encoder shapes,
+    and would be written once and read once far outside the cache. The
+    bits equal those of one batched call: np.matmul on a stacked operand
+    makes one GEMM per sample either way, with the same shapes and
+    strides, here writing into the block's slice of the output. The
+    kernel gradient keeps each sample's product and sums them with the
+    same sum over the sample axis, so its additions run in the same
+    order. A batch that fits one block takes one call per direction.
+
+    The tape keeps no column matrix: backward rebuilds each block's
+    columns from the input it holds to form the kernel gradient, and
+    pads only the block it works on.
     """
     squeeze = x.data.ndim == 3
     xd = x.data[None] if squeeze else x.data
@@ -450,9 +464,19 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
         )
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    cols = _im2col(_pad2d(xd, pad) if pad else xd, kh, stride, ho, wo)
-    wmat = kernel.data.reshape(cout, cin * kh * kw)
-    out = np.matmul(wmat[None], cols).reshape(n, cout, ho, wo)
+    ckk = cin * kh * kw
+    step = max(1, _BLOCK_BYTES // (ckk * ho * wo * 8))
+    blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
+
+    def columns(b):
+        xb = xd[b]
+        return _im2col(_pad2d(xb, pad) if pad else xb, kh, stride, ho, wo)
+
+    wmat = kernel.data.reshape(cout, ckk)
+    out = np.empty((n, cout, ho * wo))
+    for b in blocks:
+        np.matmul(wmat[None], columns(b), out=out[b])
+    out = out.reshape(n, cout, ho, wo)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
     if squeeze:
@@ -463,20 +487,29 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
         gd = g[None] if squeeze else g
         gflat = gd.reshape(n, cout, ho * wo)
         if kernel.requires_grad:
-            cols = _im2col(_pad2d(xd, pad) if pad else xd, kh, stride, ho, wo)
-            gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)
-            _accum(kernel, gw.reshape(kernel.data.shape))
+            gws = np.empty((n, cout, ckk))
+        if x.requires_grad:
+            gx = np.empty((n, cin, h, w))
+            if stride == 1:
+                q = kh - 1 - pad  # q < 0: the output overhangs the input; crop it
+                wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
+                gxflat = gx.reshape(n, cin, h * w)
+        for b in blocks:
+            if kernel.requires_grad:
+                np.matmul(gflat[b], columns(b).transpose(0, 2, 1), out=gws[b])
+            if x.requires_grad:
+                if stride == 1:
+                    gb = gd[b]
+                    gp = _pad2d(gb, q) if q > 0 else gb[:, :, -q:, -q:]
+                    np.matmul(wflip[None], _im2col(gp, kh, 1, h, w), out=gxflat[b])
+                else:
+                    gcols = np.matmul(wmat.T[None], gflat[b])
+                    gx[b] = _col2im(gcols, gx[b].shape, kh, stride, pad, ho, wo)
+        if kernel.requires_grad:
+            _accum(kernel, gws.sum(axis=0).reshape(kernel.data.shape))
         if bias is not None and bias.requires_grad:
             _accum(bias, gd.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            if stride == 1:
-                q = kh - 1 - pad  # q < 0: the output overhangs the input; crop it
-                gp = _pad2d(gd, q) if q > 0 else gd[:, :, -q:, -q:]
-                wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
-                gx = np.matmul(wflip[None], _im2col(gp, kh, 1, h, w)).reshape(n, cin, h, w)
-            else:
-                gcols = np.matmul(wmat.T[None], gflat)
-                gx = _col2im(gcols, xd.shape, kh, stride, pad, ho, wo)
             _accum(x, gx[0] if squeeze else gx)
 
     return _node(out, parents, "conv2d", bw)

@@ -297,9 +297,13 @@ def load_corpus(corpus_dir, worlds_by_id, r_prior: float = 12.0, use_prior: bool
     The replay renders each step's observation and keeps a snapshot of
     the belief map, built with this landmark prior, whenever the
     waypoint index changes. A row whose logged pose is not the replayed
-    state raises ContractError naming the file and line.
+    state, or whose progress p, distance d or value v is not the one the
+    replay recomputes, raises ContractError naming the file and line.
+    The cells are repr floats, so the recomputed labels match exactly.
     """
     manifest = load_manifest(corpus_dir)
+    if "gamma" not in manifest:
+        raise ContractError(f"{os.path.join(corpus_dir, 'manifest.txt')}: no gamma line")
     index = os.path.join(corpus_dir, "episodes.jsonl")
     episodes = load_episodes(index)
     if len(episodes) != manifest.get("episodes"):
@@ -313,11 +317,16 @@ def load_corpus(corpus_dir, worlds_by_id, r_prior: float = 12.0, use_prior: bool
         rows, header = read_trajectory_log(path)
         if header != TRAJ_COLUMNS + LABEL_COLUMNS:
             raise ContractError(f"{path}: not a corpus episode (no label columns)")
-        demos.append(_replay_records(world, ep, rows, path, r_prior, use_prior))
+        demos.append(_replay_records(world, ep, rows, path, manifest["gamma"], r_prior, use_prior))
     return demos, manifest
 
 
-def _replay_records(world, ep, rows, path, r_prior, use_prior) -> Demonstration:
+def _check_label(path, n, name, logged, replayed):
+    if logged != replayed:
+        raise ContractError(f"{path}: line {n} has {name} {logged!r}, the replay gives {replayed!r}")
+
+
+def _replay_records(world, ep, rows, path, gamma, r_prior, use_prior) -> Demonstration:
     nav = init_map(world, ep, r_prior=r_prior, use_prior=use_prior)
     state = ep.start
     steps = []
@@ -326,6 +335,8 @@ def _replay_records(world, ep, rows, path, r_prior, use_prior) -> Demonstration:
         if (row["x"], row["y"], row["z"], row["theta"]) != (state.x, state.y, state.z, state.theta):
             raise ContractError(f"{path}: line {n} logs a pose other than the replayed state "
                                 f"({state.x:g},{state.y:g},z{state.z},heading {state.heading})")
+        _check_label(path, n, "p", row["p"], (n - 1) / len(rows))
+        _check_label(path, n, "d", row["d"], math.hypot(state.x - ep.goal[0], state.y - ep.goal[1]) * world.cell_size)
         act = Action(int(row["action"]))
         k = int(row["k"])
         obs = render_observation(world, state)
@@ -350,4 +361,8 @@ def _replay_records(world, ep, rows, path, r_prior, use_prior) -> Demonstration:
             )
         )
         state = nxt
+    acc = 0.0
+    for n, st in reversed(list(enumerate(steps, start=2))):
+        acc = st.reward + gamma * acc
+        _check_label(path, n, "v", st.value, acc)
     return Demonstration(episode=ep, steps=steps, maps=maps)

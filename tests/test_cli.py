@@ -389,6 +389,23 @@ def test_out_of_range_log_cell_exits_6(pipeline, tmp_path, capsys, column, cell)
     assert str(episode) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", ["p", "v", "d"])
+def test_corpus_label_off_its_replay_exits_6(pipeline, tmp_path, capsys, column):
+    cfg_path, out, _ = pipeline
+    alt = tmp_path / "bad_label"
+    for stage in ("worlds", "corpus"):
+        shutil.copytree(os.path.join(out, stage), alt / stage)
+    episode = alt / "corpus" / "episode_00000.csv"
+    lines = episode.read_text().splitlines()
+    at = lines[0].split(",").index(column)
+    cells = lines[1].split(",")
+    cells[at] = repr(float(cells[at]) + 50.0)
+    lines[1] = ",".join(cells)
+    episode.write_text("\n".join(lines) + "\n")
+    assert main(["train-il", "--config", cfg_path, "--out", str(alt)]) == 6
+    assert f"{episode}: line 2 has {column} " in capsys.readouterr().err
+
+
 def test_printed_reports_leave_no_file_open(pipeline, tmp_path, capsys):
     cfg_path, out, _ = pipeline
     alt = _stage_copy(out, tmp_path / "printed")
