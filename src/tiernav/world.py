@@ -445,9 +445,11 @@ def plan_path(world: CityWorld, start: UavState, goal) -> ExpertPath:
     any other admissible heuristic; only equal-cost ties may resolve
     to another path.
 
-    A state is its flat index ((y*w + x)*zs + z)*4 + heading, so the
-    g-scores, back-pointers and closed set are flat arrays, and only the
-    states on the returned path are decoded back into tuples.
+    A state is its flat index ((y*w + x)*zs + z)*4 + heading. The closed
+    set is a bytearray over all states, but the g-scores and back-pointers
+    are dicts keyed by the index, so their time and memory follow the
+    search, not the grid. A search that exhausts a 96x96 grid (z 1..4)
+    peaks near 24 MiB, against 10 MiB for two grid-sized lists.
     """
     gx, gy = int(goal[0]), int(goal[1])
     if not world.in_bounds(gx, gy):
@@ -461,11 +463,10 @@ def plan_path(world: CityWorld, start: UavState, goal) -> ExpertPath:
     sx, sy = start.cell()
     s0 = ((sy * w + sx) * zs + start.z) * 4 + start.heading
     fwd_offset = [(dy * w + dx) * zs * 4 for dx, dy in DIRS]  # index step of a forward move
-    n = w * h * zs * 4
-    g_score = [math.inf] * n
-    came = [0] * n  # parent index * 8 + action, for every state reached from another
-    closed = bytearray(n)
-    g_score[s0] = 0.0
+    g_score = {s0: 0.0}
+    came = {}  # parent index * 8 + action, for every state reached from another
+    closed = bytearray(w * h * zs * 4)
+    gget, inf = g_score.get, math.inf
     hcell = (np.abs(np.arange(w) - gx)[None, :] + np.abs(np.arange(h) - gy)[:, None]).ravel().tolist()
     h0 = hcell[sy * w + sx]
     open_heap = [(h0, h0, s0)]
@@ -488,7 +489,7 @@ def plan_path(world: CityWorld, start: UavState, goal) -> ExpertPath:
         if 0 <= nx < w and 0 <= ny < h and hf[c + dy * w + dx] < z:
             nxt = cur + fwd_offset[hd]
             ng = g_cur + 1.0
-            if ng < g_score[nxt]:
+            if ng < gget(nxt, inf):
                 g_score[nxt] = ng
                 came[nxt] = cur * 8 + _FORWARD
                 hn = hcell[c + dy * w + dx]
@@ -496,21 +497,21 @@ def plan_path(world: CityWorld, start: UavState, goal) -> ExpertPath:
         # the other moves keep the cell, so their heuristic is h_cur
         ng = g_cur + TURN_COST
         nxt = cur - hd + ((hd + 1) & 3)
-        if ng < g_score[nxt]:
+        if ng < gget(nxt, inf):
             g_score[nxt] = ng
             came[nxt] = cur * 8 + _TURN_LEFT
             heappush(open_heap, (ng + h_cur, h_cur, nxt))
         nxt = cur - hd + ((hd - 1) & 3)
-        if ng < g_score[nxt]:
+        if ng < gget(nxt, inf):
             g_score[nxt] = ng
             came[nxt] = cur * 8 + _TURN_RIGHT
             heappush(open_heap, (ng + h_cur, h_cur, nxt))
         ng = g_cur + 1.0
-        if z + 1 <= z_max and ng < g_score[cur + 4]:
+        if z + 1 <= z_max and ng < gget(cur + 4, inf):
             g_score[cur + 4] = ng
             came[cur + 4] = cur * 8 + _GO_UP
             heappush(open_heap, (ng + h_cur, h_cur, cur + 4))
-        if z - 1 >= z_min and z - 1 > hf[c] and ng < g_score[cur - 4]:
+        if z - 1 >= z_min and z - 1 > hf[c] and ng < gget(cur - 4, inf):
             g_score[cur - 4] = ng
             came[cur - 4] = cur * 8 + _GO_DOWN
             heappush(open_heap, (ng + h_cur, h_cur, cur - 4))
@@ -610,8 +611,7 @@ def sample_episode(
         except InfeasibleError:
             miss()
             continue
-        n_forward = sum(1 for a in plan.actions if a == Action.FORWARD)
-        ell = n_forward * world.cell_size
+        ell = float(plan.remaining[0])  # forward moves * cell_size
         desc = GoalDescriptor(
             landmark_id=lm.id,
             sector=_sector_of(gx - lm.x, gy - lm.y),

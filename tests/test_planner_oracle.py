@@ -1,8 +1,10 @@
-"""The flat-array A* against the dict/tuple planner it replaced, and
+"""The A* planner against the dict/tuple planner it replaced, and
 against a brute-force Dijkstra.
 
-oracle_plan_path below is the earlier dict/tuple plan_path, with its
-heuristic made an argument. Under the Manhattan heuristic that
+plan_path keys each state by its flat integer index and holds its
+g-scores and back-pointers in dicts sized by the search, with a flat
+closed set. oracle_plan_path below is the earlier dict/tuple plan_path,
+with its heuristic made an argument. Under the Manhattan heuristic that
 plan_path uses, the two must give bit-identical plans, tie-breaks
 included, because the corpus replay and the determinism contract rest
 on them. Under the Euclidean heuristic that plan_path used before, the
@@ -10,11 +12,13 @@ oracle is the old planner: its plans may take another path between
 equal-cost ties, but must keep the plan cost and the forward-move
 count, so shortest_path_length, max_steps and the SPL denominators do
 not move. dijkstra_cost checks optimality directly, with no heuristic
-and in exact integer cost units.
+and in exact integer cost units. A short plan on a large grid must not
+cost memory in proportion to the grid.
 """
 
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,3 +263,21 @@ def test_out_of_range_start_contract_error(start):
     # a flat state index would alias such a start onto another state
     with pytest.raises(ContractError):
         plan_path(walled_world(), start, (2, 2))
+
+
+def test_short_plan_on_large_grid_peak_below_one_grid_sized_list():
+    side, z_max = 256, 4
+    world = CityWorld(width=side, height=side, cell_size=5.0,
+                      height_field=np.zeros((side, side), dtype=np.int64),
+                      landmarks=[Landmark(0, "arch", 2, 2, 1)], z_min=1, z_max=z_max,
+                      cruise_z=2, r_base=4, r_gain=2, world_id="open")
+    start = UavState(127.0, 128.0, 2, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        path = plan_path(world, start, (128, 128))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert path.actions == [Action.FORWARD]
+    assert peak < side * side * (z_max + 1) * 4 * 8  # one list of 8-byte pointers, one per state
