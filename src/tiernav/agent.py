@@ -32,7 +32,7 @@ from .mapper import MapEncoder, NavMap, _pad_odd, encode_map, init_map, update_m
 from .teacher import EPS_WP, TRAJ_COLUMNS, advance_waypoint, episode_plan, extract_waypoints
 from .util import write_csv
 from .world import (BANDS, DIRS, TARGET_TAGS, Action, CityWorld, EpisodeSpec, Observation, UavState,
-                    compute_reward, render_observation, step)
+                    compute_reward, distance_to_goal, render_observation, step)
 
 
 def pose_features(state: UavState, width: int, height: int, z_max: int) -> np.ndarray:
@@ -530,7 +530,7 @@ def run_episode(
             if reward_cfg is not None:
                 r = compute_reward(s.state, nxt, s.episode.goal, s.world, reward_cfg,
                                    waypoint=rec.waypoint, stopped=s.stopped)
-            d = math.hypot(s.state.x - s.episode.goal[0], s.state.y - s.episode.goal[1]) * s.world.cell_size
+            d = distance_to_goal(s.state, s.episode.goal, s.world.cell_size)
             s.steps.append(TrajStep(
                 t=len(s.steps), state=s.state, action=int(action), k=rec.k, waypoint=rec.waypoint,
                 goal_hat=rec.goal_hat, progress_hat=rec.progress_hat, value_hat=rec.value_hat,

@@ -249,7 +249,7 @@ def cmd_train_rl(cfg, args) -> int:
     policy = _neural_policy(cfg, model)
     result = train_stage2(
         policy, seen, cfg.ppo_config(), cfg.reward_config(),
-        corpus=demos, seed=cfg["run.seed"],
+        corpus=demos, il_cfg=cfg.stage1_config(), seed=cfg["run.seed"],
         probe=_build_probe(cfg, unseen or seen, cfg["ppo.probe_episodes"]),
         probe_threshold_m=cfg["eval.threshold_m"], **_prior(cfg),
         checkpoint_dir=ckpt_dir, tier_brackets=cfg.tier_brackets(),
@@ -356,7 +356,8 @@ def cmd_sweep(cfg, args) -> int:
             model = _build_model(arm)
             load_policy_into(model, il_path)
             train_stage2(_neural_policy(arm, model), seen, arm.ppo_config(), arm.reward_config(),
-                         corpus=demos, seed=seed, **_prior(arm), tier_brackets=arm.tier_brackets())
+                         corpus=demos, il_cfg=arm.stage1_config(), seed=seed, **_prior(arm),
+                         tier_brackets=arm.tier_brackets())
             _, records = run_benchmark(
                 _neural_policy(arm, model), worlds, arm["eval.episodes_per_tier"], seeds=[0],
                 tiers=arm.tier_list("eval.tiers"), tier_brackets=arm.tier_brackets(),

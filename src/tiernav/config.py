@@ -136,7 +136,6 @@ SCHEMA: dict = {
     "ppo.max_updates": Entry("int", _P.max_updates, lo=0),
     "ppo.max_grad_norm": Entry("float", _P.max_grad_norm, lo=0.0, lo_open=True),
     "ppo.expert_batch": Entry("int", _P.expert_batch, lo=1),
-    "ppo.lambda_v": Entry("float", _P.lambda_v, lo=0.0),
     "ppo.tiers": Entry("str", ",".join(_P.tiers)),
     "ppo.probe_episodes": Entry("int", 12, lo=0, hi=10000),
     "ppo.probe_every": Entry("int", _P.probe_every, lo=1),

@@ -17,7 +17,7 @@ from .agent import Trajectory, run_episode, write_trajectory_log
 from .errors import ContractError
 from .teacher import TRAJ_COLUMNS
 from .util import substream, write_csv
-from .world import EpisodeSpec, sample_episode
+from .world import EpisodeSpec, distance_to_goal, sample_episode
 
 TIERS = ("easy", "medium", "hard")
 
@@ -62,7 +62,7 @@ def episode_metrics(traj: Trajectory, episode: EpisodeSpec, threshold_m: float =
     gx, gy = episode.goal
     pts = [(s.state.x, s.state.y) for s in traj.steps]
     pts.append((traj.final_state.x, traj.final_state.y))
-    ne = math.hypot(pts[-1][0] - gx, pts[-1][1] - gy) * cell_size
+    ne = distance_to_goal(traj.final_state, episode.goal, cell_size)
     closest = min(math.hypot(x - gx, y - gy) for x, y in pts) * cell_size
     path = sum(
         math.hypot(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])

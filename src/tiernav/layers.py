@@ -18,14 +18,17 @@ from .autodiff import Tensor
 class Module:
     """Base: recursively collects params and state from attributes."""
 
-    def children(self):
-        for attr in vars(self).values():
+    def _walk(self, prefix=""):
+        """Pre-order (dotted name prefix, module) over this module and every
+        Module held by an attribute or by a list or tuple attribute."""
+        yield prefix, self
+        for attr_name, attr in vars(self).items():
             if isinstance(attr, Module):
-                yield attr
+                yield from attr._walk(f"{prefix}{attr_name}.")
             elif isinstance(attr, (list, tuple)):
-                for item in attr:
+                for i, item in enumerate(attr):
                     if isinstance(item, Module):
-                        yield item
+                        yield from item._walk(f"{prefix}{attr_name}.{i}.")
 
     def _own_params(self):
         return []
@@ -33,38 +36,16 @@ class Module:
     def _own_state(self):
         return []
 
-    def named_params(self, prefix=""):
-        """Yields (name, tensor, decay) for every trainable array."""
-        out = []
-        for name, tensor, decay in self._own_params():
-            out.append((prefix + name, tensor, decay))
-        for attr_name, attr in vars(self).items():
-            if isinstance(attr, Module):
-                out.extend(attr.named_params(prefix + attr_name + "."))
-            elif isinstance(attr, (list, tuple)):
-                for i, item in enumerate(attr):
-                    if isinstance(item, Module):
-                        out.extend(item.named_params(f"{prefix}{attr_name}.{i}."))
-        return out
+    def named_params(self):
+        """(name, tensor, decay) for every trainable array."""
+        return [(prefix + name, t, decay) for prefix, m in self._walk() for name, t, decay in m._own_params()]
 
-    def named_state(self, prefix=""):
-        """Yields (name, array) for non-trained state (BN stats etc)."""
-        out = []
-        for name, arr in self._own_state():
-            out.append((prefix + name, arr))
-        for attr_name, attr in vars(self).items():
-            if isinstance(attr, Module):
-                out.extend(attr.named_state(prefix + attr_name + "."))
-            elif isinstance(attr, (list, tuple)):
-                for i, item in enumerate(attr):
-                    if isinstance(item, Module):
-                        out.extend(item.named_state(f"{prefix}{attr_name}.{i}."))
-        return out
+    def named_state(self):
+        """(name, array) for non-trained state (BN stats etc)."""
+        return [(prefix + name, arr) for prefix, m in self._walk() for name, arr in m._own_state()]
 
     def modules(self):
-        yield self
-        for child in self.children():
-            yield from child.modules()
+        return (m for _, m in self._walk())
 
     def zero_grad(self):
         for _, t, _ in self.named_params():

@@ -32,6 +32,7 @@ from .world import (
     Observation,
     UavState,
     compute_reward,
+    distance_to_goal,
     load_episodes,
     plan_path,
     render_observation,
@@ -154,7 +155,7 @@ def build_demonstration(world: CityWorld, episode: EpisodeSpec, reward_cfg, gamm
                 value=0.0,
                 reward=compute_reward(state, nxt, episode.goal, world, reward_cfg,
                                       waypoint=waypoints[k], stopped=terminal),
-                dist=math.hypot(state.x - episode.goal[0], state.y - episode.goal[1]) * world.cell_size,
+                dist=distance_to_goal(state, episode.goal, world.cell_size),
             )
         )
         state = nxt
@@ -336,7 +337,7 @@ def _replay_records(world, ep, rows, path, gamma, r_prior, use_prior) -> Demonst
             raise ContractError(f"{path}: line {n} logs a pose other than the replayed state "
                                 f"({state.x:g},{state.y:g},z{state.z},heading {state.heading})")
         _check_label(path, n, "p", row["p"], (n - 1) / len(rows))
-        _check_label(path, n, "d", row["d"], math.hypot(state.x - ep.goal[0], state.y - ep.goal[1]) * world.cell_size)
+        _check_label(path, n, "d", row["d"], distance_to_goal(state, ep.goal, world.cell_size))
         act = Action(int(row["action"]))
         k = int(row["k"])
         obs = render_observation(world, state)

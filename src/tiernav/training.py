@@ -1,9 +1,13 @@
 """Advantage estimation, the loss family, and the two-stage trainers
 (imitation, then clipped policy-gradient blending).
 
-Stage 1 regresses goal/progress/value/waypoint/action labels from
-teacher demonstrations; stage 2 runs PPO on collected rollouts while
-keeping an imitation term in the blend.
+One imitation loss serves both stages: imitation_loss regresses
+goal/progress/value/waypoint/action labels from teacher demonstrations.
+Stage 1 minimizes it alone; stage 2 runs PPO on collected rollouts and
+minimizes imitation_loss on a fresh expert batch plus lambda_rl times
+the PPO loss. PAPER.md does not define the stage-2 imitation term; this
+reading follows demonstration-augmented policy gradient (Rajeswaran et
+al., arXiv:1709.10087; Nair et al., arXiv:1709.10089).
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ class PPOConfig:
     max_grad_norm: float = 5.0
     tiers: tuple = ("easy", "medium")  # rollout episode tiers
     expert_batch: int = 32
-    lambda_v: float = 0.05  # same trunk cross-talk as stage 1
     probe_every: int = 1
     checkpoint_every: int = 0  # 0 writes no per-update checkpoints
 
@@ -139,17 +142,6 @@ def value_loss(value_pred, value_true):
     return ad.mse(vp, vt)
 
 
-def total_loss(l_il, l_v, l_rl, lambda_rl: float):
-    """Stage-2 blend: IL + value + lambda_rl-weighted RL."""
-    if not (0.0 <= lambda_rl <= 1.0):
-        raise ConfigError(f"lambda_rl must satisfy λ_RL ∈ [0,1], got {lambda_rl}")
-
-    def as_t(x):
-        return x if isinstance(x, Tensor) else Tensor(np.asarray(float(x)))
-
-    return ad.add(ad.add(as_t(l_il), as_t(l_v)), ad.scale(as_t(l_rl), lambda_rl))
-
-
 def ppo_minibatch_loss(lp_all, value, actions, lp_old, adv, targets, eps_clip: float,
                        value_weight: float, entropy_weight: float):
     """PPO loss of one minibatch: clipped surrogate, value MSE, entropy bonus.
@@ -172,9 +164,10 @@ def ppo_minibatch_loss(lp_all, value, actions, lp_old, adv, targets, eps_clip: f
 
 # ------------------------------------------------------------- curve files
 
-RL_CURVE_COLUMNS = ("update", "L_IL", "L_V", "L_RL", "L_total", "entropy",
+IMITATION_TERMS = ("L_IL", "L_V", "L_BC", "L_WP")  # imitation_loss's unweighted terms
+RL_CURVE_COLUMNS = ("update", *IMITATION_TERMS, "L_RL", "L_total", "entropy",
                     "clip_fraction", "mean_return", "probe_SR")
-IL_CURVE_COLUMNS = ("epoch", "L_IL", "L_V", "L_BC", "L_WP", "L_total")
+IL_CURVE_COLUMNS = ("epoch", *IMITATION_TERMS, "L_total")
 
 
 def write_curve(path, rows, columns):
@@ -304,6 +297,29 @@ def _stage1_forward(model, data: Stage1Data, idx, mode: str):
     return model.forward_heads(map_rows, data.poses[idx], data.ids[idx], data.patches[idx], data.wps[idx])
 
 
+def imitation_loss(model, data: Stage1Data, idx, cfg: Stage1Config):
+    """Teacher-forced imitation loss on demonstration rows idx, the one
+    loss of stage 1 and the expert term of stage 2:
+    L_IL + lambda_v*L_V + lambda_bc*L_BC + lambda_wp*L_WP, with goal and
+    progress regression, value regression, action cross-entropy and
+    waypoint regression.
+
+    Returns the loss and its four unweighted terms, keyed by their curve
+    column. The tape nodes are built in one fixed order (forward, the
+    four terms, blend), so both stages sum gradients the same way.
+    """
+    out = _stage1_forward(model, data, idx, "train")
+    l_il = il_loss(out.goal, data.goal[idx], out.progress, data.progress[idx])
+    l_v = value_loss(out.value, data.value[idx])
+    l_bc = ad.neg(ad.mean_all(ad.pick(ad.log_softmax(out.logits), data.actions[idx])))
+    l_wp = ad.mse(out.waypoint, Tensor(data.wstar[idx]))
+    loss = ad.add(
+        ad.add(l_il, ad.scale(l_v, cfg.lambda_v)),
+        ad.add(ad.scale(l_bc, cfg.lambda_bc), ad.scale(l_wp, cfg.lambda_wp)),
+    )
+    return loss, dict(zip(IMITATION_TERMS, (l_il, l_v, l_bc, l_wp)))
+
+
 @dataclass
 class Stage1Result:
     curve: list
@@ -314,10 +330,9 @@ class Stage1Result:
 
 
 def train_stage1(demos, model, cfg: Stage1Config) -> Stage1Result:
-    """Supervised pass over the corpus: goal/progress regression, value
-    regression, action cross-entropy, and waypoint regression, all
-    teacher-forced. A non-finite loss or gradient rolls the model back
-    to the end of the last clean epoch and aborts."""
+    """Supervised passes over the corpus minimizing imitation_loss. A
+    non-finite loss or gradient rolls the model back to the end of the
+    last clean epoch and aborts."""
     data = prepare_stage1_data(demos, model)
     opt = AdamW(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     mb = min(cfg.minibatch, data.n)
@@ -327,27 +342,16 @@ def train_stage1(demos, model, cfg: Stage1Config) -> Stage1Result:
     last_good = _snapshot(model)
     for epoch in range(cfg.epochs):
         perm = substream(cfg.seed, "stage1-shuffle", epoch).permutation(data.n)
-        acc = {"L_IL": 0.0, "L_V": 0.0, "L_BC": 0.0, "L_WP": 0.0, "L_total": 0.0}
+        acc = dict.fromkeys(IL_CURVE_COLUMNS[1:], 0.0)
         n_mb = 0
         failed = False
         for lo in range(0, data.n - mb + 1, mb):
-            idx = perm[lo : lo + mb]
-            out = _stage1_forward(model, data, idx, "train")
-            l_il = il_loss(out.goal, data.goal[idx], out.progress, data.progress[idx])
-            l_v = value_loss(out.value, data.value[idx])
-            l_bc = ad.neg(ad.mean_all(ad.pick(ad.log_softmax(out.logits), data.actions[idx])))
-            l_wp = ad.mse(out.waypoint, Tensor(data.wstar[idx]))
-            loss = ad.add(
-                ad.add(l_il, ad.scale(l_v, cfg.lambda_v)),
-                ad.add(ad.scale(l_bc, cfg.lambda_bc), ad.scale(l_wp, cfg.lambda_wp)),
-            )
+            loss, terms = imitation_loss(model, data, perm[lo : lo + mb], cfg)
             if not (np.isfinite(loss.item()) and _descend(model, loss, opt, cfg.max_grad_norm)):
                 failed = True
                 break
-            acc["L_IL"] += l_il.item()
-            acc["L_V"] += l_v.item()
-            acc["L_BC"] += l_bc.item()
-            acc["L_WP"] += l_wp.item()
+            for k, t in terms.items():
+                acc[k] += t.item()
             acc["L_total"] += loss.item()
             n_mb += 1
         if failed:
@@ -476,22 +480,23 @@ def ppo_update(model, rollout: Rollout, forward, cfg: PPOConfig, opt: AdamW, shu
 
     Advantages are normalized batch-wide; then each generator in shuffles
     gives one epoch's permutation, walked in minibatches that minimize
-    total_loss(L_IL, L_V, ppo_minibatch_loss). forward(model, rollout, idx)
-    returns the [B, A] action log-probs and [B, 1] values of rows idx.
-    expert, when given, is called after each minibatch's RL loss and
-    returns a fresh imitation batch's (L_IL, L_V); without it both are 0.
+    imitation_loss + lambda_rl * ppo_minibatch_loss. forward(model,
+    rollout, idx) returns the [B, A] action log-probs and [B, 1] values of
+    rows idx. expert, when given, is called after each minibatch's RL loss
+    and returns imitation_loss on a fresh expert batch; without it the
+    imitation loss and its terms are 0.
 
     A non-finite loss or ratio, a mean ratio of 100 or more, or a
     non-finite gradient stops the update. Returns (means, first_ratio):
-    the update's mean l_il, l_v, l_rl, entropy, ratio and clip_fraction,
-    or None when it blew up, and the first minibatch's mean ratio either
-    way.
+    the update's mean imitation terms, L_RL, entropy, ratio and
+    clip_fraction, or None when it blew up, and the first minibatch's
+    mean ratio either way.
     """
     adv, targets = compute_gae(rollout, cfg.gamma, cfg.lambda_gae)
     adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
     t_max = len(rollout)
     mb = min(cfg.minibatch, t_max)
-    sums = {"l_il": 0.0, "l_v": 0.0, "l_rl": 0.0, "entropy": 0.0, "ratio": 0.0}
+    sums = dict.fromkeys((*IMITATION_TERMS, "L_RL", "entropy", "ratio"), 0.0)
     clip_hits = 0
     n_samples = 0
     n_mb = 0
@@ -508,17 +513,17 @@ def ppo_update(model, rollout: Rollout, forward, cfg: PPOConfig, opt: AdamW, shu
             if n_mb == 0:
                 first_ratio = float(ratio.mean())
             if expert is not None:
-                l_il, l_v = expert()
+                l_im, terms = expert()
             else:
-                l_il = Tensor(np.zeros(()))
-                l_v = Tensor(np.zeros(()))
-            l_total = total_loss(l_il, l_v, l_rl, cfg.lambda_rl)
+                l_im = Tensor(np.zeros(()))
+                terms = dict.fromkeys(IMITATION_TERMS, l_im)
+            l_total = ad.add(l_im, ad.scale(l_rl, cfg.lambda_rl))
             if not (np.isfinite(l_total.item()) and np.all(np.isfinite(ratio)) and ratio.mean() < 100.0
                     and _descend(model, l_total, opt, cfg.max_grad_norm)):
                 return None, first_ratio
-            sums["l_il"] += l_il.item()
-            sums["l_v"] += l_v.item()
-            sums["l_rl"] += l_rl.item()
+            for k, t in terms.items():
+                sums[k] += t.item()
+            sums["L_RL"] += l_rl.item()
             sums["entropy"] += ent.item()
             sums["ratio"] += float(ratio.mean())
             clip_hits += int(np.sum(np.abs(ratio - 1.0) > cfg.eps_clip))
@@ -545,6 +550,7 @@ def train_stage2(
     ppo_cfg: PPOConfig,
     reward_cfg: RewardConfig,
     corpus=None,
+    il_cfg: Stage1Config | None = None,
     seed: int = 0,
     probe=None,
     probe_threshold_m: float = 20.0,
@@ -553,23 +559,26 @@ def train_stage2(
     checkpoint_dir=None,
     tier_brackets=None,
 ) -> Stage2Result:
-    """On-policy fine-tuning blended with imitation per total_loss. The
-    critic arrives warm: whatever the stage-1 value head learned is the
-    starting critic.
+    """On-policy fine-tuning blended with imitation. The critic arrives
+    warm: whatever the stage-1 value head learned is the starting critic.
 
     policy is a NeuralPolicy; it collects the rollouts and plays the
     probe, and its model is the one trained.
 
     Each update collects a fixed-size rollout and runs one ppo_update,
-    minimizing L_IL + L_V + lambda_rl * (policy + c_v*value - c_ent*entropy)
-    with the imitation terms drawn from fresh expert batches. An update
-    that blows up rolls back to the last clean update and halves the
-    learning rate once; the second blow-up aborts. The probe runs every
+    minimizing imitation_loss + lambda_rl * (policy + c_v*value -
+    c_ent*entropy). The imitation loss is stage 1's, weighted by il_cfg
+    (Stage1Config defaults when None), on a fresh expert batch from
+    corpus per minibatch; without a corpus it is 0. So lambda_rl = 0 is
+    continued imitation of every head. An update that blows up rolls
+    back to the last clean update and halves the learning rate once;
+    the second blow-up aborts. The probe runs every
     ppo_cfg.probe_every updates, and with ppo_cfg.checkpoint_every > 0
     every that many updates a checkpoint goes to checkpoint_dir.
     """
     ppo_cfg.validate()
     reward_cfg.validate()
+    il_cfg = il_cfg or Stage1Config()
     model = policy.model
     opt = AdamW(model.named_params(), lr=ppo_cfg.lr)
     expert = None
@@ -579,9 +588,7 @@ def train_stage2(
 
         def expert():
             eidx = rng_exp.integers(0, data.n, size=min(ppo_cfg.expert_batch, data.n))
-            eout = _stage1_forward(model, data, eidx, "train")
-            return (il_loss(eout.goal, data.goal[eidx], eout.progress, data.progress[eidx]),
-                    ad.scale(value_loss(eout.value, data.value[eidx]), ppo_cfg.lambda_v))
+            return imitation_loss(model, data, eidx, il_cfg)
 
     curve = []
     aborted = False
@@ -614,12 +621,9 @@ def train_stage2(
                                           use_prior=use_prior, r_prior=r_prior)
         curve.append({
             "update": u,
-            "L_IL": means["l_il"],
-            "L_V": means["l_v"],
-            "L_RL": means["l_rl"],
-            "L_total": means["l_il"] + means["l_v"] + ppo_cfg.lambda_rl * means["l_rl"],
-            "entropy": means["entropy"],
-            "clip_fraction": means["clip_fraction"],
+            **{k: means[k] for k in (*IMITATION_TERMS, "L_RL", "entropy", "clip_fraction")},
+            "L_total": (means["L_IL"] + il_cfg.lambda_v * means["L_V"] + il_cfg.lambda_bc * means["L_BC"]
+                        + il_cfg.lambda_wp * means["L_WP"] + ppo_cfg.lambda_rl * means["L_RL"]),
             "mean_return": float(np.mean(rollout.episode_returns)) if rollout.episode_returns else math.nan,
             "probe_SR": probe_sr,
         })

@@ -61,10 +61,11 @@ def test_unknown_key_named(tmp_path):
 
 @pytest.mark.parametrize("via", ["file", "set"])
 @pytest.mark.parametrize("key", ["ppo.flat", "ppo.use_prior", "ppo.r_prior",
-                                 "eval.flat", "eval.use_prior", "eval.r_prior"])
+                                 "eval.flat", "eval.use_prior", "eval.r_prior", "ppo.lambda_v"])
 def test_stage_copies_of_model_keys_exit_2(tmp_path, capsys, key, via):
-    # one model.* key each replaced these: a config that still sets one is refused
-    value = "12.0" if key.endswith("r_prior") else "true"
+    # a removed key is refused: one model.* key each replaced the stage
+    # copies, and stage 2 weighs its value term by il.lambda_v
+    value = "true" if key.endswith(("flat", "use_prior")) else "0.05"
     if via == "file":
         argv = ["--config", _write(tmp_path, f"{key} = {value}\n")]
     else:

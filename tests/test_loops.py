@@ -434,10 +434,29 @@ def test_stage2_lambda_zero_keeps_rl_out_of_total(world, corpus, reward_cfg):
     model = fresh_model(world, seed=9)
     cfg = PPOConfig(rollout_steps=64, max_updates=1, minibatch=32,
                     epochs_per_update=1, lambda_rl=0.0, tiers=("easy",))
-    res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus,
+    il = Stage1Config(lambda_v=0.25, lambda_bc=0.5, lambda_wp=2.0)
+    res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus, il_cfg=il,
                        seed=9)
     row = res.curve[0]
-    assert row["L_total"] == row["L_IL"] + row["L_V"]
+    assert row["L_total"] == (row["L_IL"] + il.lambda_v * row["L_V"] + il.lambda_bc * row["L_BC"]
+                              + il.lambda_wp * row["L_WP"])
+
+
+def test_stage2_lambda_zero_trains_every_head(world, corpus, reward_cfg):
+    # at lambda_rl = 0 stage 2 is continued imitation: the expert batch's
+    # action and waypoint terms reach the heads that only they train
+    model = fresh_model(world, seed=10)
+    before = params_of(model)
+    cfg = PPOConfig(rollout_steps=32, max_updates=1, minibatch=32,
+                    epochs_per_update=1, lambda_rl=0.0, tiers=("easy",))
+    res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus, seed=10)
+    assert res.updates_run == 1
+    after = params_of(model)
+    for head in ("action_head.", "micro_fc.", "waypoint_head."):
+        names = [k for k in before if k.startswith(head)]
+        assert names, head
+        for k in names:
+            assert not np.array_equal(before[k], after[k]), k
 
 
 def test_stage2_deterministic(world, corpus, reward_cfg):
@@ -513,9 +532,9 @@ def test_probe_success_rate_teacherlike(world):
 
 def test_write_curve_byte_identical(tmp_path):
     rows = [
-        {"update": 0, "L_IL": 1.25, "L_V": 3.0, "L_RL": -0.5, "L_total": 4.15,
+        {"update": 0, "L_IL": 1.25, "L_V": 3.0, "L_BC": 1.5, "L_WP": 0.125, "L_RL": -0.5, "L_total": 4.15,
          "entropy": 1.7, "clip_fraction": 0.0, "mean_return": 12.5, "probe_SR": math.nan},
-        {"update": 1, "L_IL": 1.0, "L_V": 2.0, "L_RL": -0.25, "L_total": 2.95,
+        {"update": 1, "L_IL": 1.0, "L_V": 2.0, "L_BC": 1.25, "L_WP": 0.0625, "L_RL": -0.25, "L_total": 2.95,
          "entropy": 1.6, "clip_fraction": 0.125, "mean_return": 14.0, "probe_SR": 0.5},
     ]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

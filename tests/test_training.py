@@ -14,7 +14,6 @@ from tiernav.training import (
     compute_gae,
     il_loss,
     ppo_clip_objective,
-    total_loss,
     value_loss,
 )
 from tiernav.world import RewardConfig, UavState, _wrapped_angle, compute_reward
@@ -309,23 +308,6 @@ def test_value_loss_cases_and_grad():
     vt = np.array([0.0, 0.0, 0.0, 0.0])
     ad.backward(value_loss(vp, vt))
     np.testing.assert_allclose(vp.grad, 2.0 * vp.data / 4.0, atol=1e-12)
-
-
-def test_total_loss_cases():
-    assert total_loss(1.0, 0.5, 2.0, 0.2).data == pytest.approx(1.9, abs=1e-15)
-    assert total_loss(1.0, 0.5, 2.0, 0.0).data == pytest.approx(1.5, abs=1e-15)
-
-
-def test_total_loss_linear_in_rl_term():
-    lam = 0.35
-    a = total_loss(0.7, 0.2, 3.0, lam).data
-    b = total_loss(0.7, 0.2, 1.0, lam).data
-    assert (a - b) == pytest.approx(lam * 2.0, abs=1e-12)
-
-
-def test_total_loss_range_error():
-    with pytest.raises(ConfigError, match=r"λ_RL ∈ \[0,1\]"):
-        total_loss(1.0, 1.0, 1.0, 1.5)
 
 
 def test_ppo_config_validation():
