@@ -29,8 +29,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ContractError
 from .layers import BatchNorm2d, Conv2d, Embedding, Linear, Module
 from .mapper import MapEncoder, NavMap, _pad_odd, encode_map, init_map, update_map
-from .teacher import EPS_WP, TRAJ_COLUMNS, advance_waypoint, episode_plan, extract_waypoints
-from .util import write_csv
+from .teacher import EPS_WP, advance_waypoint, episode_plan, extract_waypoints, traj_row
 from .world import (BANDS, DIRS, TARGET_TAGS, Action, CityWorld, EpisodeSpec, Observation, UavState,
                     compute_reward, distance_to_goal, render_observation, step)
 
@@ -459,9 +458,8 @@ class TrajStep:
 
     def log_row(self) -> list:
         """The step's TRAJ_COLUMNS cells, the one row format of every trajectory log."""
-        return [self.t, self.state.x, self.state.y, self.state.z, self.state.theta, self.action, self.k,
-                self.waypoint[0], self.waypoint[1], self.goal_hat[0], self.goal_hat[1],
-                self.progress_hat, self.value_hat, self.reward, self.dist]
+        return traj_row(self.t, self.state, self.action, self.k, self.waypoint, self.goal_hat,
+                        self.progress_hat, self.value_hat, self.reward, self.dist)
 
 
 @dataclass
@@ -549,13 +547,6 @@ def run_episode(
             else:
                 running.append(s)
         live = running
-
-
-# --------------------------------------------------------------- trajectory IO
-
-
-def write_trajectory_log(path, traj: Trajectory):
-    write_csv(path, TRAJ_COLUMNS, (s.log_row() for s in traj.steps))
 
 
 # ----------------------------------------------------------- policy checkpoint

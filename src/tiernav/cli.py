@@ -50,7 +50,6 @@ from .evaluation import (
     render_table,
     run_benchmark,
     write_benchmark_csv,
-    write_episode_trajectories,
     write_step_log,
 )
 from .teacher import build_dataset, load_corpus, read_trajectory_log, save_corpus
@@ -73,9 +72,14 @@ def _run_root(cfg, args) -> str:
     return args.out if args.out else cfg["run.out"]
 
 
+def _finished(run_dir: str) -> bool:
+    """A run directory is complete once it holds manifest.json, which is written last."""
+    return os.path.isfile(os.path.join(run_dir, "manifest.json"))
+
+
 def _begin_run(cfg, args, name: str) -> str:
     final = os.path.join(_run_root(cfg, args), name)
-    if os.path.exists(os.path.join(final, "manifest.json")) and not args.force:
+    if _finished(final) and not args.force:
         raise ConfigError(f"run directory {final} already exists; pass --force to replace it")
     d = final + ".partial"
     if os.path.exists(d):
@@ -85,15 +89,17 @@ def _begin_run(cfg, args, name: str) -> str:
     return d
 
 
-def _finish_run(run_dir: str, command: str, cfg, started: str, files) -> str:
-    """Write manifest.json last, then rename the partial run over the old one."""
+def _finish_run(run_dir: str, command: str, cfg, started: str) -> str:
+    """Write manifest.json last, naming every other file of the run, then rename
+    the partial run over the old one."""
+    files = (os.path.relpath(os.path.join(d, name), run_dir) for d, _, names in os.walk(run_dir) for name in names)
     manifest = {
         "command": command,
         "config_hash": cfg.hash(),
         "version": __version__,
         "started": started,
         "ended": _now(),
-        "files": sorted(set(list(files) + ["config.txt"])),
+        "files": sorted(f for f in files if f != "manifest.json"),
     }
     atomic_write(os.path.join(run_dir, "manifest.json"),
                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -107,7 +113,7 @@ def _finish_run(run_dir: str, command: str, cfg, started: str, files) -> str:
 def _stage_dir(cfg, args, stage: str, producer: str) -> str:
     """The finished run directory of a prerequisite stage: one with its manifest.json."""
     d = os.path.join(_run_root(cfg, args), stage)
-    if not os.path.isfile(os.path.join(d, "manifest.json")):
+    if not _finished(d):
         raise MissingPrerequisiteError(
             f"{d} is missing or incomplete (no manifest.json): this command requires "
             f"{producer} output; run 'tiernav {producer}' first"
@@ -162,16 +168,13 @@ def cmd_gen_worlds(cfg, args) -> int:
     started = _now()
     run_dir = _begin_run(cfg, args, "worlds")
     wc = cfg.world_config()
-    files = []
-    for split, count in (("seen", cfg["world.n_seen"]), ("unseen", cfg["world.n_unseen"])):
+    counts = {"seen": cfg["world.n_seen"], "unseen": cfg["world.n_unseen"]}
+    for split, count in counts.items():
         for i in range(count):
             seed = int(substream(cfg["run.seed"], "worldgen", split, i).integers(2**31))
-            world = generate_world(seed, wc)
-            name = f"{split}_{i:02d}.txt"
-            save_world(world, os.path.join(run_dir, name))
-            files.append(name)
-    run_dir = _finish_run(run_dir, "gen-worlds", cfg, started, files)
-    print(f"gen-worlds: {len(files)} worlds -> {run_dir}")
+            save_world(generate_world(seed, wc), os.path.join(run_dir, f"{split}_{i:02d}.txt"))
+    run_dir = _finish_run(run_dir, "gen-worlds", cfg, started)
+    print(f"gen-worlds: {sum(counts.values())} worlds -> {run_dir}")
     return 0
 
 
@@ -185,9 +188,7 @@ def cmd_build_corpus(cfg, args) -> int:
         tier_brackets=cfg.tier_brackets(),
     )
     save_corpus(run_dir, demos, manifest)
-    files = sorted(os.path.basename(p) for p in glob.glob(os.path.join(run_dir, "*"))
-                   if not p.endswith("config.txt"))
-    run_dir = _finish_run(run_dir, "build-corpus", cfg, started, files)
+    run_dir = _finish_run(run_dir, "build-corpus", cfg, started)
     print(f"build-corpus: {len(demos)} demonstrations -> {run_dir}")
     return 0
 
@@ -217,7 +218,7 @@ def cmd_train_il(cfg, args) -> int:
     run_dir = _begin_run(cfg, args, "il")
     result = _train_il(cfg, demos, os.path.join(run_dir, "policy_il.ckpt"))
     write_curve(os.path.join(run_dir, "curve_il.csv"), result.curve, IL_CURVE_COLUMNS)
-    run_dir = _finish_run(run_dir, "train-il", cfg, started, ["curve_il.csv", "policy_il.ckpt"])
+    run_dir = _finish_run(run_dir, "train-il", cfg, started)
     if result.aborted:
         raise NumericsError("stage-1 training aborted on a non-finite loss; "
                             "last clean parameters were kept")
@@ -245,23 +246,19 @@ def cmd_train_rl(cfg, args) -> int:
     demos, seen = _load_demos(cfg, args)
     unseen = _load_worlds(cfg, args, "unseen")
     run_dir = _begin_run(cfg, args, "rl")
-    ckpt_dir = os.path.join(run_dir, "checkpoints")
     policy = _neural_policy(cfg, model)
     result = train_stage2(
         policy, seen, cfg.ppo_config(), cfg.reward_config(),
         corpus=demos, il_cfg=cfg.stage1_config(), seed=cfg["run.seed"],
         probe=_build_probe(cfg, unseen or seen, cfg["ppo.probe_episodes"]),
         probe_threshold_m=cfg["eval.threshold_m"], **_prior(cfg),
-        checkpoint_dir=ckpt_dir, tier_brackets=cfg.tier_brackets(),
+        checkpoint_dir=os.path.join(run_dir, "checkpoints"), tier_brackets=cfg.tier_brackets(),
     )
     write_curve(os.path.join(run_dir, "curve_rl.csv"), result.curve, RL_CURVE_COLUMNS)
     save_policy(os.path.join(run_dir, "policy_rl.ckpt"), model,
                 meta={"stage": "rl", "config_hash": cfg.hash(),
                       "updates_run": str(result.updates_run)})
-    files = ["curve_rl.csv", "policy_rl.ckpt"]
-    files += [os.path.join("checkpoints", os.path.basename(p))
-              for p in glob.glob(os.path.join(ckpt_dir, "*"))]
-    run_dir = _finish_run(run_dir, "train-rl", cfg, started, files)
+    run_dir = _finish_run(run_dir, "train-rl", cfg, started)
     if result.aborted:
         raise NumericsError("stage-2 training aborted after repeated ratio blow-ups; "
                             "last clean parameters were kept")
@@ -302,13 +299,7 @@ def cmd_eval(cfg, args) -> int:
     write_benchmark_csv(os.path.join(run_dir, "report.csv"), report)
     atomic_write(os.path.join(run_dir, "report.txt"), text)
     write_step_log(os.path.join(run_dir, "steps.csv"), records)
-    files = ["report.csv", "report.txt", "steps.csv"]
-    if cfg["eval.write_trajectories"]:
-        traj_dir = os.path.join(run_dir, "trajectories")
-        write_episode_trajectories(traj_dir, records)
-        files += [os.path.join("trajectories", os.path.basename(p))
-                  for p in glob.glob(os.path.join(traj_dir, "*.csv"))]
-    _finish_run(run_dir, "eval", cfg, started, files)
+    _finish_run(run_dir, "eval", cfg, started)
     sys.stdout.write(text)
     return 0
 
@@ -342,14 +333,13 @@ def cmd_sweep(cfg, args) -> int:
     seeds = list(cfg["sweep.seeds"])
     arms = _sweep_arms(cfg, axis)
     run_dir = _begin_run(cfg, args, f"sweep-{axis}")
-    files, results = [], {}  # (arm, seed) -> that run's episode results
+    results = {}  # (arm, seed) -> that run's episode results
     for name, overrides in arms:
         arm = parse_config(args.config, [*args.set, *overrides])
         demos, seen = _load_demos(arm, args)
         il_path = shared_il
         if _prior(arm) != _prior(cfg):
-            files.append(f"policy_il_{name}.ckpt")
-            il_path = os.path.join(run_dir, files[-1])
+            il_path = os.path.join(run_dir, f"policy_il_{name}.ckpt")
             if _train_il(arm, demos, il_path).aborted:
                 raise NumericsError(f"stage-1 training of sweep arm {name!r} aborted on a non-finite loss")
         for seed in seeds:
@@ -378,7 +368,7 @@ def cmd_sweep(cfg, args) -> int:
                      f"dSR {math.fsum(deltas) / len(deltas):+6.2f} [{per_seed}]")
     text = "\n".join(lines) + "\n"
     atomic_write(os.path.join(run_dir, "summary.txt"), text)
-    _finish_run(run_dir, f"sweep-{axis}", cfg, started, files + ["sweep.csv", "summary.txt"])
+    _finish_run(run_dir, f"sweep-{axis}", cfg, started)
     sys.stdout.write(text)
     return 0
 
@@ -386,27 +376,25 @@ def cmd_sweep(cfg, args) -> int:
 # ------------------------------------------------------------------- replay
 
 
-def render_replay(rows, header, threshold_m: float) -> str:
-    """Step-by-step account of a trajectory log, waypoint events marked."""
-    has_goal = "g_x" in header and "g_y" in header
-    out = []
-    events = []
-    prev_k = None
+def render_replay(name: str, rows, threshold_m: float) -> str:
+    """Step-by-step account of one logged episode, waypoint events marked.
+
+    The lines that relate a waypoint to the goal read the logged goal
+    estimate g_hat (the goal itself in a corpus episode), and appear
+    only where it is finite.
+    """
+    out = [f"== episode {name}"]
+    events = []  # (k, waypoint-to-g_hat distance in cells, nan without a finite g_hat)
     for row in rows:
         k = int(row["k"])
-        if prev_k is None or k != prev_k:
-            wp = (row["w_x"], row["w_y"])
-            if has_goal:
-                d_wp = math.hypot(wp[0] - row["g_x"], wp[1] - row["g_y"])
-                tail = f" waypoint->goal {d_wp:.2f} cells"
-            else:
-                tail = ""
-            events.append((k, wp, row.get("g_x"), row.get("g_y")))
-            out.append(f"== waypoint k={k} -> ({wp[0]:.2f}, {wp[1]:.2f}){tail}")
-            prev_k = k
-        name = Action(int(row["action"])).name
+        if not events or k != events[-1][0]:
+            d_goal = math.hypot(row["w_x"] - row["g_hat_x"], row["w_y"] - row["g_hat_y"])
+            tail = f" waypoint->g_hat {d_goal:.2f} cells" if math.isfinite(d_goal) else ""
+            events.append((k, d_goal))
+            out.append(f"== waypoint k={k} -> ({row['w_x']:.2f}, {row['w_y']:.2f}){tail}")
+        action = Action(int(row["action"])).name
         out.append(
-            f"t={int(row['t']):4d} {name:<10} pos=({row['x']:.2f}, {row['y']:.2f}, z={int(row['z'])})"
+            f"t={int(row['t']):4d} {action:<10} pos=({row['x']:.2f}, {row['y']:.2f}, z={int(row['z'])})"
             f" dist={row['d']:.2f} m"
         )
     last = rows[-1]
@@ -414,10 +402,9 @@ def render_replay(rows, header, threshold_m: float) -> str:
     verdict = "SUCCESS" if stopped and last["d"] <= threshold_m else "FAILURE"
     out.append(f"-- {len(events)} waypoint events, final distance {last['d']:.2f} m, "
                f"threshold {threshold_m} m: {verdict}")
-    if has_goal and events:
-        k, wp, gx, gy = events[-1]
-        d_wp = math.hypot(wp[0] - gx, wp[1] - gy)
-        out.append(f"-- last waypoint k={k} is {d_wp:.2f} cells from the goal")
+    k, d_goal = events[-1]
+    if math.isfinite(d_goal):
+        out.append(f"-- last waypoint k={k} is {d_goal:.2f} cells from g_hat")
     return "\n".join(out) + "\n"
 
 
@@ -425,14 +412,14 @@ def cmd_replay(cfg, args) -> int:
     started = _now()
     if not os.path.isfile(args.log):
         raise MissingPrerequisiteError(
-            f"{args.log} not found: replay requires a trajectory log; produce one with "
-            "'tiernav eval' (eval.write_trajectories=true) or point --log at a corpus episode file"
+            f"{args.log} not found: replay requires a trajectory log, an eval steps.csv "
+            "or a corpus episode file"
         )
-    rows, header = read_trajectory_log(args.log)
-    text = render_replay(rows, header, cfg["eval.threshold_m"])
+    _, episodes = read_trajectory_log(args.log)
+    text = "".join(render_replay(name, rows, cfg["eval.threshold_m"]) for name, rows in episodes.items())
     run_dir = _begin_run(cfg, args, "replay")
     atomic_write(os.path.join(run_dir, "replay.txt"), text)
-    _finish_run(run_dir, "replay", cfg, started, ["replay.txt"])
+    _finish_run(run_dir, "replay", cfg, started)
     sys.stdout.write(text)
     return 0
 
@@ -466,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--axis", default="lambda_rl", choices=("lambda_rl", "prior", "controller"))
     sp = sub.add_parser("replay", help="render a trajectory log step by step")
     common(sp)
-    sp.add_argument("--log", required=True, help="trajectory CSV to replay")
+    sp.add_argument("--log", required=True, help="eval steps.csv or corpus episode file to replay")
     return p
 
 

@@ -146,7 +146,6 @@ SCHEMA: dict = {
     "eval.seeds": Entry("ints", (0, 1, 2), lo=0),
     "eval.tiers": Entry("str", "easy,medium,hard"),
     "eval.mode": Entry("str", "greedy", choices=("greedy", "sample")),
-    "eval.write_trajectories": Entry("bool", False),
     # ablation sweeps
     "sweep.lambdas": Entry("floats", (0.0, 0.1, 0.2, 0.3), lo=0.0, hi=1.0),
     "sweep.seeds": Entry("ints", (0, 1, 2), lo=0),

@@ -10,12 +10,11 @@ cell values are independent of episode order.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
-from .agent import Trajectory, run_episode, write_trajectory_log
+from .agent import Trajectory, run_episode
 from .errors import ContractError
-from .teacher import TRAJ_COLUMNS
+from .teacher import STEP_LOG_COLUMNS
 from .util import substream, write_csv
 from .world import EpisodeSpec, distance_to_goal, sample_episode
 
@@ -220,18 +219,8 @@ def render_table(report: BenchmarkReport) -> str:
     return "\n".join(rows) + "\n"
 
 
-STEP_LOG_COLUMNS = ("split", "tier", "seed", "episode") + TRAJ_COLUMNS
-
-
 def write_step_log(path, records):
     """All benchmark trajectories, one row per step, log schema columns."""
     write_csv(path, STEP_LOG_COLUMNS,
               ([rec.split, rec.tier, rec.seed, rec.index] + s.log_row()
                for rec in records for s in rec.traj.steps))
-
-
-def write_episode_trajectories(out_dir, records):
-    os.makedirs(out_dir, exist_ok=True)
-    for rec in records:
-        name = f"{rec.split}_{rec.tier}_s{rec.seed}_{rec.index:03d}.csv"
-        write_trajectory_log(os.path.join(out_dir, name), rec.traj)

@@ -47,10 +47,6 @@ class Module:
     def modules(self):
         return (m for _, m in self._walk())
 
-    def zero_grad(self):
-        for _, t, _ in self.named_params():
-            t.grad = None
-
 
 def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)

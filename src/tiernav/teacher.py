@@ -1,4 +1,4 @@
-"""Expert demonstrator.
+"""Expert demonstrator, and the one trajectory-log format.
 
 extract_waypoints turns a teacher plan (world.plan_path) into corner
 and landmark-anchored waypoints, spacing-capped, goal last.
@@ -7,6 +7,12 @@ step: expert action, waypoint, progress, reward, and exact discounted
 value. It renders nothing and builds no map. load_corpus replays a
 saved corpus and is the one place that adds observations and map
 snapshots to a demonstration.
+
+Every trajectory file holds TRAJ_COLUMNS rows (traj_row). A corpus
+episode is the teacher's trajectory log: its g_hat is the goal, p_hat
+the progress label and v_hat the value label. An eval step log prefixes
+each row with the episode's split, tier, seed and index
+(STEP_LOG_COLUMNS). read_trajectory_log reads both.
 
 An episode is planned once: sample_episode keeps the plan it verified
 reachability with on EpisodeSpec.plan, and build_demonstration and
@@ -202,48 +208,49 @@ def build_dataset(worlds, n_episodes: int, tiers, master_seed: int, reward_cfg, 
 
 TRAJ_COLUMNS = ("t", "x", "y", "z", "theta", "action", "k", "w_x", "w_y",
                 "g_hat_x", "g_hat_y", "p_hat", "v_hat", "r", "d")
-LABEL_COLUMNS = ("expert_action", "wstar_x", "wstar_y", "p", "v", "g_x", "g_y")
+STEP_LOG_COLUMNS = ("split", "tier", "seed", "episode") + TRAJ_COLUMNS
+
+
+def traj_row(t, state: UavState, action, k, waypoint, g_hat, p_hat, v_hat, r, d) -> list:
+    """The TRAJ_COLUMNS cells of one step."""
+    return [t, state.x, state.y, state.z, state.theta, action, k, waypoint[0], waypoint[1],
+            g_hat[0], g_hat[1], p_hat, v_hat, r, d]
 
 
 def read_trajectory_log(path):
-    """(rows, header) of a trajectory log; each row maps column -> float.
+    """(header, episodes) of a trajectory log; episodes maps name -> rows, in file order.
 
-    Any header that starts with TRAJ_COLUMNS is accepted, so corpus
-    episode files, which append label columns, read too. An empty file,
-    a log without steps, a foreign header, a row of another width than
-    the header, a non-numeric cell, an action that is no Action code or
-    a waypoint index k that is not a non-negative integer raises
+    A corpus episode (header TRAJ_COLUMNS) is one episode named by its
+    file name. An eval step log (header STEP_LOG_COLUMNS) holds many,
+    each named split/tier/s<seed>/<episode>. Each row maps column ->
+    float, except split and tier, which stay text. An empty file, a log
+    without steps, any other header, a row of another width than the
+    header, a non-numeric cell, an action that is no Action code or a
+    waypoint index k that is not a non-negative integer raises
     ContractError.
     """
     lines = read_text(path).splitlines()
     if len(lines) < 2:
         raise ContractError(f"{path}: empty trajectory log (no header or no steps)")
     header = tuple(lines[0].split(","))
-    if header[: len(TRAJ_COLUMNS)] != TRAJ_COLUMNS:
+    if header not in (TRAJ_COLUMNS, STEP_LOG_COLUMNS):
         raise ContractError(f"{path}: not a trajectory log (header {header[:4]}...)")
-    rows = []
+    episodes = {}
     for n, line in enumerate(lines[1:], start=2):
         vals = line.split(",")
         if len(vals) != len(header):
             raise ContractError(f"{path}: line {n} has {len(vals)} cells but the header has {len(header)}")
         try:
-            row = {name: float(v) for name, v in zip(header, vals)}
+            row = {name: v if name in ("split", "tier") else float(v) for name, v in zip(header, vals)}
         except ValueError:
             raise ContractError(f"{path}: line {n} has a non-numeric cell") from None
         if not (row["action"].is_integer() and 0 <= row["action"] < len(Action)):
             raise ContractError(f"{path}: line {n} has action {row['action']:g}, not an Action code")
         if not (row["k"].is_integer() and row["k"] >= 0):
             raise ContractError(f"{path}: line {n} has waypoint index k={row['k']:g}")
-        rows.append(row)
-    return rows, header
-
-
-def _corpus_row(t: int, s: DemoStep, goal) -> list:
-    """One TRAJ_COLUMNS + LABEL_COLUMNS row; the teacher has no head outputs."""
-    return [t, s.state.x, s.state.y, s.state.z, s.state.theta, s.expert_action, s.k,
-            s.waypoint[0], s.waypoint[1], 0.0, 0.0, 0.0, 0.0, s.reward, s.dist,
-            s.expert_action, s.waypoint[0], s.waypoint[1], s.progress, s.value,
-            goal[0], goal[1]]
+        name = os.path.basename(path) if header == TRAJ_COLUMNS else "{}/{}/s{}/{}".format(*vals[:4])
+        episodes.setdefault(name, []).append(row)
+    return header, episodes
 
 
 def save_corpus(corpus_dir, demos, manifest: dict):
@@ -251,8 +258,9 @@ def save_corpus(corpus_dir, demos, manifest: dict):
     os.makedirs(corpus_dir, exist_ok=True)
     save_episodes([demo.episode for demo in demos], os.path.join(corpus_dir, "episodes.jsonl"))
     for i, demo in enumerate(demos):
-        write_csv(os.path.join(corpus_dir, f"episode_{i:05d}.csv"), TRAJ_COLUMNS + LABEL_COLUMNS,
-                  (_corpus_row(t, s, demo.episode.goal) for t, s in enumerate(demo.steps)))
+        write_csv(os.path.join(corpus_dir, f"episode_{i:05d}.csv"), TRAJ_COLUMNS,
+                  (traj_row(t, s.state, s.expert_action, s.k, s.waypoint, demo.episode.goal,
+                            s.progress, s.value, s.reward, s.dist) for t, s in enumerate(demo.steps)))
     lines = [
         "tiernav-corpus 1",
         f"master_seed {manifest['master_seed']}",
@@ -298,9 +306,10 @@ def load_corpus(corpus_dir, worlds_by_id, r_prior: float = 12.0, use_prior: bool
     The replay renders each step's observation and keeps a snapshot of
     the belief map, built with this landmark prior, whenever the
     waypoint index changes. A row whose logged pose is not the replayed
-    state, or whose progress p, distance d or value v is not the one the
-    replay recomputes, raises ContractError naming the file and line.
-    The cells are repr floats, so the recomputed labels match exactly.
+    state, or whose progress label p_hat, distance d or value label
+    v_hat is not the one the replay recomputes, raises ContractError
+    naming the file and line. The cells are repr floats, so the
+    recomputed labels match exactly.
     """
     manifest = load_manifest(corpus_dir)
     if "gamma" not in manifest:
@@ -315,9 +324,10 @@ def load_corpus(corpus_dir, worlds_by_id, r_prior: float = 12.0, use_prior: bool
         if world is None:
             raise ContractError(f"corpus references unknown world {ep.world_id}")
         path = os.path.join(corpus_dir, f"episode_{i:05d}.csv")
-        rows, header = read_trajectory_log(path)
-        if header != TRAJ_COLUMNS + LABEL_COLUMNS:
-            raise ContractError(f"{path}: not a corpus episode (no label columns)")
+        header, episodes = read_trajectory_log(path)
+        if header != TRAJ_COLUMNS:
+            raise ContractError(f"{path}: not a corpus episode (header {header[:4]}...)")
+        (rows,) = episodes.values()
         demos.append(_replay_records(world, ep, rows, path, manifest["gamma"], r_prior, use_prior))
     return demos, manifest
 
@@ -336,7 +346,7 @@ def _replay_records(world, ep, rows, path, gamma, r_prior, use_prior) -> Demonst
         if (row["x"], row["y"], row["z"], row["theta"]) != (state.x, state.y, state.z, state.theta):
             raise ContractError(f"{path}: line {n} logs a pose other than the replayed state "
                                 f"({state.x:g},{state.y:g},z{state.z},heading {state.heading})")
-        _check_label(path, n, "p", row["p"], (n - 1) / len(rows))
+        _check_label(path, n, "p_hat", row["p_hat"], (n - 1) / len(rows))
         _check_label(path, n, "d", row["d"], distance_to_goal(state, ep.goal, world.cell_size))
         act = Action(int(row["action"]))
         k = int(row["k"])
@@ -351,10 +361,10 @@ def _replay_records(world, ep, rows, path, gamma, r_prior, use_prior) -> Demonst
             DemoStep(
                 state=state,
                 expert_action=int(act),
-                waypoint=(int(row["wstar_x"]), int(row["wstar_y"])),
+                waypoint=(int(row["w_x"]), int(row["w_y"])),
                 k=k,
-                progress=row["p"],
-                value=row["v"],
+                progress=row["p_hat"],
+                value=row["v_hat"],
                 reward=row["r"],
                 dist=row["d"],
                 obs=obs,
@@ -365,5 +375,5 @@ def _replay_records(world, ep, rows, path, gamma, r_prior, use_prior) -> Demonst
     acc = 0.0
     for n, st in reversed(list(enumerate(steps, start=2))):
         acc = st.reward + gamma * acc
-        _check_label(path, n, "v", st.value, acc)
+        _check_label(path, n, "v_hat", st.value, acc)
     return Demonstration(episode=ep, steps=steps, maps=maps)

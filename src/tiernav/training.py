@@ -192,9 +192,9 @@ def _restore(model: Module, snap: dict):
         arr[...] = snap[name]
 
 
-def _descend(model: Module, loss, opt: AdamW, max_grad_norm: float) -> bool:
+def _descend(loss, opt: AdamW, max_grad_norm: float) -> bool:
     """One clipped AdamW step on loss; False when a gradient is non-finite."""
-    model.zero_grad()
+    opt.zero_grad()
     ad.backward(loss)
     clip_grad_norm(opt.entries, max_grad_norm)
     try:
@@ -347,7 +347,7 @@ def train_stage1(demos, model, cfg: Stage1Config) -> Stage1Result:
         failed = False
         for lo in range(0, data.n - mb + 1, mb):
             loss, terms = imitation_loss(model, data, perm[lo : lo + mb], cfg)
-            if not (np.isfinite(loss.item()) and _descend(model, loss, opt, cfg.max_grad_norm)):
+            if not (np.isfinite(loss.item()) and _descend(loss, opt, cfg.max_grad_norm)):
                 failed = True
                 break
             for k, t in terms.items():
@@ -519,7 +519,7 @@ def ppo_update(model, rollout: Rollout, forward, cfg: PPOConfig, opt: AdamW, shu
                 terms = dict.fromkeys(IMITATION_TERMS, l_im)
             l_total = ad.add(l_im, ad.scale(l_rl, cfg.lambda_rl))
             if not (np.isfinite(l_total.item()) and np.all(np.isfinite(ratio)) and ratio.mean() < 100.0
-                    and _descend(model, l_total, opt, cfg.max_grad_norm)):
+                    and _descend(l_total, opt, cfg.max_grad_norm)):
                 return None, first_ratio
             for k, t in terms.items():
                 sums[k] += t.item()

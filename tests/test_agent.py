@@ -23,10 +23,10 @@ from tiernav.agent import (
     save_policy,
     tiered_step,
     waypoint_context,
-    write_trajectory_log,
 )
 from tiernav.errors import ContractError
-from tiernav.teacher import TRAJ_COLUMNS, read_trajectory_log
+from tiernav.evaluation import BenchmarkRecord, write_step_log
+from tiernav.teacher import STEP_LOG_COLUMNS, read_trajectory_log
 from tiernav.util import substream
 from tiernav.world import (
     Action,
@@ -81,7 +81,6 @@ def test_state_encoder_gets_value_gradient():
     map_feat = np.zeros((1, 64))
     patch = np.zeros((1, 3, 25, 25))
     out = model.forward_heads(map_feat, pose, np.zeros((1, 4), dtype=np.int64), patch, np.zeros((1, 5)))
-    model.zero_grad()
     ad.backward(ad.mean_all(ad.square(out.value)))
     assert model.state_fc1.weight.grad is not None
     assert np.any(model.state_fc1.weight.grad != 0)
@@ -103,7 +102,6 @@ def test_embedding_tables_get_goal_gradient():
     ids = descriptor_ids(GoalDescriptor(1, 5, "far", 2))[None]
     out = model.forward_heads(np.zeros((1, 64)), np.zeros((1, 7)), ids,
                               np.zeros((1, 3, 25, 25)), np.zeros((1, 5)))
-    model.zero_grad()
     ad.backward(ad.mean_all(ad.square(out.goal)))
     for emb in (model.emb_landmark, model.emb_sector, model.emb_band, model.emb_tag):
         assert emb.table.grad is not None and np.any(emb.table.grad != 0)
@@ -156,7 +154,6 @@ def test_all_heads_receive_composite_gradient():
             ad.mean_all(ad.square(out.logits)),
         ),
     )
-    model.zero_grad()
     ad.backward(loss)
     for head in ("goal_head", "progress_head", "value_head", "waypoint_head", "action_head"):
         w = getattr(model, head).weight
@@ -324,12 +321,15 @@ def test_replan_trigger_rule_holds_along_episode():
 def test_trajectory_log_round_trip(tmp_path):
     wd, ep = world_and_episode(seed=19)
     traj = run_one(TeacherPolicy(), wd, ep, reward_cfg=RewardConfig())
-    p = tmp_path / "traj.csv"
-    write_trajectory_log(p, traj)
-    rows, header = read_trajectory_log(p)
-    assert header == TRAJ_COLUMNS
+    p = tmp_path / "steps.csv"
+    write_step_log(p, [BenchmarkRecord(split="seen", tier="easy", seed=0, index=3, result=None, traj=traj)])
+    header, episodes = read_trajectory_log(p)
+    assert header == STEP_LOG_COLUMNS
+    assert list(episodes) == ["seen/easy/s0/3"]
+    rows = episodes["seen/easy/s0/3"]
     assert len(rows) == len(traj)
     for row, st in zip(rows, traj.steps):
+        assert (row["split"], row["tier"], row["seed"], row["episode"]) == ("seen", "easy", 0.0, 3.0)
         assert row["t"] == st.t
         assert row["x"] == st.state.x and row["y"] == st.state.y
         assert row["action"] == st.action

@@ -54,7 +54,6 @@ ppo.tiers = easy,medium
 eval.episodes_per_tier = 1
 eval.seeds = 0
 eval.tiers = easy,medium
-eval.write_trajectories = true
 sweep.lambdas = 0.0,0.2
 sweep.seeds = 0
 """
@@ -119,9 +118,6 @@ def test_eval_neural_policy(pipeline):
     report = Path(os.path.join(out, "eval", "report.csv")).read_text().splitlines()
     assert report[0] == "split,tier,NE,SR,OSR,SPL,n,seeds"
     assert len(report) == 1 + 4  # 2 splits x 2 tiers
-    assert glob.glob(os.path.join(out, "eval", "trajectories", "*.csv"))
-    m = _manifest(out, "eval")
-    assert any(f.startswith("trajectories") for f in m["files"])
 
 
 def test_eval_teacher_needs_no_checkpoint(pipeline, tmp_path):
@@ -129,8 +125,7 @@ def test_eval_teacher_needs_no_checkpoint(pipeline, tmp_path):
     alt = str(tmp_path / "teacher_out")
     base = ["--config", cfg_path, "--out", alt]
     assert main(["gen-worlds", *base]) == 0
-    assert main(["eval", "--policy", "teacher", *base,
-                 "--set", "eval.write_trajectories=false"]) == 0
+    assert main(["eval", "--policy", "teacher", *base]) == 0
     text = Path(os.path.join(alt, "eval", "report.txt")).read_text()
     for line in text.splitlines():
         if line.startswith(("seen", "unseen")):
@@ -141,7 +136,7 @@ def test_eval_teacher_needs_no_checkpoint(pipeline, tmp_path):
 @pytest.mark.parametrize("kind", ["teacher", "random"])
 def test_eval_matches_serial_reference(pipeline, tmp_path, kind, episodes):
     cfg_path, _, _ = pipeline
-    sets = [f"eval.episodes_per_tier={episodes}", "eval.write_trajectories=false"]
+    sets = [f"eval.episodes_per_tier={episodes}"]
     alt = str(tmp_path / "out")
     base = ["--config", cfg_path, "--out", alt, *[a for kv in sets for a in ("--set", kv)]]
     assert main(["gen-worlds", *base]) == 0
@@ -389,7 +384,7 @@ def test_out_of_range_log_cell_exits_6(pipeline, tmp_path, capsys, column, cell)
     assert str(episode) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("column", ["p", "v", "d"])
+@pytest.mark.parametrize("column", ["p_hat", "v_hat", "d"])
 def test_corpus_label_off_its_replay_exits_6(pipeline, tmp_path, capsys, column):
     cfg_path, out, _ = pipeline
     alt = tmp_path / "bad_label"
@@ -412,7 +407,7 @@ def test_printed_reports_leave_no_file_open(pipeline, tmp_path, capsys):
     base = ["--config", cfg_path, "--out", str(alt)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["eval", "--policy", "teacher", *base, "--set", "eval.write_trajectories=false"]) == 0
+        assert main(["eval", "--policy", "teacher", *base]) == 0
         assert capsys.readouterr().out == (alt / "eval" / "report.txt").read_text()
         assert main(["sweep", "--axis", "controller", *base]) == 0
         assert capsys.readouterr().out == (alt / "sweep-controller" / "summary.txt").read_text()
@@ -500,8 +495,25 @@ def test_replay_corpus_episode(pipeline, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "waypoint k=" in text
     assert "SUCCESS" in text
-    assert "last waypoint" in text and "0.00 cells from the goal" in text
-    assert os.path.isfile(os.path.join(str(tmp_path / "rp"), "replay", "replay.txt"))
+    assert "last waypoint" in text and "0.00 cells from g_hat" in text
+    replay = Path(tmp_path, "rp", "replay", "replay.txt").read_text()
+    assert replay.startswith("== episode episode_00000.csv\n") and text.endswith(replay)
+
+
+def test_replay_eval_step_log(pipeline, tmp_path, capsys):
+    cfg_path, out, _ = pipeline
+    alt = _stage_copy(out, tmp_path / "rp_steps", ("worlds",))
+    base = ["--config", cfg_path, "--out", str(alt), "--set", "eval.episodes_per_tier=2"]
+    assert main(["eval", "--policy", "random", *base]) == 0
+    capsys.readouterr()
+    assert main(["replay", "--log", str(alt / "eval" / "steps.csv"), *base]) == 0
+    text = capsys.readouterr().out
+    names = [line.removeprefix("== episode ") for line in text.splitlines() if line.startswith("== episode ")]
+    rows = (alt / "eval" / "report.csv").read_text().splitlines()[1:]
+    assert len(names) == sum(int(row.split(",")[6]) for row in rows) == 8
+    assert names[:2] == ["seen/easy/s0/0", "seen/easy/s0/1"]
+    assert text.count("-- ") == 8  # one verdict each, and no g_hat line: a random policy has none
+    assert "g_hat" not in text
 
 
 def test_replay_missing_log_exits_3(pipeline, tmp_path, capsys):
@@ -519,7 +531,8 @@ TRAJ_HEADER = ",".join(TRAJ_COLUMNS)
     TRAJ_HEADER + "\n",
     TRAJ_HEADER + "\n0,1,1,2,0.0,2\n",
     "split,tier,NE,SR,OSR,SPL,n,seeds\nseen,easy,1.0,100.0,100.0,100.0,1,0\n",
-], ids=["non_numeric", "header_only", "short_row", "foreign_header"])
+    TRAJ_HEADER + ",expert_action,wstar_x,wstar_y,p,v,g_x,g_y\n0,1,1,2,0.0,2,0,3,1,0,0,0,0,0.1,5.0,2,3,1,0.5,0.1,3,1\n",
+], ids=["non_numeric", "header_only", "short_row", "foreign_header", "label_columns"])
 def test_replay_malformed_log_exits_6(pipeline, tmp_path, capsys, body):
     cfg_path, _, _ = pipeline
     log = tmp_path / "bad.csv"
@@ -530,19 +543,17 @@ def test_replay_malformed_log_exits_6(pipeline, tmp_path, capsys, body):
 
 
 def test_replay_marks_waypoint_transitions():
-    header = ("t", "x", "y", "z", "theta", "action", "k", "w_x", "w_y",
-              "g_hat_x", "g_hat_y", "p_hat", "v_hat", "r", "d", "g_x", "g_y")
     rows = [
         {"t": 0, "x": 0, "y": 0, "z": 2, "theta": 0.0, "action": 2, "k": 1,
-         "w_x": 3.0, "w_y": 0.0, "d": 25.0, "g_x": 5.0, "g_y": 0.0},
+         "w_x": 3.0, "w_y": 0.0, "d": 25.0, "g_hat_x": 5.0, "g_hat_y": 0.0},
         {"t": 1, "x": 1, "y": 0, "z": 2, "theta": 0.0, "action": 2, "k": 1,
-         "w_x": 3.0, "w_y": 0.0, "d": 20.0, "g_x": 5.0, "g_y": 0.0},
+         "w_x": 3.0, "w_y": 0.0, "d": 20.0, "g_hat_x": 5.0, "g_hat_y": 0.0},
         {"t": 2, "x": 2, "y": 0, "z": 2, "theta": 0.0, "action": 2, "k": 2,
-         "w_x": 5.0, "w_y": 0.0, "d": 15.0, "g_x": 5.0, "g_y": 0.0},
+         "w_x": 5.0, "w_y": 0.0, "d": 15.0, "g_hat_x": 5.0, "g_hat_y": 0.0},
         {"t": 3, "x": 5, "y": 0, "z": 2, "theta": 0.0, "action": 5, "k": 2,
-         "w_x": 5.0, "w_y": 0.0, "d": 0.0, "g_x": 5.0, "g_y": 0.0},
+         "w_x": 5.0, "w_y": 0.0, "d": 0.0, "g_hat_x": 5.0, "g_hat_y": 0.0},
     ]
-    text = render_replay(rows, header, threshold_m=20.0)
+    text = render_replay("hand-made", rows, threshold_m=20.0)
     assert text.count("== waypoint k=") == 2
     assert "2 waypoint events" in text
     assert "SUCCESS" in text
@@ -714,7 +725,6 @@ def test_two_runs_are_byte_identical(pipeline, tmp_path):
             assert main([*argv, *base]) == 0, argv
         trees.append(_tree_bytes(str(tmp_path / name)))
     a, b = trees
-    assert any(name.startswith(os.path.join("eval", "trajectories")) for name in a)
     assert os.path.join("sweep-prior", "policy_il_no_prior.ckpt") in a
     assert not [name for name in a if name.endswith(".tmp")]
     assert sorted(a) == sorted(b)
@@ -760,3 +770,7 @@ def test_finished_commands_leave_no_partial_run(every_command):
     assert len(runs) == 10
     for run in runs:
         assert os.path.isfile(os.path.join(run, "manifest.json")), run
+        on_disk = sorted(os.path.relpath(p, run) for p in glob.glob(os.path.join(run, "**", "*"), recursive=True)
+                         if os.path.isfile(p))
+        with open(os.path.join(run, "manifest.json")) as f:
+            assert json.load(f)["files"] == [name for name in on_disk if name != "manifest.json"], run

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -61,11 +62,13 @@ def test_unknown_key_named(tmp_path):
 
 @pytest.mark.parametrize("via", ["file", "set"])
 @pytest.mark.parametrize("key", ["ppo.flat", "ppo.use_prior", "ppo.r_prior",
-                                 "eval.flat", "eval.use_prior", "eval.r_prior", "ppo.lambda_v"])
+                                 "eval.flat", "eval.use_prior", "eval.r_prior", "ppo.lambda_v",
+                                 "eval.write_trajectories"])
 def test_stage_copies_of_model_keys_exit_2(tmp_path, capsys, key, via):
     # a removed key is refused: one model.* key each replaced the stage
-    # copies, and stage 2 weighs its value term by il.lambda_v
-    value = "true" if key.endswith(("flat", "use_prior")) else "0.05"
+    # copies, stage 2 weighs its value term by il.lambda_v, and eval
+    # writes each trajectory once, in steps.csv
+    value = "true" if key.endswith(("flat", "use_prior", "write_trajectories")) else "0.05"
     if via == "file":
         argv = ["--config", _write(tmp_path, f"{key} = {value}\n")]
     else:
@@ -74,6 +77,16 @@ def test_stage_copies_of_model_keys_exit_2(tmp_path, capsys, key, via):
     err = capsys.readouterr().err
     assert "unknown key" in err and repr(key) in err
     assert not (tmp_path / "out").exists()
+
+
+BENCHMARK_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", BENCHMARK_CONFIGS, ids=lambda p: p.name)
+def test_benchmark_configs_parse(path):
+    # a key removed from SCHEMA that a benchmark config still sets fails here,
+    # not only in a traced benchmark run
+    parse_config(str(path), [])
 
 
 def test_type_mismatch_names_line(tmp_path):

@@ -269,7 +269,6 @@ def test_encoder_all_params_receive_gradient():
     enc = MapEncoder(rng, widths=(4, 8), d_out=8)
     x = Tensor(substream(15, "x").uniform(0.1, 1, size=(2, 4, 16, 16)))
     target = Tensor(substream(16, "t").normal(size=(2, 8)))
-    enc.zero_grad()
     ad.backward(ad.mse(enc(x, "train"), target))
     for name, t, _ in enc.named_params():
         assert t.grad is not None and np.any(t.grad != 0), f"dead branch at {name}"

@@ -11,6 +11,7 @@ from tiernav.errors import ContractError, InfeasibleError
 from tiernav.teacher import (
     EPS_WP,
     S_MAX,
+    TRAJ_COLUMNS,
     advance_waypoint,
     build_dataset,
     build_demonstration,
@@ -18,6 +19,7 @@ from tiernav.teacher import (
     extract_waypoints,
     load_corpus,
     load_manifest,
+    read_trajectory_log,
     save_corpus,
 )
 from tiernav.util import substream
@@ -443,6 +445,28 @@ def test_corpus_round_trip(tmp_path):
         # replayed observations and maps come back
         assert all(s.obs is not None for s in back.steps)
         assert len(back.maps) == len({s.k for s in back.steps})
+
+
+def test_corpus_episode_is_the_teacher_trajectory_log(tmp_path):
+    # the same cells as a teacher eval's step log, except v_hat: the corpus
+    # holds the value label there, the teacher eval 0
+    worlds = [generate_world(s, WorldConfig(width=48, height=48, n_landmarks=5)) for s in (91, 92)]
+    demos, manifest = build_dataset(worlds, 6, ("easy", "medium", "hard"), master_seed=11,
+                                    reward_cfg=RewardConfig(), gamma=0.99)
+    save_corpus(tmp_path, demos, manifest)
+    by_id = {w.world_id: w for w in worlds}
+    trajs = run_episode(TeacherPolicy(), [(by_id[d.episode.world_id], d.episode, None) for d in demos],
+                        reward_cfg=RewardConfig())
+    for i, (demo, traj) in enumerate(zip(demos, trajs, strict=True)):
+        header, episodes = read_trajectory_log(tmp_path / f"episode_{i:05d}.csv")
+        assert header == TRAJ_COLUMNS
+        (rows,) = episodes.values()
+        assert len(rows) == len(traj.steps)
+        for row, st in zip(rows, traj.steps):
+            logged = dict(zip(TRAJ_COLUMNS, st.log_row()))
+            assert {c: row[c] for c in TRAJ_COLUMNS if c != "v_hat"} == \
+                {c: logged[c] for c in TRAJ_COLUMNS if c != "v_hat"}
+        assert [row["v_hat"] for row in rows] == [st.value for st in demo.steps]
 
 
 def test_corpus_rewrite_is_byte_identical(tmp_path):
