@@ -65,9 +65,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
@@ -581,7 +578,8 @@ def batchnorm2d(
         raise ShapeError(f"batchnorm2d: affine shapes {gamma.data.shape}/{beta.data.shape} for {c} channels")
     if mode == "train":
         mean = xd.mean(axis=(0, 2, 3))
-        var = xd.var(axis=(0, 2, 3))
+        d = xd - mean[None, :, None, None]  # centered once: the variance and xhat share it
+        var = (d * d).mean(axis=(0, 2, 3))
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
@@ -591,10 +589,11 @@ def batchnorm2d(
             raise StateError("batchnorm2d: infer mode with unpopulated running statistics")
         mean = running_mean
         var = running_var
+        d = xd - mean[None, :, None, None]
     else:
         raise ConfigError(f"batchnorm2d: mode must be 'train' or 'infer', got {mode!r}")
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mean[None, :, None, None]) * invstd[None, :, None, None]
+    xhat = d * invstd[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
     def bw(g):

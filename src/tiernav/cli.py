@@ -197,7 +197,7 @@ def _load_demos(cfg, args):
     corpus_dir = _stage_dir(cfg, args, "corpus", "build-corpus")
     worlds = _load_worlds(cfg, args, "seen")
     by_id = {w.world_id: w for w in worlds}
-    demos, manifest = load_corpus(corpus_dir, by_id, **_prior(cfg))
+    demos, manifest = load_corpus(corpus_dir, by_id, cfg.reward_config(), **_prior(cfg))
     if manifest.get("gamma") != cfg["ppo.gamma"]:  # its value labels and PPO's GAE share gamma
         raise ContractError(f"{os.path.join(corpus_dir, 'manifest.txt')}: corpus gamma "
                             f"{manifest.get('gamma')!r}, config ppo.gamma {cfg['ppo.gamma']!r}")

@@ -2,11 +2,13 @@
 
 extract_waypoints turns a teacher plan (world.plan_path) into corner
 and landmark-anchored waypoints, spacing-capped, goal last.
-build_demonstration replays a plan through the simulator to label each
-step: expert action, waypoint, progress, reward, and exact discounted
-value. It renders nothing and builds no map. load_corpus replays a
-saved corpus and is the one place that adds observations and map
-snapshots to a demonstration.
+build_demonstration is the one labeling loop: it steps a list of moves
+(the plan, or a corpus episode's logged actions) through the simulator
+and labels each step with its expert action, waypoint, progress,
+reward and exact discounted value. It renders nothing and builds no
+map. load_corpus relabels each saved episode through it, compares every
+logged cell with the relabeled one, and is the one place that adds
+observations and map snapshots to a demonstration.
 
 Every trajectory file holds TRAJ_COLUMNS rows (traj_row). A corpus
 episode is the teacher's trajectory log: its g_hat is the goal, p_hat
@@ -129,42 +131,50 @@ def advance_waypoint(k: int, waypoints, state: UavState, eps: float = EPS_WP) ->
     return k
 
 
-def build_demonstration(world: CityWorld, episode: EpisodeSpec, reward_cfg, gamma: float) -> Demonstration:
-    """Replay the expert plan, labeling every step.
+def build_demonstration(world: CityWorld, episode: EpisodeSpec, reward_cfg, gamma: float,
+                        moves=None) -> Demonstration:
+    """Label moves (the episode's plan when None), then the final stop.
 
-    Steps cover the planned actions plus the final stop. Value labels
-    are exact discounted suffix sums of the replayed rewards, so the
-    one-step Bellman identity holds to float precision. No label reads
-    an observation or a map, so the demonstration has neither:
-    save_corpus writes its labels, and load_corpus replays them with
-    observations and map snapshots.
+    The moves are stepped once; the stepped states give the waypoints,
+    and each step is labeled with its expert action, waypoint, progress,
+    reward and distance. Value labels are exact discounted suffix sums
+    of the rewards, so the one-step Bellman identity holds to float
+    precision. A blocked move or a stop before the last step raises
+    ContractError naming the step. No label reads an observation or a
+    map, so the demonstration has neither: save_corpus writes its
+    labels, and load_corpus relabels them and adds observations and map
+    snapshots.
     """
-    path = episode_plan(world, episode)
-    waypoints = extract_waypoints(path, world)
-    state = episode.start
-    actions = list(path.actions) + [Action.STOP]
-    t_total = len(actions)
+    if moves is None:
+        moves = episode_plan(world, episode).actions
+    actions = list(moves) + [Action.STOP]
+    states = [episode.start]
+    for i, act in enumerate(actions):
+        nxt, blocked, terminal = step(world, states[-1], act)
+        if blocked or (terminal and i < len(moves)):
+            why = "blocked" if blocked else "before the last step"
+            raise ContractError(f"step {i}: expert action {act.name} {why} at {states[-1]}")
+        states.append(nxt)
+    # the integer cells plan_path gives; extract_waypoints reads no remaining distances
+    cells = [(int(s.x), int(s.y), s.z, s.heading) for s in states[:-1]]
+    waypoints = extract_waypoints(ExpertPath(states=cells, actions=actions[:-1], remaining=None), world)
     steps = []
     k = 0
-    for i, act in enumerate(actions):
+    for i, (act, state, nxt) in enumerate(zip(actions, states, states[1:])):
         k = advance_waypoint(k, waypoints, state)
-        nxt, blocked, terminal = step(world, state, act)
-        if blocked:
-            raise ContractError(f"expert action {act.name} blocked at ({state.x},{state.y},z{state.z}) during replay")
         steps.append(
             DemoStep(
                 state=state,
                 expert_action=int(act),
                 waypoint=waypoints[k],
                 k=k,
-                progress=(i + 1) / t_total,
+                progress=(i + 1) / len(actions),
                 value=0.0,
                 reward=compute_reward(state, nxt, episode.goal, world, reward_cfg,
-                                      waypoint=waypoints[k], stopped=terminal),
+                                      waypoint=waypoints[k], stopped=act == Action.STOP),
                 dist=distance_to_goal(state, episode.goal, world.cell_size),
             )
         )
-        state = nxt
     acc = 0.0
     for st in reversed(steps):
         acc = st.reward + gamma * acc
@@ -217,6 +227,12 @@ def traj_row(t, state: UavState, action, k, waypoint, g_hat, p_hat, v_hat, r, d)
             g_hat[0], g_hat[1], p_hat, v_hat, r, d]
 
 
+def _demo_rows(demo: Demonstration) -> list:
+    """The TRAJ_COLUMNS rows of a demonstration, one per step."""
+    return [traj_row(t, s.state, s.expert_action, s.k, s.waypoint, demo.episode.goal,
+                     s.progress, s.value, s.reward, s.dist) for t, s in enumerate(demo.steps)]
+
+
 def read_trajectory_log(path):
     """(header, episodes) of a trajectory log; episodes maps name -> rows, in file order.
 
@@ -258,9 +274,7 @@ def save_corpus(corpus_dir, demos, manifest: dict):
     os.makedirs(corpus_dir, exist_ok=True)
     save_episodes([demo.episode for demo in demos], os.path.join(corpus_dir, "episodes.jsonl"))
     for i, demo in enumerate(demos):
-        write_csv(os.path.join(corpus_dir, f"episode_{i:05d}.csv"), TRAJ_COLUMNS,
-                  (traj_row(t, s.state, s.expert_action, s.k, s.waypoint, demo.episode.goal,
-                            s.progress, s.value, s.reward, s.dist) for t, s in enumerate(demo.steps)))
+        write_csv(os.path.join(corpus_dir, f"episode_{i:05d}.csv"), TRAJ_COLUMNS, _demo_rows(demo))
     lines = [
         "tiernav-corpus 1",
         f"master_seed {manifest['master_seed']}",
@@ -300,16 +314,19 @@ def load_manifest(corpus_dir) -> dict:
     return manifest
 
 
-def load_corpus(corpus_dir, worlds_by_id, r_prior: float = 12.0, use_prior: bool = True):
-    """Rebuild demonstrations by deterministic replay of stored actions.
+def load_corpus(corpus_dir, worlds_by_id, reward_cfg, r_prior: float = 12.0, use_prior: bool = True):
+    """Rebuild demonstrations by relabeling their stored actions.
 
-    The replay renders each step's observation and keeps a snapshot of
-    the belief map, built with this landmark prior, whenever the
-    waypoint index changes. A row whose logged pose is not the replayed
-    state, or whose progress label p_hat, distance d or value label
-    v_hat is not the one the replay recomputes, raises ContractError
-    naming the file and line. The cells are repr floats, so the
-    recomputed labels match exactly.
+    Each episode goes through build_demonstration on its logged moves
+    (every action but the final stop), under reward_cfg and the
+    manifest's gamma. Every cell of every logged row must equal the
+    relabeled one: the cells are repr floats, so equal labels match
+    exactly. The first difference raises ContractError naming the file,
+    line and column; a blocked move or an early stop raises it naming
+    the file and the step t (on line t + 2). So a corpus built under
+    other reward.* settings is refused. The relabeled steps then gain
+    each step's observation and a snapshot of the belief map, built with
+    this landmark prior, whenever the waypoint index changes.
     """
     manifest = load_manifest(corpus_dir)
     if "gamma" not in manifest:
@@ -324,56 +341,30 @@ def load_corpus(corpus_dir, worlds_by_id, r_prior: float = 12.0, use_prior: bool
         if world is None:
             raise ContractError(f"corpus references unknown world {ep.world_id}")
         path = os.path.join(corpus_dir, f"episode_{i:05d}.csv")
-        header, episodes = read_trajectory_log(path)
+        header, logs = read_trajectory_log(path)
         if header != TRAJ_COLUMNS:
             raise ContractError(f"{path}: not a corpus episode (header {header[:4]}...)")
-        (rows,) = episodes.values()
-        demos.append(_replay_records(world, ep, rows, path, manifest["gamma"], r_prior, use_prior))
+        (rows,) = logs.values()
+        demo = _relabel(world, ep, rows, path, reward_cfg, manifest["gamma"])
+        nav = init_map(world, ep, r_prior=r_prior, use_prior=use_prior)
+        for t, st in enumerate(demo.steps):
+            st.obs = render_observation(world, st.state)
+            update_map(nav, st.state, st.obs)
+            if t == 0 or st.k != demo.steps[t - 1].k:
+                demo.maps.append(NavMap(grid=nav.grid.copy()))
+            st.snapshot_id = len(demo.maps) - 1
+        demos.append(demo)
     return demos, manifest
 
 
-def _check_label(path, n, name, logged, replayed):
-    if logged != replayed:
-        raise ContractError(f"{path}: line {n} has {name} {logged!r}, the replay gives {replayed!r}")
-
-
-def _replay_records(world, ep, rows, path, gamma, r_prior, use_prior) -> Demonstration:
-    nav = init_map(world, ep, r_prior=r_prior, use_prior=use_prior)
-    state = ep.start
-    steps = []
-    maps = []
-    for n, row in enumerate(rows, start=2):
-        if (row["x"], row["y"], row["z"], row["theta"]) != (state.x, state.y, state.z, state.theta):
-            raise ContractError(f"{path}: line {n} logs a pose other than the replayed state "
-                                f"({state.x:g},{state.y:g},z{state.z},heading {state.heading})")
-        _check_label(path, n, "p_hat", row["p_hat"], (n - 1) / len(rows))
-        _check_label(path, n, "d", row["d"], distance_to_goal(state, ep.goal, world.cell_size))
-        act = Action(int(row["action"]))
-        k = int(row["k"])
-        obs = render_observation(world, state)
-        update_map(nav, state, obs)
-        if not steps or k != steps[-1].k:
-            maps.append(NavMap(grid=nav.grid.copy()))
-        nxt, blocked, terminal = step(world, state, act)
-        if blocked:
-            raise ContractError(f"{path}: line {n} has expert action {act.name}, blocked during corpus replay")
-        steps.append(
-            DemoStep(
-                state=state,
-                expert_action=int(act),
-                waypoint=(int(row["w_x"]), int(row["w_y"])),
-                k=k,
-                progress=row["p_hat"],
-                value=row["v_hat"],
-                reward=row["r"],
-                dist=row["d"],
-                obs=obs,
-                snapshot_id=len(maps) - 1,
-            )
-        )
-        state = nxt
-    acc = 0.0
-    for n, st in reversed(list(enumerate(steps, start=2))):
-        acc = st.reward + gamma * acc
-        _check_label(path, n, "v_hat", st.value, acc)
-    return Demonstration(episode=ep, steps=steps, maps=maps)
+def _relabel(world, ep, rows, path, reward_cfg, gamma) -> Demonstration:
+    """build_demonstration on a logged episode's moves, every logged cell checked against it."""
+    try:
+        demo = build_demonstration(world, ep, reward_cfg, gamma, [Action(int(row["action"])) for row in rows[:-1]])
+    except ContractError as e:
+        raise ContractError(f"{path}: {e}") from None
+    for n, (row, relabeled) in enumerate(zip(rows, _demo_rows(demo)), start=2):
+        for column, cell in zip(TRAJ_COLUMNS, relabeled):
+            if row[column] != cell:
+                raise ContractError(f"{path}: line {n} has {column} {row[column]!r}, the replay gives {cell!r}")
+    return demo

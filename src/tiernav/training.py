@@ -488,15 +488,15 @@ def ppo_update(model, rollout: Rollout, forward, cfg: PPOConfig, opt: AdamW, shu
 
     A non-finite loss or ratio, a mean ratio of 100 or more, or a
     non-finite gradient stops the update. Returns (means, first_ratio):
-    the update's mean imitation terms, L_RL, entropy, ratio and
-    clip_fraction, or None when it blew up, and the first minibatch's
-    mean ratio either way.
+    the update's mean imitation terms, L_RL, minimized loss L_total,
+    entropy, ratio and clip_fraction, or None when it blew up, and the
+    first minibatch's mean ratio either way.
     """
     adv, targets = compute_gae(rollout, cfg.gamma, cfg.lambda_gae)
     adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
     t_max = len(rollout)
     mb = min(cfg.minibatch, t_max)
-    sums = dict.fromkeys((*IMITATION_TERMS, "L_RL", "entropy", "ratio"), 0.0)
+    sums = dict.fromkeys((*IMITATION_TERMS, "L_RL", "L_total", "entropy", "ratio"), 0.0)
     clip_hits = 0
     n_samples = 0
     n_mb = 0
@@ -524,6 +524,7 @@ def ppo_update(model, rollout: Rollout, forward, cfg: PPOConfig, opt: AdamW, shu
             for k, t in terms.items():
                 sums[k] += t.item()
             sums["L_RL"] += l_rl.item()
+            sums["L_total"] += l_total.item()
             sums["entropy"] += ent.item()
             sums["ratio"] += float(ratio.mean())
             clip_hits += int(np.sum(np.abs(ratio - 1.0) > cfg.eps_clip))
@@ -621,9 +622,7 @@ def train_stage2(
                                           use_prior=use_prior, r_prior=r_prior)
         curve.append({
             "update": u,
-            **{k: means[k] for k in (*IMITATION_TERMS, "L_RL", "entropy", "clip_fraction")},
-            "L_total": (means["L_IL"] + il_cfg.lambda_v * means["L_V"] + il_cfg.lambda_bc * means["L_BC"]
-                        + il_cfg.lambda_wp * means["L_WP"] + ppo_cfg.lambda_rl * means["L_RL"]),
+            **{k: means[k] for k in (*IMITATION_TERMS, "L_RL", "L_total", "entropy", "clip_fraction")},
             "mean_return": float(np.mean(rollout.episode_returns)) if rollout.episode_returns else math.nan,
             "probe_SR": probe_sr,
         })

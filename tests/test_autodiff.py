@@ -112,6 +112,33 @@ def test_batchnorm_running_stats_ema():
     assert np.allclose(rv, 0.9 + 0.1 * xd.var())
 
 
+# map-encoder activations at IL minibatch sizes, a batch of one, and a [C,H,W] input
+BN_SHAPES = [(22, 8, 49, 49), (22, 16, 25, 25), (22, 16, 13, 13), (1, 16, 48, 48), (1, 32, 24, 24),
+             (4, 64, 12, 12), (8, 7, 7)]
+
+
+@pytest.mark.parametrize("shape", BN_SHAPES, ids=str)
+def test_batchnorm_train_matches_two_pass_form(shape):
+    # train mode centers the batch once; the oracle is the form that subtracted
+    # the mean inside xd.var and again for xhat, and every bit must agree
+    rng = np.random.default_rng(17)
+    c = shape[-3]
+    xd = rng.normal(0.7, 1.9, size=shape)
+    g, b = rng.normal(size=c), rng.normal(size=c)
+    rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+    rm_got, rv_got = rm.copy(), rv.copy()
+    out = ad.batchnorm2d(Tensor(xd), Tensor(g), Tensor(b), rm_got, rv_got, "train")
+    x4 = xd if len(shape) == 4 else xd[None]
+    mean = x4.mean(axis=(0, 2, 3))
+    var = x4.var(axis=(0, 2, 3))
+    invstd = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x4 - mean[None, :, None, None]) * invstd[None, :, None, None]
+    want = g[None, :, None, None] * xhat + b[None, :, None, None]
+    assert out.data.tobytes() == (want if len(shape) == 4 else want[0]).tobytes()
+    assert rm_got.tobytes() == (0.9 * rm + 0.1 * mean).tobytes()
+    assert rv_got.tobytes() == (0.9 * rv + 0.1 * var).tobytes()
+
+
 def test_batchnorm_infer_without_stats_is_state_error():
     x = Tensor(np.ones((1, 1, 2, 2)))
     with pytest.raises(StateError):

@@ -16,6 +16,7 @@ from tiernav.errors import NumericsError, ShapeError, StateError
 from tiernav.evaluation import run_benchmark
 from tiernav.training import train_stage1, train_stage2
 from tiernav.teacher import TRAJ_COLUMNS, load_corpus
+from tiernav.world import Action, load_world
 
 from serial import serial_eval
 
@@ -57,6 +58,9 @@ eval.tiers = easy,medium
 sweep.lambdas = 0.0,0.2
 sweep.seeds = 0
 """
+
+
+BENCHMARK_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.cfg"))
 
 
 @pytest.fixture(scope="module")
@@ -384,8 +388,10 @@ def test_out_of_range_log_cell_exits_6(pipeline, tmp_path, capsys, column, cell)
     assert str(episode) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("column", ["p_hat", "v_hat", "d"])
+@pytest.mark.parametrize("column", TRAJ_COLUMNS)
 def test_corpus_label_off_its_replay_exits_6(pipeline, tmp_path, capsys, column):
+    # every cell is compared with the relabeled row; an edited action is
+    # relabeled as logged, so it shows on a later line or as a blocked move
     cfg_path, out, _ = pipeline
     alt = tmp_path / "bad_label"
     for stage in ("worlds", "corpus"):
@@ -394,11 +400,57 @@ def test_corpus_label_off_its_replay_exits_6(pipeline, tmp_path, capsys, column)
     lines = episode.read_text().splitlines()
     at = lines[0].split(",").index(column)
     cells = lines[1].split(",")
-    cells[at] = repr(float(cells[at]) + 50.0)
+    if column == "action":
+        cells[at] = str(int(Action.TURN_RIGHT if int(cells[at]) == Action.TURN_LEFT else Action.TURN_LEFT))
+    else:
+        cells[at] = repr(float(cells[at]) + 50.0)
     lines[1] = ",".join(cells)
     episode.write_text("\n".join(lines) + "\n")
     assert main(["train-il", "--config", cfg_path, "--out", str(alt)]) == 6
-    assert f"{episode}: line 2 has {column} " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(episode) in err
+    if column != "action":
+        assert f"{episode}: line 2 has {column} " in err
+
+
+@pytest.mark.parametrize("edit", ["last_row_turns", "middle_row_stops"])
+def test_corpus_stop_off_the_last_row_exits_6(pipeline, tmp_path, capsys, edit):
+    # an episode's one STOP is its last row
+    cfg_path, out, _ = pipeline
+    alt = _stage_copy(out, tmp_path / "moved_stop", ("worlds", "corpus"))
+    episode = alt / "corpus" / "episode_00000.csv"
+    lines = episode.read_text().splitlines()
+    at = len(lines) - 1 if edit == "last_row_turns" else len(lines) // 2
+    cells = lines[at].split(",")
+    cells[TRAJ_COLUMNS.index("action")] = str(int(Action.TURN_LEFT if edit == "last_row_turns" else Action.STOP))
+    lines[at] = ",".join(cells)
+    episode.write_text("\n".join(lines) + "\n")
+    assert main(["train-il", "--config", cfg_path, "--out", str(alt)]) == 6
+    assert str(episode) in capsys.readouterr().err
+
+
+def test_corpus_for_other_reward_settings_exits_6(pipeline, tmp_path, capsys):
+    # the corpus holds reward and value labels, so train-il relabels under its own reward.* keys
+    cfg_path, out, _ = pipeline
+    alt = _stage_copy(out, tmp_path / "alpha", ("worlds", "corpus"))
+    assert main(["train-il", "--config", cfg_path, "--out", str(alt), "--set", "reward.alpha=2.0"]) == 6
+    assert str(alt / "corpus" / "episode_0") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", BENCHMARK_CONFIGS, ids=lambda p: p.name)
+def test_benchmark_corpus_replays(path, tmp_path):
+    # corpus replay refuses a cell off its relabeling, so a benchmark corpus
+    # must replay under its own config's reward and prior. The benchmark's
+    # set-up stages on the default 96x96 worlds, then the replay: 0.13 to
+    # 0.19 s per config on a 2-vCPU host, under 0.5 s for all three.
+    base = ["--config", str(path), "--out", str(tmp_path), "--set", "run.seed=1000"]
+    assert main(["gen-worlds", *base]) == 0
+    assert main(["build-corpus", *base]) == 0
+    cfg = parse_config(str(path), ["run.seed=1000"])
+    worlds = [load_world(p) for p in sorted((tmp_path / "worlds").glob("seen_*.txt"))]
+    demos, manifest = load_corpus(tmp_path / "corpus", {w.world_id: w for w in worlds},
+                                  cfg.reward_config(), **cli._prior(cfg))
+    assert len(demos) == manifest["episodes"] == cfg["corpus.episodes"]
 
 
 def test_printed_reports_leave_no_file_open(pipeline, tmp_path, capsys):

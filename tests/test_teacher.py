@@ -351,7 +351,7 @@ def _replayed(tmp_path, wd, demos):
     manifest = {"master_seed": 0, "episodes": len(demos), "resampled": 0,
                 "tier_counts": {"easy": len(demos)}, "world_ids": [wd.world_id], "gamma": 0.99}
     save_corpus(tmp_path / "c", demos, manifest)
-    return load_corpus(tmp_path / "c", {wd.world_id: wd})[0]
+    return load_corpus(tmp_path / "c", {wd.world_id: wd}, RewardConfig())[0]
 
 
 def test_demo_snapshots_align_with_k_changes(tmp_path):
@@ -431,7 +431,7 @@ def test_corpus_round_trip(tmp_path):
     assert man_back["master_seed"] == 5
     assert man_back["episodes"] == 4
     by_id = {w.world_id: w for w in worlds}
-    demos_back, _ = load_corpus(root, by_id)
+    demos_back, _ = load_corpus(root, by_id, RewardConfig())
     assert len(demos_back) == 4
     for orig, back in zip(demos, demos_back):
         assert [s.expert_action for s in orig.steps] == [s.expert_action for s in back.steps]
@@ -483,7 +483,7 @@ def test_corpus_rewrite_is_byte_identical(tmp_path):
 
 def test_corpus_tamper_detected(tmp_path):
     wd = flat_world(40, 12)
-    # hand-build an episode hugging the east wall so a forged forward runs out of bounds
+    # hand-build an episode that ends at the east wall, so a forged last forward would leave the grid
     from tiernav.world import EpisodeSpec, GoalDescriptor
 
     ep = EpisodeSpec(
@@ -502,7 +502,7 @@ def test_corpus_tamper_detected(tmp_path):
     save_corpus(root, [demo], manifest)
     csv = root / "episode_00000.csv"
     lines = csv.read_text().splitlines()
-    # turn the final stop into a forward that leaves the grid during replay
+    # turn the final stop into a forward off the grid: the relabeled last step is the stop
     last = lines[-1].split(",")
     last[5] = str(int(Action.FORWARD))
     lines[-1] = ",".join(last)
@@ -511,5 +511,13 @@ def test_corpus_tamper_detected(tmp_path):
     tampered_lines = csv.read_text().splitlines()
     n_fwd = sum(1 for ln in tampered_lines[1:] if ln.split(",")[5] == str(int(Action.FORWARD)))
     assert n_fwd == 10  # 9 real moves + forged one
-    with pytest.raises(ContractError):
-        load_corpus(root, {wd.world_id: wd})
+    with pytest.raises(ContractError, match=r"line 11 has action 2\.0, the replay gives 5"):
+        load_corpus(root, {wd.world_id: wd}, RewardConfig())
+    # two descents from cruise altitude z2: the second is blocked at z_min 1
+    for n in (1, 2):
+        cells = lines[n].split(",")
+        cells[5] = str(int(Action.GO_DOWN))
+        lines[n] = ",".join(cells)
+    csv.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ContractError, match=r"episode_00000\.csv: step 1: expert action GO_DOWN blocked"):
+        load_corpus(root, {wd.world_id: wd}, RewardConfig())

@@ -8,15 +8,20 @@ import pytest
 from tiernav import autodiff as ad
 from tiernav.autodiff import Tensor
 from tiernav.errors import ConfigError, ContractError
+from tiernav.agent import NavPolicy, NeuralPolicy
 from tiernav.training import (
     PPOConfig,
     Rollout,
+    _rollout_heads,
+    collect_rollouts,
     compute_gae,
     il_loss,
     ppo_clip_objective,
+    ppo_minibatch_loss,
     value_loss,
 )
-from tiernav.world import RewardConfig, UavState, _wrapped_angle, compute_reward
+from tiernav.util import substream
+from tiernav.world import RewardConfig, UavState, WorldConfig, _wrapped_angle, compute_reward, generate_world
 
 
 class MeterWorld:
@@ -308,6 +313,33 @@ def test_value_loss_cases_and_grad():
     vt = np.array([0.0, 0.0, 0.0, 0.0])
     ad.backward(value_loss(vp, vt))
     np.testing.assert_allclose(vp.grad, 2.0 * vp.data / 4.0, atol=1e-12)
+
+
+# What the RL loss trains: the micro controller and the critic. The map
+# feature and the waypoint enter each rollout row as constants, so the map
+# encoder and the macro heads learn only by imitation.
+RL_TRAINED = {"action_head", "micro_fc", "obs_conv1", "obs_conv2", "obs_out", "state_fc1", "state_fc2",
+              "trunk", "value_head", "desc_out", "emb_landmark", "emb_sector", "emb_band", "emb_tag"}
+
+
+def test_ppo_loss_reaches_the_micro_controller_and_critic_only():
+    world = generate_world(301, WorldConfig(width=32, height=32, n_landmarks=5, z_max=3, r_base=3, r_gain=2))
+    model = NavPolicy(substream(0, "net"), world.width, world.height, world.z_max,
+                      len(world.landmarks), world.patch_side)
+    ro = collect_rollouts(NeuralPolicy(model), [world], ("easy",), RewardConfig(), 24,
+                          lambda j: substream(5, "reach", j))
+    cfg = PPOConfig()
+    adv, targets = compute_gae(ro, cfg.gamma, cfg.lambda_gae)
+    idx = np.arange(len(ro))
+    lp_all, value = _rollout_heads(model, ro, idx)
+    loss, _, _ = ppo_minibatch_loss(lp_all, value, ro.actions, ro.log_probs_old, adv, targets,
+                                    cfg.eps_clip, cfg.value_weight, cfg.entropy_weight)
+    ad.backward(loss)
+    reached = {name.split(".")[0] for name, t, _ in model.named_params()
+               if t.grad is not None and np.any(t.grad != 0.0)}
+    assert reached == RL_TRAINED
+    untouched = {name.split(".")[0] for name, _, _ in model.named_params()} - RL_TRAINED
+    assert untouched == {"map_encoder", "waypoint_head", "goal_head", "progress_head"}
 
 
 def test_ppo_config_validation():
