@@ -13,7 +13,9 @@ lockstep, and one controller tick (tiered_step) serves all live slots
 with two batched forward passes: one for the slots that replan, one
 for every slot. Each episode carries its own sampling generator, so
 the slot count changes no result beyond the last bits of a batched
-network row.
+network row. A policy's act returns one teacher.TrajStep per slot, the
+runner adds its reward and distance after the move, and each episode
+ends as a teacher.Trajectory, the record a corpus demonstration loads as.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ContractError
 from .layers import BatchNorm2d, Conv2d, Embedding, Linear, Module
 from .mapper import MapEncoder, NavMap, _pad_odd, encode_map, init_map, update_map
-from .teacher import EPS_WP, advance_waypoint, episode_plan, extract_waypoints, traj_row
+from .teacher import EPS_WP, TrajStep, Trajectory, advance_waypoint, episode_plan, extract_waypoints
 from .world import (BANDS, DIRS, TARGET_TAGS, Action, CityWorld, EpisodeSpec, Observation, UavState,
                     compute_reward, distance_to_goal, render_observation, step)
 
@@ -227,17 +229,6 @@ class ControllerState:
 
 
 @dataclass
-class StepRecord:
-    k: int
-    waypoint: tuple
-    goal_hat: tuple
-    progress_hat: float
-    value_hat: float
-    log_prob: float
-    feats: dict | None = None
-
-
-@dataclass
 class Slot:
     """One live episode of the runner: what a policy reads to act on it.
 
@@ -280,13 +271,15 @@ def tiered_step(
     feats: bool = False,
 ) -> list:
     """One controller tick for every slot: replan where the waypoint is
-    reached, then act. Returns one (action, StepRecord) per slot.
+    reached, then act. Returns one TrajStep per slot.
 
     Each slot's ctx is its ControllerState, updated in place. Maps are
     encoded one slot at a time, in slot order, so the first encode of an
     untrained model primes its BatchNorm statistics exactly as a lone
-    episode would; the replanning slots then share one forward_heads
-    call, and all slots share one more for the action decode.
+    episode would; the BatchNorm mode is read again only after an encode
+    in "train" mode, the one kind of encode that can change it. The
+    replanning slots then share one forward_heads call, and all slots
+    share one more for the action decode.
 
     Two guards keep the state machine out of degenerate loops the
     demonstrations cannot teach recovery from: actions the observation
@@ -297,13 +290,16 @@ def tiered_step(
     if mode not in ("greedy", "sample"):
         raise ContractError(f"unknown decode mode {mode!r}")
     replan = []
+    enc_mode = None
     for i, s in enumerate(slots):
         ctrl, state = s.ctx, s.state
         trigger = ctrl.waypoint is None or math.hypot(state.x - ctrl.waypoint[0], state.y - ctrl.waypoint[1]) < eps_wp
         if replan_patience and ctrl.steps_since_replan >= replan_patience:
             trigger = True
         if trigger or ctrl.map_feat is None:
-            ctrl.map_feat = encode_map(s.nav, model.map_encoder, mode=model.bn_mode()).feature
+            if enc_mode != "infer":
+                enc_mode = model.bn_mode()
+            ctrl.map_feat = encode_map(s.nav, model.map_encoder, mode=enc_mode)
         if trigger:
             replan.append(i)
     maps = np.array([s.ctx.map_feat for s in slots])
@@ -333,18 +329,14 @@ def tiered_step(
             probs = np.exp(log_probs)
             probs /= probs.sum()
             action = int(s.rng.choice(6, p=probs))
-        rec = StepRecord(
-            k=ctrl.k,
-            waypoint=ctrl.waypoint,
-            goal_hat=(float(goal_cells[i, 0]), float(goal_cells[i, 1])),
-            progress_hat=float(out.progress.data[i, 0]),
-            value_hat=float(out.value.data[i, 0]),
-            log_prob=float(log_probs[action]),
-        )
+        rec = TrajStep(t=len(s.steps), state=s.state, action=action, k=ctrl.k, waypoint=ctrl.waypoint,
+                       goal_hat=(float(goal_cells[i, 0]), float(goal_cells[i, 1])),
+                       progress_hat=float(out.progress.data[i, 0]), value_hat=float(out.value.data[i, 0]),
+                       log_prob=float(log_probs[action]))
         if feats:
             rec.feats = {"patch": s.obs.patch.copy(), "pose": poses[i], "desc_ids": ids[i],
                          "map_feat": ctrl.map_feat.copy(), "wp_feats": wps[i], "mask": mask}
-        picks.append((action, rec))
+        picks.append(rec)
     return picks
 
 
@@ -352,7 +344,8 @@ def tiered_step(
 #
 # A policy's begin_episode(world, episode) returns its per-episode state,
 # which the runner keeps as Slot.ctx; act(slots, mode, feats) returns one
-# (action, StepRecord) per live slot.
+# TrajStep per live slot, with its t, state and action; the runner sets its
+# reward and dist after the move.
 
 
 class NeuralPolicy:
@@ -399,14 +392,9 @@ class TeacherPolicy:
             action = ep.actions[ep.i] if ep.i < len(ep.actions) else Action.STOP
             ep.i += 1
             gx, gy = s.episode.goal
-            picks.append((int(action), StepRecord(
-                k=ep.k,
-                waypoint=ep.waypoints[ep.k],
-                goal_hat=(float(gx), float(gy)),
-                progress_hat=min(ep.i / len(ep.actions), 1.0),
-                value_hat=0.0,
-                log_prob=0.0,
-            )))
+            picks.append(TrajStep(t=len(s.steps), state=s.state, action=int(action), k=ep.k,
+                                  waypoint=ep.waypoints[ep.k], goal_hat=(float(gx), float(gy)),
+                                  progress_hat=min(ep.i / len(ep.actions), 1.0), value_hat=0.0, log_prob=0.0))
         return picks
 
 
@@ -420,14 +408,9 @@ class RandomPolicy:
         picks = []
         for s in slots:
             gx, gy = s.episode.goal
-            picks.append((int(s.rng.integers(0, 6)), StepRecord(
-                k=0,
-                waypoint=(float(gx), float(gy)),
-                goal_hat=(math.nan, math.nan),
-                progress_hat=math.nan,
-                value_hat=math.nan,
-                log_prob=-math.log(6.0),
-            )))
+            picks.append(TrajStep(t=len(s.steps), state=s.state, action=int(s.rng.integers(0, 6)), k=0,
+                                  waypoint=(float(gx), float(gy)), goal_hat=(math.nan, math.nan),
+                                  progress_hat=math.nan, value_hat=math.nan, log_prob=-math.log(6.0)))
         return picks
 
 
@@ -439,38 +422,6 @@ WIDTH = 8  # episodes stepped in lockstep; a module constant, not a config key
 # episode begins past the cut, while a held-back start costs only a few
 # thinner ticks; holding a start back changes no result.
 SLOT_ROOM = 12
-
-
-@dataclass
-class TrajStep:
-    t: int
-    state: UavState
-    action: int
-    k: int
-    waypoint: tuple
-    goal_hat: tuple
-    progress_hat: float
-    value_hat: float
-    log_prob: float
-    reward: float
-    dist: float
-    feats: dict | None = None
-
-    def log_row(self) -> list:
-        """The step's TRAJ_COLUMNS cells, the one row format of every trajectory log."""
-        return traj_row(self.t, self.state, self.action, self.k, self.waypoint, self.goal_hat,
-                        self.progress_hat, self.value_hat, self.reward, self.dist)
-
-
-@dataclass
-class Trajectory:
-    episode: EpisodeSpec
-    steps: list
-    final_state: UavState
-    stopped: bool  # stop chosen before truncation
-
-    def __len__(self):
-        return len(self.steps)
 
 
 def run_episode(
@@ -500,7 +451,7 @@ def run_episode(
     still reach (each earlier live job takes at least one more step), so
     the step at the cut state is recorded, and with it the value that
     bootstraps the cut tail.
-    feats keeps each step's network inputs (StepRecord.feats).
+    feats keeps each step's network inputs (TrajStep.feats).
     """
     jobs = iter(jobs)
     taken = []  # steps so far of every started job, in job order
@@ -522,18 +473,13 @@ def run_episode(
         for s in live:
             s.obs = render_observation(s.world, s.state)
             update_map(s.nav, s.state, s.obs)
-        for s, (action, rec) in zip(live, policy.act(live, mode, feats)):
-            nxt, _, s.stopped = step(s.world, s.state, Action(action))
-            r = 0.0
+        for s, st in zip(live, policy.act(live, mode, feats)):
+            nxt, _, s.stopped = step(s.world, s.state, Action(st.action))
             if reward_cfg is not None:
-                r = compute_reward(s.state, nxt, s.episode.goal, s.world, reward_cfg,
-                                   waypoint=rec.waypoint, stopped=s.stopped)
-            d = distance_to_goal(s.state, s.episode.goal, s.world.cell_size)
-            s.steps.append(TrajStep(
-                t=len(s.steps), state=s.state, action=int(action), k=rec.k, waypoint=rec.waypoint,
-                goal_hat=rec.goal_hat, progress_hat=rec.progress_hat, value_hat=rec.value_hat,
-                log_prob=rec.log_prob, reward=r, dist=d, feats=rec.feats,
-            ))
+                st.reward = compute_reward(s.state, nxt, s.episode.goal, s.world, reward_cfg,
+                                           waypoint=st.waypoint, stopped=s.stopped)
+            st.dist = distance_to_goal(s.state, s.episode.goal, s.world.cell_size)
+            s.steps.append(st)
             s.state = nxt
             taken[s.index] += 1
         running = []

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .agent import Trajectory, run_episode
+from .agent import run_episode
 from .errors import ContractError
-from .teacher import STEP_LOG_COLUMNS
+from .teacher import STEP_LOG_COLUMNS, Trajectory
 from .util import substream, write_csv
 from .world import EpisodeSpec, distance_to_goal, sample_episode
 

@@ -143,16 +143,11 @@ def _pad_odd(x: Tensor) -> Tensor:
     return x
 
 
-@dataclass
-class EncodedMap:
-    feature: np.ndarray  # [D]
-
-
-def encode_map(nav: NavMap, encoder: MapEncoder, mode: str = "infer") -> EncodedMap:
-    """Convenience single-map, no-tape encoding for the controller."""
+def encode_map(nav: NavMap, encoder: MapEncoder, mode: str = "infer") -> np.ndarray:
+    """The [D] feature vector of one map: no-tape encoding for the controller."""
     with ad.no_grad():
         feat = encoder(Tensor(nav.grid[None]), mode)
     if not np.all(np.isfinite(feat.data)):
         raise ContractError("encoded map feature contains non-finite values")
-    return EncodedMap(feature=feat.data[0].copy())
+    return feat.data[0].copy()
 

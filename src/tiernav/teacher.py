@@ -1,19 +1,23 @@
-"""Expert demonstrator, and the one trajectory-log format.
+"""Expert demonstrator, the one trajectory-log format, and the one step
+and episode record.
 
 extract_waypoints turns a teacher plan (world.plan_path) into corner
 and landmark-anchored waypoints, spacing-capped, goal last.
 build_demonstration is the one labeling loop: it steps a list of moves
 (the plan, or a corpus episode's logged actions) through the simulator
-and labels each step with its expert action, waypoint, progress,
-reward and exact discounted value. It renders nothing and builds no
-map. load_corpus relabels each saved episode through it, compares every
-logged cell with the relabeled one, and is the one place that adds
-observations and map snapshots to a demonstration.
+and returns a Trajectory of TrajSteps, each labeled with its expert
+action, waypoint, progress, reward and exact discounted value. It
+renders nothing and builds no map. load_corpus relabels each saved
+episode through it, compares every logged cell with the relabeled one,
+and is the one place that adds observations and map snapshots to a
+demonstration (TrajStep.feats).
 
-Every trajectory file holds TRAJ_COLUMNS rows (traj_row). A corpus
-episode is the teacher's trajectory log: its g_hat is the goal, p_hat
-the progress label and v_hat the value label. An eval step log prefixes
-each row with the episode's split, tier, seed and index
+A policy's act also returns TrajSteps, and agent.run_episode returns
+Trajectories, so a demonstration and an eval episode are one record.
+Every trajectory file holds TRAJ_COLUMNS rows (TrajStep.log_row). A
+corpus episode is the teacher's trajectory log: its g_hat is the goal,
+p_hat the progress label and v_hat the value label. An eval step log
+prefixes each row with the episode's split, tier, seed and index
 (STEP_LOG_COLUMNS). read_trajectory_log reads both.
 
 An episode is planned once: sample_episode keeps the plan it verified
@@ -30,14 +34,13 @@ import os
 from dataclasses import dataclass
 
 from .errors import ContractError
-from .mapper import NavMap, init_map, update_map
+from .mapper import init_map, update_map
 from .util import atomic_write, read_text, substream, write_csv
 from .world import (
     Action,
     CityWorld,
     EpisodeSpec,
     ExpertPath,
-    Observation,
     UavState,
     compute_reward,
     distance_to_goal,
@@ -103,27 +106,6 @@ def extract_waypoints(path: ExpertPath, world: CityWorld):
     return waypoints
 
 
-@dataclass
-class DemoStep:
-    state: UavState
-    expert_action: int
-    waypoint: tuple
-    k: int
-    progress: float
-    value: float
-    reward: float
-    dist: float
-    obs: Observation | None = None  # set by load_corpus
-    snapshot_id: int | None = None  # index into Demonstration.maps, set by load_corpus
-
-
-@dataclass
-class Demonstration:
-    episode: EpisodeSpec
-    steps: list
-    maps: list  # NavMap snapshots, indexed by DemoStep.snapshot_id; empty until load_corpus
-
-
 def advance_waypoint(k: int, waypoints, state: UavState, eps: float = EPS_WP) -> int:
     """Index of the first unreached waypoint at or after k."""
     while k < len(waypoints) - 1 and math.hypot(state.x - waypoints[k][0], state.y - waypoints[k][1]) < eps:
@@ -132,18 +114,19 @@ def advance_waypoint(k: int, waypoints, state: UavState, eps: float = EPS_WP) ->
 
 
 def build_demonstration(world: CityWorld, episode: EpisodeSpec, reward_cfg, gamma: float,
-                        moves=None) -> Demonstration:
+                        moves=None) -> Trajectory:
     """Label moves (the episode's plan when None), then the final stop.
 
     The moves are stepped once; the stepped states give the waypoints,
-    and each step is labeled with its expert action, waypoint, progress,
-    reward and distance. Value labels are exact discounted suffix sums
-    of the rewards, so the one-step Bellman identity holds to float
-    precision. A blocked move or a stop before the last step raises
-    ContractError naming the step. No label reads an observation or a
-    map, so the demonstration has neither: save_corpus writes its
-    labels, and load_corpus relabels them and adds observations and map
-    snapshots.
+    and each step is a TrajStep with the expert action, the waypoint,
+    the goal as goal_hat, the progress and value labels as progress_hat
+    and value_hat, the reward and the distance. Value labels are exact
+    discounted suffix sums of the rewards, so the one-step Bellman
+    identity holds to float precision. A blocked move or a stop before
+    the last step raises ContractError naming the step. No label reads
+    an observation or a map, so no step has feats: save_corpus writes
+    the labels, and load_corpus relabels them and adds observations and
+    map snapshots.
     """
     if moves is None:
         moves = episode_plan(world, episode).actions
@@ -162,24 +145,18 @@ def build_demonstration(world: CityWorld, episode: EpisodeSpec, reward_cfg, gamm
     k = 0
     for i, (act, state, nxt) in enumerate(zip(actions, states, states[1:])):
         k = advance_waypoint(k, waypoints, state)
-        steps.append(
-            DemoStep(
-                state=state,
-                expert_action=int(act),
-                waypoint=waypoints[k],
-                k=k,
-                progress=(i + 1) / len(actions),
-                value=0.0,
-                reward=compute_reward(state, nxt, episode.goal, world, reward_cfg,
-                                      waypoint=waypoints[k], stopped=act == Action.STOP),
-                dist=distance_to_goal(state, episode.goal, world.cell_size),
-            )
-        )
+        steps.append(TrajStep(
+            t=i, state=state, action=int(act), k=k, waypoint=waypoints[k], goal_hat=episode.goal,
+            progress_hat=(i + 1) / len(actions), value_hat=0.0, log_prob=0.0,
+            reward=compute_reward(state, nxt, episode.goal, world, reward_cfg,
+                                  waypoint=waypoints[k], stopped=act == Action.STOP),
+            dist=distance_to_goal(state, episode.goal, world.cell_size),
+        ))
     acc = 0.0
     for st in reversed(steps):
         acc = st.reward + gamma * acc
-        st.value = acc
-    return Demonstration(episode=episode, steps=steps, maps=[])
+        st.value_hat = acc
+    return Trajectory(episode=episode, steps=steps, final_state=states[-1], stopped=True)
 
 
 def build_dataset(worlds, n_episodes: int, tiers, master_seed: int, reward_cfg, gamma: float,
@@ -227,10 +204,43 @@ def traj_row(t, state: UavState, action, k, waypoint, g_hat, p_hat, v_hat, r, d)
             g_hat[0], g_hat[1], p_hat, v_hat, r, d]
 
 
-def _demo_rows(demo: Demonstration) -> list:
-    """The TRAJ_COLUMNS rows of a demonstration, one per step."""
-    return [traj_row(t, s.state, s.expert_action, s.k, s.waypoint, demo.episode.goal,
-                     s.progress, s.value, s.reward, s.dist) for t, s in enumerate(demo.steps)]
+@dataclass
+class TrajStep:
+    """One step of an episode: the one record of a policy's step and a
+    demonstration's labeled step. A policy's act fills in everything but
+    reward and dist, which the runner sets after the move. feats holds
+    the step's network inputs: the controller's when a rollout asks for
+    them, the observation patch and map snapshot once load_corpus has
+    replayed a demonstration."""
+
+    t: int
+    state: UavState
+    action: int
+    k: int
+    waypoint: tuple
+    goal_hat: tuple
+    progress_hat: float
+    value_hat: float
+    log_prob: float
+    reward: float = 0.0
+    dist: float = 0.0
+    feats: dict | None = None
+
+    def log_row(self) -> list:
+        """The step's TRAJ_COLUMNS cells, the one row format of every trajectory log."""
+        return traj_row(self.t, self.state, self.action, self.k, self.waypoint, self.goal_hat,
+                        self.progress_hat, self.value_hat, self.reward, self.dist)
+
+
+@dataclass
+class Trajectory:
+    episode: EpisodeSpec
+    steps: list
+    final_state: UavState
+    stopped: bool  # stop chosen before truncation
+
+    def __len__(self):
+        return len(self.steps)
 
 
 def read_trajectory_log(path):
@@ -274,7 +284,7 @@ def save_corpus(corpus_dir, demos, manifest: dict):
     os.makedirs(corpus_dir, exist_ok=True)
     save_episodes([demo.episode for demo in demos], os.path.join(corpus_dir, "episodes.jsonl"))
     for i, demo in enumerate(demos):
-        write_csv(os.path.join(corpus_dir, f"episode_{i:05d}.csv"), TRAJ_COLUMNS, _demo_rows(demo))
+        write_csv(os.path.join(corpus_dir, f"episode_{i:05d}.csv"), TRAJ_COLUMNS, (st.log_row() for st in demo.steps))
     lines = [
         "tiernav-corpus 1",
         f"master_seed {manifest['master_seed']}",
@@ -324,9 +334,11 @@ def load_corpus(corpus_dir, worlds_by_id, reward_cfg, r_prior: float = 12.0, use
     exactly. The first difference raises ContractError naming the file,
     line and column; a blocked move or an early stop raises it naming
     the file and the step t (on line t + 2). So a corpus built under
-    other reward.* settings is refused. The relabeled steps then gain
-    each step's observation and a snapshot of the belief map, built with
-    this landmark prior, whenever the waypoint index changes.
+    other reward.* settings is refused. Each relabeled step then gains
+    feats: its observation patch and a snapshot of the belief map, built
+    with this landmark prior. A snapshot is taken at t = 0 and wherever
+    the waypoint index changes, and the steps up to the next change
+    share it.
     """
     manifest = load_manifest(corpus_dir)
     if "gamma" not in manifest:
@@ -348,23 +360,23 @@ def load_corpus(corpus_dir, worlds_by_id, reward_cfg, r_prior: float = 12.0, use
         demo = _relabel(world, ep, rows, path, reward_cfg, manifest["gamma"])
         nav = init_map(world, ep, r_prior=r_prior, use_prior=use_prior)
         for t, st in enumerate(demo.steps):
-            st.obs = render_observation(world, st.state)
-            update_map(nav, st.state, st.obs)
+            obs = render_observation(world, st.state)
+            update_map(nav, st.state, obs)
             if t == 0 or st.k != demo.steps[t - 1].k:
-                demo.maps.append(NavMap(grid=nav.grid.copy()))
-            st.snapshot_id = len(demo.maps) - 1
+                snapshot = nav.grid.copy()
+            st.feats = {"patch": obs.patch, "map": snapshot}
         demos.append(demo)
     return demos, manifest
 
 
-def _relabel(world, ep, rows, path, reward_cfg, gamma) -> Demonstration:
+def _relabel(world, ep, rows, path, reward_cfg, gamma) -> Trajectory:
     """build_demonstration on a logged episode's moves, every logged cell checked against it."""
     try:
         demo = build_demonstration(world, ep, reward_cfg, gamma, [Action(int(row["action"])) for row in rows[:-1]])
     except ContractError as e:
         raise ContractError(f"{path}: {e}") from None
-    for n, (row, relabeled) in enumerate(zip(rows, _demo_rows(demo)), start=2):
-        for column, cell in zip(TRAJ_COLUMNS, relabeled):
+    for n, (row, st) in enumerate(zip(rows, demo.steps), start=2):
+        for column, cell in zip(TRAJ_COLUMNS, st.log_row()):
             if row[column] != cell:
                 raise ContractError(f"{path}: line {n} has {column} {row[column]!r}, the replay gives {cell!r}")
     return demo

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .agent import MASK_OFF, descriptor_ids, pose_features, run_episode, save_policy, waypoint_context
+from .agent import (MASK_OFF, descriptor_ids, policy_arrays, pose_features, run_episode, save_policy,
+                    waypoint_context)
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, NumericsError
 from .evaluation import episode_metrics
@@ -179,16 +180,11 @@ def write_curve(path, rows, columns):
 
 
 def _snapshot(model: Module) -> dict:
-    snap = {name: t.data.copy() for name, t, _ in model.named_params()}
-    for name, arr in model.named_state():
-        snap[name] = arr.copy()
-    return snap
+    return {name: arr.copy() for name, arr in policy_arrays(model).items()}
 
 
 def _restore(model: Module, snap: dict):
-    for name, t, _ in model.named_params():
-        t.data[...] = snap[name]
-    for name, arr in model.named_state():
+    for name, arr in policy_arrays(model).items():
         arr[...] = snap[name]
 
 
@@ -250,29 +246,33 @@ class Stage1Data:
 
 
 def prepare_stage1_data(demos, model) -> Stage1Data:
+    """Stack replayed demonstrations (Trajectories from load_corpus) into
+    training arrays. A step's map snapshot joins the stack wherever it is
+    not the previous step's, so the steps that share a snapshot share its
+    index."""
     w, h, zm = model.width, model.height, model.z_max
     patches, poses, ids, wps, snap_idx = [], [], [], [], []
     actions, wstar, progress, value, goal = [], [], [], [], []
     snapshots = []
     for demo in demos:
-        if not demo.maps:
-            raise ContractError("demonstration lacks map snapshots; load it with load_corpus")
-        base = len(snapshots)
-        snapshots.extend(m.grid for m in demo.maps)
         gx, gy = demo.episode.goal
         d_ids = descriptor_ids(demo.episode.descriptor)
+        last = None
         for st in demo.steps:
-            if st.obs is None:
-                raise ContractError("demonstration lacks observations; load it with load_corpus")
-            patches.append(st.obs.patch)
+            if st.feats is None:
+                raise ContractError("demonstration lacks observations and maps; load it with load_corpus")
+            if st.feats["map"] is not last:
+                last = st.feats["map"]
+                snapshots.append(last)
+            patches.append(st.feats["patch"])
             poses.append(pose_features(st.state, w, h, zm))
             ids.append(d_ids)
             wps.append(waypoint_context(st.state, st.waypoint, w, h))
-            snap_idx.append(base + st.snapshot_id)
-            actions.append(st.expert_action)
+            snap_idx.append(len(snapshots) - 1)
+            actions.append(st.action)
             wstar.append((st.waypoint[0] / w, st.waypoint[1] / h))
-            progress.append([st.progress])
-            value.append([st.value])
+            progress.append([st.progress_hat])
+            value.append([st.value_hat])
             goal.append((gx / w, gy / h))
     return Stage1Data(
         patches=np.array(patches),

@@ -10,10 +10,9 @@ so the files can be compared byte for byte.
 import math
 import os
 
-from tiernav.agent import TrajStep, Trajectory
 from tiernav.evaluation import (BenchmarkRecord, BenchmarkReport, aggregate, episode_metrics, render_table,
                                 write_benchmark_csv, write_step_log)
-from tiernav.teacher import advance_waypoint, episode_plan, extract_waypoints
+from tiernav.teacher import TrajStep, Trajectory, advance_waypoint, episode_plan, extract_waypoints
 from tiernav.util import atomic_write, substream
 from tiernav.world import Action, sample_episode, step
 

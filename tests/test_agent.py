@@ -227,12 +227,12 @@ def test_tiered_step_greedy_argmax():
     model = make_model()
     model.action_head.weight.data[...] = 0.0
     model.action_head.bias.data[...] = [0, 0, 5, 0, 0, 0]
-    [(action, _)] = tiered_step(model, [start_slot(wd, ep)], "greedy")
-    assert action == 2
+    [rec] = tiered_step(model, [start_slot(wd, ep)], "greedy")
+    assert rec.action == 2
     # argmax invariant under constant logit shifts
     model.action_head.bias.data[...] = np.array([0, 0, 5, 0, 0, 0]) + 11.0
-    [(action2, _)] = tiered_step(model, [start_slot(wd, ep)], "greedy")
-    assert action2 == 2
+    [rec2] = tiered_step(model, [start_slot(wd, ep)], "greedy")
+    assert rec2.action == 2
 
 
 def test_tiered_step_sample_mode_valid_actions():
@@ -241,7 +241,8 @@ def test_tiered_step_sample_mode_valid_actions():
     slot = start_slot(wd, ep, rng=substream(7, "samp"))
     seen = set()
     for _ in range(40):
-        [(action, rec)] = tiered_step(model, [slot], "sample")
+        [rec] = tiered_step(model, [slot], "sample")
+        action = rec.action
         assert 0 <= action < 6
         assert math.isfinite(rec.log_prob) and rec.log_prob <= 0.0
         seen.add(action)
@@ -260,11 +261,11 @@ class AlwaysStop:
         return None
 
     def act(self, slots, mode, feats=False):
-        from tiernav.agent import StepRecord
+        from tiernav.teacher import TrajStep
 
-        return [(int(Action.STOP), StepRecord(k=0, waypoint=(0.0, 0.0), goal_hat=(0.0, 0.0),
-                                              progress_hat=0.0, value_hat=0.0, log_prob=0.0))
-                for _ in slots]
+        return [TrajStep(t=len(s.steps), state=s.state, action=int(Action.STOP), k=0, waypoint=(0.0, 0.0),
+                         goal_hat=(0.0, 0.0), progress_hat=0.0, value_hat=0.0, log_prob=0.0)
+                for s in slots]
 
 
 def test_run_episode_always_stop():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tiernav import evaluation as ev
-from tiernav.agent import NavPolicy, NeuralPolicy, RandomPolicy, TeacherPolicy, TrajStep, Trajectory
+from tiernav.agent import NavPolicy, NeuralPolicy, RandomPolicy, TeacherPolicy
 from tiernav.errors import ContractError
 from tiernav.evaluation import (
     BenchmarkCell,
@@ -16,6 +16,7 @@ from tiernav.evaluation import (
     write_benchmark_csv,
     write_step_log,
 )
+from tiernav.teacher import TrajStep, Trajectory
 from tiernav.util import atomic_write, substream
 from tiernav.world import EpisodeSpec, GoalDescriptor, UavState, WorldConfig, generate_world
 

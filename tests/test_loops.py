@@ -152,7 +152,7 @@ def test_stage1_rejects_stripped_corpus(world, reward_cfg, corpus):
     bare = [build_demonstration(world, ep, reward_cfg, GAMMA)]
     with pytest.raises(ContractError, match="load_corpus"):
         train_stage1(bare, fresh_model(world), Stage1Config(epochs=1))
-    blind = [dataclasses.replace(corpus[0], steps=[dataclasses.replace(st, obs=None) for st in corpus[0].steps])]
+    blind = [dataclasses.replace(corpus[0], steps=[dataclasses.replace(st, feats=None) for st in corpus[0].steps])]
     with pytest.raises(ContractError, match="load_corpus"):
         train_stage1(blind, fresh_model(world), Stage1Config(epochs=1))
 
@@ -214,7 +214,8 @@ def oracle_collect_rollouts(model, worlds, tiers, reward_cfg, n_steps, streams):
         for t in range(ep.max_steps):
             slot.obs = render_observation(world, slot.state)
             update_map(slot.nav, slot.state, slot.obs)
-            [(action, rec)] = tiered_step(model, [slot], "sample", feats=True)
+            [rec] = tiered_step(model, [slot], "sample", feats=True)
+            action = rec.action
             if n == n_steps:  # the cut state: its value bootstraps the tail
                 bootstrap = rec.value_hat
                 break

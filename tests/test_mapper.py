@@ -224,9 +224,9 @@ def test_encoder_zero_map_finite_and_deterministic():
     nav = NavMap(grid=np.zeros((4, 48, 48)))
     f1 = encode_map(nav, enc, mode="train")
     f2 = encode_map(nav, enc, mode="train")
-    assert np.all(np.isfinite(f1.feature))
-    assert np.array_equal(f1.feature, f2.feature)
-    assert f1.feature.shape == (32,)
+    assert np.all(np.isfinite(f1))
+    assert np.array_equal(f1, f2)
+    assert f1.shape == (32,)
 
 
 def test_encoder_discriminates_prior():
@@ -238,7 +238,7 @@ def test_encoder_discriminates_prior():
     b.grid[2, 10:20, 10:20] = 1.0
     fa = encode_map(a, enc, mode="train")
     fb = encode_map(b, enc, mode="train")
-    assert not np.allclose(fa.feature, fb.feature)
+    assert not np.allclose(fa, fb)
 
 
 def test_encoder_pure_function_of_map():
@@ -247,7 +247,7 @@ def test_encoder_pure_function_of_map():
     g = substream(11, "grid").uniform(0, 1, size=(4, 48, 48))
     f1 = encode_map(NavMap(grid=g.copy()), enc, mode="train")
     f2 = encode_map(NavMap(grid=g.copy()), enc, mode="train")
-    assert np.array_equal(f1.feature, f2.feature)
+    assert np.array_equal(f1, f2)
 
 
 def test_encoder_full_pipeline_grad_check_16x16():

@@ -163,8 +163,8 @@ def test_sampled_episode_carries_its_plan():
     replanned = build_demonstration(wd, back, RewardConfig(), gamma=0.99)
     assert extract_waypoints(episode_plan(wd, ep), wd) == extract_waypoints(episode_plan(wd, back), wd)
     for a, b in zip(carried.steps, replanned.steps, strict=True):
-        assert (a.state, a.expert_action, a.k, a.waypoint, a.reward, a.value) == \
-            (b.state, b.expert_action, b.k, b.waypoint, b.reward, b.value)
+        assert (a.state, a.action, a.k, a.waypoint, a.reward, a.value_hat) == \
+            (b.state, b.action, b.k, b.waypoint, b.reward, b.value_hat)
     ta, tb = run_episode(TeacherPolicy(), [(wd, ep, None), (wd, back, None)], reward_cfg=RewardConfig())
     assert [(s.state, s.action, s.k, s.waypoint, s.reward) for s in ta.steps] == \
         [(s.state, s.action, s.k, s.waypoint, s.reward) for s in tb.steps]
@@ -279,12 +279,12 @@ def build_one(seed=21, tier="easy"):
 
 def test_demo_replays_to_stop():
     wd, ep, demo = build_one()
-    assert demo.steps[-1].expert_action == Action.STOP
+    assert demo.steps[-1].action == Action.STOP
     s = ep.start
     stopped = False
     for st in demo.steps:
         assert st.state == s
-        s, blocked, stopped = step(wd, s, Action(st.expert_action))
+        s, blocked, stopped = step(wd, s, Action(st.action))
         assert not blocked
     assert stopped
 
@@ -293,19 +293,19 @@ def test_demo_progress_linear():
     _, _, demo = build_one()
     T = len(demo.steps)
     for i, st in enumerate(demo.steps):
-        assert st.progress == pytest.approx((i + 1) / T)
-    assert demo.steps[-1].progress == 1.0
+        assert st.progress_hat == pytest.approx((i + 1) / T)
+    assert demo.steps[-1].progress_hat == 1.0
 
 
 def test_demo_values_satisfy_bellman():
     wd, ep, demo = build_one()
     gamma = 0.99
     for i in range(len(demo.steps) - 1):
-        lhs = demo.steps[i].value
-        rhs = demo.steps[i].reward + gamma * demo.steps[i + 1].value
+        lhs = demo.steps[i].value_hat
+        rhs = demo.steps[i].reward + gamma * demo.steps[i + 1].value_hat
         assert abs(lhs - rhs) < 1e-12
     last = demo.steps[-1]
-    assert abs(last.value - last.reward) < 1e-12
+    assert abs(last.value_hat - last.reward) < 1e-12
 
 
 def test_demo_values_gamma_zero_collapse():
@@ -313,7 +313,7 @@ def test_demo_values_gamma_zero_collapse():
     ep = sample_episode(wd, "easy", substream(23, "demo"))
     demo = build_demonstration(wd, ep, RewardConfig(), gamma=0.0)
     for st in demo.steps:
-        assert st.value == pytest.approx(st.reward)
+        assert st.value_hat == pytest.approx(st.reward)
 
 
 def test_demo_value_suffix_sum_oracle():
@@ -325,7 +325,7 @@ def test_demo_value_suffix_sum_oracle():
     T = len(rewards)
     for i in range(T):
         acc = sum(rewards[j] * gamma ** (j - i) for j in range(i, T))
-        assert demo.steps[i].value == pytest.approx(acc, abs=1e-9)
+        assert demo.steps[i].value_hat == pytest.approx(acc, abs=1e-9)
 
 
 def test_demo_rewards_match_compute_reward():
@@ -333,7 +333,7 @@ def test_demo_rewards_match_compute_reward():
     cfg = RewardConfig()
     s = ep.start
     for st in demo.steps:
-        s2, blocked, stopped = step(wd, s, Action(st.expert_action))
+        s2, blocked, stopped = step(wd, s, Action(st.action))
         r = compute_reward(s, s2, ep.goal, wd, cfg, waypoint=st.waypoint, stopped=stopped)
         assert st.reward == pytest.approx(r, abs=1e-12)
         s = s2
@@ -358,9 +358,9 @@ def test_demo_snapshots_align_with_k_changes(tmp_path):
     wd, _, built = build_one(seed=41, tier="medium")
     (demo,) = _replayed(tmp_path, wd, [built])
     n_k = len({st.k for st in demo.steps})
-    assert len(demo.maps) == n_k
-    for st in demo.steps:
-        assert 0 <= st.snapshot_id < len(demo.maps)
+    assert len({id(st.feats["map"]) for st in demo.steps}) == n_k
+    for prev, st in zip(demo.steps, demo.steps[1:]):
+        assert (st.feats["map"] is prev.feats["map"]) == (st.k == prev.k)
 
 
 def test_label_only_demo_gains_perception_on_load(tmp_path, monkeypatch):
@@ -374,15 +374,15 @@ def test_label_only_demo_gains_perception_on_load(tmp_path, monkeypatch):
         for name in ("render_observation", "update_map", "init_map"):
             m.setattr(teacher, name, no_perception)
         built = [build_demonstration(wd, ep, RewardConfig(), gamma=0.99) for ep in eps]
-    fields = ("state", "expert_action", "waypoint", "k", "progress", "value", "reward", "dist")
+    fields = ("state", "action", "waypoint", "k", "progress_hat", "value_hat", "reward", "dist")
     for demo, back in zip(built, _replayed(tmp_path, wd, built), strict=True):
-        assert demo.maps == []
-        assert all(st.obs is None and st.snapshot_id is None for st in demo.steps)
+        assert all(st.feats is None for st in demo.steps)
         assert [[getattr(st, f) for f in fields] for st in demo.steps] == \
             [[getattr(st, f) for f in fields] for st in back.steps]
         for st in back.steps:
-            np.testing.assert_array_equal(st.obs.patch, render_observation(wd, st.state).patch)
-        assert back.steps[-1].snapshot_id == len(back.maps) - 1
+            np.testing.assert_array_equal(st.feats["patch"], render_observation(wd, st.state).patch)
+        snapshots = list({id(st.feats["map"]): st.feats["map"] for st in back.steps}.values())
+        assert back.steps[-1].feats["map"] is snapshots[-1]
 
 
 def test_demo_unreachable_goal_raises():
@@ -407,7 +407,7 @@ def test_build_dataset_stratified_and_deterministic():
     assert man1["tier_counts"] == {"easy": 6, "medium": 6}
     for d1, d2 in zip(demos1, demos2):
         assert d1.episode.start == d2.episode.start
-        assert [s.expert_action for s in d1.steps] == [s.expert_action for s in d2.steps]
+        assert [s.action for s in d1.steps] == [s.action for s in d2.steps]
 
 
 def test_build_dataset_different_seed_differs():
@@ -434,17 +434,17 @@ def test_corpus_round_trip(tmp_path):
     demos_back, _ = load_corpus(root, by_id, RewardConfig())
     assert len(demos_back) == 4
     for orig, back in zip(demos, demos_back):
-        assert [s.expert_action for s in orig.steps] == [s.expert_action for s in back.steps]
+        assert [s.action for s in orig.steps] == [s.action for s in back.steps]
         assert [s.k for s in orig.steps] == [s.k for s in back.steps]
         assert [s.waypoint for s in orig.steps] == [s.waypoint for s in back.steps]
         assert [s.state for s in orig.steps] == [s.state for s in back.steps]
         np.testing.assert_array_equal(
-            [s.value for s in orig.steps], [s.value for s in back.steps])
+            [s.value_hat for s in orig.steps], [s.value_hat for s in back.steps])
         np.testing.assert_array_equal(
             [s.reward for s in orig.steps], [s.reward for s in back.steps])
         # replayed observations and maps come back
-        assert all(s.obs is not None for s in back.steps)
-        assert len(back.maps) == len({s.k for s in back.steps})
+        assert all(s.feats is not None for s in back.steps)
+        assert len({id(s.feats["map"]) for s in back.steps}) == len({s.k for s in back.steps})
 
 
 def test_corpus_episode_is_the_teacher_trajectory_log(tmp_path):
@@ -466,7 +466,7 @@ def test_corpus_episode_is_the_teacher_trajectory_log(tmp_path):
             logged = dict(zip(TRAJ_COLUMNS, st.log_row()))
             assert {c: row[c] for c in TRAJ_COLUMNS if c != "v_hat"} == \
                 {c: logged[c] for c in TRAJ_COLUMNS if c != "v_hat"}
-        assert [row["v_hat"] for row in rows] == [st.value for st in demo.steps]
+        assert [row["v_hat"] for row in rows] == [st.value_hat for st in demo.steps]
 
 
 def test_corpus_rewrite_is_byte_identical(tmp_path):
