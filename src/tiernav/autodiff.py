@@ -17,6 +17,9 @@ more than speed here.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError, StateError
@@ -417,6 +420,60 @@ def _col2im(gcols: np.ndarray, xshape, k: int, stride: int, pad: int, ho: int, w
     return gxp
 
 
+_POOL: ThreadPoolExecutor | None = None  # conv2d's block threads, made on first use
+
+
+def _ways() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forget_pool():
+    """A forked child has none of its parent's threads; it makes its own pool."""
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _for_each_block(fn, blocks):
+    """Call fn(b) for every block, on up to _ways() threads.
+
+    The blocks split into contiguous runs, one per way, and the calling
+    thread runs the first. One way, or one block, runs inline and starts
+    no thread. fn(b) must write only b's slice of its outputs, so the
+    bits do not depend on how many ways ran. Every run is waited for
+    before this returns or raises, so no thread still writes into an
+    array the caller holds; an exception in any run re-raises here.
+    """
+
+    def run(bs):
+        for b in bs:
+            fn(b)
+
+    cpus = _ways()
+    ways = min(cpus, len(blocks))
+    if ways <= 1:
+        run(blocks)
+        return
+    global _POOL
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(max_workers=cpus - 1, thread_name_prefix="conv2d")
+    m = len(blocks)
+    runs = [blocks[i * m // ways : (i + 1) * m // ways] for i in range(ways)]
+    futures = [_POOL.submit(run, bs) for bs in runs[1:]]
+    try:
+        run(runs[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | None = None) -> Tensor:
     """Cross-correlation with zero padding. Input [N,Cin,H,W] or [Cin,H,W].
 
@@ -442,6 +499,14 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
     The tape keeps no column matrix: backward rebuilds each block's
     columns from the input it holds to form the kernel gradient, and
     pads only the block it works on.
+
+    Each block writes only its own slice (out[b]; gws[b] and gx[b]), so
+    the blocks run on one thread per CPU the process may use
+    (_for_each_block). The GEMMs and the sum over gws keep their shapes
+    and order, so the bits are the same for any thread count. Worker
+    threads call only _pad2d, _im2col, _col2im and numpy, none of which
+    perfbench/spans.py wraps: its Recorder keeps one call stack and is
+    not thread-safe.
     """
     squeeze = x.data.ndim == 3
     xd = x.data[None] if squeeze else x.data
@@ -471,8 +536,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
 
     wmat = kernel.data.reshape(cout, ckk)
     out = np.empty((n, cout, ho * wo))
-    for b in blocks:
-        np.matmul(wmat[None], columns(b), out=out[b])
+    _for_each_block(lambda b: np.matmul(wmat[None], columns(b), out=out[b]), blocks)
     out = out.reshape(n, cout, ho, wo)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
@@ -491,7 +555,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
                 q = kh - 1 - pad  # q < 0: the output overhangs the input; crop it
                 wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
                 gxflat = gx.reshape(n, cin, h * w)
-        for b in blocks:
+
+        def block(b):
             if kernel.requires_grad:
                 np.matmul(gflat[b], columns(b).transpose(0, 2, 1), out=gws[b])
             if x.requires_grad:
@@ -502,6 +567,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
                 else:
                     gcols = np.matmul(wmat.T[None], gflat[b])
                     gx[b] = _col2im(gcols, gx[b].shape, kh, stride, pad, ho, wo)
+
+        _for_each_block(block, blocks)
         if kernel.requires_grad:
             _accum(kernel, gws.sum(axis=0).reshape(kernel.data.shape))
         if bias is not None and bias.requires_grad:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from tiernav import autodiff as ad
 from tiernav import cli
 from tiernav.agent import load_policy_into
 from tiernav.cli import main, render_replay
@@ -781,6 +782,33 @@ def test_two_runs_are_byte_identical(pipeline, tmp_path):
     assert not [name for name in a if name.endswith(".tmp")]
     assert sorted(a) == sorted(b)
     assert [name for name in a if a[name] != b[name]] == []
+
+
+def test_training_bytes_do_not_depend_on_conv_way_count(pipeline, tmp_path, monkeypatch):
+    cfg_path, out, _ = pipeline
+    blocks = []
+    for_each_block = ad._for_each_block
+
+    def spy(fn, bs):
+        blocks.append(len(bs))
+        return for_each_block(fn, bs)
+
+    monkeypatch.setattr(ad, "_for_each_block", spy)
+    # the smoke shapes fit one block; one-sample blocks make every batched conv split
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)
+    trees = []
+    for ways in (1, 2):
+        monkeypatch.setattr(ad, "_ways", lambda ways=ways: ways)
+        root = _stage_copy(out, tmp_path / f"ways{ways}", stages=("worlds", "corpus"))
+        for cmd in ("train-il", "train-rl"):
+            assert main([cmd, "--config", cfg_path, "--out", str(root)]) == 0, (ways, cmd)
+        trees.append({stage: _tree_bytes(str(root / stage)) for stage in ("il", "rl")})
+    assert max(blocks) > 1
+    one, two = trees
+    for stage in ("il", "rl"):
+        assert "config.txt" in one[stage]
+        assert sorted(one[stage]) == sorted(two[stage])
+        assert [name for name in one[stage] if one[stage][name] != two[stage][name]] == [], stage
 
 
 @pytest.fixture(scope="module")

@@ -12,10 +12,15 @@ and the input gradient must be bit-identical, at stride 1 and 2, with
 one-sample blocks and with a ragged last block.
 
 Neither the tape of conv2d nor a forward plus backward holds a
-whole-batch column matrix.
+whole-batch column matrix. Its bits do not depend on how many threads
+run its blocks, and a forked child runs them on a pool of its own.
 """
 
+import os
+import signal
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -297,3 +302,100 @@ def test_conv2d_forward_backward_peak_below_one_column_matrix():
         tracemalloc.stop()
     assert x.grad is not None and kernel.grad is not None
     assert peak < n * cin * k * k * side * side * 8
+
+
+# conv2d's blocks run on _ways() threads in contiguous runs; three ways
+# make uneven runs. The bits must not depend on the count.
+WAY_COUNTS = (1, 2, 3)
+
+WAY_CASES = (
+    [((22, cin, side, side), cout, k, stride, pad) for cin, side, cout, k, stride, pad in ENCODER_SHAPES]
+    + [
+        ((1, 4, 97, 97), 8, 3, 2, 1),
+        ((8, 49, 49), 8, 3, 1, 1),
+        ((2 * _block(8, 49, 3, 2, 1) + 1, 8, 49, 49), 16, 3, 2, 1),
+        ((2 * _block(16, 25, 3, 2, 1) + 1, 16, 25, 25), 16, 3, 2, 1),
+        ((64, 3, 25, 25), 8, 3, 2, 1),
+        ((64, 8, 13, 13), 16, 3, 2, 1),
+    ]
+)
+
+
+@pytest.mark.parametrize("xshape,cout,k,stride,pad", WAY_CASES)
+def test_conv2d_bits_do_not_depend_on_way_count(monkeypatch, xshape, cout, k, stride, pad):
+    rng = np.random.default_rng(sum(xshape))
+    xd = rng.normal(size=xshape)
+    kd = rng.normal(size=(cout, xshape[-3], k, k))
+    bd = rng.normal(size=cout)
+    rd = rng.normal(size=batched_conv2d(Tensor(xd), Tensor(kd), stride=stride, pad=pad).shape)
+    results = []
+    for ways in WAY_COUNTS:
+        monkeypatch.setattr(ad, "_ways", lambda ways=ways: ways)
+        results.append(_run(ad.conv2d, xd, kd, bd, stride, pad, rd))
+    for got in results[1:]:
+        for g, w in zip(got, results[0]):
+            _assert_bits(g, w)
+
+
+def test_map_encoder_grads_do_not_depend_on_way_count(monkeypatch):
+    from tiernav.mapper import MapEncoder
+
+    xd = np.random.default_rng(5).normal(size=(3, 4, 96, 96))
+    grads = []
+    for ways in WAY_COUNTS:
+        monkeypatch.setattr(ad, "_ways", lambda ways=ways: ways)
+        enc = MapEncoder(np.random.default_rng(4), widths=(8, 16), d_out=32)
+        ad.backward(ad.sum_all(ad.square(enc(Tensor(xd), "train"))))
+        grads.append([(name, t.grad) for name, t, _ in enc.named_params()])
+    for got in grads[1:]:
+        for (name, g), (want_name, w) in zip(got, grads[0]):
+            assert name == want_name
+            _assert_bits(g, w)
+
+
+def test_conv2d_block_error_reraises_after_every_run(monkeypatch):
+    monkeypatch.setattr(ad, "_ways", lambda: 3)
+    done = []
+
+    def fn(b):
+        if b == 3:  # the last block of the middle run: runs [0, 1], [2, 3], [4, 5]
+            raise ValueError("block 3")
+        done.append(b)
+
+    with pytest.raises(ValueError, match="block 3"):
+        ad._for_each_block(fn, list(range(6)))
+    assert sorted(done) == [0, 1, 2, 4, 5]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_conv2d_on_its_own_pool(monkeypatch):
+    monkeypatch.setattr(ad, "_ways", lambda: 2)
+    n = 2 * _block(8, 49, 3, 1, 1) + 1
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(n, 8, 49, 49)))
+    kernel = Tensor(rng.normal(size=(8, 8, 3, 3)))
+    want = ad.conv2d(x, kernel, stride=1, pad=1).data
+    assert ad._POOL is not None
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork in a threaded process; forking one is the point here
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            fresh = ad._POOL is None
+            got = ad.conv2d(x, kernel, stride=1, pad=1).data
+            code = 0 if fresh and got.tobytes() == want.tobytes() else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child did not finish its conv2d within 60 s")
+        time.sleep(0.01)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
