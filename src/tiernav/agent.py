@@ -164,14 +164,12 @@ class NavPolicy(Module):
         self.action_head = Linear(rng, micro_hidden, 6)
 
     def obs_features(self, patches) -> Tensor:
-        x = patches if isinstance(patches, Tensor) else Tensor(np.asarray(patches, dtype=np.float64))
-        x = ad.relu(self.obs_conv1(_pad_odd(x)))
+        x = ad.relu(self.obs_conv1(_pad_odd(Tensor(patches))))
         x = ad.relu(self.obs_conv2(_pad_odd(x)))
         return ad.relu(self.obs_out(ad.global_avg_pool(x)))
 
     def state_features(self, pose) -> Tensor:
-        x = pose if isinstance(pose, Tensor) else Tensor(np.asarray(pose, dtype=np.float64))
-        return self.state_fc2(ad.relu(self.state_fc1(x)))
+        return self.state_fc2(ad.relu(self.state_fc1(Tensor(pose))))
 
     def desc_features(self, ids: np.ndarray) -> Tensor:
         ids = np.asarray(ids, dtype=np.int64)
@@ -200,8 +198,7 @@ class NavPolicy(Module):
         value = self.value_head(h)
         wp_in = ad.concat([h, goal], axis=1) if self.feed_goal_to_waypoint else h
         waypoint = self.waypoint_head(wp_in)
-        wp = wp_feats if isinstance(wp_feats, Tensor) else Tensor(np.asarray(wp_feats, dtype=np.float64))
-        micro = ad.relu(self.micro_fc(ad.concat([obs_f, state_f, wp], axis=1)))
+        micro = ad.relu(self.micro_fc(ad.concat([obs_f, state_f, Tensor(wp_feats)], axis=1)))
         logits = self.action_head(micro)
         return HeadOutputs(goal=goal, progress=progress, value=value, waypoint=waypoint, logits=logits)
 

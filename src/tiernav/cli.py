@@ -183,9 +183,8 @@ def cmd_build_corpus(cfg, args) -> int:
     worlds = _load_worlds(cfg, args, "seen")
     run_dir = _begin_run(cfg, args, "corpus")
     demos, manifest = build_dataset(
-        worlds, cfg["corpus.episodes"], cfg.tier_list("corpus.tiers"),
+        worlds, cfg["corpus.episodes"], cfg.tiers("corpus.tiers"),
         cfg["run.seed"], cfg.reward_config(), cfg["ppo.gamma"],
-        tier_brackets=cfg.tier_brackets(),
     )
     save_corpus(run_dir, demos, manifest)
     run_dir = _finish_run(run_dir, "build-corpus", cfg, started)
@@ -229,13 +228,13 @@ def cmd_train_il(cfg, args) -> int:
 def _build_probe(cfg, worlds, n: int):
     if n <= 0 or not worlds:
         return None
-    tiers = cfg.tier_list("ppo.tiers")
-    brackets = cfg.tier_brackets()
+    tiers = cfg.tiers("ppo.tiers")
+    names = list(tiers)
     probe = []
     for i in range(n):
         world = worlds[i % len(worlds)]
-        tier = tiers[i % len(tiers)]
-        ep = sample_episode(world, tier, substream(cfg["run.seed"], "probe", i), tiers=brackets)
+        tier = names[i % len(names)]
+        ep = sample_episode(world, tier, substream(cfg["run.seed"], "probe", i), tiers=tiers)
         probe.append((world, ep))
     return probe
 
@@ -252,7 +251,7 @@ def cmd_train_rl(cfg, args) -> int:
         corpus=demos, il_cfg=cfg.stage1_config(), seed=cfg["run.seed"],
         probe=_build_probe(cfg, unseen or seen, cfg["ppo.probe_episodes"]),
         probe_threshold_m=cfg["eval.threshold_m"], **_prior(cfg),
-        checkpoint_dir=os.path.join(run_dir, "checkpoints"), tier_brackets=cfg.tier_brackets(),
+        checkpoint_dir=os.path.join(run_dir, "checkpoints"),
     )
     write_curve(os.path.join(run_dir, "curve_rl.csv"), result.curve, RL_CURVE_COLUMNS)
     save_policy(os.path.join(run_dir, "policy_rl.ckpt"), model,
@@ -292,7 +291,7 @@ def cmd_eval(cfg, args) -> int:
     run_dir = _begin_run(cfg, args, "eval")
     report, records = run_benchmark(
         policy, worlds_by_split, cfg["eval.episodes_per_tier"], cfg["eval.seeds"],
-        tiers=cfg.tier_list("eval.tiers"), tier_brackets=cfg.tier_brackets(),
+        tiers=cfg.tiers("eval.tiers"),
         threshold_m=cfg["eval.threshold_m"], mode=cfg["eval.mode"], **_prior(cfg),
     )
     text = render_table(report)
@@ -346,11 +345,10 @@ def cmd_sweep(cfg, args) -> int:
             model = _build_model(arm)
             load_policy_into(model, il_path)
             train_stage2(_neural_policy(arm, model), seen, arm.ppo_config(), arm.reward_config(),
-                         corpus=demos, il_cfg=arm.stage1_config(), seed=seed, **_prior(arm),
-                         tier_brackets=arm.tier_brackets())
+                         corpus=demos, il_cfg=arm.stage1_config(), seed=seed, **_prior(arm))
             _, records = run_benchmark(
                 _neural_policy(arm, model), worlds, arm["eval.episodes_per_tier"], seeds=[0],
-                tiers=arm.tier_list("eval.tiers"), tier_brackets=arm.tier_brackets(),
+                tiers=arm.tiers("eval.tiers"),
                 threshold_m=arm["eval.threshold_m"], mode=arm["eval.mode"], **_prior(arm),
             )
             results[(name, seed)] = [r.result for r in records]

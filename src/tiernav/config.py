@@ -6,6 +6,12 @@ blank lines and # comments are ignored, everything else must be
 file values, which win over the schema defaults. The fully resolved
 config renders canonically (sorted keys, repr floats) so its hash
 identifies an experiment.
+
+The tiers are world.TIERS, one table of names and default distance
+brackets; each world.tier_<name> key sets one bracket. A tier-list key
+(corpus.tiers, ppo.tiers, eval.tiers) resolves through
+ExperimentConfig.tiers to an ordered {name: (lo, hi)} mapping, the one
+form every episode source takes.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 from .training import PPOConfig, Stage1Config
 from .util import atomic_write
-from .world import RewardConfig, WorldConfig
+from .world import TIERS, RewardConfig, WorldConfig
 
 
 @dataclass(frozen=True)
@@ -77,12 +83,10 @@ SCHEMA: dict = {
     "world.n_seen": Entry("int", 2, lo=1, hi=256),
     "world.n_unseen": Entry("int", 1, lo=0, hi=256),
     # tier distance brackets in cells, [lo, hi); hi may be inf
-    "world.tier_easy": Entry("bracket", (8.0, 24.0)),
-    "world.tier_medium": Entry("bracket", (24.0, 48.0)),
-    "world.tier_hard": Entry("bracket", (48.0, math.inf)),
+    **{f"world.tier_{name}": Entry("bracket", bracket) for name, bracket in TIERS.items()},
     # demonstration corpus
     "corpus.episodes": Entry("int", 60, lo=1, hi=100000),
-    "corpus.tiers": Entry("str", "easy,medium,hard"),
+    "corpus.tiers": Entry("str", ",".join(TIERS)),
     # reward shaping
     "reward.alpha": Entry("float", _R.alpha, lo=0.0),
     "reward.beta": Entry("float", _R.beta, lo=0.0),
@@ -144,14 +148,12 @@ SCHEMA: dict = {
     "eval.threshold_m": Entry("float", 20.0, lo=0.0, lo_open=True),
     "eval.episodes_per_tier": Entry("int", 10, lo=1, hi=10000),
     "eval.seeds": Entry("ints", (0, 1, 2), lo=0),
-    "eval.tiers": Entry("str", "easy,medium,hard"),
+    "eval.tiers": Entry("str", ",".join(TIERS)),
     "eval.mode": Entry("str", "greedy", choices=("greedy", "sample")),
     # ablation sweeps
     "sweep.lambdas": Entry("floats", (0.0, 0.1, 0.2, 0.3), lo=0.0, hi=1.0),
     "sweep.seeds": Entry("ints", (0, 1, 2), lo=0),
 }
-
-_TIER_NAMES = ("easy", "medium", "hard")
 
 
 def _parse_value(entry: Entry, token: str, where: str, key: str, line: str):
@@ -265,24 +267,27 @@ class ExperimentConfig:
         return cfg
 
     def ppo_config(self) -> PPOConfig:
-        cfg = self._view(PPOConfig, "ppo", tiers=self.tier_list("ppo.tiers"))
+        cfg = self._view(PPOConfig, "ppo", tiers=self.tiers("ppo.tiers"))
         cfg.validate()
         return cfg
 
     def stage1_config(self) -> Stage1Config:
         return self._view(Stage1Config, "il", seed=self["run.seed"])
 
-    def tier_brackets(self) -> dict:
-        return {name: self[f"world.tier_{name}"] for name in _TIER_NAMES}
-
-    def tier_list(self, key: str) -> tuple:
-        names = tuple(t.strip() for t in self[key].split(",") if t.strip())
+    def tiers(self, key: str) -> dict:
+        """The tier list under key, resolved: each named tier, in the listed
+        order, mapped to its world.tier_<name> bracket."""
+        names = [t.strip() for t in self[key].split(",") if t.strip()]
         if not names:
             raise ConfigError(f"{key} names no tiers")
+        tiers = {}
         for t in names:
-            if t not in _TIER_NAMES:
-                raise ConfigError(f"{key}: unknown tier {t!r}, expected subset of {_TIER_NAMES}")
-        return names
+            if t not in TIERS:
+                raise ConfigError(f"{key}: unknown tier {t!r}, expected subset of {tuple(TIERS)}")
+            if t in tiers:
+                raise ConfigError(f"{key}: tier {t!r} named twice")
+            tiers[t] = self[f"world.tier_{t}"]
+        return tiers
 
 
 def _strip_comment(line: str) -> str:
@@ -293,7 +298,7 @@ def _strip_comment(line: str) -> str:
 
 def parse_config(path=None, overrides=()) -> ExperimentConfig:
     """Defaults, then file settings, then key=value overrides."""
-    values = {k: e.default for k, e in SCHEMA.items()}
+    items = []  # (where, text as written, text without its comment)
     if path is not None:
         if not os.path.isfile(path):
             raise ConfigError(f"config file not found: {path}")
@@ -302,29 +307,19 @@ def parse_config(path=None, overrides=()) -> ExperimentConfig:
                 raw = f.read().splitlines()
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
-        for lineno, rawline in enumerate(raw, start=1):
-            line = _strip_comment(rawline).strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            if "=" not in line:
-                raise ConfigError(f"{where}: {rawline.strip()!r}: expected key = value")
-            key, token = line.split("=", 1)
-            key = key.strip()
-            if key not in SCHEMA:
-                raise ConfigError(f"{where}: unknown key {key!r}")
-            values[key] = _parse_value(SCHEMA[key], token, where, key, rawline.strip())
-    for i, item in enumerate(overrides, start=1):
-        where = f"override {i}"
-        if "=" not in item:
-            raise ConfigError(f"{where}: {item!r}: expected key=value")
-        key, token = item.split("=", 1)
+        items += [(f"{path}:{n}", line.strip(), bare)
+                  for n, line in enumerate(raw, start=1) if (bare := _strip_comment(line).strip())]
+    items += [(f"override {i}", item, item) for i, item in enumerate(overrides, start=1)]
+    values = {k: e.default for k, e in SCHEMA.items()}
+    for where, text, line in items:
+        if "=" not in line:
+            raise ConfigError(f"{where}: {text!r}: expected key = value")
+        key, token = line.split("=", 1)
         key = key.strip()
         if key not in SCHEMA:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        values[key] = _parse_value(SCHEMA[key], token, where, key, item)
+        values[key] = _parse_value(SCHEMA[key], token, where, key, text)
     cfg = ExperimentConfig(values)
-    cfg.tier_list("corpus.tiers")
-    cfg.tier_list("ppo.tiers")
-    cfg.tier_list("eval.tiers")
+    for key in ("corpus.tiers", "ppo.tiers", "eval.tiers"):
+        cfg.tiers(key)
     return cfg

@@ -5,6 +5,9 @@ range), oracle success (ever in range), and path-efficiency-weighted
 success. Success requires the stop action; drifting through the goal
 region only sets the oracle flag. Aggregation uses exact summation so
 cell values are independent of episode order.
+
+A benchmark's tiers are an ordered {name: (lo, hi)} mapping of distance
+brackets: world.TIERS by default, the resolved eval.tiers from the CLI.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from .agent import run_episode
 from .errors import ContractError
 from .teacher import STEP_LOG_COLUMNS, Trajectory
 from .util import substream, write_csv
-from .world import EpisodeSpec, distance_to_goal, sample_episode
-
-TIERS = ("easy", "medium", "hard")
+from .world import TIERS, EpisodeSpec, distance_to_goal, sample_episode
 
 
 @dataclass
@@ -149,7 +150,6 @@ def run_benchmark(
     episodes_per_tier: int,
     seeds,
     tiers=TIERS,
-    tier_brackets=None,
     threshold_m: float = 20.0,
     mode: str = "greedy",
     use_prior: bool = True,
@@ -157,6 +157,7 @@ def run_benchmark(
 ):
     """Stratified evaluation over splits, tiers, and seeds.
 
+    tiers maps each tier name to its distance bracket, in report order.
     Episode i of (split, tier, seed) draws from its own substream and a
     round-robin world, so reports depend only on the seed list. All
     episodes are played in one lockstep run (agent.run_episode), in
@@ -173,8 +174,7 @@ def run_benchmark(
             for seed in seeds:
                 for i in range(episodes_per_tier):
                     world = worlds[i % len(worlds)]
-                    ep = sample_episode(world, tier, substream(seed, "bench", split, tier, i),
-                                        tiers=tier_brackets)
+                    ep = sample_episode(world, tier, substream(seed, "bench", split, tier, i), tiers=tiers)
                     keys.append((split, tier, seed, i))
                     jobs.append((world, ep, substream(seed, "bench-rng", split, tier, i)))
     trajs = run_episode(policy, jobs, mode=mode, r_prior=r_prior, use_prior=use_prior)

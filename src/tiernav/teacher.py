@@ -159,23 +159,23 @@ def build_demonstration(world: CityWorld, episode: EpisodeSpec, reward_cfg, gamm
     return Trajectory(episode=episode, steps=steps, final_state=states[-1], stopped=True)
 
 
-def build_dataset(worlds, n_episodes: int, tiers, master_seed: int, reward_cfg, gamma: float,
-                  tier_brackets=None):
+def build_dataset(worlds, n_episodes: int, tiers, master_seed: int, reward_cfg, gamma: float):
     """Tier-stratified, label-only demonstration corpus over one or more worlds.
 
-    Episode i draws from substream (master_seed, "corpus", i), so the
-    corpus is independent of construction order. Returns (demos,
+    Episode i takes the (i mod n)-th of the n tiers in the {name: (lo, hi)}
+    mapping tiers and draws from substream (master_seed, "corpus", i), so
+    the corpus is independent of construction order. Returns (demos,
     manifest dict).
     """
-    tiers = list(tiers)
+    names = list(tiers)
     stats: dict = {}
     demos = []
-    tier_counts = {t: 0 for t in tiers}
+    tier_counts = {t: 0 for t in names}
     for i in range(n_episodes):
-        tier = tiers[i % len(tiers)]
+        tier = names[i % len(names)]
         world = worlds[i % len(worlds)]
         rng = substream(master_seed, "corpus", i)
-        ep = sample_episode(world, tier, rng, tiers=tier_brackets, stats=stats)
+        ep = sample_episode(world, tier, rng, tiers=tiers, stats=stats)
         demos.append(build_demonstration(world, ep, reward_cfg, gamma))
         tier_counts[tier] += 1
     order = substream(master_seed, "corpus-shuffle").permutation(len(demos))

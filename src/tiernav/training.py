@@ -8,6 +8,9 @@ minimizes imitation_loss on a fresh expert batch plus lambda_rl times
 the PPO loss. PAPER.md does not define the stage-2 imitation term; this
 reading follows demonstration-augmented policy gradient (Rajeswaran et
 al., arXiv:1709.10087; Nair et al., arXiv:1709.10089).
+
+Rollout episodes draw their tier from PPOConfig.tiers, a resolved
+{name: (lo, hi)} tier mapping like every episode source's.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .evaluation import episode_metrics
 from .layers import Module
 from .optim import AdamW, clip_grad_norm
 from .util import substream, write_csv
-from .world import RewardConfig, sample_episode
+from .world import TIERS, RewardConfig, sample_episode
 
 
 @dataclass
@@ -46,7 +49,8 @@ class PPOConfig:
     value_weight: float = 0.5
     max_updates: int = 30
     max_grad_norm: float = 5.0
-    tiers: tuple = ("easy", "medium")  # rollout episode tiers
+    # rollout episode tiers, {name: (lo, hi)} in draw order
+    tiers: dict = field(default_factory=lambda: {t: TIERS[t] for t in ("easy", "medium")})
     expert_batch: int = 32
     probe_every: int = 1
     checkpoint_every: int = 0  # 0 writes no per-update checkpoints
@@ -112,35 +116,26 @@ def compute_gae(rollout: Rollout, gamma: float, lam: float):
     return adv, adv + v
 
 
-def ppo_clip_objective(log_prob_new, log_prob_old, advantages, eps_clip: float):
+def ppo_clip_objective(log_prob_new: Tensor, log_prob_old, advantages, eps_clip: float):
     """Per-sample clipped surrogate min(r*A, clip(r,1-e,1+e)*A).
 
-    log_prob_new may be a Tensor (training) or an array (analysis);
-    the old log-probs and advantages are always constants. The training
+    The old log-probs and advantages are constant arrays. The training
     loss is the negated batch mean of this objective.
     """
-    lpn = log_prob_new if isinstance(log_prob_new, Tensor) else Tensor(np.asarray(log_prob_new, dtype=np.float64))
-    lpo = np.asarray(log_prob_old, dtype=np.float64)
-    adv = Tensor(np.asarray(advantages, dtype=np.float64))
-    ratio = ad.exp(ad.sub(lpn, Tensor(lpo)))
+    adv = Tensor(advantages)
+    ratio = ad.exp(ad.sub(log_prob_new, Tensor(log_prob_old)))
     surr1 = ad.mul(ratio, adv)
     surr2 = ad.mul(ad.clip_value(ratio, 1.0 - eps_clip, 1.0 + eps_clip), adv)
     return ad.minimum(surr1, surr2)
 
 
-def il_loss(goal_pred, goal_true, progress_pred, progress_true):
+def il_loss(goal_pred: Tensor, goal_true, progress_pred: Tensor, progress_true):
     """MSE(goal) + MSE(progress), each a mean over batch and dims."""
-    gp = goal_pred if isinstance(goal_pred, Tensor) else Tensor(np.asarray(goal_pred, dtype=np.float64))
-    pp = progress_pred if isinstance(progress_pred, Tensor) else Tensor(np.asarray(progress_pred, dtype=np.float64))
-    gt = Tensor(np.asarray(goal_true, dtype=np.float64))
-    pt = Tensor(np.asarray(progress_true, dtype=np.float64))
-    return ad.add(ad.mse(gp, gt), ad.mse(pp, pt))
+    return ad.add(ad.mse(goal_pred, Tensor(goal_true)), ad.mse(progress_pred, Tensor(progress_true)))
 
 
-def value_loss(value_pred, value_true):
-    vp = value_pred if isinstance(value_pred, Tensor) else Tensor(np.asarray(value_pred, dtype=np.float64))
-    vt = Tensor(np.asarray(value_true, dtype=np.float64))
-    return ad.mse(vp, vt)
+def value_loss(value_pred: Tensor, value_true):
+    return ad.mse(value_pred, Tensor(value_true))
 
 
 def ppo_minibatch_loss(lp_all, value, actions, lp_old, adv, targets, eps_clip: float,
@@ -325,7 +320,6 @@ class Stage1Result:
     curve: list
     aborted: bool
     epochs_run: int
-    first_epoch_il: float
     final_il: float
 
 
@@ -338,7 +332,6 @@ def train_stage1(demos, model, cfg: Stage1Config) -> Stage1Result:
     mb = min(cfg.minibatch, data.n)
     curve = []
     aborted = False
-    first_il = math.nan
     last_good = _snapshot(model)
     for epoch in range(cfg.epochs):
         perm = substream(cfg.seed, "stage1-shuffle", epoch).permutation(data.n)
@@ -361,14 +354,11 @@ def train_stage1(demos, model, cfg: Stage1Config) -> Stage1Result:
         row = {"epoch": epoch}
         row.update({k: v / max(n_mb, 1) for k, v in acc.items()})
         curve.append(row)
-        if math.isnan(first_il):
-            first_il = row["L_IL"]
         last_good = _snapshot(model)
-        if cfg.early_stop_ratio > 0.0 and row["L_IL"] < cfg.early_stop_ratio * first_il:
+        if cfg.early_stop_ratio > 0.0 and row["L_IL"] < cfg.early_stop_ratio * curve[0]["L_IL"]:
             break
     final_il = curve[-1]["L_IL"] if curve else math.nan
-    return Stage1Result(curve=curve, aborted=aborted, epochs_run=len(curve),
-                        first_epoch_il=first_il, final_il=final_il)
+    return Stage1Result(curve=curve, aborted=aborted, epochs_run=len(curve), final_il=final_il)
 
 
 # --------------------------------------------------------- rollout collection
@@ -383,12 +373,12 @@ def collect_rollouts(
     streams,
     use_prior: bool = True,
     r_prior: float = 12.0,
-    tier_brackets=None,
 ) -> Rollout:
     """Exactly n_steps of sampled experience across fresh episodes.
 
-    Episode j draws its world, tier, episode and actions from the
-    generator streams(j), and the policy plays the episodes in lockstep
+    Episode j draws its world, its tier from the {name: (lo, hi)}
+    mapping tiers, its episode and its actions from the generator
+    streams(j), and the policy plays the episodes in lockstep
     (agent.run_episode). Their steps are concatenated in episode order
     and cut at exactly n_steps. An episode ending in stop, or hitting its
     step budget, closes with done=True (the budget is part of the task,
@@ -397,12 +387,14 @@ def collect_rollouts(
     state bootstraps the dangling tail.
     """
 
+    names = list(tiers)
+
     def jobs():
         for j in itertools.count():
             rng = streams(j)
             world = worlds[int(rng.integers(len(worlds)))]
-            tier = tiers[int(rng.integers(len(tiers)))]
-            yield world, sample_episode(world, tier, rng, tiers=tier_brackets), rng
+            tier = names[int(rng.integers(len(names)))]
+            yield world, sample_episode(world, tier, rng, tiers=tiers), rng
 
     steps = []
     dones = []
@@ -558,7 +550,6 @@ def train_stage2(
     use_prior: bool = True,
     r_prior: float = 12.0,
     checkpoint_dir=None,
-    tier_brackets=None,
 ) -> Stage2Result:
     """On-policy fine-tuning blended with imitation. The critic arrives
     warm: whatever the stage-1 value head learned is the starting critic.
@@ -566,12 +557,13 @@ def train_stage2(
     policy is a NeuralPolicy; it collects the rollouts and plays the
     probe, and its model is the one trained.
 
-    Each update collects a fixed-size rollout and runs one ppo_update,
-    minimizing imitation_loss + lambda_rl * (policy + c_v*value -
-    c_ent*entropy). The imitation loss is stage 1's, weighted by il_cfg
-    (Stage1Config defaults when None), on a fresh expert batch from
-    corpus per minibatch; without a corpus it is 0. So lambda_rl = 0 is
-    continued imitation of every head. An update that blows up rolls
+    Each update collects a fixed-size rollout on the ppo_cfg.tiers
+    mapping and runs one ppo_update, minimizing imitation_loss +
+    lambda_rl * (policy + c_v*value - c_ent*entropy). The imitation
+    loss is stage 1's, weighted by il_cfg (Stage1Config defaults when
+    None), on a fresh expert batch from corpus per minibatch; without a
+    corpus it is 0. So lambda_rl = 0 is continued imitation of every
+    head. An update that blows up rolls
     back to the last clean update and halves the learning rate once;
     the second blow-up aborts. The probe runs every
     ppo_cfg.probe_every updates, and with ppo_cfg.checkpoint_every > 0
@@ -602,7 +594,7 @@ def train_stage2(
         rollout = collect_rollouts(
             policy, worlds, ppo_cfg.tiers, reward_cfg, ppo_cfg.rollout_steps,
             functools.partial(substream, seed, "stage2-collect", u),
-            use_prior=use_prior, r_prior=r_prior, tier_brackets=tier_brackets,
+            use_prior=use_prior, r_prior=r_prior,
         )
         env_steps += len(rollout)
         shuffles = (substream(seed, "stage2-shuffle", u, e) for e in range(ppo_cfg.epochs_per_update))

@@ -64,8 +64,11 @@ BAND_MAX = 12.0
 BUDGET_FACTOR = 4.0
 MAX_TRIES = 400
 
-# straight-line distance brackets in cells, upper bound exclusive
-DEFAULT_TIERS = {"easy": (8.0, 24.0), "medium": (24.0, 48.0), "hard": (48.0, float("inf"))}
+# the difficulty tiers: name -> straight-line start-to-goal distance bracket
+# in cells, [lo, hi). This table is the one list of tier names and the
+# default of each world.tier_<name> config key; a tier list anywhere else
+# is an ordered mapping of the same form.
+TIERS = {"easy": (8.0, 24.0), "medium": (24.0, 48.0), "hard": (48.0, float("inf"))}
 
 
 @dataclass(frozen=True)
@@ -563,10 +566,10 @@ def sample_episode(
     world: CityWorld,
     difficulty: str,
     rng: np.random.Generator,
-    tiers: dict | None = None,
+    tiers: dict = TIERS,
     stats: dict | None = None,
 ) -> EpisodeSpec:
-    """Goal near a landmark, start in the difficulty's distance bracket.
+    """Goal near a landmark, start in the distance bracket tiers[difficulty].
 
     Reachability is teacher-verified, so a returned spec always carries
     the true shortest-path length, and its plan field holds that teacher
@@ -575,9 +578,9 @@ def sample_episode(
     retried; if the caller passes a stats dict, each retry bumps
     stats["resampled"].
     """
-    if difficulty not in (tiers or DEFAULT_TIERS):
+    if difficulty not in tiers:
         raise ConfigError(f"unknown difficulty tier {difficulty!r}")
-    lo, hi = (tiers or DEFAULT_TIERS)[difficulty]
+    lo, hi = tiers[difficulty]
     free_y, free_x = np.nonzero(world.height_field == 0)
     if free_x.size == 0:
         raise GenerationError("world has no free ground cells")

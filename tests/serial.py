@@ -49,7 +49,7 @@ def serial_trajectory(kind, world, episode, rng) -> Trajectory:
 def serial_eval(kind, worlds_by_split, cfg, out_dir):
     """Write report.csv, report.txt and steps.csv as `eval --policy kind` does."""
     seeds = list(cfg["eval.seeds"])
-    tiers = cfg.tier_list("eval.tiers")
+    tiers = cfg.tiers("eval.tiers")
     threshold_m = cfg["eval.threshold_m"]
     records = []
     for split, worlds in worlds_by_split.items():
@@ -57,8 +57,7 @@ def serial_eval(kind, worlds_by_split, cfg, out_dir):
             for seed in seeds:
                 for i in range(cfg["eval.episodes_per_tier"]):
                     world = worlds[i % len(worlds)]
-                    ep = sample_episode(world, tier, substream(seed, "bench", split, tier, i),
-                                        tiers=cfg.tier_brackets())
+                    ep = sample_episode(world, tier, substream(seed, "bench", split, tier, i), tiers=tiers)
                     traj = serial_trajectory(kind, world, ep, substream(seed, "bench-rng", split, tier, i))
                     result = episode_metrics(traj, ep, threshold_m=threshold_m, cell_size=world.cell_size,
                                              episode_id=f"{split}/{tier}/s{seed}/{i}")

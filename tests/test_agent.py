@@ -77,7 +77,7 @@ def test_state_features_deterministic():
 
 def test_state_encoder_gets_value_gradient():
     model = make_model()
-    pose = Tensor(pose_features(UavState(10.0, 20.0, 2, 3), 48, 48, 4)[None])
+    pose = pose_features(UavState(10.0, 20.0, 2, 3), 48, 48, 4)[None]
     map_feat = np.zeros((1, 64))
     patch = np.zeros((1, 3, 25, 25))
     out = model.forward_heads(map_feat, pose, np.zeros((1, 4), dtype=np.int64), patch, np.zeros((1, 5)))

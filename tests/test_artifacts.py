@@ -14,7 +14,7 @@ from tiernav.checkpoint import save_checkpoint
 from tiernav.evaluation import write_step_log
 from tiernav.teacher import build_dataset, save_corpus
 from tiernav.training import write_curve
-from tiernav.world import RewardConfig, WorldConfig, generate_world, sample_episode, save_world
+from tiernav.world import TIERS, RewardConfig, WorldConfig, generate_world, sample_episode, save_world
 
 SMALL = WorldConfig(width=32, height=32, n_landmarks=4, z_max=3)
 
@@ -25,7 +25,7 @@ def _write_world(target, variant):
 
 def _write_corpus(target, variant):
     worlds = [generate_world(40, SMALL)]
-    demos, manifest = build_dataset(worlds, 1 + variant, ("easy",), master_seed=5,
+    demos, manifest = build_dataset(worlds, 1 + variant, {"easy": TIERS["easy"]}, master_seed=5,
                                     reward_cfg=RewardConfig(), gamma=0.99)
     save_corpus(target, demos, manifest)
 

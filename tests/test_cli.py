@@ -17,7 +17,7 @@ from tiernav.errors import NumericsError, ShapeError, StateError
 from tiernav.evaluation import run_benchmark
 from tiernav.training import train_stage1, train_stage2
 from tiernav.teacher import TRAJ_COLUMNS, load_corpus
-from tiernav.world import Action, load_world
+from tiernav.world import TIERS, Action, load_world
 
 from serial import serial_eval
 
@@ -827,7 +827,9 @@ def every_command(pipeline, tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ExperimentConfig, "__getitem__", recording)
-        for argv in (["gen-worlds"], ["build-corpus"], ["train-il"], ["train-rl"], ["eval"],
+        # eval names every tier, so each world.tier_<name> bracket is read
+        for argv in (["gen-worlds"], ["build-corpus"], ["train-il"], ["train-rl"],
+                     ["eval", "--set", f"eval.tiers={','.join(TIERS)}"],
                      ["sweep", "--axis", "lambda_rl"], ["sweep", "--axis", "prior"],
                      ["sweep", "--axis", "controller"],
                      ["replay", "--log", str(out / "corpus" / "episode_00000.csv")]):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -107,6 +107,8 @@ def test_malformed_line_rejected(tmp_path):
     path = _write(tmp_path, "just some words\n")
     with pytest.raises(ConfigError, match="key = value"):
         parse_config(path, [])
+    with pytest.raises(ConfigError, match="override 2: 'just some words': expected key = value"):
+        parse_config(None, ["run.seed=3", "just some words"])
 
 
 def test_comments_and_inline_comments(tmp_path):
@@ -128,8 +130,7 @@ def test_bool_and_list_parsing():
 def test_bracket_parsing():
     cfg = parse_config(None, ["world.tier_hard=14,22"])
     assert cfg["world.tier_hard"] == (14.0, 22.0)
-    assert cfg.tier_brackets()["hard"] == (14.0, 22.0)
-    assert cfg.tier_brackets()["easy"] == (8.0, 24.0)
+    assert cfg.tiers("eval.tiers") == {"easy": (8.0, 24.0), "medium": (24.0, 48.0), "hard": (14.0, 22.0)}
     cfg = parse_config(None, ["world.tier_hard=48,inf"])
     assert cfg["world.tier_hard"] == (48.0, math.inf)
     with pytest.raises(ConfigError, match="lo < hi"):
@@ -154,11 +155,17 @@ def test_delta_must_be_nonpositive():
         parse_config(None, ["reward.delta=0.5"])
 
 
-def test_tier_name_validation():
+def test_tier_name_validation(tmp_path):
     with pytest.raises(ConfigError, match="unknown tier"):
         parse_config(None, ["corpus.tiers=easy,bogus"])
     with pytest.raises(ConfigError, match="names no tiers"):
         parse_config(None, ["eval.tiers=,"])
+    # a tier list is a mapping, so a repeat has nowhere to go
+    with pytest.raises(ConfigError, match="'easy' named twice"):
+        parse_config(None, ["ppo.tiers=easy,medium,easy"])
+    for argv in (["--set", "eval.tiers=easy,bogus"], ["--set", "corpus.tiers=hard,hard"]):
+        assert main(["gen-worlds", *argv, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_render_round_trip(tmp_path):
@@ -205,7 +212,9 @@ def test_each_field_is_the_key_of_its_name(cls, section):
         key = f"{section}.{f.name}"
         assert key in SCHEMA, key
         entry = SCHEMA[key]
-        default = ",".join(f.default) if isinstance(f.default, tuple) else f.default  # ppo.tiers
+        default = f.default_factory() if f.default is MISSING else f.default
+        if isinstance(default, dict):  # ppo.tiers: a tier list is rendered by its names
+            default = ",".join(default)
         assert _render_value(entry, default) == _render_value(entry, entry.default), key
 
 
@@ -214,7 +223,8 @@ def test_views_carry_set_keys():
                               "ppo.checkpoint_every=3", "il.minibatch=5", "il.early_stop_ratio=0.25",
                               "world.max_retries=9", "reward.r_max=4.5", "run.seed=11"])
     ppo = cfg.ppo_config()
-    assert (ppo.tiers, ppo.lambda_gae, ppo.minibatch, ppo.checkpoint_every) == (("hard", "easy"), 0.5, 7, 3)
+    assert (list(ppo.tiers.items()), ppo.lambda_gae, ppo.minibatch, ppo.checkpoint_every) == \
+        ([("hard", (48.0, math.inf)), ("easy", (8.0, 24.0))], 0.5, 7, 3)
     s1 = cfg.stage1_config()
     assert (s1.minibatch, s1.early_stop_ratio, s1.seed) == (5, 0.25, 11)
     assert cfg.world_config().max_retries == 9

@@ -24,6 +24,10 @@ CELL = 5.0
 BRACKETS = {"easy": (6.0, 12.0), "medium": (12.0, 20.0), "hard": (20.0, 30.0)}
 
 
+def _tiers(*names):
+    return {t: BRACKETS[t] for t in names}
+
+
 def _spec(goal, shortest_m, start=(0.0, 0.0)) -> EpisodeSpec:
     return EpisodeSpec(
         world_id="w0",
@@ -246,7 +250,7 @@ def bench_worlds():
 def test_teacher_sr_100_every_cell(bench_worlds):
     report, records = run_benchmark(
         TeacherPolicy(), bench_worlds, episodes_per_tier=3, seeds=[0, 1],
-        tiers=("easy", "medium", "hard"), tier_brackets=BRACKETS,
+        tiers=BRACKETS,
     )
     assert set(report.cells) == {(s, t) for s in ("seen", "unseen")
                                  for t in ("easy", "medium", "hard")}
@@ -260,7 +264,7 @@ def test_teacher_sr_100_every_cell(bench_worlds):
 def test_random_policy_fails_hard_tier(bench_worlds):
     report, _ = run_benchmark(
         RandomPolicy(), bench_worlds, episodes_per_tier=4, seeds=[0, 1],
-        tiers=("hard",), tier_brackets=BRACKETS,
+        tiers=_tiers("hard"),
     )
     for cell in report.cells.values():
         assert cell.sr == 0.0
@@ -273,13 +277,13 @@ def test_benchmark_deterministic_and_model_untouched(bench_worlds, tmp_path):
     policy = NeuralPolicy(model)
     # prime batchnorm stats so encode mode is stable across runs
     run_benchmark(policy, {"seen": bench_worlds["seen"][:1]}, 1, [0],
-                  tiers=("easy",), tier_brackets=BRACKETS)
+                  tiers=_tiers("easy"))
     digest_before = _param_digest(model)
     out = []
     for run in range(2):
         report, records = run_benchmark(
             policy, bench_worlds, episodes_per_tier=2, seeds=[3, 4],
-            tiers=("easy", "medium"), tier_brackets=BRACKETS,
+            tiers=_tiers("easy", "medium"),
         )
         csv = tmp_path / f"report_{run}.csv"
         table = tmp_path / f"table_{run}.txt"
@@ -308,7 +312,7 @@ def _param_digest(model):
 def test_step_log_schema(bench_worlds, tmp_path):
     report, records = run_benchmark(
         TeacherPolicy(), bench_worlds, episodes_per_tier=1, seeds=[0],
-        tiers=("easy",), tier_brackets=BRACKETS,
+        tiers=_tiers("easy"),
     )
     path = tmp_path / "steps.csv"
     write_step_log(path, records)
@@ -321,7 +325,7 @@ def test_step_log_schema(bench_worlds, tmp_path):
 
 def test_benchmark_csv_header(bench_worlds, tmp_path):
     report, _ = run_benchmark(TeacherPolicy(), {"seen": bench_worlds["seen"][:1]}, 1, [0],
-                              tiers=("easy",), tier_brackets=BRACKETS)
+                              tiers=_tiers("easy"))
     path = tmp_path / "bench.csv"
     write_benchmark_csv(path, report)
     lines = path.read_text().splitlines()

@@ -38,13 +38,15 @@ from tiernav.training import (
     write_curve,
 )
 from tiernav.util import substream
-from tiernav.world import (Action, RewardConfig, WorldConfig, compute_reward, generate_world, render_observation,
-                           sample_episode, step)
+from tiernav.world import (TIERS, Action, RewardConfig, WorldConfig, compute_reward, generate_world,
+                           render_observation, sample_episode, step)
 
 from corridor import corridor_sanity
 from critic import critic_value_loss, reinit_value_head
 
 GAMMA = 0.99
+EASY = {"easy": TIERS["easy"]}
+EASY_MEDIUM = {t: TIERS[t] for t in ("easy", "medium")}
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +63,7 @@ def reward_cfg():
 def corpus(world, reward_cfg, tmp_path_factory):
     # trainers read observations and map snapshots, which only the corpus replay adds
     root = tmp_path_factory.mktemp("corpus")
-    save_corpus(root, *build_dataset([world], 8, ("easy", "medium"), 77, reward_cfg, GAMMA))
+    save_corpus(root, *build_dataset([world], 8, EASY_MEDIUM, 77, reward_cfg, GAMMA))
     return load_corpus(root, {world.world_id: world}, reward_cfg)[0]
 
 
@@ -107,7 +109,7 @@ def test_stage1_losses_fall_and_curve_shape(world, corpus):
     res = train_stage1(corpus, model, Stage1Config(epochs=15, seed=1))
     assert res.epochs_run == 15 and not res.aborted
     assert set(res.curve[0]) == set(IL_CURVE_COLUMNS)
-    assert res.final_il < res.first_epoch_il
+    assert res.final_il < res.curve[0]["L_IL"]
     assert res.curve[-1]["L_BC"] < res.curve[0]["L_BC"]
 
 
@@ -115,7 +117,7 @@ def test_stage1_early_stop(world, corpus):
     model = fresh_model(world, seed=2)
     res = train_stage1(corpus, model, Stage1Config(epochs=40, seed=2, early_stop_ratio=0.8))
     assert res.epochs_run < 40
-    assert res.final_il < 0.8 * res.first_epoch_il
+    assert res.final_il < 0.8 * res.curve[0]["L_IL"]
 
 
 def test_stage1_nonfinite_loss_rolls_back_to_last_epoch(world, corpus, monkeypatch):
@@ -164,7 +166,7 @@ def streams(*tags):
 
 def test_collect_rollout_contract(world, reward_cfg):
     policy = NeuralPolicy(fresh_model(world))
-    ro = collect_rollouts(policy, [world], ("easy",), reward_cfg, 90, streams(3, "roll"))
+    ro = collect_rollouts(policy, [world], EASY, reward_cfg, 90, streams(3, "roll"))
     assert len(ro) == 90
     assert ro.actions.shape == ro.log_probs_old.shape == ro.rewards.shape == (90,)
     assert ro.obs.shape[0] == 90 and ro.map_feats.shape[0] == 90
@@ -185,9 +187,9 @@ def test_collect_rollout_contract(world, reward_cfg):
 def test_collect_rollout_deterministic(world, reward_cfg):
     policy = NeuralPolicy(fresh_model(world))
     # first encode on a fresh net primes the BN running stats
-    collect_rollouts(policy, [world], ("easy",), reward_cfg, 8, streams(11, "warm"))
-    a = collect_rollouts(policy, [world], ("easy",), reward_cfg, 60, streams(11, "r"))
-    b = collect_rollouts(policy, [world], ("easy",), reward_cfg, 60, streams(11, "r"))
+    collect_rollouts(policy, [world], EASY, reward_cfg, 8, streams(11, "warm"))
+    a = collect_rollouts(policy, [world], EASY, reward_cfg, 60, streams(11, "r"))
+    b = collect_rollouts(policy, [world], EASY, reward_cfg, 60, streams(11, "r"))
     assert np.array_equal(a.actions, b.actions)
     assert np.array_equal(a.rewards, b.rewards)
     assert np.array_equal(a.map_feats, b.map_feats)
@@ -206,8 +208,8 @@ def oracle_collect_rollouts(model, worlds, tiers, reward_cfg, n_steps, streams):
             break
         rng = streams(j)
         world = worlds[int(rng.integers(len(worlds)))]
-        tier = tiers[int(rng.integers(len(tiers)))]
-        ep = sample_episode(world, tier, rng)
+        tier = list(tiers)[int(rng.integers(len(tiers)))]
+        ep = sample_episode(world, tier, rng, tiers=tiers)
         slot = Slot(world=world, episode=ep, state=ep.start, nav=init_map(world, ep), obs=None,
                     ctx=ControllerState(), rng=rng)
         ep_ret = 0.0
@@ -269,7 +271,7 @@ def test_collect_rollouts_matches_oracle(world, reward_cfg):
     cut = 0
     for seed in range(4):
         for n_steps in (8, 60, 257):
-            args = ([world], ("easy", "medium"), reward_cfg, n_steps, streams(seed, "oracle", n_steps))
+            args = ([world], EASY_MEDIUM, reward_cfg, n_steps, streams(seed, "oracle", n_steps))
             want = oracle_collect_rollouts(fresh_model(world, seed), *args)
             got = collect_rollouts(NeuralPolicy(fresh_model(world, seed)), *args)
             for name in EXACT_ARRAYS + CLOSE_ARRAYS:
@@ -334,7 +336,7 @@ def test_probe_does_not_depend_on_width(world, monkeypatch):
 def test_neural_benchmark_does_not_depend_on_width(world, monkeypatch):
     def bench():
         return run_benchmark(NeuralPolicy(fresh_model(world, 32)), {"seen": [world]}, 5, [0, 1],
-                             tiers=("easy", "medium"), mode="sample")
+                             tiers=EASY_MEDIUM, mode="sample")
 
     (rep_1, rec_1), (rep_k, rec_k) = at_widths(monkeypatch, bench)
     assert len(rec_1) == 20 > DEFAULT_WIDTH
@@ -348,7 +350,7 @@ def test_rollouts_do_not_depend_on_width(world, reward_cfg, monkeypatch, room):
     monkeypatch.setattr(agent, "SLOT_ROOM", room)
 
     def collect():
-        return collect_rollouts(NeuralPolicy(fresh_model(world, 33)), [world], ("easy", "medium"), reward_cfg, 200,
+        return collect_rollouts(NeuralPolicy(fresh_model(world, 33)), [world], EASY_MEDIUM, reward_cfg, 200,
                                 streams(33, "width"))
 
     serial, lockstep = at_widths(monkeypatch, collect)
@@ -382,7 +384,7 @@ def test_warm_critic_beats_fresh_on_small_run(world, corpus, reward_cfg, monkeyp
     # draw would change the verdict without changing the claim.
     monkeypatch.setattr(agent, "WIDTH", 1)
     rng = substream(7, "r")
-    ro = collect_rollouts(NeuralPolicy(model), [world], ("easy",), reward_cfg, 96, lambda j: rng)
+    ro = collect_rollouts(NeuralPolicy(model), [world], EASY, reward_cfg, 96, lambda j: rng)
     targets = compute_gae(ro, GAMMA, 1.0)[1]
     warm = critic_value_loss(model, ro, targets)
     reinit_value_head(model, substream(7, "re"))
@@ -395,7 +397,7 @@ def test_stage2_runs_and_reports(world, corpus, reward_cfg):
     model = fresh_model(world, seed=8)
     train_stage1(corpus, model, Stage1Config(epochs=2, seed=8))
     probe = [(world, sample_episode(world, "easy", substream(8, "probe", i))) for i in range(2)]
-    cfg = PPOConfig(rollout_steps=96, max_updates=2, minibatch=32, epochs_per_update=2, tiers=("easy",))
+    cfg = PPOConfig(rollout_steps=96, max_updates=2, minibatch=32, epochs_per_update=2, tiers=EASY)
     res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus,
                        seed=8, probe=probe)
     assert res.updates_run == 2 and not res.aborted
@@ -420,7 +422,7 @@ def test_stage2_mean_ratio_is_per_update(world, corpus, reward_cfg, monkeypatch)
 
     monkeypatch.setattr(training, "ppo_update", record)
     model = fresh_model(world, seed=12)
-    cfg = PPOConfig(rollout_steps=64, max_updates=2, minibatch=32, epochs_per_update=2, tiers=("easy",))
+    cfg = PPOConfig(rollout_steps=64, max_updates=2, minibatch=32, epochs_per_update=2, tiers=EASY)
     res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus,
                        seed=12)
     assert res.updates_run == 2 and len(reports) == 2
@@ -434,7 +436,7 @@ def test_stage2_mean_ratio_is_per_update(world, corpus, reward_cfg, monkeypatch)
 def test_stage2_lambda_zero_keeps_rl_out_of_total(world, corpus, reward_cfg):
     model = fresh_model(world, seed=9)
     cfg = PPOConfig(rollout_steps=64, max_updates=1, minibatch=32,
-                    epochs_per_update=1, lambda_rl=0.0, tiers=("easy",))
+                    epochs_per_update=1, lambda_rl=0.0, tiers=EASY)
     il = Stage1Config(lambda_v=0.25, lambda_bc=0.5, lambda_wp=2.0)
     res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus, il_cfg=il,
                        seed=9)
@@ -449,7 +451,7 @@ def test_stage2_lambda_zero_trains_every_head(world, corpus, reward_cfg):
     model = fresh_model(world, seed=10)
     before = params_of(model)
     cfg = PPOConfig(rollout_steps=32, max_updates=1, minibatch=32,
-                    epochs_per_update=1, lambda_rl=0.0, tiers=("easy",))
+                    epochs_per_update=1, lambda_rl=0.0, tiers=EASY)
     res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus, seed=10)
     assert res.updates_run == 1
     after = params_of(model)
@@ -461,7 +463,7 @@ def test_stage2_lambda_zero_trains_every_head(world, corpus, reward_cfg):
 
 
 def test_stage2_deterministic(world, corpus, reward_cfg):
-    cfg = PPOConfig(rollout_steps=64, max_updates=1, minibatch=32, epochs_per_update=1, tiers=("easy",))
+    cfg = PPOConfig(rollout_steps=64, max_updates=1, minibatch=32, epochs_per_update=1, tiers=EASY)
     m1 = fresh_model(world, seed=11)
     m2 = fresh_model(world, seed=11)
     for m in (m1, m2):
@@ -496,7 +498,7 @@ def test_stage2_blow_up_rolls_back_and_halves_lr(world, corpus, reward_cfg, monk
     # two minibatch steps per update; the second step of update 1 fails
     steps, starts = _blow_up_steps(monkeypatch, {4})
     model = fresh_model(world, seed=14)
-    cfg = PPOConfig(rollout_steps=64, max_updates=3, minibatch=32, epochs_per_update=1, tiers=("easy",))
+    cfg = PPOConfig(rollout_steps=64, max_updates=3, minibatch=32, epochs_per_update=1, tiers=EASY)
     res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus,
                        seed=14)
     assert not res.aborted
@@ -515,7 +517,7 @@ def test_stage2_blow_up_rolls_back_and_halves_lr(world, corpus, reward_cfg, monk
 def test_stage2_second_blow_up_aborts(world, corpus, reward_cfg, monkeypatch):
     steps, starts = _blow_up_steps(monkeypatch, {4, 5})
     model = fresh_model(world, seed=14)
-    cfg = PPOConfig(rollout_steps=64, max_updates=4, minibatch=32, epochs_per_update=1, tiers=("easy",))
+    cfg = PPOConfig(rollout_steps=64, max_updates=4, minibatch=32, epochs_per_update=1, tiers=EASY)
     res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus,
                        seed=14)
     assert res.aborted

@@ -24,6 +24,7 @@ from tiernav.teacher import (
 )
 from tiernav.util import substream
 from tiernav.world import (
+    TIERS,
     Action,
     CityWorld,
     Landmark,
@@ -398,9 +399,10 @@ def test_demo_unreachable_goal_raises():
 
 def test_build_dataset_stratified_and_deterministic():
     worlds = [generate_world(s, WorldConfig(width=48, height=48, n_landmarks=5)) for s in (61, 62)]
-    demos1, man1 = build_dataset(worlds, 12, ("easy", "medium"), master_seed=77,
+    tiers = {t: TIERS[t] for t in ("easy", "medium")}
+    demos1, man1 = build_dataset(worlds, 12, tiers, master_seed=77,
                                  reward_cfg=RewardConfig(), gamma=0.99)
-    demos2, man2 = build_dataset(worlds, 12, ("easy", "medium"), master_seed=77,
+    demos2, man2 = build_dataset(worlds, 12, tiers, master_seed=77,
                                  reward_cfg=RewardConfig(), gamma=0.99)
     assert man1 == man2
     assert len(demos1) == 12
@@ -412,9 +414,9 @@ def test_build_dataset_stratified_and_deterministic():
 
 def test_build_dataset_different_seed_differs():
     worlds = [generate_world(61, WorldConfig(width=48, height=48, n_landmarks=5))]
-    a, _ = build_dataset(worlds, 6, ("easy",), master_seed=1,
+    a, _ = build_dataset(worlds, 6, {"easy": TIERS["easy"]}, master_seed=1,
                          reward_cfg=RewardConfig(), gamma=0.99)
-    b, _ = build_dataset(worlds, 6, ("easy",), master_seed=2,
+    b, _ = build_dataset(worlds, 6, {"easy": TIERS["easy"]}, master_seed=2,
                          reward_cfg=RewardConfig(), gamma=0.99)
     starts_a = [d.episode.start for d in a]
     starts_b = [d.episode.start for d in b]
@@ -423,7 +425,7 @@ def test_build_dataset_different_seed_differs():
 
 def test_corpus_round_trip(tmp_path):
     worlds = [generate_world(91, WorldConfig(width=48, height=48, n_landmarks=5))]
-    demos, manifest = build_dataset(worlds, 4, ("easy",), master_seed=5,
+    demos, manifest = build_dataset(worlds, 4, {"easy": TIERS["easy"]}, master_seed=5,
                                     reward_cfg=RewardConfig(), gamma=0.99)
     root = tmp_path / "corpus"
     save_corpus(root, demos, manifest)
@@ -451,7 +453,7 @@ def test_corpus_episode_is_the_teacher_trajectory_log(tmp_path):
     # the same cells as a teacher eval's step log, except v_hat: the corpus
     # holds the value label there, the teacher eval 0
     worlds = [generate_world(s, WorldConfig(width=48, height=48, n_landmarks=5)) for s in (91, 92)]
-    demos, manifest = build_dataset(worlds, 6, ("easy", "medium", "hard"), master_seed=11,
+    demos, manifest = build_dataset(worlds, 6, TIERS, master_seed=11,
                                     reward_cfg=RewardConfig(), gamma=0.99)
     save_corpus(tmp_path, demos, manifest)
     by_id = {w.world_id: w for w in worlds}
@@ -471,7 +473,7 @@ def test_corpus_episode_is_the_teacher_trajectory_log(tmp_path):
 
 def test_corpus_rewrite_is_byte_identical(tmp_path):
     worlds = [generate_world(91, WorldConfig(width=48, height=48, n_landmarks=5))]
-    demos, manifest = build_dataset(worlds, 3, ("easy",), master_seed=5,
+    demos, manifest = build_dataset(worlds, 3, {"easy": TIERS["easy"]}, master_seed=5,
                                     reward_cfg=RewardConfig(), gamma=0.99)
     r1 = tmp_path / "c1"
     r2 = tmp_path / "c2"

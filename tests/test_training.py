@@ -21,7 +21,7 @@ from tiernav.training import (
     value_loss,
 )
 from tiernav.util import substream
-from tiernav.world import RewardConfig, UavState, WorldConfig, _wrapped_angle, compute_reward, generate_world
+from tiernav.world import TIERS, RewardConfig, UavState, WorldConfig, _wrapped_angle, compute_reward, generate_world
 
 
 class MeterWorld:
@@ -254,13 +254,13 @@ def test_gae_shape_mismatch():
 
 def test_ppo_objective_analytic_cases():
     # r=1, A=1 -> 1
-    obj = ppo_clip_objective(np.array([0.0]), np.array([0.0]), np.array([1.0]), 0.2)
+    obj = ppo_clip_objective(Tensor([0.0]), np.array([0.0]), np.array([1.0]), 0.2)
     assert obj.data[0] == pytest.approx(1.0, abs=1e-12)
     # r=2, A=1 -> clipped 1.2
-    obj = ppo_clip_objective(np.array([math.log(2.0)]), np.array([0.0]), np.array([1.0]), 0.2)
+    obj = ppo_clip_objective(Tensor([math.log(2.0)]), np.array([0.0]), np.array([1.0]), 0.2)
     assert obj.data[0] == pytest.approx(1.2, abs=1e-12)
     # r=0.5, A=-1 -> pessimistic -0.8
-    obj = ppo_clip_objective(np.array([math.log(0.5)]), np.array([0.0]), np.array([-1.0]), 0.2)
+    obj = ppo_clip_objective(Tensor([math.log(0.5)]), np.array([0.0]), np.array([-1.0]), 0.2)
     assert obj.data[0] == pytest.approx(-0.8, abs=1e-12)
 
 
@@ -269,7 +269,7 @@ def test_ppo_objective_pessimistic_bound():
     lpn = rng.normal(scale=0.5, size=300)
     lpo = rng.normal(scale=0.5, size=300)
     adv = rng.normal(size=300)
-    obj = ppo_clip_objective(lpn, lpo, adv, 0.2).data
+    obj = ppo_clip_objective(Tensor(lpn), lpo, adv, 0.2).data
     unclipped = np.exp(lpn - lpo) * adv
     assert np.all(obj <= unclipped + 1e-12)
 
@@ -297,18 +297,18 @@ def test_ppo_objective_live_grad_at_old_policy():
 
 def test_il_loss_cases():
     z = np.zeros((1, 2))
-    assert il_loss(z, z, np.zeros(1), np.zeros(1)).data == 0.0
+    assert il_loss(Tensor(z), z, Tensor(np.zeros(1)), np.zeros(1)).data == 0.0
     pred = np.array([[0.6, 0.5]])
     true = np.array([[0.5, 0.5]])
-    assert il_loss(pred, true, np.zeros(1), np.zeros(1)).data == pytest.approx(0.005, abs=1e-15)
+    assert il_loss(Tensor(pred), true, Tensor(np.zeros(1)), np.zeros(1)).data == pytest.approx(0.005, abs=1e-15)
     pred2 = np.array([[0.6, 0.5], [0.5, 0.5]])
     true2 = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert il_loss(pred2, true2, np.zeros(2), np.zeros(2)).data == pytest.approx(0.0025, abs=1e-15)
+    assert il_loss(Tensor(pred2), true2, Tensor(np.zeros(2)), np.zeros(2)).data == pytest.approx(0.0025, abs=1e-15)
 
 
 def test_value_loss_cases_and_grad():
-    assert value_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0])).data == 0.0
-    assert value_loss(np.array([2.0]), np.array([0.0])).data == 4.0
+    assert value_loss(Tensor([1.0, 2.0]), np.array([1.0, 2.0])).data == 0.0
+    assert value_loss(Tensor([2.0]), np.array([0.0])).data == 4.0
     vp = Tensor(np.array([1.0, 2.0, 3.0, 4.0]), requires_grad=True)
     vt = np.array([0.0, 0.0, 0.0, 0.0])
     ad.backward(value_loss(vp, vt))
@@ -326,7 +326,7 @@ def test_ppo_loss_reaches_the_micro_controller_and_critic_only():
     world = generate_world(301, WorldConfig(width=32, height=32, n_landmarks=5, z_max=3, r_base=3, r_gain=2))
     model = NavPolicy(substream(0, "net"), world.width, world.height, world.z_max,
                       len(world.landmarks), world.patch_side)
-    ro = collect_rollouts(NeuralPolicy(model), [world], ("easy",), RewardConfig(), 24,
+    ro = collect_rollouts(NeuralPolicy(model), [world], {"easy": TIERS["easy"]}, RewardConfig(), 24,
                           lambda j: substream(5, "reach", j))
     cfg = PPOConfig()
     adv, targets = compute_gae(ro, cfg.gamma, cfg.lambda_gae)
