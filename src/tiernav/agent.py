@@ -262,7 +262,6 @@ def tiered_step(
     slots,
     mode: str,
     flat: bool = False,
-    eps_wp: float = EPS_WP,
     avoid_blocked: bool = True,
     replan_patience: int = 16,
     feats: bool = False,
@@ -290,7 +289,7 @@ def tiered_step(
     enc_mode = None
     for i, s in enumerate(slots):
         ctrl, state = s.ctx, s.state
-        trigger = ctrl.waypoint is None or math.hypot(state.x - ctrl.waypoint[0], state.y - ctrl.waypoint[1]) < eps_wp
+        trigger = ctrl.waypoint is None or math.hypot(state.x - ctrl.waypoint[0], state.y - ctrl.waypoint[1]) < EPS_WP
         if replan_patience and ctrl.steps_since_replan >= replan_patience:
             trigger = True
         if trigger or ctrl.map_feat is None:
@@ -339,20 +338,22 @@ def tiered_step(
 
 # -------------------------------------------------------------------- policies
 #
-# A policy's begin_episode(world, episode) returns its per-episode state,
-# which the runner keeps as Slot.ctx; act(slots, mode, feats) returns one
-# TrajStep per live slot, with its t, state and action; the runner sets its
-# reward and dist after the move.
+# A policy's r_prior is the landmark-prior radius of the belief maps the
+# runner builds for it, or None for no prior. Its begin_episode(world,
+# episode) returns its per-episode state, which the runner keeps as
+# Slot.ctx; act(slots, mode, feats) returns one TrajStep per live slot,
+# with its t, state and action; the runner sets its reward and dist after
+# the move.
 
 
 class NeuralPolicy:
-    """Tiered (or flat) controller around a NavPolicy."""
+    """Tiered (or flat) controller around a NavPolicy; the one policy that reads the belief map."""
 
-    def __init__(self, model: NavPolicy, flat: bool = False, eps_wp: float = EPS_WP,
-                 avoid_blocked: bool = True, replan_patience: int = 16):
+    def __init__(self, model: NavPolicy, flat: bool = False, avoid_blocked: bool = True,
+                 replan_patience: int = 16, r_prior: float | None = 12.0):
         self.model = model
         self.flat = flat
-        self.eps_wp = eps_wp
+        self.r_prior = r_prior
         self.avoid_blocked = avoid_blocked
         self.replan_patience = replan_patience
 
@@ -360,9 +361,8 @@ class NeuralPolicy:
         return ControllerState()
 
     def act(self, slots, mode, feats=False):
-        return tiered_step(self.model, slots, mode, flat=self.flat, eps_wp=self.eps_wp,
-                           avoid_blocked=self.avoid_blocked, replan_patience=self.replan_patience,
-                           feats=feats)
+        return tiered_step(self.model, slots, mode, flat=self.flat, avoid_blocked=self.avoid_blocked,
+                           replan_patience=self.replan_patience, feats=feats)
 
 
 @dataclass
@@ -375,6 +375,8 @@ class TeacherEpisode:
 
 class TeacherPolicy:
     """Replays the planner's action sequence; the evaluation oracle."""
+
+    r_prior = None
 
     def begin_episode(self, world: CityWorld, episode: EpisodeSpec) -> TeacherEpisode:
         path = episode_plan(world, episode)
@@ -397,6 +399,8 @@ class TeacherPolicy:
 
 class RandomPolicy:
     """Uniform over the six actions; the no-skill baseline."""
+
+    r_prior = None
 
     def begin_episode(self, world, episode):
         return None
@@ -426,8 +430,6 @@ def run_episode(
     jobs,
     mode: str = "greedy",
     reward_cfg=None,
-    r_prior: float = 12.0,
-    use_prior: bool = True,
     feats: bool = False,
     n_steps=None,
 ) -> list:
@@ -436,9 +438,10 @@ def run_episode(
 
     jobs yields (world, episode, rng) and is read lazily: a slot freed by
     a finished episode takes the next job, so the slots that share a tick
-    depend only on the job order. Each tick renders and maps every live
-    slot, then asks the policy for all their actions at once, then steps
-    each world. An episode ends on stop or at its step budget.
+    depend only on the job order. A slot's map starts with the policy's
+    r_prior. Each tick renders and maps every live slot, then asks the
+    policy for all their actions at once, then steps each world. An
+    episode ends on stop or at its step budget.
 
     With n_steps, the trajectories are read as one stream of steps cut at
     n_steps (rollout collection). A job starts only while the steps taken
@@ -460,7 +463,7 @@ def run_episode(
             if job is None:
                 break
             world, episode, rng = job
-            nav = init_map(world, episode, r_prior=r_prior, use_prior=use_prior)
+            nav = init_map(world, episode, policy.r_prior)
             live.append(Slot(world=world, episode=episode, state=episode.start, nav=nav, obs=None,
                              ctx=policy.begin_episode(world, episode), rng=rng, index=len(trajs)))
             taken.append(0)

@@ -8,6 +8,7 @@ and round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -71,8 +72,11 @@ def load_checkpoint(path):
         name = take_str()
         ndim = take_u32()
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim)) if ndim else ()
-        count = int(np.prod(shape)) if ndim else 1
-        arrays[name] = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            arrays[name] = data.reshape(shape).copy()
+        except ValueError as e:  # no elements, but a dimension past numpy's limits
+            raise ContractError(f"{path}: array {name} has shape {shape}: {e}") from None
     if off != len(blob):
         raise ContractError(f"{path}: {len(blob) - off} trailing bytes in checkpoint")
     return arrays, meta

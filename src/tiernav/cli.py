@@ -144,15 +144,15 @@ def _build_model(cfg) -> NavPolicy:
     )
 
 
-def _neural_policy(cfg, model, **kw) -> NeuralPolicy:
-    """Every NeuralPolicy: the model.* controller keys, then kw on top."""
-    return NeuralPolicy(model, **{"flat": cfg["model.flat"], "avoid_blocked": cfg["model.avoid_blocked"],
-                                  "replan_patience": cfg["model.replan_patience"], **kw})
+def _neural_policy(cfg, model) -> NeuralPolicy:
+    """Every NeuralPolicy, from the model.* controller and belief-map keys."""
+    return NeuralPolicy(model, flat=cfg["model.flat"], avoid_blocked=cfg["model.avoid_blocked"],
+                        replan_patience=cfg["model.replan_patience"], r_prior=_prior(cfg))
 
 
-def _prior(cfg) -> dict:
-    """The landmark prior of every belief map: corpus replay, rollouts, probe and eval."""
-    return {"use_prior": cfg["model.use_prior"], "r_prior": cfg["model.r_prior"]}
+def _prior(cfg):
+    """The landmark-prior radius of the learned policy's belief maps, corpus replay's too; None for none."""
+    return cfg["model.r_prior"] if cfg["model.use_prior"] else None
 
 
 def _load_checkpoint_model(cfg, args, stage: str) -> NavPolicy:
@@ -196,7 +196,7 @@ def _load_demos(cfg, args):
     corpus_dir = _stage_dir(cfg, args, "corpus", "build-corpus")
     worlds = _load_worlds(cfg, args, "seen")
     by_id = {w.world_id: w for w in worlds}
-    demos, manifest = load_corpus(corpus_dir, by_id, cfg.reward_config(), **_prior(cfg))
+    demos, manifest = load_corpus(corpus_dir, by_id, cfg.reward_config(), _prior(cfg))
     if manifest.get("gamma") != cfg["ppo.gamma"]:  # its value labels and PPO's GAE share gamma
         raise ContractError(f"{os.path.join(corpus_dir, 'manifest.txt')}: corpus gamma "
                             f"{manifest.get('gamma')!r}, config ppo.gamma {cfg['ppo.gamma']!r}")
@@ -250,7 +250,7 @@ def cmd_train_rl(cfg, args) -> int:
         policy, seen, cfg.ppo_config(), cfg.reward_config(),
         corpus=demos, il_cfg=cfg.stage1_config(), seed=cfg["run.seed"],
         probe=_build_probe(cfg, unseen or seen, cfg["ppo.probe_episodes"]),
-        probe_threshold_m=cfg["eval.threshold_m"], **_prior(cfg),
+        probe_threshold_m=cfg["eval.threshold_m"],
         checkpoint_dir=os.path.join(run_dir, "checkpoints"),
     )
     write_curve(os.path.join(run_dir, "curve_rl.csv"), result.curve, RL_CURVE_COLUMNS)
@@ -292,7 +292,7 @@ def cmd_eval(cfg, args) -> int:
     report, records = run_benchmark(
         policy, worlds_by_split, cfg["eval.episodes_per_tier"], cfg["eval.seeds"],
         tiers=cfg.tiers("eval.tiers"),
-        threshold_m=cfg["eval.threshold_m"], mode=cfg["eval.mode"], **_prior(cfg),
+        threshold_m=cfg["eval.threshold_m"], mode=cfg["eval.mode"],
     )
     text = render_table(report)
     write_benchmark_csv(os.path.join(run_dir, "report.csv"), report)
@@ -345,11 +345,11 @@ def cmd_sweep(cfg, args) -> int:
             model = _build_model(arm)
             load_policy_into(model, il_path)
             train_stage2(_neural_policy(arm, model), seen, arm.ppo_config(), arm.reward_config(),
-                         corpus=demos, il_cfg=arm.stage1_config(), seed=seed, **_prior(arm))
+                         corpus=demos, il_cfg=arm.stage1_config(), seed=seed)
             _, records = run_benchmark(
                 _neural_policy(arm, model), worlds, arm["eval.episodes_per_tier"], seeds=[0],
                 tiers=arm.tiers("eval.tiers"),
-                threshold_m=arm["eval.threshold_m"], mode=arm["eval.mode"], **_prior(arm),
+                threshold_m=arm["eval.threshold_m"], mode=arm["eval.mode"],
             )
             results[(name, seed)] = [r.result for r in records]
     cells = {key: aggregate(group) for key, group in results.items()}

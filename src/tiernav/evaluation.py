@@ -139,10 +139,6 @@ class BenchmarkReport:
     episodes_per_tier: int
     threshold_m: float
 
-    def validate(self):
-        for c in self.cells.values():
-            c.validate()
-
 
 def run_benchmark(
     policy,
@@ -152,8 +148,6 @@ def run_benchmark(
     tiers=TIERS,
     threshold_m: float = 20.0,
     mode: str = "greedy",
-    use_prior: bool = True,
-    r_prior: float = 12.0,
 ):
     """Stratified evaluation over splits, tiers, and seeds.
 
@@ -177,7 +171,7 @@ def run_benchmark(
                     ep = sample_episode(world, tier, substream(seed, "bench", split, tier, i), tiers=tiers)
                     keys.append((split, tier, seed, i))
                     jobs.append((world, ep, substream(seed, "bench-rng", split, tier, i)))
-    trajs = run_episode(policy, jobs, mode=mode, r_prior=r_prior, use_prior=use_prior)
+    trajs = run_episode(policy, jobs, mode=mode)
     records = []
     for (split, tier, seed, i), (world, ep, _), traj in zip(keys, jobs, trajs):
         result = episode_metrics(
@@ -195,7 +189,6 @@ def run_benchmark(
             cells[(split, tier)] = aggregate(group)
     report = BenchmarkReport(cells=cells, seeds=seeds, episodes_per_tier=episodes_per_tier,
                              threshold_m=threshold_m)
-    report.validate()
     return report, records
 
 

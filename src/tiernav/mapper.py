@@ -31,16 +31,16 @@ class NavMap:
         return self.grid[CHANNELS.index(name)]
 
 
-def init_map(world: CityWorld, episode: EpisodeSpec, r_prior: float = 12.0, use_prior: bool = True) -> NavMap:
+def init_map(world: CityWorld, episode: EpisodeSpec, r_prior: float | None = 12.0) -> NavMap:
     """Fresh map: only the landmark prior is non-zero.
 
     The prior is a disk of radius r_prior around the described landmark,
     weighted 1.0 on the descriptor-sector side of the center and 0.3 on
     the far side. It narrows the search region without giving away the
-    goal cell.
+    goal cell. With r_prior None the map starts all zero.
     """
     grid = np.zeros((4, world.height, world.width))
-    if use_prior:
+    if r_prior is not None:
         lm = world.landmark_by_id(episode.descriptor.landmark_id)  # raises on unknown id
         yy, xx = np.ogrid[: world.height, : world.width]
         d2 = (xx - lm.x) ** 2 + (yy - lm.y) ** 2

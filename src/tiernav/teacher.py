@@ -106,9 +106,9 @@ def extract_waypoints(path: ExpertPath, world: CityWorld):
     return waypoints
 
 
-def advance_waypoint(k: int, waypoints, state: UavState, eps: float = EPS_WP) -> int:
+def advance_waypoint(k: int, waypoints, state: UavState) -> int:
     """Index of the first unreached waypoint at or after k."""
-    while k < len(waypoints) - 1 and math.hypot(state.x - waypoints[k][0], state.y - waypoints[k][1]) < eps:
+    while k < len(waypoints) - 1 and math.hypot(state.x - waypoints[k][0], state.y - waypoints[k][1]) < EPS_WP:
         k += 1
     return k
 
@@ -324,7 +324,7 @@ def load_manifest(corpus_dir) -> dict:
     return manifest
 
 
-def load_corpus(corpus_dir, worlds_by_id, reward_cfg, r_prior: float = 12.0, use_prior: bool = True):
+def load_corpus(corpus_dir, worlds_by_id, reward_cfg, r_prior: float | None = 12.0):
     """Rebuild demonstrations by relabeling their stored actions.
 
     Each episode goes through build_demonstration on its logged moves
@@ -336,9 +336,9 @@ def load_corpus(corpus_dir, worlds_by_id, reward_cfg, r_prior: float = 12.0, use
     the file and the step t (on line t + 2). So a corpus built under
     other reward.* settings is refused. Each relabeled step then gains
     feats: its observation patch and a snapshot of the belief map, built
-    with this landmark prior. A snapshot is taken at t = 0 and wherever
-    the waypoint index changes, and the steps up to the next change
-    share it.
+    with the landmark prior of radius r_prior (None for none). A
+    snapshot is taken at t = 0 and wherever the waypoint index changes,
+    and the steps up to the next change share it.
     """
     manifest = load_manifest(corpus_dir)
     if "gamma" not in manifest:
@@ -351,14 +351,14 @@ def load_corpus(corpus_dir, worlds_by_id, reward_cfg, r_prior: float = 12.0, use
     for i, ep in enumerate(episodes):
         world = worlds_by_id.get(ep.world_id)
         if world is None:
-            raise ContractError(f"corpus references unknown world {ep.world_id}")
+            raise ContractError(f"{index}: line {i + 1} references unknown world {ep.world_id}")
         path = os.path.join(corpus_dir, f"episode_{i:05d}.csv")
         header, logs = read_trajectory_log(path)
         if header != TRAJ_COLUMNS:
             raise ContractError(f"{path}: not a corpus episode (header {header[:4]}...)")
         (rows,) = logs.values()
         demo = _relabel(world, ep, rows, path, reward_cfg, manifest["gamma"])
-        nav = init_map(world, ep, r_prior=r_prior, use_prior=use_prior)
+        nav = init_map(world, ep, r_prior)
         for t, st in enumerate(demo.steps):
             obs = render_observation(world, st.state)
             update_map(nav, st.state, obs)

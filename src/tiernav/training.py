@@ -371,8 +371,6 @@ def collect_rollouts(
     reward_cfg: RewardConfig,
     n_steps: int,
     streams,
-    use_prior: bool = True,
-    r_prior: float = 12.0,
 ) -> Rollout:
     """Exactly n_steps of sampled experience across fresh episodes.
 
@@ -400,8 +398,7 @@ def collect_rollouts(
     dones = []
     episode_returns = []
     bootstrap = 0.0
-    for traj in run_episode(policy, jobs(), mode="sample", reward_cfg=reward_cfg, r_prior=r_prior,
-                            use_prior=use_prior, feats=True, n_steps=n_steps):
+    for traj in run_episode(policy, jobs(), mode="sample", reward_cfg=reward_cfg, feats=True, n_steps=n_steps):
         room = n_steps - len(steps)
         if room <= 0:
             break
@@ -457,11 +454,9 @@ def _rollout_heads(model, ro: Rollout, idx):
 # ------------------------------------------------------------ stage 2 (PPO)
 
 
-def probe_success_rate(policy, probe, threshold_m: float = 20.0,
-                       use_prior: bool = True, r_prior: float = 12.0) -> float:
+def probe_success_rate(policy, probe, threshold_m: float = 20.0) -> float:
     """Greedy SR over a fixed (world, episode) probe list, played in lockstep."""
-    trajs = run_episode(policy, [(world, ep, None) for world, ep in probe], mode="greedy",
-                        r_prior=r_prior, use_prior=use_prior)
+    trajs = run_episode(policy, [(world, ep, None) for world, ep in probe], mode="greedy")
     wins = sum(episode_metrics(traj, ep, threshold_m=threshold_m, cell_size=world.cell_size).success
                for traj, (world, ep) in zip(trajs, probe))
     return wins / len(probe)
@@ -547,8 +542,6 @@ def train_stage2(
     seed: int = 0,
     probe=None,
     probe_threshold_m: float = 20.0,
-    use_prior: bool = True,
-    r_prior: float = 12.0,
     checkpoint_dir=None,
 ) -> Stage2Result:
     """On-policy fine-tuning blended with imitation. The critic arrives
@@ -594,7 +587,6 @@ def train_stage2(
         rollout = collect_rollouts(
             policy, worlds, ppo_cfg.tiers, reward_cfg, ppo_cfg.rollout_steps,
             functools.partial(substream, seed, "stage2-collect", u),
-            use_prior=use_prior, r_prior=r_prior,
         )
         env_steps += len(rollout)
         shuffles = (substream(seed, "stage2-shuffle", u, e) for e in range(ppo_cfg.epochs_per_update))
@@ -610,8 +602,7 @@ def train_stage2(
             opt = AdamW(opt.entries, lr=opt.lr * 0.5)
             continue
         if probe is not None and u % ppo_cfg.probe_every == 0:
-            probe_sr = probe_success_rate(policy, probe, threshold_m=probe_threshold_m,
-                                          use_prior=use_prior, r_prior=r_prior)
+            probe_sr = probe_success_rate(policy, probe, threshold_m=probe_threshold_m)
         curve.append({
             "update": u,
             **{k: means[k] for k in (*IMITATION_TERMS, "L_RL", "L_total", "entropy", "clip_fraction")},

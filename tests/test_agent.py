@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from tiernav import agent
 from tiernav import autodiff as ad
 from tiernav.autodiff import Tensor
 from tiernav.agent import (
@@ -257,6 +258,8 @@ def test_tiered_step_rejects_unknown_mode():
 
 
 class AlwaysStop:
+    r_prior = None
+
     def begin_episode(self, world, episode):
         return None
 
@@ -274,6 +277,22 @@ def test_run_episode_always_stop():
     assert len(traj) == 1
     assert traj.stopped
     assert traj.final_state == ep.start
+
+
+def test_run_episode_builds_maps_with_the_policys_prior(monkeypatch):
+    wd, ep = world_and_episode(seed=11)
+    priors = []
+    real = agent.init_map
+
+    def record(world, episode, r_prior):
+        priors.append(r_prior)
+        return real(world, episode, r_prior)
+
+    monkeypatch.setattr(agent, "init_map", record)
+    short = dataclasses.replace(ep, max_steps=2)
+    for policy in (NeuralPolicy(make_model(seed=5), r_prior=6.0), TeacherPolicy(), RandomPolicy()):
+        run_one(policy, wd, short, substream(11, "prior"))
+    assert priors == [6.0, None, None]
 
 
 def test_run_episode_teacher_reaches_goal():

@@ -3,6 +3,7 @@ import glob
 import json
 import os
 import shutil
+import struct
 import warnings
 from pathlib import Path
 
@@ -344,6 +345,32 @@ def test_non_utf8_byte_exits(pipeline, tmp_path, capsys, target, code):
     assert str(bad) in err
 
 
+@pytest.mark.parametrize("dims", [{7: 0x40}, {0: 0, 15: 0x40}], ids=["count_overflows", "empty_but_oversized"])
+def test_corrupt_checkpoint_dimension_exits_6(pipeline, tmp_path, capsys, dims):
+    # an element count past int64 reads as a truncated file; a zero
+    # dimension beside an oversized one is refused by name
+    cfg_path, out, _ = pipeline
+    alt = _stage_copy(out, tmp_path / "dims")
+    ckpt = alt / "il" / "policy_il.ckpt"
+    data = bytearray(ckpt.read_bytes())
+    name = b"map_encoder.stem.kernel"  # shape (4, 4, 3, 3), little-endian u64 dimensions
+    first_dim = data.index(struct.pack("<I", len(name)) + name) + 4 + len(name) + 4  # past the name and ndim
+    for at, byte in dims.items():
+        data[first_dim + at] = byte
+    ckpt.write_bytes(bytes(data))
+    assert main(["eval", "--policy", "il", "--config", cfg_path, "--out", str(alt)]) == 6
+    assert str(ckpt) in capsys.readouterr().err
+
+
+def test_corpus_world_missing_exits_6(pipeline, tmp_path, capsys):
+    cfg_path, out, _ = pipeline
+    alt = _stage_copy(out, tmp_path / "no_world", ("worlds", "corpus"))
+    os.remove(alt / "worlds" / "seen_00.txt")
+    assert main(["train-il", "--config", cfg_path, "--out", str(alt)]) == 6
+    err = capsys.readouterr().err
+    assert f"{alt / 'corpus' / 'episodes.jsonl'}: line 1 references unknown world" in err
+
+
 def _cut_mid_line(text):
     lines = text.splitlines(keepends=True)
     return "".join(lines[:1]) + lines[1][: len(lines[1]) // 2]
@@ -450,7 +477,7 @@ def test_benchmark_corpus_replays(path, tmp_path):
     cfg = parse_config(str(path), ["run.seed=1000"])
     worlds = [load_world(p) for p in sorted((tmp_path / "worlds").glob("seen_*.txt"))]
     demos, manifest = load_corpus(tmp_path / "corpus", {w.world_id: w for w in worlds},
-                                  cfg.reward_config(), **cli._prior(cfg))
+                                  cfg.reward_config(), cli._prior(cfg))
     assert len(demos) == manifest["episodes"] == cfg["corpus.episodes"]
 
 
@@ -634,20 +661,20 @@ def _record_sweep(monkeypatch):
     """Record what each stage-1 run, stage-2 run and benchmark of a sweep was given."""
     calls = {"replay": [], "stage1": [], "stage2": [], "bench": []}
 
-    def replay(*args, **kwargs):
-        calls["replay"].append(kwargs["use_prior"])
-        return load_corpus(*args, **kwargs)
+    def replay(corpus_dir, worlds_by_id, reward_cfg, r_prior):
+        calls["replay"].append(r_prior)
+        return load_corpus(corpus_dir, worlds_by_id, reward_cfg, r_prior)
 
     def stage1(demos, model, cfg):
         calls["stage1"].append(model)
         return train_stage1(demos, model, cfg)
 
     def stage2(policy, worlds, ppo, *args, **kwargs):
-        calls["stage2"].append((policy.flat, kwargs["use_prior"], kwargs["r_prior"], ppo.lambda_rl, kwargs["seed"]))
+        calls["stage2"].append((policy.flat, policy.r_prior, ppo.lambda_rl, kwargs["seed"]))
         return train_stage2(policy, worlds, ppo, *args, **kwargs)
 
     def bench(policy, *args, **kwargs):
-        calls["bench"].append((policy.flat, kwargs["use_prior"], kwargs["r_prior"], kwargs["mode"]))
+        calls["bench"].append((policy.flat, policy.r_prior, kwargs["mode"]))
         return run_benchmark(policy, *args, **kwargs)
 
     monkeypatch.setattr(cli, "load_corpus", replay)
@@ -657,11 +684,11 @@ def _record_sweep(monkeypatch):
     return calls
 
 
-# axis -> each arm's (flat, use_prior, lambda_rl) on the smoke config
+# axis -> each arm's (flat, r_prior, lambda_rl) on the smoke config
 SWEEP_ARMS = {
-    "lambda_rl": [(False, True, 0.0), (False, True, 0.2)],
-    "prior": [(False, True, 0.2), (False, False, 0.2)],
-    "controller": [(False, True, 0.2), (True, True, 0.2)],
+    "lambda_rl": [(False, 12.0, 0.0), (False, 12.0, 0.2)],
+    "prior": [(False, 12.0, 0.2), (False, None, 0.2)],
+    "controller": [(False, 12.0, 0.2), (True, 12.0, 0.2)],
 }
 
 
@@ -673,8 +700,8 @@ def test_sweep_trains_each_arm_on_each_seed(pipeline, tmp_path, monkeypatch, axi
     base = ["--config", cfg_path, "--out", str(alt), "--set", "sweep.seeds=3,5"]
     assert main(["sweep", "--axis", axis, *base]) == 0
     arms = SWEEP_ARMS[axis]
-    assert calls["stage2"] == [(flat, prior, 12.0, lam, seed) for flat, prior, lam in arms for seed in (3, 5)]
-    assert calls["bench"] == [(flat, prior, 12.0, "greedy") for flat, prior, _ in arms for _ in (3, 5)]
+    assert calls["stage2"] == [(flat, prior, lam, seed) for flat, prior, lam in arms for seed in (3, 5)]
+    assert calls["bench"] == [(flat, prior, "greedy") for flat, prior, _ in arms for _ in (3, 5)]
     # one corpus replay per arm under its own prior; stage 1 only for the arm whose prior differs
     assert calls["replay"] == [prior for _, prior, _ in arms]
     assert len(calls["stage1"]) == (axis == "prior")
@@ -707,9 +734,9 @@ def test_sweeps_evaluate_with_eval_keys(pipeline, tmp_path, monkeypatch):
             "--set", "model.use_prior=false"]
     for axis in ("prior", "controller"):
         assert main(["sweep", "--axis", axis, *base]) == 0, axis
-    assert calls["bench"] == [(False, True, 6.0, "sample"), (False, False, 6.0, "sample"),
-                              (False, False, 6.0, "sample"), (True, False, 6.0, "sample")]
-    assert [key[:3] for key in calls["stage2"]] == [key[:3] for key in calls["bench"]]
+    assert calls["bench"] == [(False, 6.0, "sample"), (False, None, "sample"),
+                              (False, None, "sample"), (True, None, "sample")]
+    assert [key[:2] for key in calls["stage2"]] == [key[:2] for key in calls["bench"]]
     # without the prior in the config, the arm that restores it trains its own stage 1
     assert len(calls["stage1"]) == 1
     assert "policy_il_full.ckpt" in _manifest(str(alt), "sweep-prior")["files"]
