@@ -3,8 +3,10 @@
 Each subcommand owns one subdirectory of the output root. Its run is
 built in `<name>.partial/` (artifacts, echoed config, and last a
 manifest.json naming every produced file), then renamed into place, so
-a directory under its final name is complete. Re-running a command
-refuses to replace a finished run unless --force is passed. Exit codes:
+a directory under its final name is complete. A command that fails,
+an aborted training run included, leaves its run in `<name>.partial/`
+and an earlier finished run as it was. Re-running a command refuses to
+replace a finished run unless --force is passed. Exit codes:
 0 ok, 2 bad configuration, 3 missing or incomplete prerequisite run
 directory, 4 numerical failure during training, 5 no feasible world or episode (generation
 retries exhausted, or no path), 6 unreadable, corrupt or inconsistent
@@ -182,11 +184,11 @@ def cmd_build_corpus(cfg, args) -> int:
     started = _now()
     worlds = _load_worlds(cfg, args, "seen")
     run_dir = _begin_run(cfg, args, "corpus")
-    demos, manifest = build_dataset(
+    demos = build_dataset(
         worlds, cfg["corpus.episodes"], cfg.tiers("corpus.tiers"),
         cfg["run.seed"], cfg.reward_config(), cfg["ppo.gamma"],
     )
-    save_corpus(run_dir, demos, manifest)
+    save_corpus(run_dir, demos)
     run_dir = _finish_run(run_dir, "build-corpus", cfg, started)
     print(f"build-corpus: {len(demos)} demonstrations -> {run_dir}")
     return 0
@@ -196,11 +198,8 @@ def _load_demos(cfg, args):
     corpus_dir = _stage_dir(cfg, args, "corpus", "build-corpus")
     worlds = _load_worlds(cfg, args, "seen")
     by_id = {w.world_id: w for w in worlds}
-    demos, manifest = load_corpus(corpus_dir, by_id, cfg.reward_config(), _prior(cfg))
-    if manifest.get("gamma") != cfg["ppo.gamma"]:  # its value labels and PPO's GAE share gamma
-        raise ContractError(f"{os.path.join(corpus_dir, 'manifest.txt')}: corpus gamma "
-                            f"{manifest.get('gamma')!r}, config ppo.gamma {cfg['ppo.gamma']!r}")
-    return demos, worlds
+    # the corpus's value labels and PPO's GAE share gamma, so replay relabels under ppo.gamma
+    return load_corpus(corpus_dir, by_id, cfg.reward_config(), cfg["ppo.gamma"], _prior(cfg)), worlds
 
 
 def _train_il(cfg, demos, path: str):
@@ -217,10 +216,10 @@ def cmd_train_il(cfg, args) -> int:
     run_dir = _begin_run(cfg, args, "il")
     result = _train_il(cfg, demos, os.path.join(run_dir, "policy_il.ckpt"))
     write_curve(os.path.join(run_dir, "curve_il.csv"), result.curve, IL_CURVE_COLUMNS)
-    run_dir = _finish_run(run_dir, "train-il", cfg, started)
     if result.aborted:
-        raise NumericsError("stage-1 training aborted on a non-finite loss; "
-                            "last clean parameters were kept")
+        raise NumericsError(f"stage-1 training aborted on a non-finite loss; the last clean "
+                            f"parameters and the curve were kept in {run_dir}")
+    run_dir = _finish_run(run_dir, "train-il", cfg, started)
     print(f"train-il: {result.epochs_run} epochs, L_IL {result.final_il:.4f} -> {run_dir}")
     return 0
 
@@ -257,10 +256,10 @@ def cmd_train_rl(cfg, args) -> int:
     save_policy(os.path.join(run_dir, "policy_rl.ckpt"), model,
                 meta={"stage": "rl", "config_hash": cfg.hash(),
                       "updates_run": str(result.updates_run)})
-    run_dir = _finish_run(run_dir, "train-rl", cfg, started)
     if result.aborted:
-        raise NumericsError("stage-2 training aborted after repeated ratio blow-ups; "
-                            "last clean parameters were kept")
+        raise NumericsError(f"stage-2 training aborted after repeated ratio blow-ups; the last clean "
+                            f"parameters and the curve were kept in {run_dir}")
+    run_dir = _finish_run(run_dir, "train-rl", cfg, started)
     sr = result.final_probe_sr
     sr_text = f"{sr:.2f}" if not math.isnan(sr) else "n/a"
     print(f"train-rl: {result.updates_run} updates, {result.env_steps} env steps, "
@@ -344,8 +343,10 @@ def cmd_sweep(cfg, args) -> int:
         for seed in seeds:
             model = _build_model(arm)
             load_policy_into(model, il_path)
-            train_stage2(_neural_policy(arm, model), seen, arm.ppo_config(), arm.reward_config(),
-                         corpus=demos, il_cfg=arm.stage1_config(), seed=seed)
+            if train_stage2(_neural_policy(arm, model), seen, arm.ppo_config(), arm.reward_config(),
+                            corpus=demos, il_cfg=arm.stage1_config(), seed=seed).aborted:
+                raise NumericsError(f"stage-2 training of sweep arm {name!r} on seed {seed} aborted "
+                                    "after repeated ratio blow-ups")
             _, records = run_benchmark(
                 _neural_policy(arm, model), worlds, arm["eval.episodes_per_tier"], seeds=[0],
                 tiers=arm.tiers("eval.tiers"),

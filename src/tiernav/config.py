@@ -37,6 +37,7 @@ class Entry:
     hi_open: bool = False
     choices: tuple | None = None
     label: str | None = None  # overrides the generated range text in errors
+    distinct: bool = False  # a list whose items may not repeat
 
     def range_text(self) -> str:
         if self.label:
@@ -147,12 +148,12 @@ SCHEMA: dict = {
     # evaluation
     "eval.threshold_m": Entry("float", 20.0, lo=0.0, lo_open=True),
     "eval.episodes_per_tier": Entry("int", 10, lo=1, hi=10000),
-    "eval.seeds": Entry("ints", (0, 1, 2), lo=0),
+    "eval.seeds": Entry("ints", (0, 1, 2), lo=0, distinct=True),
     "eval.tiers": Entry("str", ",".join(TIERS)),
     "eval.mode": Entry("str", "greedy", choices=("greedy", "sample")),
     # ablation sweeps
-    "sweep.lambdas": Entry("floats", (0.0, 0.1, 0.2, 0.3), lo=0.0, hi=1.0),
-    "sweep.seeds": Entry("ints", (0, 1, 2), lo=0),
+    "sweep.lambdas": Entry("floats", (0.0, 0.1, 0.2, 0.3), lo=0.0, hi=1.0, distinct=True),
+    "sweep.seeds": Entry("ints", (0, 1, 2), lo=0, distinct=True),
 }
 
 
@@ -195,9 +196,11 @@ def _parse_value(entry: Entry, token: str, where: str, key: str, line: str):
             vals = tuple(cast(p) for p in parts)
         except ValueError:
             fail(f"{key} expects comma-separated {entry.kind}, got {token!r}")
-        for v in vals:
+        for i, v in enumerate(vals):
             if not entry.check_range(v):
                 fail(f"{key} item out of range: {entry.range_text()}, got {v!r}")
+            if entry.distinct and v in vals[:i]:
+                fail(f"{key} names {v!r} twice")
         return vals
     if entry.kind == "bracket":
         parts = [p.strip() for p in token.split(",")]

@@ -29,13 +29,14 @@ plan_path is deterministic, so both routes give the same plan.
 
 from __future__ import annotations
 
+import glob
 import math
 import os
 from dataclasses import dataclass
 
 from .errors import ContractError
 from .mapper import init_map, update_map
-from .util import atomic_write, read_text, substream, write_csv
+from .util import read_text, substream, write_csv
 from .world import (
     Action,
     CityWorld,
@@ -159,36 +160,22 @@ def build_demonstration(world: CityWorld, episode: EpisodeSpec, reward_cfg, gamm
     return Trajectory(episode=episode, steps=steps, final_state=states[-1], stopped=True)
 
 
-def build_dataset(worlds, n_episodes: int, tiers, master_seed: int, reward_cfg, gamma: float):
+def build_dataset(worlds, n_episodes: int, tiers, master_seed: int, reward_cfg, gamma: float) -> list:
     """Tier-stratified, label-only demonstration corpus over one or more worlds.
 
     Episode i takes the (i mod n)-th of the n tiers in the {name: (lo, hi)}
     mapping tiers and draws from substream (master_seed, "corpus", i), so
-    the corpus is independent of construction order. Returns (demos,
-    manifest dict).
+    the corpus is independent of construction order. Returns the
+    demonstrations, shuffled.
     """
     names = list(tiers)
-    stats: dict = {}
     demos = []
-    tier_counts = {t: 0 for t in names}
     for i in range(n_episodes):
-        tier = names[i % len(names)]
         world = worlds[i % len(worlds)]
-        rng = substream(master_seed, "corpus", i)
-        ep = sample_episode(world, tier, rng, tiers=tiers, stats=stats)
+        ep = sample_episode(world, names[i % len(names)], substream(master_seed, "corpus", i), tiers=tiers)
         demos.append(build_demonstration(world, ep, reward_cfg, gamma))
-        tier_counts[tier] += 1
     order = substream(master_seed, "corpus-shuffle").permutation(len(demos))
-    demos = [demos[int(i)] for i in order]
-    manifest = {
-        "master_seed": master_seed,
-        "episodes": n_episodes,
-        "resampled": stats.get("resampled", 0),
-        "tier_counts": tier_counts,
-        "world_ids": [w.world_id for w in worlds],
-        "gamma": gamma,
-    }
-    return demos, manifest
+    return [demos[int(i)] for i in order]
 
 
 # ------------------------------------------------------------------ corpus IO
@@ -279,74 +266,37 @@ def read_trajectory_log(path):
     return header, episodes
 
 
-def save_corpus(corpus_dir, demos, manifest: dict):
-    """Write the corpus: its episodes, and manifest.txt with its counts and gamma."""
+def save_corpus(corpus_dir, demos):
+    """Write the corpus: episodes.jsonl, and one episode_<i>.csv trajectory log per demonstration."""
     os.makedirs(corpus_dir, exist_ok=True)
     save_episodes([demo.episode for demo in demos], os.path.join(corpus_dir, "episodes.jsonl"))
     for i, demo in enumerate(demos):
         write_csv(os.path.join(corpus_dir, f"episode_{i:05d}.csv"), TRAJ_COLUMNS, (st.log_row() for st in demo.steps))
-    lines = [
-        "tiernav-corpus 1",
-        f"master_seed {manifest['master_seed']}",
-        f"episodes {manifest['episodes']}",
-        f"resampled {manifest['resampled']}",
-        f"gamma {manifest['gamma']!r}",
-    ]
-    lines += [f"tier {t} {c}" for t, c in sorted(manifest["tier_counts"].items())]
-    lines += [f"world {wid}" for wid in manifest["world_ids"]]
-    atomic_write(os.path.join(corpus_dir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
-def load_manifest(corpus_dir) -> dict:
-    """Parse manifest.txt; a malformed line raises ContractError naming the file and line."""
-    path = os.path.join(corpus_dir, "manifest.txt")
-    manifest = {"tier_counts": {}, "world_ids": []}
-    lines = read_text(path).splitlines()
-    if not lines or not lines[0].startswith("tiernav-corpus"):
-        raise ContractError(f"{corpus_dir}: not a corpus directory")
-    for n, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        try:
-            if parts[0] == "tier":
-                tier, count = parts[1:]
-                manifest["tier_counts"][tier] = int(count)
-            elif parts[0] == "world":
-                (wid,) = parts[1:]
-                manifest["world_ids"].append(wid)
-            elif parts[0] == "gamma":
-                (gamma,) = parts[1:]
-                manifest["gamma"] = float(gamma)
-            else:
-                key, value = parts
-                manifest[key] = int(value)
-        except (IndexError, ValueError):
-            raise ContractError(f"{path}: line {n} is malformed: {line!r}") from None
-    return manifest
-
-
-def load_corpus(corpus_dir, worlds_by_id, reward_cfg, r_prior: float | None = 12.0):
+def load_corpus(corpus_dir, worlds_by_id, reward_cfg, gamma: float, r_prior: float | None = 12.0) -> list:
     """Rebuild demonstrations by relabeling their stored actions.
 
-    Each episode goes through build_demonstration on its logged moves
-    (every action but the final stop), under reward_cfg and the
-    manifest's gamma. Every cell of every logged row must equal the
-    relabeled one: the cells are repr floats, so equal labels match
-    exactly. The first difference raises ContractError naming the file,
-    line and column; a blocked move or an early stop raises it naming
-    the file and the step t (on line t + 2). So a corpus built under
-    other reward.* settings is refused. Each relabeled step then gains
-    feats: its observation patch and a snapshot of the belief map, built
-    with the landmark prior of radius r_prior (None for none). A
-    snapshot is taken at t = 0 and wherever the waypoint index changes,
-    and the steps up to the next change share it.
+    episodes.jsonl must hold one record per episode_*.csv log in the
+    directory, else ContractError names it. Each episode goes through
+    build_demonstration on its logged moves (every action but the final
+    stop), under reward_cfg and gamma. Every cell of every logged row
+    must equal the relabeled one: the cells are repr floats, so equal
+    labels match exactly. The first difference raises ContractError
+    naming the file, line and column; a blocked move or an early stop
+    raises it naming the file and the step t (on line t + 2). So a
+    corpus built under other reward.* settings or another gamma is
+    refused. Each relabeled step then gains feats: its observation patch
+    and a snapshot of the belief map, built with the landmark prior of
+    radius r_prior (None for none). A snapshot is taken at t = 0 and
+    wherever the waypoint index changes, and the steps up to the next
+    change share it.
     """
-    manifest = load_manifest(corpus_dir)
-    if "gamma" not in manifest:
-        raise ContractError(f"{os.path.join(corpus_dir, 'manifest.txt')}: no gamma line")
     index = os.path.join(corpus_dir, "episodes.jsonl")
     episodes = load_episodes(index)
-    if len(episodes) != manifest.get("episodes"):
-        raise ContractError(f"{index}: {len(episodes)} episodes, manifest.txt says {manifest.get('episodes')}")
+    n_logs = len(glob.glob("episode_*.csv", root_dir=corpus_dir))
+    if len(episodes) != n_logs:
+        raise ContractError(f"{index}: {len(episodes)} episodes, but the corpus holds {n_logs} episode logs")
     demos = []
     for i, ep in enumerate(episodes):
         world = worlds_by_id.get(ep.world_id)
@@ -357,7 +307,7 @@ def load_corpus(corpus_dir, worlds_by_id, reward_cfg, r_prior: float | None = 12
         if header != TRAJ_COLUMNS:
             raise ContractError(f"{path}: not a corpus episode (header {header[:4]}...)")
         (rows,) = logs.values()
-        demo = _relabel(world, ep, rows, path, reward_cfg, manifest["gamma"])
+        demo = _relabel(world, ep, rows, path, reward_cfg, gamma)
         nav = init_map(world, ep, r_prior)
         for t, st in enumerate(demo.steps):
             obs = render_observation(world, st.state)
@@ -366,7 +316,7 @@ def load_corpus(corpus_dir, worlds_by_id, reward_cfg, r_prior: float | None = 12
                 snapshot = nav.grid.copy()
             st.feats = {"patch": obs.patch, "map": snapshot}
         demos.append(demo)
-    return demos, manifest
+    return demos
 
 
 def _relabel(world, ep, rows, path, reward_cfg, gamma) -> Trajectory:

@@ -537,7 +537,7 @@ def train_stage2(
     worlds,
     ppo_cfg: PPOConfig,
     reward_cfg: RewardConfig,
-    corpus=None,
+    corpus,
     il_cfg: Stage1Config | None = None,
     seed: int = 0,
     probe=None,
@@ -554,8 +554,8 @@ def train_stage2(
     mapping and runs one ppo_update, minimizing imitation_loss +
     lambda_rl * (policy + c_v*value - c_ent*entropy). The imitation
     loss is stage 1's, weighted by il_cfg (Stage1Config defaults when
-    None), on a fresh expert batch from corpus per minibatch; without a
-    corpus it is 0. So lambda_rl = 0 is continued imitation of every
+    None), on a fresh expert batch from corpus (replayed demonstrations)
+    per minibatch. So lambda_rl = 0 is continued imitation of every
     head. An update that blows up rolls
     back to the last clean update and halves the learning rate once;
     the second blow-up aborts. The probe runs every
@@ -567,14 +567,12 @@ def train_stage2(
     il_cfg = il_cfg or Stage1Config()
     model = policy.model
     opt = AdamW(model.named_params(), lr=ppo_cfg.lr)
-    expert = None
-    if corpus:
-        data = prepare_stage1_data(corpus, model)
-        rng_exp = substream(seed, "stage2-expert")
+    data = prepare_stage1_data(corpus, model)
+    rng_exp = substream(seed, "stage2-expert")
 
-        def expert():
-            eidx = rng_exp.integers(0, data.n, size=min(ppo_cfg.expert_batch, data.n))
-            return imitation_loss(model, data, eidx, il_cfg)
+    def expert():
+        eidx = rng_exp.integers(0, data.n, size=min(ppo_cfg.expert_batch, data.n))
+        return imitation_loss(model, data, eidx, il_cfg)
 
     curve = []
     aborted = False

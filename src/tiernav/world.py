@@ -567,7 +567,6 @@ def sample_episode(
     difficulty: str,
     rng: np.random.Generator,
     tiers: dict = TIERS,
-    stats: dict | None = None,
 ) -> EpisodeSpec:
     """Goal near a landmark, start in the distance bracket tiers[difficulty].
 
@@ -575,8 +574,7 @@ def sample_episode(
     the true shortest-path length, and its plan field holds that teacher
     plan for build_demonstration and TeacherPolicy to reuse. The plan is
     not serialized: episode_to_dict leaves it out. Failed draws are
-    retried; if the caller passes a stats dict, each retry bumps
-    stats["resampled"].
+    retried.
     """
     if difficulty not in tiers:
         raise ConfigError(f"unknown difficulty tier {difficulty!r}")
@@ -585,10 +583,6 @@ def sample_episode(
     if free_x.size == 0:
         raise GenerationError("world has no free ground cells")
 
-    def miss():
-        if stats is not None:
-            stats["resampled"] = stats.get("resampled", 0) + 1
-
     for _ in range(MAX_TRIES):
         lm = world.landmarks[int(rng.integers(len(world.landmarks)))]
         dist = float(rng.uniform(1.5, BAND_MAX))
@@ -596,7 +590,6 @@ def sample_episode(
         gx = int(round(lm.x + dist * math.cos(ang)))
         gy = int(round(lm.y + dist * math.sin(ang)))
         if not world.in_bounds(gx, gy) or world.height_field[gy, gx] != 0 or (gx, gy) == (lm.x, lm.y):
-            miss()
             continue
         start = None
         for _ in range(60):
@@ -607,12 +600,10 @@ def sample_episode(
                 start = UavState(x=float(sx), y=float(sy), z=world.cruise_z, heading=int(rng.integers(4)))
                 break
         if start is None:
-            miss()
             continue
         try:
             plan = plan_path(world, start, (gx, gy))
         except InfeasibleError:
-            miss()
             continue
         ell = float(plan.remaining[0])  # forward moves * cell_size
         desc = GoalDescriptor(

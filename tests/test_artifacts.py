@@ -25,9 +25,8 @@ def _write_world(target, variant):
 
 def _write_corpus(target, variant):
     worlds = [generate_world(40, SMALL)]
-    demos, manifest = build_dataset(worlds, 1 + variant, {"easy": TIERS["easy"]}, master_seed=5,
-                                    reward_cfg=RewardConfig(), gamma=0.99)
-    save_corpus(target, demos, manifest)
+    save_corpus(target, build_dataset(worlds, 1 + variant, {"easy": TIERS["easy"]}, master_seed=5,
+                                      reward_cfg=RewardConfig(), gamma=0.99))
 
 
 def _write_curve(target, variant):

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import glob
 import json
 import os
@@ -322,7 +323,6 @@ NON_UTF8_TARGETS = {
     "config": (None, "train-il"),
     "world": ("worlds/seen_00.txt", "train-il"),
     "episodes": ("corpus/episodes.jsonl", "train-il"),
-    "manifest": ("corpus/manifest.txt", "train-il"),
     "episode": ("corpus/episode_00000.csv", "train-il"),
     "checkpoint": ("il/policy_il.ckpt", "train-rl"),
 }
@@ -376,25 +376,41 @@ def _cut_mid_line(text):
     return "".join(lines[:1]) + lines[1][: len(lines[1]) // 2]
 
 
+def _edit_index(edit):
+    def damage(corpus):
+        index = corpus / "episodes.jsonl"
+        index.write_text(edit(index.read_text()))
+    return damage
+
+
+def _add_log(corpus):
+    """Copy the first episode log to the next index."""
+    n = len(list(corpus.glob("episode_*.csv")))
+    shutil.copy(corpus / "episode_00000.csv", corpus / f"episode_{n:05d}.csv")
+
+
+def _remove_log(corpus):
+    os.remove(max(corpus.glob("episode_*.csv")))
+
+
+# each damages a corpus so that episodes.jsonl is unreadable or holds
+# other than one record per episode log
 CORPUS_INDEX_DAMAGE = {
-    "episodes_cut_mid_line": ("episodes.jsonl", _cut_mid_line),
-    "episodes_key_renamed": ("episodes.jsonl", lambda text: text.replace('"max_steps"', '"max_step"', 1)),
-    "episodes_line_dropped": ("episodes.jsonl", lambda text: "".join(text.splitlines(keepends=True)[:-1])),
-    "manifest_bad_count": ("manifest.txt", lambda text: text.replace("\nepisodes ", "\nepisodes x", 1)),
+    "episodes_cut_mid_line": _edit_index(_cut_mid_line),
+    "episodes_key_renamed": _edit_index(lambda text: text.replace('"max_steps"', '"max_step"', 1)),
+    "episodes_line_dropped": _edit_index(lambda text: "".join(text.splitlines(keepends=True)[:-1])),
+    "episode_log_added": _add_log,
+    "episode_log_removed": _remove_log,
 }
 
 
 @pytest.mark.parametrize("damage", sorted(CORPUS_INDEX_DAMAGE))
 def test_malformed_corpus_index_exits_6(pipeline, tmp_path, capsys, damage):
     cfg_path, out, _ = pipeline
-    alt = tmp_path / "bad_index"
-    for stage in ("worlds", "corpus"):
-        shutil.copytree(os.path.join(out, stage), alt / stage)
-    name, edit = CORPUS_INDEX_DAMAGE[damage]
-    index = alt / "corpus" / name
-    index.write_text(edit(index.read_text()))
+    alt = _stage_copy(out, tmp_path / "bad_index", ("worlds", "corpus"))
+    CORPUS_INDEX_DAMAGE[damage](alt / "corpus")
     assert main(["train-il", "--config", cfg_path, "--out", str(alt)]) == 6
-    assert str(index) in capsys.readouterr().err
+    assert str(alt / "corpus" / "episodes.jsonl") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("column,cell", [("action", "9"), ("k", "-1")])
@@ -476,9 +492,9 @@ def test_benchmark_corpus_replays(path, tmp_path):
     assert main(["build-corpus", *base]) == 0
     cfg = parse_config(str(path), ["run.seed=1000"])
     worlds = [load_world(p) for p in sorted((tmp_path / "worlds").glob("seen_*.txt"))]
-    demos, manifest = load_corpus(tmp_path / "corpus", {w.world_id: w for w in worlds},
-                                  cfg.reward_config(), cli._prior(cfg))
-    assert len(demos) == manifest["episodes"] == cfg["corpus.episodes"]
+    demos = load_corpus(tmp_path / "corpus", {w.world_id: w for w in worlds},
+                        cfg.reward_config(), cfg["ppo.gamma"], cli._prior(cfg))
+    assert len(demos) == cfg["corpus.episodes"]
 
 
 def test_printed_reports_leave_no_file_open(pipeline, tmp_path, capsys):
@@ -540,15 +556,58 @@ def test_run_without_manifest_is_not_taken_as_input(pipeline, tmp_path, monkeypa
         assert command in capsys.readouterr().err
 
 
+def _aborting(train):
+    """train, with its result reporting an abort."""
+    return lambda *args, **kwargs: dataclasses.replace(train(*args, **kwargs), aborted=True)
+
+
+@pytest.mark.parametrize("command,stage,trainer,downstream", [
+    ("train-il", "il", "train_stage1", (["train-rl"], ["eval", "--policy", "il"])),
+    ("train-rl", "rl", "train_stage2", (["eval", "--policy", "rl"],)),
+])
+def test_aborted_training_run_is_not_published(pipeline, tmp_path, monkeypatch, capsys,
+                                               command, stage, trainer, downstream):
+    # the run stays in <stage>.partial/ with its last clean checkpoint and
+    # curve, and an earlier finished run is kept as it was
+    cfg_path, out, _ = pipeline
+    alt = _stage_copy(out, tmp_path / "aborted", ("worlds", "corpus", "il")[: 2 + (stage == "rl")])
+    base = ["--config", cfg_path, "--out", str(alt)]
+    partial = alt / f"{stage}.partial"
+    aborting = _aborting(getattr(cli, trainer))
+    with monkeypatch.context() as m:
+        m.setattr(cli, trainer, aborting)
+        assert main([command, *base]) == 4
+    assert f"kept in {partial}" in capsys.readouterr().err
+    assert not (alt / stage).exists()
+    assert sorted(os.listdir(partial)) == ["config.txt", f"curve_{stage}.csv", f"policy_{stage}.ckpt"]
+    for argv in downstream:
+        assert main([*argv, *base]) == 3, argv
+        assert command in capsys.readouterr().err
+    assert main([command, *base]) == 0
+    before = _tree_bytes(str(alt / stage), keep_manifest=True)
+    with monkeypatch.context() as m:
+        m.setattr(cli, trainer, aborting)
+        assert main([command, "--force", *base]) == 4
+    assert _tree_bytes(str(alt / stage), keep_manifest=True) == before
+
+
+def test_sweep_refuses_an_aborted_stage_2_run(pipeline, tmp_path, monkeypatch, capsys):
+    cfg_path, out, _ = pipeline
+    alt = _stage_copy(out, tmp_path / "sweep_abort")
+    monkeypatch.setattr(cli, "train_stage2", _aborting(cli.train_stage2))
+    assert main(["sweep", "--axis", "controller", "--config", cfg_path, "--out", str(alt)]) == 4
+    assert "sweep arm 'tiered' on seed 0 aborted" in capsys.readouterr().err
+    assert not (alt / "sweep-controller").exists()
+
+
 def test_corpus_for_another_gamma_exits_6(pipeline, tmp_path, capsys):
+    # the corpus's value labels are discounted by ppo.gamma, so replay relabels under the config's
     cfg_path, out, _ = pipeline
     alt = tmp_path / "gamma"
     for stage in ("worlds", "corpus"):
         shutil.copytree(os.path.join(out, stage), alt / stage)
     assert main(["train-il", "--config", cfg_path, "--out", str(alt), "--set", "ppo.gamma=0.9"]) == 6
-    err = capsys.readouterr().err
-    assert str(alt / "corpus" / "manifest.txt") in err
-    assert "corpus gamma 0.99," in err and "config ppo.gamma 0.9" in err
+    assert f"{alt / 'corpus' / 'episode_00000.csv'}: line 2 has v_hat" in capsys.readouterr().err
 
 
 def test_controller_keys_reach_eval_policy(pipeline):
@@ -661,9 +720,9 @@ def _record_sweep(monkeypatch):
     """Record what each stage-1 run, stage-2 run and benchmark of a sweep was given."""
     calls = {"replay": [], "stage1": [], "stage2": [], "bench": []}
 
-    def replay(corpus_dir, worlds_by_id, reward_cfg, r_prior):
+    def replay(corpus_dir, worlds_by_id, reward_cfg, gamma, r_prior):
         calls["replay"].append(r_prior)
-        return load_corpus(corpus_dir, worlds_by_id, reward_cfg, r_prior)
+        return load_corpus(corpus_dir, worlds_by_id, reward_cfg, gamma, r_prior)
 
     def stage1(demos, model, cfg):
         calls["stage1"].append(model)
@@ -883,3 +942,7 @@ def test_finished_commands_leave_no_partial_run(every_command):
                          if os.path.isfile(p))
         with open(os.path.join(run, "manifest.json")) as f:
             assert json.load(f)["files"] == [name for name in on_disk if name != "manifest.json"], run
+    # a corpus is its episode index and logs; every count and setting is in config.txt or the index
+    episodes = parse_config(os.path.join(root, "out", "corpus", "config.txt"), [])["corpus.episodes"]
+    assert sorted(os.listdir(os.path.join(root, "out", "corpus"))) == \
+        ["config.txt", *(f"episode_{i:05d}.csv" for i in range(episodes)), "episodes.jsonl", "manifest.json"]

@@ -168,6 +168,26 @@ def test_tier_name_validation(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("via", ["file", "set"])
+@pytest.mark.parametrize("key,value,twice", [("eval.seeds", "0,0", "0"), ("sweep.seeds", "3,5,3", "3"),
+                                             ("sweep.lambdas", "0.2,0.0,0.20", "0.2")])
+def test_repeated_list_value_exits_2(tmp_path, capsys, key, value, twice, via):
+    # each value is one eval seed, stage-2 seed or sweep arm: a repeat would
+    # play its episodes twice or overwrite its results under the same name
+    if via == "file":
+        argv, where = ["--config", _write(tmp_path, f"# header\n{key} = {value}\n")], ":2"
+    else:
+        argv, where = ["--set", f"{key}={value}"], "override 1"
+    assert main(["gen-worlds", *argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} names {twice} twice" in err and where in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_encoder_widths_may_repeat():
+    assert parse_config(None, ["model.enc_widths=8,8"])["model.enc_widths"] == (8, 8)
+
+
 def test_render_round_trip(tmp_path):
     cfg = parse_config(None, ["ppo.lr=1e-4", "eval.seeds=9", "world.tier_hard=48,inf",
                               "reward.goal_bonus_on_stop=true"])

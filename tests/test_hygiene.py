@@ -1,7 +1,8 @@
 """Source hygiene: every name a tiernav module imports is read in that module,
 every import sits at module level and names only modules earlier in ORDER,
-every text-mode open() names its encoding, and every public top-level
-function and class is named by the program."""
+every text-mode open() names its encoding, only util.py opens a file to
+write, and every public top-level function and class is named by the
+program."""
 
 import ast
 import re
@@ -140,17 +141,21 @@ def test_scan_flags_imports_against_the_order():
     assert backward_imports("teacher", source) == [(2, "training"), (4, "agent"), (5, "teacher")]
 
 
+def open_calls(source: str):
+    """(line, mode node or None, keywords, positional argument count) of each open() call."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            keywords = {k.arg: k.value for k in node.keywords}
+            yield node.lineno, node.args[1] if len(node.args) > 1 else keywords.get("mode"), keywords, len(node.args)
+
+
 def unencoded_opens(source: str):
     """Line numbers of open() calls in text mode that name no encoding."""
     out = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
-            continue
-        keywords = {k.arg: k.value for k in node.keywords}
-        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+    for line, mode, keywords, n_args in open_calls(source):
         binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
-        if not binary and "encoding" not in keywords and len(node.args) < 4:
-            out.append(node.lineno)
+        if not binary and "encoding" not in keywords and n_args < 4:
+            out.append(line)
     return out
 
 
@@ -170,6 +175,35 @@ def test_scan_flags_text_opens_without_encoding():
         "open(p, 'r', -1, 'utf-8')\n"
     )
     assert unencoded_opens(source) == [1, 4, 6]
+
+
+def write_opens(source: str):
+    """Line numbers of open() calls that may write: a mode with w, a, x or +, or one that is no constant."""
+    return [line for line, mode, _, _ in open_calls(source)
+            if mode is not None and not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+"))]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "util.py"], ids=lambda p: p.name)
+def test_only_util_opens_a_file_to_write(path):
+    # util.atomic_write is the one file writer: a reader never sees a half-written file
+    assert write_opens(path.read_text()) == []
+
+
+def test_scan_flags_write_opens():
+    source = (
+        "open(p)\n"
+        "open(p, 'rb')\n"
+        "open(p, encoding='utf-8')\n"
+        "open(p, 'w')\n"
+        "open(p, mode='ab')\n"
+        "open(p, 'x', encoding='utf-8')\n"
+        "open(p, 'r+b')\n"
+        "open(p, mode=m)\n"
+    )
+    assert write_opens(source) == [4, 5, 6, 7, 8]
+    world = (SRC / "world.py").read_text()
+    planted = world + "\n\ndef dump(path, text):\n    with open(path, 'w', encoding='utf-8') as f:\n        f.write(text)\n"
+    assert write_opens(planted) == [len(world.splitlines()) + 4]
 
 
 def load_spans():

@@ -63,8 +63,8 @@ def reward_cfg():
 def corpus(world, reward_cfg, tmp_path_factory):
     # trainers read observations and map snapshots, which only the corpus replay adds
     root = tmp_path_factory.mktemp("corpus")
-    save_corpus(root, *build_dataset([world], 8, EASY_MEDIUM, 77, reward_cfg, GAMMA))
-    return load_corpus(root, {world.world_id: world}, reward_cfg)[0]
+    save_corpus(root, build_dataset([world], 8, EASY_MEDIUM, 77, reward_cfg, GAMMA))
+    return load_corpus(root, {world.world_id: world}, reward_cfg, GAMMA)
 
 
 def fresh_model(world, seed=0):

@@ -1,6 +1,7 @@
 """Planner optimality, waypoint extraction, demonstration labels, corpus IO."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from tiernav.teacher import (
     episode_plan,
     extract_waypoints,
     load_corpus,
-    load_manifest,
     read_trajectory_log,
     save_corpus,
 )
@@ -349,10 +349,8 @@ def test_demo_waypoint_index_monotone():
 
 def _replayed(tmp_path, wd, demos):
     """demos saved as a corpus and loaded back: the replay adds observations and maps."""
-    manifest = {"master_seed": 0, "episodes": len(demos), "resampled": 0,
-                "tier_counts": {"easy": len(demos)}, "world_ids": [wd.world_id], "gamma": 0.99}
-    save_corpus(tmp_path / "c", demos, manifest)
-    return load_corpus(tmp_path / "c", {wd.world_id: wd}, RewardConfig())[0]
+    save_corpus(tmp_path / "c", demos)
+    return load_corpus(tmp_path / "c", {wd.world_id: wd}, RewardConfig(), 0.99)
 
 
 def test_demo_snapshots_align_with_k_changes(tmp_path):
@@ -400,13 +398,10 @@ def test_demo_unreachable_goal_raises():
 def test_build_dataset_stratified_and_deterministic():
     worlds = [generate_world(s, WorldConfig(width=48, height=48, n_landmarks=5)) for s in (61, 62)]
     tiers = {t: TIERS[t] for t in ("easy", "medium")}
-    demos1, man1 = build_dataset(worlds, 12, tiers, master_seed=77,
-                                 reward_cfg=RewardConfig(), gamma=0.99)
-    demos2, man2 = build_dataset(worlds, 12, tiers, master_seed=77,
-                                 reward_cfg=RewardConfig(), gamma=0.99)
-    assert man1 == man2
+    demos1 = build_dataset(worlds, 12, tiers, master_seed=77, reward_cfg=RewardConfig(), gamma=0.99)
+    demos2 = build_dataset(worlds, 12, tiers, master_seed=77, reward_cfg=RewardConfig(), gamma=0.99)
     assert len(demos1) == 12
-    assert man1["tier_counts"] == {"easy": 6, "medium": 6}
+    assert Counter(d.episode.difficulty for d in demos1) == {"easy": 6, "medium": 6}
     for d1, d2 in zip(demos1, demos2):
         assert d1.episode.start == d2.episode.start
         assert [s.action for s in d1.steps] == [s.action for s in d2.steps]
@@ -414,10 +409,8 @@ def test_build_dataset_stratified_and_deterministic():
 
 def test_build_dataset_different_seed_differs():
     worlds = [generate_world(61, WorldConfig(width=48, height=48, n_landmarks=5))]
-    a, _ = build_dataset(worlds, 6, {"easy": TIERS["easy"]}, master_seed=1,
-                         reward_cfg=RewardConfig(), gamma=0.99)
-    b, _ = build_dataset(worlds, 6, {"easy": TIERS["easy"]}, master_seed=2,
-                         reward_cfg=RewardConfig(), gamma=0.99)
+    a = build_dataset(worlds, 6, {"easy": TIERS["easy"]}, master_seed=1, reward_cfg=RewardConfig(), gamma=0.99)
+    b = build_dataset(worlds, 6, {"easy": TIERS["easy"]}, master_seed=2, reward_cfg=RewardConfig(), gamma=0.99)
     starts_a = [d.episode.start for d in a]
     starts_b = [d.episode.start for d in b]
     assert starts_a != starts_b
@@ -425,15 +418,11 @@ def test_build_dataset_different_seed_differs():
 
 def test_corpus_round_trip(tmp_path):
     worlds = [generate_world(91, WorldConfig(width=48, height=48, n_landmarks=5))]
-    demos, manifest = build_dataset(worlds, 4, {"easy": TIERS["easy"]}, master_seed=5,
-                                    reward_cfg=RewardConfig(), gamma=0.99)
+    demos = build_dataset(worlds, 4, {"easy": TIERS["easy"]}, master_seed=5, reward_cfg=RewardConfig(), gamma=0.99)
     root = tmp_path / "corpus"
-    save_corpus(root, demos, manifest)
-    man_back = load_manifest(root)
-    assert man_back["master_seed"] == 5
-    assert man_back["episodes"] == 4
+    save_corpus(root, demos)
     by_id = {w.world_id: w for w in worlds}
-    demos_back, _ = load_corpus(root, by_id, RewardConfig())
+    demos_back = load_corpus(root, by_id, RewardConfig(), 0.99)
     assert len(demos_back) == 4
     for orig, back in zip(demos, demos_back):
         assert [s.action for s in orig.steps] == [s.action for s in back.steps]
@@ -453,9 +442,8 @@ def test_corpus_episode_is_the_teacher_trajectory_log(tmp_path):
     # the same cells as a teacher eval's step log, except v_hat: the corpus
     # holds the value label there, the teacher eval 0
     worlds = [generate_world(s, WorldConfig(width=48, height=48, n_landmarks=5)) for s in (91, 92)]
-    demos, manifest = build_dataset(worlds, 6, TIERS, master_seed=11,
-                                    reward_cfg=RewardConfig(), gamma=0.99)
-    save_corpus(tmp_path, demos, manifest)
+    demos = build_dataset(worlds, 6, TIERS, master_seed=11, reward_cfg=RewardConfig(), gamma=0.99)
+    save_corpus(tmp_path, demos)
     by_id = {w.world_id: w for w in worlds}
     trajs = run_episode(TeacherPolicy(), [(by_id[d.episode.world_id], d.episode, None) for d in demos],
                         reward_cfg=RewardConfig())
@@ -473,12 +461,11 @@ def test_corpus_episode_is_the_teacher_trajectory_log(tmp_path):
 
 def test_corpus_rewrite_is_byte_identical(tmp_path):
     worlds = [generate_world(91, WorldConfig(width=48, height=48, n_landmarks=5))]
-    demos, manifest = build_dataset(worlds, 3, {"easy": TIERS["easy"]}, master_seed=5,
-                                    reward_cfg=RewardConfig(), gamma=0.99)
+    demos = build_dataset(worlds, 3, {"easy": TIERS["easy"]}, master_seed=5, reward_cfg=RewardConfig(), gamma=0.99)
     r1 = tmp_path / "c1"
     r2 = tmp_path / "c2"
-    save_corpus(r1, demos, manifest)
-    save_corpus(r2, demos, manifest)
+    save_corpus(r1, demos)
+    save_corpus(r2, demos)
     for p1 in sorted(r1.iterdir()):
         assert (r2 / p1.name).read_bytes() == p1.read_bytes()
 
@@ -498,10 +485,8 @@ def test_corpus_tamper_detected(tmp_path):
         max_steps=36,
     )
     demo = build_demonstration(wd, ep, RewardConfig(), gamma=0.99)
-    manifest = {"master_seed": 0, "episodes": 1, "resampled": 0,
-                "tier_counts": {"easy": 1}, "world_ids": [wd.world_id], "gamma": 0.99}
     root = tmp_path / "c"
-    save_corpus(root, [demo], manifest)
+    save_corpus(root, [demo])
     csv = root / "episode_00000.csv"
     lines = csv.read_text().splitlines()
     # turn the final stop into a forward off the grid: the relabeled last step is the stop
@@ -514,7 +499,7 @@ def test_corpus_tamper_detected(tmp_path):
     n_fwd = sum(1 for ln in tampered_lines[1:] if ln.split(",")[5] == str(int(Action.FORWARD)))
     assert n_fwd == 10  # 9 real moves + forged one
     with pytest.raises(ContractError, match=r"line 11 has action 2\.0, the replay gives 5"):
-        load_corpus(root, {wd.world_id: wd}, RewardConfig())
+        load_corpus(root, {wd.world_id: wd}, RewardConfig(), 0.99)
     # two descents from cruise altitude z2: the second is blocked at z_min 1
     for n in (1, 2):
         cells = lines[n].split(",")
@@ -522,4 +507,4 @@ def test_corpus_tamper_detected(tmp_path):
         lines[n] = ",".join(cells)
     csv.write_text("\n".join(lines) + "\n")
     with pytest.raises(ContractError, match=r"episode_00000\.csv: step 1: expert action GO_DOWN blocked"):
-        load_corpus(root, {wd.world_id: wd}, RewardConfig())
+        load_corpus(root, {wd.world_id: wd}, RewardConfig(), 0.99)
