@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ContractError
-from .layers import BatchNorm2d, Conv2d, Embedding, Linear, Module
+from .layers import Conv2d, Embedding, Linear, Module
 from .mapper import MapEncoder, NavMap, _pad_odd, encode_map, init_map, update_map
 from .teacher import EPS_WP, TrajStep, Trajectory, advance_waypoint, episode_plan, extract_waypoints
 from .world import (BANDS, DIRS, TARGET_TAGS, Action, CityWorld, EpisodeSpec, Observation, UavState,
@@ -207,12 +207,6 @@ class NavPolicy(Module):
         xy = np.asarray(norm, dtype=np.float64) * np.array([self.width, self.height], dtype=np.float64)
         return np.clip(xy, 0.0, [self.width - 1.0, self.height - 1.0])
 
-    def bn_mode(self) -> str:
-        for m in self.modules():
-            if isinstance(m, BatchNorm2d) and m.num_batches[0] == 0:
-                return "train"
-        return "infer"
-
 
 # ------------------------------------------------------------------ controller
 
@@ -269,13 +263,10 @@ def tiered_step(
     """One controller tick for every slot: replan where the waypoint is
     reached, then act. Returns one TrajStep per slot.
 
-    Each slot's ctx is its ControllerState, updated in place. Maps are
-    encoded one slot at a time, in slot order, so the first encode of an
-    untrained model primes its BatchNorm statistics exactly as a lone
-    episode would; the BatchNorm mode is read again only after an encode
-    in "train" mode, the one kind of encode that can change it. The
-    replanning slots then share one forward_heads call, and all slots
-    share one more for the action decode.
+    Each slot's ctx is its ControllerState, updated in place. A slot's
+    map is encoded exactly when it replans. The replanning slots share
+    one forward_heads call, and all slots share one more for the action
+    decode.
 
     Two guards keep the state machine out of degenerate loops the
     demonstrations cannot teach recovery from: actions the observation
@@ -286,17 +277,13 @@ def tiered_step(
     if mode not in ("greedy", "sample"):
         raise ContractError(f"unknown decode mode {mode!r}")
     replan = []
-    enc_mode = None
     for i, s in enumerate(slots):
         ctrl, state = s.ctx, s.state
         trigger = ctrl.waypoint is None or math.hypot(state.x - ctrl.waypoint[0], state.y - ctrl.waypoint[1]) < EPS_WP
         if replan_patience and ctrl.steps_since_replan >= replan_patience:
             trigger = True
-        if trigger or ctrl.map_feat is None:
-            if enc_mode != "infer":
-                enc_mode = model.bn_mode()
-            ctrl.map_feat = encode_map(s.nav, model.map_encoder, mode=enc_mode)
         if trigger:
+            ctrl.map_feat = encode_map(s.nav, model.map_encoder)
             replan.append(i)
     maps = np.array([s.ctx.map_feat for s in slots])
     poses = np.array([pose_features(s.state, model.width, model.height, model.z_max) for s in slots])
@@ -330,8 +317,8 @@ def tiered_step(
                        progress_hat=float(out.progress.data[i, 0]), value_hat=float(out.value.data[i, 0]),
                        log_prob=float(log_probs[action]))
         if feats:
-            rec.feats = {"patch": s.obs.patch.copy(), "pose": poses[i], "desc_ids": ids[i],
-                         "map_feat": ctrl.map_feat.copy(), "wp_feats": wps[i], "mask": mask}
+            rec.feats = {"patch": s.obs.patch, "pose": poses[i], "desc_ids": ids[i],
+                         "map_feat": ctrl.map_feat, "wp_feats": wps[i], "mask": mask}
         picks.append(rec)
     return picks
 

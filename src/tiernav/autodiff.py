@@ -617,25 +617,24 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     return _node(out_t, (x, kernel), "depthwise_conv2d", bw)
 
 
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
 def batchnorm2d(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    mode: str,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
-    stats_ready: bool = True,
+    train: bool,
 ) -> Tensor:
     """Per-channel normalization over (N,H,W) with affine transform.
 
-    Train mode uses batch statistics and updates the running arrays
-    in place (exponential moving average). Infer mode uses the running
-    statistics and requires them to be populated.
+    train=True uses batch statistics and updates the running arrays in
+    place (exponential moving average); train=False reads the running
+    statistics and leaves them as they are.
     """
-    if eps <= 0:
-        raise ConfigError(f"batchnorm2d: eps must be > 0, got {eps}")
     squeeze = x.data.ndim == 3
     xd = x.data[None] if squeeze else x.data
     if xd.ndim != 4:
@@ -643,23 +642,19 @@ def batchnorm2d(
     n, c, h, w = xd.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(f"batchnorm2d: affine shapes {gamma.data.shape}/{beta.data.shape} for {c} channels")
-    if mode == "train":
+    if train:
         mean = xd.mean(axis=(0, 2, 3))
         d = xd - mean[None, :, None, None]  # centered once: the variance and xhat share it
         var = (d * d).mean(axis=(0, 2, 3))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    elif mode == "infer":
-        if not stats_ready:
-            raise StateError("batchnorm2d: infer mode with unpopulated running statistics")
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
+    else:
         mean = running_mean
         var = running_var
         d = xd - mean[None, :, None, None]
-    else:
-        raise ConfigError(f"batchnorm2d: mode must be 'train' or 'infer', got {mode!r}")
-    invstd = 1.0 / np.sqrt(var + eps)
+    invstd = 1.0 / np.sqrt(var + BN_EPS)
     xhat = d * invstd[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
@@ -673,7 +668,7 @@ def batchnorm2d(
             _accum(gamma, ggamma)
         if x.requires_grad:
             gx_scale = (gamma.data * invstd)[None, :, None, None]
-            if mode == "train":
+            if train:
                 # the batch statistics' terms reuse the beta and gamma sums
                 m = n * h * w
                 gx = gx_scale * (gd - (gbeta / m)[None, :, None, None] - xhat * (ggamma / m)[None, :, None, None])

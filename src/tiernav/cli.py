@@ -12,8 +12,8 @@ directory, 4 numerical failure during training, 5 no feasible world or episode (
 retries exhausted, or no path), 6 unreadable, corrupt or inconsistent
 files (an I/O error, bytes that are not UTF-8 text, or artifacts that
 contradict each other or the config), 7 model shape or state error
-(tensor shapes that do not fit an operation, or a layer used before its
-state was populated).
+(tensor shapes that do not fit an operation, or a backward through a
+spent tape).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ class ContractError(TiernavError):
 
 
 class StateError(TiernavError):
-    """Stateful component used before it was populated."""
+    """A backward through a tape that an earlier backward consumed."""
 
 
 class NumericsError(TiernavError):

@@ -44,9 +44,6 @@ class Module:
         """(name, array) for non-trained state (BN stats etc)."""
         return [(prefix + name, arr) for prefix, m in self._walk() for name, arr in m._own_state()]
 
-    def modules(self):
-        return (m for _, m in self._walk())
-
 
 def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
@@ -106,38 +103,18 @@ class DepthwiseConv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        # scalar array so checkpoints restore it like any other state
-        self.num_batches = np.zeros(1)
-        self.eps = eps
-        self.momentum = momentum
 
     def _own_params(self):
         # BN affine params are exempt from weight decay
         return [("gamma", self.gamma, False), ("beta", self.beta, False)]
 
     def _own_state(self):
-        return [
-            ("running_mean", self.running_mean),
-            ("running_var", self.running_var),
-            ("num_batches", self.num_batches),
-        ]
+        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
 
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
-        if mode == "train":
-            self.num_batches[0] += 1
-        return ad.batchnorm2d(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            mode,
-            eps=self.eps,
-            momentum=self.momentum,
-            stats_ready=self.num_batches[0] > 0,
-        )
+    def __call__(self, x: Tensor, train: bool) -> Tensor:
+        return ad.batchnorm2d(x, self.gamma, self.beta, self.running_mean, self.running_var, train)

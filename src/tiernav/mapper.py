@@ -87,8 +87,8 @@ class ResidualBlock(Module):
         self.conv = Conv2d(rng, channels, channels, 3, stride=1, pad=1, bias=False)
         self.bn = BatchNorm2d(channels)
 
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
-        return ad.relu(ad.add(self.bn(self.conv(x), mode), x))
+    def __call__(self, x: Tensor, train: bool) -> Tensor:
+        return ad.relu(ad.add(self.bn(self.conv(x), train), x))
 
 
 class SCConv(Module):
@@ -99,8 +99,8 @@ class SCConv(Module):
         self.channel = Conv2d(rng, channels, channels, 1, stride=1, pad=0, bias=False)
         self.bn = BatchNorm2d(channels)
 
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
-        return ad.relu(self.bn(ad.mul(self.spatial(x), self.channel(x)), mode))
+    def __call__(self, x: Tensor, train: bool) -> Tensor:
+        return ad.relu(self.bn(ad.mul(self.spatial(x), self.channel(x)), train))
 
 
 class MapEncoder(Module):
@@ -121,13 +121,13 @@ class MapEncoder(Module):
         self.head = Linear(rng, widths[-1], d_out)
         self.d_out = d_out
 
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
+    def __call__(self, x: Tensor, train: bool) -> Tensor:
         out = ad.relu(self.stem(_pad_odd(x)))
         for i in range(len(self.downs)):
-            out = self.blocks[2 * i](out, mode)
-            out = self.blocks[2 * i + 1](out, mode)
+            out = self.blocks[2 * i](out, train)
+            out = self.blocks[2 * i + 1](out, train)
             out = self.downs[i](_pad_odd(out))
-        out = self.fuse(out, mode)
+        out = self.fuse(out, train)
         return self.head(ad.global_avg_pool(out))
 
 
@@ -143,10 +143,12 @@ def _pad_odd(x: Tensor) -> Tensor:
     return x
 
 
-def encode_map(nav: NavMap, encoder: MapEncoder, mode: str = "infer") -> np.ndarray:
-    """The [D] feature vector of one map: no-tape encoding for the controller."""
+def encode_map(nav: NavMap, encoder: MapEncoder) -> np.ndarray:
+    """The [D] feature vector of one map: no-tape encoding for the
+    controller, which reads BatchNorm's running statistics and never
+    moves them."""
     with ad.no_grad():
-        feat = encoder(Tensor(nav.grid[None]), mode)
+        feat = encoder(Tensor(nav.grid[None]), train=False)
     if not np.all(np.isfinite(feat.data)):
         raise ContractError("encoded map feature contains non-finite values")
     return feat.data[0].copy()

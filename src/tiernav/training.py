@@ -284,10 +284,10 @@ def prepare_stage1_data(demos, model) -> Stage1Data:
     )
 
 
-def _stage1_forward(model, data: Stage1Data, idx, mode: str):
+def _stage1_forward(model, data: Stage1Data, idx):
     # encode each distinct snapshot once, then gather per-sample rows
     uniq, inv = np.unique(data.snap_idx[idx], return_inverse=True)
-    feats = model.map_encoder(Tensor(data.snapshots[uniq]), mode)
+    feats = model.map_encoder(Tensor(data.snapshots[uniq]), train=True)
     map_rows = ad.embedding(feats, inv)
     return model.forward_heads(map_rows, data.poses[idx], data.ids[idx], data.patches[idx], data.wps[idx])
 
@@ -303,7 +303,7 @@ def imitation_loss(model, data: Stage1Data, idx, cfg: Stage1Config):
     column. The tape nodes are built in one fixed order (forward, the
     four terms, blend), so both stages sum gradients the same way.
     """
-    out = _stage1_forward(model, data, idx, "train")
+    out = _stage1_forward(model, data, idx)
     l_il = il_loss(out.goal, data.goal[idx], out.progress, data.progress[idx])
     l_v = value_loss(out.value, data.value[idx])
     l_bc = ad.neg(ad.mean_all(ad.pick(ad.log_softmax(out.logits), data.actions[idx])))

@@ -25,6 +25,7 @@ from tiernav.agent import (
     tiered_step,
     waypoint_context,
 )
+from tiernav.checkpoint import load_checkpoint, save_checkpoint
 from tiernav.errors import ContractError
 from tiernav.evaluation import BenchmarkRecord, write_step_log
 from tiernav.teacher import STEP_LOG_COLUMNS, read_trajectory_log
@@ -315,7 +316,6 @@ def test_run_episode_truncates_at_cap():
 def test_run_episode_greedy_deterministic():
     wd, ep = world_and_episode(seed=13)
     model = make_model(seed=13)
-    run_one(NeuralPolicy(model), wd, ep, mode="greedy")  # primes BN stats
     t1 = run_one(NeuralPolicy(model), wd, ep, mode="greedy")
     t2 = run_one(NeuralPolicy(model), wd, ep, mode="greedy")
     assert len(t1) == len(t2)
@@ -363,7 +363,9 @@ def test_trajectory_log_round_trip(tmp_path):
 def test_policy_checkpoint_round_trip(tmp_path):
     wd, ep = world_and_episode(seed=23)
     model = make_model(seed=23)
-    run_one(NeuralPolicy(model), wd, ep, mode="greedy")  # primes BN
+    # running statistics away from their fresh 0 and 1, so the clone must load them too
+    for _, arr in model.named_state():
+        arr[...] = substream(23, "bn").uniform(0.5, 2.0, size=arr.shape)
     path = tmp_path / "p.ckpt"
     save_policy(path, model, meta={"stage": "test"})
     clone = make_model(seed=99)
@@ -387,6 +389,15 @@ def test_policy_checkpoint_mismatch(tmp_path):
     with pytest.raises(ContractError, match="missing") as keys:
         load_policy_into(deeper, path)
     assert str(path) in str(keys.value)
+    # every checkpoint written while BatchNorm counted its batches holds *.bn.num_batches
+    arrays, meta = load_checkpoint(path)
+    arrays.update({name.replace("running_mean", "num_batches"): np.ones(1)
+                   for name in arrays if name.endswith(".bn.running_mean")})
+    legacy = tmp_path / "legacy.ckpt"
+    save_checkpoint(legacy, arrays, meta)
+    with pytest.raises(ContractError, match="unexpected") as old:
+        load_policy_into(make_model(seed=23), legacy)
+    assert str(legacy) in str(old.value) and ".bn.num_batches" in str(old.value)
 
 
 def test_random_policy_runs():

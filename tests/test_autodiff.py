@@ -69,7 +69,7 @@ def test_batchnorm_constant_channel_is_zero():
     x = Tensor(np.full((2, 1, 3, 3), 7.0))
     g = Tensor(np.ones(1))
     b = Tensor(np.zeros(1))
-    out = ad.batchnorm2d(x, g, b, np.zeros(1), np.ones(1), "train")
+    out = ad.batchnorm2d(x, g, b, np.zeros(1), np.ones(1), True)
     assert np.all(np.abs(out.data) < 1e-9)
 
 
@@ -78,7 +78,7 @@ def test_batchnorm_affine_collapse():
     x = Tensor(rng.normal(size=(2, 3, 4, 4)))
     g = Tensor(np.zeros(3))
     b = Tensor(np.full(3, 5.0))
-    out = ad.batchnorm2d(x, g, b, np.zeros(3), np.ones(3), "train")
+    out = ad.batchnorm2d(x, g, b, np.zeros(3), np.ones(3), True)
     assert np.all(out.data == 5.0)
 
 
@@ -89,14 +89,14 @@ def test_batchnorm_exact_unit_moments_passthrough():
     mean = raw.mean(axis=(0, 2, 3), keepdims=True)
     std = raw.std(axis=(0, 2, 3), keepdims=True)
     xd = (raw - mean) / std
-    out = ad.batchnorm2d(Tensor(xd), Tensor(np.ones(2)), Tensor(np.zeros(2)), np.zeros(2), np.ones(2), "train")
+    out = ad.batchnorm2d(Tensor(xd), Tensor(np.ones(2)), Tensor(np.zeros(2)), np.zeros(2), np.ones(2), True)
     assert np.max(np.abs(out.data - xd)) < 1e-3
 
 
 def test_batchnorm_train_mode_normalizes():
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(2.0, 3.0, size=(6, 4, 5, 5)))
-    out = ad.batchnorm2d(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), np.zeros(4), np.ones(4), "train")
+    out = ad.batchnorm2d(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), np.zeros(4), np.ones(4), True)
     mu = out.data.mean(axis=(0, 2, 3))
     var = out.data.var(axis=(0, 2, 3))
     assert np.max(np.abs(mu)) < 1e-6
@@ -107,7 +107,7 @@ def test_batchnorm_running_stats_ema():
     rng = np.random.default_rng(3)
     xd = rng.normal(1.5, 2.0, size=(8, 1, 4, 4))
     rm, rv = np.zeros(1), np.ones(1)
-    ad.batchnorm2d(Tensor(xd), Tensor(np.ones(1)), Tensor(np.zeros(1)), rm, rv, "train", momentum=0.1)
+    ad.batchnorm2d(Tensor(xd), Tensor(np.ones(1)), Tensor(np.zeros(1)), rm, rv, True)
     assert np.allclose(rm, 0.1 * xd.mean())
     assert np.allclose(rv, 0.9 + 0.1 * xd.var())
 
@@ -127,7 +127,7 @@ def test_batchnorm_train_matches_two_pass_form(shape):
     g, b = rng.normal(size=c), rng.normal(size=c)
     rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
     rm_got, rv_got = rm.copy(), rv.copy()
-    out = ad.batchnorm2d(Tensor(xd), Tensor(g), Tensor(b), rm_got, rv_got, "train")
+    out = ad.batchnorm2d(Tensor(xd), Tensor(g), Tensor(b), rm_got, rv_got, True)
     x4 = xd if len(shape) == 4 else xd[None]
     mean = x4.mean(axis=(0, 2, 3))
     var = x4.var(axis=(0, 2, 3))
@@ -139,10 +139,14 @@ def test_batchnorm_train_matches_two_pass_form(shape):
     assert rv_got.tobytes() == (0.9 * rv + 0.1 * var).tobytes()
 
 
-def test_batchnorm_infer_without_stats_is_state_error():
-    x = Tensor(np.ones((1, 1, 2, 2)))
-    with pytest.raises(StateError):
-        ad.batchnorm2d(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), np.zeros(1), np.ones(1), "infer", stats_ready=False)
+def test_batchnorm_infer_on_fresh_stats_reads_them_and_leaves_them():
+    # the standard start, mean 0 and variance 1, normalizes like any other
+    # running statistics, and an infer call never moves them
+    xd = np.random.default_rng(4).normal(1.0, 2.0, size=(3, 2, 4, 4))
+    rm, rv = np.zeros(2), np.ones(2)
+    out = ad.batchnorm2d(Tensor(xd), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, False)
+    assert out.data.tobytes() == (xd * (1.0 / np.sqrt(1.0 + ad.BN_EPS))).tobytes()
+    assert rm.tobytes() == np.zeros(2).tobytes() and rv.tobytes() == np.ones(2).tobytes()
 
 
 def test_relu_hand():
@@ -416,7 +420,7 @@ def _build_batchnorm_train(rng):
     b = _param(rng, (3,))
     rm, rv = np.zeros(3), np.ones(3)
     return [x, g, b], lambda: _weighted_sum(
-        ad.batchnorm2d(x, g, b, rm.copy(), rv.copy(), "train"), np.random.default_rng(0)
+        ad.batchnorm2d(x, g, b, rm.copy(), rv.copy(), True), np.random.default_rng(0)
     )
 
 
@@ -426,7 +430,7 @@ def _build_batchnorm_infer(rng):
     b = _param(rng, (3,))
     rm = rng.normal(size=3)
     rv = rng.uniform(0.5, 2.0, 3)
-    return [x, g, b], lambda: _weighted_sum(ad.batchnorm2d(x, g, b, rm, rv, "infer"), np.random.default_rng(0))
+    return [x, g, b], lambda: _weighted_sum(ad.batchnorm2d(x, g, b, rm, rv, False), np.random.default_rng(0))
 
 
 def _build_log_softmax(rng):

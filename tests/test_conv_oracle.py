@@ -345,7 +345,7 @@ def test_map_encoder_grads_do_not_depend_on_way_count(monkeypatch):
     for ways in WAY_COUNTS:
         monkeypatch.setattr(ad, "_ways", lambda ways=ways: ways)
         enc = MapEncoder(np.random.default_rng(4), widths=(8, 16), d_out=32)
-        ad.backward(ad.sum_all(ad.square(enc(Tensor(xd), "train"))))
+        ad.backward(ad.sum_all(ad.square(enc(Tensor(xd), True))))
         grads.append([(name, t.grad) for name, t, _ in enc.named_params()])
     for got in grads[1:]:
         for (name, g), (want_name, w) in zip(got, grads[0]):

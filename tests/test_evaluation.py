@@ -275,9 +275,6 @@ def test_benchmark_deterministic_and_model_untouched(bench_worlds, tmp_path):
     model = NavPolicy(substream(77, "evalmodel"), w.width, w.height, w.z_max,
                       len(w.landmarks), w.patch_side)
     policy = NeuralPolicy(model)
-    # prime batchnorm stats so encode mode is stable across runs
-    run_benchmark(policy, {"seen": bench_worlds["seen"][:1]}, 1, [0],
-                  tiers=_tiers("easy"))
     digest_before = _param_digest(model)
     out = []
     for run in range(2):

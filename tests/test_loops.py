@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from tiernav import agent, autodiff as ad, training
-from tiernav.agent import ControllerState, NavPolicy, NeuralPolicy, Slot, TeacherPolicy, tiered_step
+from tiernav.agent import ControllerState, NavPolicy, NeuralPolicy, Slot, TeacherPolicy, policy_arrays, tiered_step
 from tiernav.errors import ContractError, NumericsError
 from tiernav.evaluation import run_benchmark
 from tiernav.mapper import init_map, update_map
@@ -186,14 +186,25 @@ def test_collect_rollout_contract(world, reward_cfg):
 
 def test_collect_rollout_deterministic(world, reward_cfg):
     policy = NeuralPolicy(fresh_model(world))
-    # first encode on a fresh net primes the BN running stats
-    collect_rollouts(policy, [world], EASY, reward_cfg, 8, streams(11, "warm"))
     a = collect_rollouts(policy, [world], EASY, reward_cfg, 60, streams(11, "r"))
     b = collect_rollouts(policy, [world], EASY, reward_cfg, 60, streams(11, "r"))
     assert np.array_equal(a.actions, b.actions)
     assert np.array_equal(a.rewards, b.rewards)
     assert np.array_equal(a.map_feats, b.map_feats)
     assert a.bootstrap_value == b.bootstrap_value
+
+
+def test_controller_runs_never_move_model_state(world, reward_cfg):
+    model = fresh_model(world, 5)
+    before = {name: arr.tobytes() for name, arr in policy_arrays(model).items()}
+    policy = NeuralPolicy(model)
+    collect_rollouts(policy, [world], EASY_MEDIUM, reward_cfg, 40, streams(5, "still"))
+    probe = [(world, sample_episode(world, "easy", substream(5, "probe", i))) for i in range(2)]
+    probe_success_rate(policy, probe)
+    after = {name: arr.tobytes() for name, arr in policy_arrays(model).items()}
+    assert after.keys() == before.keys()
+    for name in before:
+        assert after[name] == before[name], name
 
 
 def oracle_collect_rollouts(model, worlds, tiers, reward_cfg, n_steps, streams):
@@ -267,7 +278,7 @@ CLOSE_ARRAYS = ("log_probs_old", "values_old", "wp_feats")
 
 
 def test_collect_rollouts_matches_oracle(world, reward_cfg):
-    # two same-seed fresh nets, so the BN-priming first encode is compared too
+    # two same-seed fresh nets, one per side; the controller never moves model state
     cut = 0
     for seed in range(4):
         for n_steps in (8, 60, 257):

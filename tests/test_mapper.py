@@ -148,7 +148,7 @@ def test_residual_block_identity_with_zero_conv():
     blk = ResidualBlock(rng, 4)
     blk.conv.kernel.data[...] = 0.0
     x = Tensor(np.abs(rng.normal(size=(2, 4, 8, 8))))
-    out = blk(x, "train")
+    out = blk(x, True)
     assert np.array_equal(out.data, x.data)
 
 
@@ -158,7 +158,7 @@ def test_residual_block_relu_clamps():
     blk.conv.kernel.data[...] = 0.0
     blk.bn.beta.data[...] = -10.0
     x = Tensor(np.zeros((1, 3, 4, 4)))
-    out = blk(x, "train")
+    out = blk(x, True)
     assert np.all(out.data == 0.0)
 
 
@@ -169,7 +169,7 @@ def test_residual_block_grad_check():
     proj = np.random.default_rng(0).normal(size=(1, 4))
 
     def loss():
-        out = blk(x, "train")
+        out = blk(x, True)
         return ad.sum_all(ad.mul(ad.global_avg_pool(out), Tensor(proj)))
 
     params = [x, blk.conv.kernel, blk.bn.gamma, blk.bn.beta]
@@ -184,12 +184,12 @@ def test_scconv_identity_params():
     sc.spatial.kernel.data[:, 1, 1] = 1.0  # center-tap identity
     sc.channel.kernel.data[...] = np.eye(3)[:, :, None, None]
     x = Tensor(np.abs(substream(5, "x").normal(size=(2, 3, 6, 6))) + 0.1)
-    out = sc(x, "train")
+    out = sc(x, True)
     # with identity U and C the pre-BN product is x*x
     prod = x.data * x.data
     mean = prod.mean(axis=(0, 2, 3), keepdims=True)
     var = prod.var(axis=(0, 2, 3), keepdims=True)
-    expect = np.maximum((prod - mean) / np.sqrt(var + sc.bn.eps), 0.0)
+    expect = np.maximum((prod - mean) / np.sqrt(var + ad.BN_EPS), 0.0)
     assert np.allclose(out.data, expect)
 
 
@@ -211,7 +211,7 @@ def test_scconv_grad_check():
     proj = np.random.default_rng(0).normal(size=(1, 3))
 
     def loss():
-        return ad.sum_all(ad.mul(ad.global_avg_pool(sc(x, "train")), Tensor(proj)))
+        return ad.sum_all(ad.mul(ad.global_avg_pool(sc(x, True)), Tensor(proj)))
 
     params = [x, sc.spatial.kernel, sc.channel.kernel, sc.bn.gamma, sc.bn.beta]
     report = grad_check(loss, params, h=1e-5, tol=1e-6, max_coords=60, rng=np.random.default_rng(1))
@@ -222,8 +222,8 @@ def test_encoder_zero_map_finite_and_deterministic():
     rng = substream(8, "enc")
     enc = MapEncoder(rng, widths=(8, 16), d_out=32)
     nav = NavMap(grid=np.zeros((4, 48, 48)))
-    f1 = encode_map(nav, enc, mode="train")
-    f2 = encode_map(nav, enc, mode="train")
+    f1 = encode_map(nav, enc)
+    f2 = encode_map(nav, enc)
     assert np.all(np.isfinite(f1))
     assert np.array_equal(f1, f2)
     assert f1.shape == (32,)
@@ -236,8 +236,8 @@ def test_encoder_discriminates_prior():
     a = NavMap(grid=base.copy())
     b = NavMap(grid=base.copy())
     b.grid[2, 10:20, 10:20] = 1.0
-    fa = encode_map(a, enc, mode="train")
-    fb = encode_map(b, enc, mode="train")
+    fa = encode_map(a, enc)
+    fb = encode_map(b, enc)
     assert not np.allclose(fa, fb)
 
 
@@ -245,8 +245,8 @@ def test_encoder_pure_function_of_map():
     rng = substream(10, "enc")
     enc = MapEncoder(rng, widths=(8, 16), d_out=16)
     g = substream(11, "grid").uniform(0, 1, size=(4, 48, 48))
-    f1 = encode_map(NavMap(grid=g.copy()), enc, mode="train")
-    f2 = encode_map(NavMap(grid=g.copy()), enc, mode="train")
+    f1 = encode_map(NavMap(grid=g.copy()), enc)
+    f2 = encode_map(NavMap(grid=g.copy()), enc)
     assert np.array_equal(f1, f2)
 
 
@@ -257,7 +257,7 @@ def test_encoder_full_pipeline_grad_check_16x16():
     proj = np.random.default_rng(0).normal(size=(1, 8))
 
     def loss():
-        return ad.sum_all(ad.mul(enc(x, "train"), Tensor(proj)))
+        return ad.sum_all(ad.mul(enc(x, True), Tensor(proj)))
 
     params = [t for _, t, _ in enc.named_params()]
     report = grad_check(loss, params, h=1e-5, tol=1e-5, max_coords=8, rng=np.random.default_rng(2))
@@ -269,7 +269,7 @@ def test_encoder_all_params_receive_gradient():
     enc = MapEncoder(rng, widths=(4, 8), d_out=8)
     x = Tensor(substream(15, "x").uniform(0.1, 1, size=(2, 4, 16, 16)))
     target = Tensor(substream(16, "t").normal(size=(2, 8)))
-    ad.backward(ad.mse(enc(x, "train"), target))
+    ad.backward(ad.mse(enc(x, True), target))
     for name, t, _ in enc.named_params():
         assert t.grad is not None and np.any(t.grad != 0), f"dead branch at {name}"
 
@@ -345,7 +345,7 @@ def _encoder_grads(conv, backward):
     target = Tensor(substream(20, "t").normal(size=(3, 32)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "conv2d", conv)
-        loss = ad.mse(enc(x, "train"), target)
+        loss = ad.mse(enc(x, True), target)
     backward(loss)
     return {name: t.grad for name, t, _ in enc.named_params()}
 
@@ -362,11 +362,11 @@ def test_batchnorm_infer_applies_running_stats_in_encoder():
     rng = substream(17, "enc")
     bn = BatchNorm2d(3)
     x = Tensor(rng.normal(2.0, 1.5, size=(4, 3, 5, 5)))
-    bn(x, "train")
-    out = bn(x, "infer")
+    bn(x, True)
+    out = bn(x, False)
     mean = bn.running_mean
     var = bn.running_var
-    expect = (x.data - mean[None, :, None, None]) / np.sqrt(var[None, :, None, None] + bn.eps)
+    expect = (x.data - mean[None, :, None, None]) / np.sqrt(var[None, :, None, None] + ad.BN_EPS)
     assert np.allclose(out.data, expect)
 
 

@@ -124,18 +124,21 @@ def test_module_collects_nested_params_and_state():
     assert decays["conv.kernel"] and not decays["conv.bias"]
     assert not decays["bn.gamma"]
     state_names = [n for n, _ in net.named_state()]
-    assert "bn.running_mean" in state_names and "bn.num_batches" in state_names
+    assert state_names == ["bn.running_mean", "bn.running_var"]
 
 
-def test_batchnorm_layer_guards_fresh_infer():
+def test_batchnorm_layer_starts_at_unit_stats_and_only_train_moves_them():
     bn = BatchNorm2d(2)
-    x = Tensor(np.ones((1, 2, 3, 3)))
-    from tiernav.errors import StateError
-
-    with pytest.raises(StateError):
-        bn(x, "infer")
-    bn(x, "train")
-    bn(x, "infer")  # populated now
+    x = Tensor(np.random.default_rng(5).normal(3.0, 2.0, size=(2, 2, 3, 3)))
+    fresh = bn(x, False)
+    # mean 0 and variance 1: a fresh layer scales by 1/sqrt(1 + eps) alone
+    assert np.allclose(fresh.data, x.data / np.sqrt(1.0 + ad.BN_EPS))
+    assert np.array_equal(bn.running_mean, np.zeros(2)) and np.array_equal(bn.running_var, np.ones(2))
+    bn(x, True)
+    assert not np.array_equal(bn.running_mean, np.zeros(2)) and not np.array_equal(bn.running_var, np.ones(2))
+    moved = (bn.running_mean.copy(), bn.running_var.copy())
+    bn(x, False)
+    assert np.array_equal(bn.running_mean, moved[0]) and np.array_equal(bn.running_var, moved[1])
 
 
 # --------------------------------------------------------------- checkpoint
