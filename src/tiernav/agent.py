@@ -283,7 +283,7 @@ def tiered_step(
         if replan_patience and ctrl.steps_since_replan >= replan_patience:
             trigger = True
         if trigger:
-            ctrl.map_feat = encode_map(s.nav, model.map_encoder)
+            ctrl.map_feat = encode_map(s.nav.grid, model.map_encoder)
             replan.append(i)
     maps = np.array([s.ctx.map_feat for s in slots])
     poses = np.array([pose_features(s.state, model.width, model.height, model.z_max) for s in slots])

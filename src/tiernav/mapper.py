@@ -143,12 +143,11 @@ def _pad_odd(x: Tensor) -> Tensor:
     return x
 
 
-def encode_map(nav: NavMap, encoder: MapEncoder) -> np.ndarray:
-    """The [D] feature vector of one map: no-tape encoding for the
-    controller, which reads BatchNorm's running statistics and never
-    moves them."""
+def encode_map(grid: np.ndarray, encoder: MapEncoder) -> np.ndarray:
+    """The [D] feature of one [4, H, W] map grid, encoded without a tape
+    from BatchNorm's running statistics, which it never moves."""
     with ad.no_grad():
-        feat = encoder(Tensor(nav.grid[None]), train=False)
+        feat = encoder(Tensor(grid[None]), train=False)
     if not np.all(np.isfinite(feat.data)):
         raise ContractError("encoded map feature contains non-finite values")
     return feat.data[0].copy()

@@ -30,6 +30,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError, NumericsError
 from .evaluation import episode_metrics
 from .layers import Module
+from .mapper import encode_map
 from .optim import AdamW, clip_grad_norm
 from .util import substream, write_csv
 from .world import TIERS, RewardConfig, sample_episode
@@ -292,18 +293,17 @@ def _stage1_forward(model, data: Stage1Data, idx):
     return model.forward_heads(map_rows, data.poses[idx], data.ids[idx], data.patches[idx], data.wps[idx])
 
 
-def imitation_loss(model, data: Stage1Data, idx, cfg: Stage1Config):
-    """Teacher-forced imitation loss on demonstration rows idx, the one
-    loss of stage 1 and the expert term of stage 2:
-    L_IL + lambda_v*L_V + lambda_bc*L_BC + lambda_wp*L_WP, with goal and
-    progress regression, value regression, action cross-entropy and
-    waypoint regression.
+def imitation_loss(out, data: Stage1Data, idx, cfg: Stage1Config):
+    """Teacher-forced imitation loss of the head outputs out on
+    demonstration rows idx, the one loss of stage 1 and the expert term
+    of stage 2: L_IL + lambda_v*L_V + lambda_bc*L_BC + lambda_wp*L_WP,
+    with goal and progress regression, value regression, action
+    cross-entropy and waypoint regression.
 
     Returns the loss and its four unweighted terms, keyed by their curve
-    column. The tape nodes are built in one fixed order (forward, the
-    four terms, blend), so both stages sum gradients the same way.
+    column. The tape nodes are built in one fixed order (the four terms,
+    blend), so both stages sum gradients the same way.
     """
-    out = _stage1_forward(model, data, idx)
     l_il = il_loss(out.goal, data.goal[idx], out.progress, data.progress[idx])
     l_v = value_loss(out.value, data.value[idx])
     l_bc = ad.neg(ad.mean_all(ad.pick(ad.log_softmax(out.logits), data.actions[idx])))
@@ -339,7 +339,8 @@ def train_stage1(demos, model, cfg: Stage1Config) -> Stage1Result:
         n_mb = 0
         failed = False
         for lo in range(0, data.n - mb + 1, mb):
-            loss, terms = imitation_loss(model, data, perm[lo : lo + mb], cfg)
+            idx = perm[lo : lo + mb]
+            loss, terms = imitation_loss(_stage1_forward(model, data, idx), data, idx, cfg)
             if not (np.isfinite(loss.item()) and _descend(loss, opt, cfg.max_grad_norm)):
                 failed = True
                 break
@@ -431,22 +432,17 @@ def collect_rollouts(
     )
 
 
-def _forward_rollout(model, ro: Rollout, idx):
-    # stored map features enter as constants: during PPO updates the
-    # encoder trains only through the blended expert batches
-    return model.forward_heads(ro.map_feats[idx], ro.state_feats[idx],
-                               ro.desc_feats[idx], ro.obs[idx], ro.wp_feats[idx])
-
-
 def _rollout_heads(model, ro: Rollout, idx):
     """Action log-probs, restricted to the actions legal at collection
-    time, and critic values of rollout rows idx.
+    time, and critic values of rollout rows idx, whose stored map
+    features enter as constants.
 
     The additive offset reproduces the controller's masked decode
     exactly, so a first-minibatch ratio is 1 to the last bit; masked
     entries carry zero probability and zero gradient.
     """
-    out = _forward_rollout(model, ro, idx)
+    rows = (ro.map_feats, ro.state_feats, ro.desc_feats, ro.obs, ro.wp_feats)
+    out = model.forward_heads(*(a[idx] for a in rows))
     off = np.where(ro.masks[idx], 0.0, MASK_OFF)
     return ad.log_softmax(ad.add(out.logits, Tensor(off))), out.value
 
@@ -555,10 +551,11 @@ def train_stage2(
     lambda_rl * (policy + c_v*value - c_ent*entropy). The imitation
     loss is stage 1's, weighted by il_cfg (Stage1Config defaults when
     None), on a fresh expert batch from corpus (replayed demonstrations)
-    per minibatch. So lambda_rl = 0 is continued imitation of every
-    head. An update that blows up rolls
-    back to the last clean update and halves the learning rate once;
-    the second blow-up aborts. The probe runs every
+    per minibatch. Expert rows, like rollout rows, carry stored map
+    features and the map encoder is not optimized, so lambda_rl = 0 is
+    continued imitation of every module but the map encoder. An update
+    that blows up rolls back to the last clean update and halves the
+    learning rate once; the second blow-up aborts. The probe runs every
     ppo_cfg.probe_every updates, and with ppo_cfg.checkpoint_every > 0
     every that many updates a checkpoint goes to checkpoint_dir.
     """
@@ -566,13 +563,16 @@ def train_stage2(
     reward_cfg.validate()
     il_cfg = il_cfg or Stage1Config()
     model = policy.model
-    opt = AdamW(model.named_params(), lr=ppo_cfg.lr)
+    opt = AdamW([e for e in model.named_params() if not e[0].startswith("map_encoder.")], lr=ppo_cfg.lr)
     data = prepare_stage1_data(corpus, model)
+    # each corpus snapshot encoded once, as the controller encodes a map
+    snap_feats = np.array([encode_map(grid, model.map_encoder) for grid in data.snapshots])
+    expert_rows = (snap_feats[data.snap_idx], data.poses, data.ids, data.patches, data.wps)
     rng_exp = substream(seed, "stage2-expert")
 
     def expert():
         eidx = rng_exp.integers(0, data.n, size=min(ppo_cfg.expert_batch, data.n))
-        return imitation_loss(model, data, eidx, il_cfg)
+        return imitation_loss(model.forward_heads(*(a[eidx] for a in expert_rows)), data, eidx, il_cfg)
 
     curve = []
     aborted = False

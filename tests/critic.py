@@ -4,7 +4,7 @@ import numpy as np
 
 from tiernav import autodiff as ad
 from tiernav.layers import fan_in_uniform
-from tiernav.training import Rollout, _forward_rollout
+from tiernav.training import Rollout, _rollout_heads
 
 
 def reinit_value_head(model, rng: np.random.Generator):
@@ -22,6 +22,6 @@ def critic_value_loss(model, rollout: Rollout, targets) -> float:
     for lo in range(0, t_max, 256):
         idx = np.arange(lo, min(lo + 256, t_max))
         with ad.no_grad():
-            out = _forward_rollout(model, rollout, idx)
-        total += float(((out.value.data[:, 0] - targets[idx]) ** 2).sum())
+            _, value = _rollout_heads(model, rollout, idx)
+        total += float(((value.data[:, 0] - targets[idx]) ** 2).sum())
     return total / t_max

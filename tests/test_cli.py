@@ -8,11 +8,13 @@ import struct
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tiernav import autodiff as ad
 from tiernav import cli
 from tiernav.agent import load_policy_into
+from tiernav.checkpoint import load_checkpoint
 from tiernav.cli import main, render_replay
 from tiernav.config import SCHEMA, ExperimentConfig, parse_config
 from tiernav.errors import NumericsError, ShapeError, StateError
@@ -63,7 +65,9 @@ sweep.seeds = 0
 """
 
 
-BENCHMARK_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.cfg"))
+REPO = Path(__file__).resolve().parent.parent
+BENCHMARK_CONFIGS = sorted((REPO / "perfbench").glob("*.cfg"))
+DESK_CONFIG = REPO / "experiments" / "desk.cfg"  # the quality gates' desk-scale config
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +114,17 @@ def test_pipeline_artifacts_and_manifests(pipeline):
     curve = Path(os.path.join(out, "rl", "curve_rl.csv")).read_text().splitlines()
     assert curve[0].startswith("update,")
     assert len(curve) == 2  # one update
+
+
+def test_rl_policy_keeps_the_il_map_encoder(pipeline):
+    _, out, _ = pipeline
+    il, _ = load_checkpoint(os.path.join(out, "il", "policy_il.ckpt"))
+    rl, _ = load_checkpoint(os.path.join(out, "rl", "policy_rl.ckpt"))
+    encoder = sorted(k for k in il if k.startswith("map_encoder."))
+    assert encoder and encoder == sorted(k for k in rl if k.startswith("map_encoder."))
+    for k in encoder:
+        assert np.array_equal(il[k], rl[k]), k
+    assert not np.array_equal(il["action_head.weight"], rl["action_head.weight"])
 
 
 def test_echoed_config_reparses_to_same_hash(pipeline):
@@ -481,12 +496,14 @@ def test_corpus_for_other_reward_settings_exits_6(pipeline, tmp_path, capsys):
     assert str(alt / "corpus" / "episode_0") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("path", BENCHMARK_CONFIGS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*BENCHMARK_CONFIGS, DESK_CONFIG], ids=lambda p: p.name)
 def test_benchmark_corpus_replays(path, tmp_path):
-    # corpus replay refuses a cell off its relabeling, so a benchmark corpus
-    # must replay under its own config's reward and prior. The benchmark's
-    # set-up stages on the default 96x96 worlds, then the replay: 0.13 to
-    # 0.19 s per config on a 2-vCPU host, under 0.5 s for all three.
+    # corpus replay refuses a cell off its relabeling, so a benchmark or
+    # desk corpus must replay under its own config's reward and prior. The
+    # benchmark's set-up stages on the default 96x96 worlds, then the
+    # replay: 0.13 to 0.19 s per config on a 2-vCPU host, under 0.5 s for
+    # all three; the desk config's 40 episodes on 32x32 worlds take about
+    # as long.
     base = ["--config", str(path), "--out", str(tmp_path), "--set", "run.seed=1000"]
     assert main(["gen-worlds", *base]) == 0
     assert main(["build-corpus", *base]) == 0

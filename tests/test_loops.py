@@ -445,15 +445,17 @@ def test_stage2_mean_ratio_is_per_update(world, corpus, reward_cfg, monkeypatch)
 
 
 def test_stage2_lambda_zero_keeps_rl_out_of_total(world, corpus, reward_cfg):
+    # one minibatch, and the terms summed in imitation_loss's own grouping,
+    # so the two sides are the same float operations and agree exactly
     model = fresh_model(world, seed=9)
-    cfg = PPOConfig(rollout_steps=64, max_updates=1, minibatch=32,
+    cfg = PPOConfig(rollout_steps=64, max_updates=1, minibatch=64,
                     epochs_per_update=1, lambda_rl=0.0, tiers=EASY)
     il = Stage1Config(lambda_v=0.25, lambda_bc=0.5, lambda_wp=2.0)
     res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus, il_cfg=il,
                        seed=9)
     row = res.curve[0]
-    assert row["L_total"] == (row["L_IL"] + il.lambda_v * row["L_V"] + il.lambda_bc * row["L_BC"]
-                              + il.lambda_wp * row["L_WP"])
+    assert row["L_total"] == ((row["L_IL"] + il.lambda_v * row["L_V"])
+                              + (il.lambda_bc * row["L_BC"] + il.lambda_wp * row["L_WP"]))
 
 
 def test_stage2_lambda_zero_trains_every_head(world, corpus, reward_cfg):
@@ -466,6 +468,26 @@ def test_stage2_lambda_zero_trains_every_head(world, corpus, reward_cfg):
     res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus, seed=10)
     assert res.updates_run == 1
     after = params_of(model)
+    for head in ("action_head.", "micro_fc.", "waypoint_head."):
+        names = [k for k in before if k.startswith(head)]
+        assert names, head
+        for k in names:
+            assert not np.array_equal(before[k], after[k]), k
+
+
+def test_stage2_keeps_the_map_encoder(world, corpus, reward_cfg):
+    # stage 2 trains the heads on stored map features: the encoder's
+    # parameters and BatchNorm running statistics stay as stage 1 left them
+    model = fresh_model(world, seed=12)
+    before = {k: v.copy() for k, v in policy_arrays(model).items()}
+    cfg = PPOConfig(rollout_steps=64, max_updates=2, minibatch=32, epochs_per_update=1, tiers=EASY)
+    res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus, seed=12)
+    assert res.updates_run == 2
+    after = policy_arrays(model)
+    encoder = [k for k in before if k.startswith("map_encoder.")]
+    assert any(k.endswith(".running_mean") for k in encoder) and any(k.endswith(".running_var") for k in encoder)
+    for k in encoder:
+        assert np.array_equal(before[k], after[k]), k
     for head in ("action_head.", "micro_fc.", "waypoint_head."):
         names = [k for k in before if k.startswith(head)]
         assert names, head

@@ -222,8 +222,8 @@ def test_encoder_zero_map_finite_and_deterministic():
     rng = substream(8, "enc")
     enc = MapEncoder(rng, widths=(8, 16), d_out=32)
     nav = NavMap(grid=np.zeros((4, 48, 48)))
-    f1 = encode_map(nav, enc)
-    f2 = encode_map(nav, enc)
+    f1 = encode_map(nav.grid, enc)
+    f2 = encode_map(nav.grid, enc)
     assert np.all(np.isfinite(f1))
     assert np.array_equal(f1, f2)
     assert f1.shape == (32,)
@@ -236,8 +236,8 @@ def test_encoder_discriminates_prior():
     a = NavMap(grid=base.copy())
     b = NavMap(grid=base.copy())
     b.grid[2, 10:20, 10:20] = 1.0
-    fa = encode_map(a, enc)
-    fb = encode_map(b, enc)
+    fa = encode_map(a.grid, enc)
+    fb = encode_map(b.grid, enc)
     assert not np.allclose(fa, fb)
 
 
@@ -245,8 +245,8 @@ def test_encoder_pure_function_of_map():
     rng = substream(10, "enc")
     enc = MapEncoder(rng, widths=(8, 16), d_out=16)
     g = substream(11, "grid").uniform(0, 1, size=(4, 48, 48))
-    f1 = encode_map(NavMap(grid=g.copy()), enc)
-    f2 = encode_map(NavMap(grid=g.copy()), enc)
+    f1 = encode_map(g.copy(), enc)
+    f2 = encode_map(g.copy(), enc)
     assert np.array_equal(f1, f2)
 
 

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from tiernav import autodiff as ad
+from tiernav import autodiff as ad, training
 from tiernav.autodiff import Tensor
 from tiernav.errors import ConfigError, ContractError
 from tiernav.agent import NavPolicy, NeuralPolicy
+from tiernav.teacher import build_dataset, load_corpus, save_corpus
 from tiernav.training import (
     PPOConfig,
     Rollout,
@@ -18,6 +19,7 @@ from tiernav.training import (
     il_loss,
     ppo_clip_objective,
     ppo_minibatch_loss,
+    train_stage2,
     value_loss,
 )
 from tiernav.util import substream
@@ -340,6 +342,35 @@ def test_ppo_loss_reaches_the_micro_controller_and_critic_only():
     assert reached == RL_TRAINED
     untouched = {name.split(".")[0] for name, _, _ in model.named_params()} - RL_TRAINED
     assert untouched == {"map_encoder", "waypoint_head", "goal_head", "progress_head"}
+
+
+def test_expert_loss_reaches_every_module_but_the_map_encoder(tmp_path, monkeypatch):
+    # stage 2's imitation term reads each corpus snapshot's stored encode,
+    # as a rollout row reads its map feature, so it trains every module but
+    # the encoder, and the encoder is not in the stage-2 optimizer
+    world = generate_world(301, WorldConfig(width=32, height=32, n_landmarks=5, z_max=3, r_base=3, r_gain=2))
+    model = NavPolicy(substream(0, "net"), world.width, world.height, world.z_max,
+                      len(world.landmarks), world.patch_side)
+    reward_cfg = RewardConfig()
+    save_corpus(tmp_path, build_dataset([world], 4, {"easy": TIERS["easy"]}, 77, reward_cfg, 0.99))
+    corpus = load_corpus(tmp_path, {world.world_id: world}, reward_cfg, 0.99)
+    seen = {}
+
+    def first_update(model, rollout, forward, cfg, opt, shuffles, expert=None):
+        seen.setdefault("opt", opt)
+        seen.setdefault("expert", expert)
+        return None, 1.0  # a blow-up: train_stage2 rolls back and stops
+
+    monkeypatch.setattr(training, "ppo_update", first_update)
+    cfg = PPOConfig(rollout_steps=8, max_updates=1, tiers={"easy": TIERS["easy"]})
+    train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus)
+    modules = {name.split(".")[0] for name, _, _ in model.named_params()}
+    assert {name.split(".")[0] for name, _, _ in seen["opt"].entries} == modules - {"map_encoder"}
+    loss, _ = seen["expert"]()
+    ad.backward(loss)
+    reached = {name.split(".")[0] for name, t, _ in model.named_params()
+               if t.grad is not None and np.any(t.grad != 0.0)}
+    assert reached == modules - {"map_encoder"}
 
 
 def test_ppo_config_validation():
