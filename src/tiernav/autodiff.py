@@ -475,7 +475,7 @@ def _for_each_block(fn, blocks):
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | None = None) -> Tensor:
-    """Cross-correlation with zero padding. Input [N,Cin,H,W] or [Cin,H,W].
+    """Cross-correlation with zero padding of an [N,Cin,H,W] input.
 
     im2col plus one GEMM per direction (Chellapilla et al. 2006). At
     stride 1 the input gradient is itself a correlation: the output
@@ -508,10 +508,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
     perfbench/spans.py wraps: its Recorder keeps one call stack and is
     not thread-safe.
     """
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4 or kernel.data.ndim != 4:
-        raise ShapeError(f"conv2d: input {x.data.shape}, kernel {kernel.data.shape}")
+        raise ShapeError(f"conv2d: input {xd.shape}, kernel {kernel.data.shape}")
     n, cin, h, w = xd.shape
     cout, kcin, kh, kw = kernel.data.shape
     if kcin != cin:
@@ -540,12 +539,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
     out = out.reshape(n, cout, ho, wo)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
-    if squeeze:
-        out = out[0]
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
-    def bw(g):
-        gd = g[None] if squeeze else g
+    def bw(gd):
         gflat = gd.reshape(n, cout, ho * wo)
         if kernel.requires_grad:
             gws = np.empty((n, cout, ckk))
@@ -574,32 +570,29 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tenso
         if bias is not None and bias.requires_grad:
             _accum(bias, gd.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            _accum(x, gx[0] if squeeze else gx)
+            _accum(x, gx)
 
     return _node(out, parents, "conv2d", bw)
 
 
 def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Per-channel kxk spatial convolution, stride 1, size-preserving pad."""
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    """Per-channel kxk spatial convolution of an [N,C,H,W] input, stride 1,
+    size-preserving pad."""
+    xd = x.data
+    if xd.ndim != 4:
+        raise ShapeError(f"depthwise_conv2d expects [N,C,H,W], got {xd.shape}")
     n, c, h, w = xd.shape
     kc, kh, kw = kernel.data.shape
     if kc != c or kh != kw or kh % 2 == 0:
-        raise ShapeError(f"depthwise_conv2d: input {x.data.shape}, kernel {kernel.data.shape}")
+        raise ShapeError(f"depthwise_conv2d: input {xd.shape}, kernel {kernel.data.shape}")
     pad = (kh - 1) // 2
     xp = _pad2d(xd, pad)
     out = np.zeros_like(xd)
     for i in range(kh):
         for j in range(kw):
             out += kernel.data[None, :, i, j, None, None] * xp[:, :, i : i + h, j : j + w]
-    if squeeze:
-        out_t = out[0]
-    else:
-        out_t = out
 
-    def bw(g):
-        gd = g[None] if squeeze else g
+    def bw(gd):
         if kernel.requires_grad:
             gk = np.zeros_like(kernel.data)
             for i in range(kh):
@@ -611,10 +604,9 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
             for i in range(kh):
                 for j in range(kw):
                     gp[:, :, i : i + h, j : j + w] += kernel.data[None, :, i, j, None, None] * gd
-            gx = gp[:, :, pad : pad + h, pad : pad + w]
-            _accum(x, gx[0] if squeeze else gx)
+            _accum(x, gp[:, :, pad : pad + h, pad : pad + w])
 
-    return _node(out_t, (x, kernel), "depthwise_conv2d", bw)
+    return _node(out, (x, kernel), "depthwise_conv2d", bw)
 
 
 BN_EPS = 1e-5
@@ -635,10 +627,9 @@ def batchnorm2d(
     place (exponential moving average); train=False reads the running
     statistics and leaves them as they are.
     """
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4:
-        raise ShapeError(f"batchnorm2d expects [N,C,H,W], got {x.data.shape}")
+        raise ShapeError(f"batchnorm2d expects [N,C,H,W], got {xd.shape}")
     n, c, h, w = xd.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(f"batchnorm2d: affine shapes {gamma.data.shape}/{beta.data.shape} for {c} channels")
@@ -658,8 +649,7 @@ def batchnorm2d(
     xhat = d * invstd[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
-    def bw(g):
-        gd = g[None] if squeeze else g
+    def bw(gd):
         gbeta = gd.sum(axis=(0, 2, 3))
         ggamma = np.einsum("nchw,nchw->c", gd, xhat)
         if beta.requires_grad:
@@ -674,9 +664,9 @@ def batchnorm2d(
                 gx = gx_scale * (gd - (gbeta / m)[None, :, None, None] - xhat * (ggamma / m)[None, :, None, None])
             else:
                 gx = gd * gx_scale
-            _accum(x, gx[0] if squeeze else gx)
+            _accum(x, gx)
 
-    return _node(out[0] if squeeze else out, (x, gamma, beta), "batchnorm2d", bw)
+    return _node(out, (x, gamma, beta), "batchnorm2d", bw)
 
 
 # ---------------------------------------------------------------- softmax

@@ -153,7 +153,7 @@ def _neural_policy(cfg, model) -> NeuralPolicy:
 
 
 def _prior(cfg):
-    """The landmark-prior radius of the learned policy's belief maps, corpus replay's too; None for none."""
+    """The landmark-prior radius of the learned policy's belief maps; None for none."""
     return cfg["model.r_prior"] if cfg["model.use_prior"] else None
 
 
@@ -199,22 +199,22 @@ def _load_demos(cfg, args):
     worlds = _load_worlds(cfg, args, "seen")
     by_id = {w.world_id: w for w in worlds}
     # the corpus's value labels and PPO's GAE share gamma, so replay relabels under ppo.gamma
-    return load_corpus(corpus_dir, by_id, cfg.reward_config(), cfg["ppo.gamma"], _prior(cfg)), worlds
+    return load_corpus(corpus_dir, by_id, cfg.reward_config(), cfg["ppo.gamma"]), worlds
 
 
-def _train_il(cfg, demos, path: str):
+def _train_il(cfg, demos, worlds, path: str):
     """Stage 1 on a fresh model, saved to path even when it aborts; returns its result."""
     model = _build_model(cfg)
-    result = train_stage1(demos, model, cfg.stage1_config())
+    result = train_stage1(demos, worlds, _neural_policy(cfg, model), cfg.stage1_config())
     save_policy(path, model, meta={"stage": "il", "config_hash": cfg.hash(), "epochs_run": str(result.epochs_run)})
     return result
 
 
 def cmd_train_il(cfg, args) -> int:
     started = _now()
-    demos, _ = _load_demos(cfg, args)
+    demos, seen = _load_demos(cfg, args)
     run_dir = _begin_run(cfg, args, "il")
-    result = _train_il(cfg, demos, os.path.join(run_dir, "policy_il.ckpt"))
+    result = _train_il(cfg, demos, seen, os.path.join(run_dir, "policy_il.ckpt"))
     write_curve(os.path.join(run_dir, "curve_il.csv"), result.curve, IL_CURVE_COLUMNS)
     if result.aborted:
         raise NumericsError(f"stage-1 training aborted on a non-finite loss; the last clean "
@@ -319,9 +319,10 @@ def cmd_sweep(cfg, args) -> int:
 
     Each arm is the config with its overrides on top. An arm whose
     belief-map prior is the config's starts stage 2 from il/policy_il.ckpt;
-    any other arm first trains stage 1 on the corpus replayed under its
-    own prior, into policy_il_<arm>.ckpt. Arms are evaluated on the
-    unseen worlds, else the seen ones.
+    any other arm first trains stage 1 into policy_il_<arm>.ckpt. The
+    corpus is replayed once; each arm's policy brings its own prior to
+    both stages. Arms are evaluated on the unseen worlds, else the seen
+    ones.
     """
     started = _now()
     axis = args.axis
@@ -330,15 +331,15 @@ def cmd_sweep(cfg, args) -> int:
     worlds = {"unseen": unseen} if unseen else {"seen": _load_worlds(cfg, args, "seen")}
     seeds = list(cfg["sweep.seeds"])
     arms = _sweep_arms(cfg, axis)
+    demos, seen = _load_demos(cfg, args)
     run_dir = _begin_run(cfg, args, f"sweep-{axis}")
     results = {}  # (arm, seed) -> that run's episode results
     for name, overrides in arms:
         arm = parse_config(args.config, [*args.set, *overrides])
-        demos, seen = _load_demos(arm, args)
         il_path = shared_il
         if _prior(arm) != _prior(cfg):
             il_path = os.path.join(run_dir, f"policy_il_{name}.ckpt")
-            if _train_il(arm, demos, il_path).aborted:
+            if _train_il(arm, demos, seen, il_path).aborted:
                 raise NumericsError(f"stage-1 training of sweep arm {name!r} aborted on a non-finite loss")
         for seed in seeds:
             model = _build_model(arm)

@@ -111,7 +111,7 @@ SCHEMA: dict = {
     # controller guards; patience 0 never forces a replan
     "model.avoid_blocked": Entry("bool", True),
     "model.replan_patience": Entry("int", 16, lo=0),
-    # one controller and belief map for corpus replay, training and eval
+    # one controller and belief map for both training stages and eval
     "model.flat": Entry("bool", False),
     "model.use_prior": Entry("bool", True),
     "model.r_prior": Entry("float", 12.0, lo=0.0, lo_open=True),

@@ -31,7 +31,7 @@ class NavMap:
         return self.grid[CHANNELS.index(name)]
 
 
-def init_map(world: CityWorld, episode: EpisodeSpec, r_prior: float | None = 12.0) -> NavMap:
+def init_map(world: CityWorld, episode: EpisodeSpec, r_prior: float | None) -> NavMap:
     """Fresh map: only the landmark prior is non-zero.
 
     The prior is a disk of radius r_prior around the described landmark,

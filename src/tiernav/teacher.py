@@ -8,9 +8,10 @@ build_demonstration is the one labeling loop: it steps a list of moves
 and returns a Trajectory of TrajSteps, each labeled with its expert
 action, waypoint, progress, reward and exact discounted value. It
 renders nothing and builds no map. load_corpus relabels each saved
-episode through it, compares every logged cell with the relabeled one,
-and is the one place that adds observations and map snapshots to a
-demonstration (TrajStep.feats).
+episode through it and compares every logged cell with the relabeled
+one, so a demonstration is labels only, built or loaded; stage-1 data
+preparation (training.prepare_stage1_data) renders and maps it under
+the learned policy's prior.
 
 A policy's act also returns TrajSteps, and agent.run_episode returns
 Trajectories, so a demonstration and an eval episode are one record.
@@ -35,7 +36,6 @@ import os
 from dataclasses import dataclass
 
 from .errors import ContractError
-from .mapper import init_map, update_map
 from .util import read_text, substream, write_csv
 from .world import (
     Action,
@@ -47,7 +47,6 @@ from .world import (
     distance_to_goal,
     load_episodes,
     plan_path,
-    render_observation,
     sample_episode,
     save_episodes,
     step,
@@ -126,8 +125,7 @@ def build_demonstration(world: CityWorld, episode: EpisodeSpec, reward_cfg, gamm
     identity holds to float precision. A blocked move or a stop before
     the last step raises ContractError naming the step. No label reads
     an observation or a map, so no step has feats: save_corpus writes
-    the labels, and load_corpus relabels them and adds observations and
-    map snapshots.
+    the labels and load_corpus relabels them.
     """
     if moves is None:
         moves = episode_plan(world, episode).actions
@@ -196,9 +194,8 @@ class TrajStep:
     """One step of an episode: the one record of a policy's step and a
     demonstration's labeled step. A policy's act fills in everything but
     reward and dist, which the runner sets after the move. feats holds
-    the step's network inputs: the controller's when a rollout asks for
-    them, the observation patch and map snapshot once load_corpus has
-    replayed a demonstration."""
+    a rollout step's controller inputs when the rollout asks for them,
+    and is None otherwise; a demonstration step never has them."""
 
     t: int
     state: UavState
@@ -274,8 +271,9 @@ def save_corpus(corpus_dir, demos):
         write_csv(os.path.join(corpus_dir, f"episode_{i:05d}.csv"), TRAJ_COLUMNS, (st.log_row() for st in demo.steps))
 
 
-def load_corpus(corpus_dir, worlds_by_id, reward_cfg, gamma: float, r_prior: float | None = 12.0) -> list:
-    """Rebuild demonstrations by relabeling their stored actions.
+def load_corpus(corpus_dir, worlds_by_id, reward_cfg, gamma: float) -> list:
+    """Rebuild label-only demonstrations, as build_dataset returns them,
+    by relabeling their stored actions.
 
     episodes.jsonl must hold one record per episode_*.csv log in the
     directory, else ContractError names it. Each episode goes through
@@ -286,11 +284,7 @@ def load_corpus(corpus_dir, worlds_by_id, reward_cfg, gamma: float, r_prior: flo
     naming the file, line and column; a blocked move or an early stop
     raises it naming the file and the step t (on line t + 2). So a
     corpus built under other reward.* settings or another gamma is
-    refused. Each relabeled step then gains feats: its observation patch
-    and a snapshot of the belief map, built with the landmark prior of
-    radius r_prior (None for none). A snapshot is taken at t = 0 and
-    wherever the waypoint index changes, and the steps up to the next
-    change share it.
+    refused.
     """
     index = os.path.join(corpus_dir, "episodes.jsonl")
     episodes = load_episodes(index)
@@ -307,15 +301,7 @@ def load_corpus(corpus_dir, worlds_by_id, reward_cfg, gamma: float, r_prior: flo
         if header != TRAJ_COLUMNS:
             raise ContractError(f"{path}: not a corpus episode (header {header[:4]}...)")
         (rows,) = logs.values()
-        demo = _relabel(world, ep, rows, path, reward_cfg, gamma)
-        nav = init_map(world, ep, r_prior)
-        for t, st in enumerate(demo.steps):
-            obs = render_observation(world, st.state)
-            update_map(nav, st.state, obs)
-            if t == 0 or st.k != demo.steps[t - 1].k:
-                snapshot = nav.grid.copy()
-            st.feats = {"patch": obs.patch, "map": snapshot}
-        demos.append(demo)
+        demos.append(_relabel(world, ep, rows, path, reward_cfg, gamma))
     return demos
 
 

@@ -30,10 +30,10 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError, NumericsError
 from .evaluation import episode_metrics
 from .layers import Module
-from .mapper import encode_map
+from .mapper import encode_map, init_map, update_map
 from .optim import AdamW, clip_grad_norm
 from .util import substream, write_csv
-from .world import TIERS, RewardConfig, sample_episode
+from .world import TIERS, RewardConfig, render_observation, sample_episode
 
 
 @dataclass
@@ -241,26 +241,33 @@ class Stage1Data:
         return len(self.actions)
 
 
-def prepare_stage1_data(demos, model) -> Stage1Data:
-    """Stack replayed demonstrations (Trajectories from load_corpus) into
-    training arrays. A step's map snapshot joins the stack wherever it is
-    not the previous step's, so the steps that share a snapshot share its
-    index."""
+def prepare_stage1_data(demos, worlds, policy) -> Stage1Data:
+    """Stack label-only demonstrations into training arrays for policy, a
+    NeuralPolicy, rendering and mapping each step as its controller would.
+
+    A demonstration plays back in its world (from worlds, by world_id):
+    each step renders its observation patch and folds it into a belief
+    map that starts with the policy's landmark prior (policy.r_prior).
+    The map is snapshotted at t = 0 and wherever the waypoint index k
+    changes, and the steps up to the next change share that snapshot.
+    """
+    model = policy.model
     w, h, zm = model.width, model.height, model.z_max
+    by_id = {world.world_id: world for world in worlds}
     patches, poses, ids, wps, snap_idx = [], [], [], [], []
     actions, wstar, progress, value, goal = [], [], [], [], []
     snapshots = []
     for demo in demos:
+        world = by_id[demo.episode.world_id]
+        nav = init_map(world, demo.episode, policy.r_prior)
         gx, gy = demo.episode.goal
         d_ids = descriptor_ids(demo.episode.descriptor)
-        last = None
-        for st in demo.steps:
-            if st.feats is None:
-                raise ContractError("demonstration lacks observations and maps; load it with load_corpus")
-            if st.feats["map"] is not last:
-                last = st.feats["map"]
-                snapshots.append(last)
-            patches.append(st.feats["patch"])
+        for t, st in enumerate(demo.steps):
+            obs = render_observation(world, st.state)
+            update_map(nav, st.state, obs)
+            if t == 0 or st.k != demo.steps[t - 1].k:
+                snapshots.append(nav.grid.copy())
+            patches.append(obs.patch)
             poses.append(pose_features(st.state, w, h, zm))
             ids.append(d_ids)
             wps.append(waypoint_context(st.state, st.waypoint, w, h))
@@ -323,11 +330,16 @@ class Stage1Result:
     final_il: float
 
 
-def train_stage1(demos, model, cfg: Stage1Config) -> Stage1Result:
-    """Supervised passes over the corpus minimizing imitation_loss. A
-    non-finite loss or gradient rolls the model back to the end of the
-    last clean epoch and aborts."""
-    data = prepare_stage1_data(demos, model)
+def train_stage1(demos, worlds, policy, cfg: Stage1Config) -> Stage1Result:
+    """Supervised passes over the demonstrations minimizing imitation_loss.
+
+    policy is a NeuralPolicy and its model is the one trained; the
+    demonstrations are rendered and mapped in worlds under its prior
+    (prepare_stage1_data). A non-finite loss or gradient rolls the model
+    back to the end of the last clean epoch and aborts.
+    """
+    model = policy.model
+    data = prepare_stage1_data(demos, worlds, policy)
     opt = AdamW(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     mb = min(cfg.minibatch, data.n)
     curve = []
@@ -544,27 +556,29 @@ def train_stage2(
     warm: whatever the stage-1 value head learned is the starting critic.
 
     policy is a NeuralPolicy; it collects the rollouts and plays the
-    probe, and its model is the one trained.
+    probe, and its model is the one trained. corpus holds label-only
+    demonstrations in worlds, rendered and mapped under the policy's
+    prior as stage 1 does (prepare_stage1_data).
 
     Each update collects a fixed-size rollout on the ppo_cfg.tiers
     mapping and runs one ppo_update, minimizing imitation_loss +
     lambda_rl * (policy + c_v*value - c_ent*entropy). The imitation
     loss is stage 1's, weighted by il_cfg (Stage1Config defaults when
-    None), on a fresh expert batch from corpus (replayed demonstrations)
-    per minibatch. Expert rows, like rollout rows, carry stored map
-    features and the map encoder is not optimized, so lambda_rl = 0 is
-    continued imitation of every module but the map encoder. An update
-    that blows up rolls back to the last clean update and halves the
-    learning rate once; the second blow-up aborts. The probe runs every
-    ppo_cfg.probe_every updates, and with ppo_cfg.checkpoint_every > 0
-    every that many updates a checkpoint goes to checkpoint_dir.
+    None), on a fresh expert batch from corpus per minibatch. Expert
+    rows, like rollout rows, carry stored map features and the map
+    encoder is not optimized, so lambda_rl = 0 is continued imitation of
+    every module but the map encoder. An update that blows up rolls back
+    to the last clean update and halves the learning rate once; the
+    second blow-up aborts. The probe runs every ppo_cfg.probe_every
+    updates, and with ppo_cfg.checkpoint_every > 0 every that many
+    updates a checkpoint goes to checkpoint_dir.
     """
     ppo_cfg.validate()
     reward_cfg.validate()
     il_cfg = il_cfg or Stage1Config()
     model = policy.model
     opt = AdamW([e for e in model.named_params() if not e[0].startswith("map_encoder.")], lr=ppo_cfg.lr)
-    data = prepare_stage1_data(corpus, model)
+    data = prepare_stage1_data(corpus, worlds, policy)
     # each corpus snapshot encoded once, as the controller encodes a map
     snap_feats = np.array([encode_map(grid, model.map_encoder) for grid in data.snapshots])
     expert_rows = (snap_feats[data.snap_idx], data.poses, data.ids, data.patches, data.wps)

@@ -206,7 +206,7 @@ def test_macro_plan_flat_follows_goal_head():
 def start_slot(wd, ep, ctrl=None, rng=None):
     from tiernav.mapper import init_map
 
-    return Slot(world=wd, episode=ep, state=ep.start, nav=init_map(wd, ep),
+    return Slot(world=wd, episode=ep, state=ep.start, nav=init_map(wd, ep, 12.0),
                 obs=render_observation(wd, ep.start), ctx=ctrl or ControllerState(), rng=rng)
 
 

@@ -44,22 +44,35 @@ def test_linear_shape_error_names_both_shapes():
 
 
 def test_conv2d_one_by_one_identity():
-    x = Tensor(np.arange(12.0).reshape(1, 3, 4))
+    x = Tensor(np.arange(12.0).reshape(1, 1, 3, 4))
     k = Tensor(np.ones((1, 1, 1, 1)))
     out = ad.conv2d(x, k, stride=1, pad=0)
     assert np.array_equal(out.data, x.data)
 
 
 def test_conv2d_counting_case():
-    x = Tensor(np.ones((1, 3, 3)))
+    x = Tensor(np.ones((1, 1, 3, 3)))
     k = Tensor(np.ones((1, 1, 3, 3)))
     out = ad.conv2d(x, k, stride=1, pad=0)
-    assert out.data.shape == (1, 1, 1)
-    assert out.data[0, 0, 0] == 9.0
+    assert out.data.shape == (1, 1, 1, 1)
+    assert out.data[0, 0, 0, 0] == 9.0
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 5), (1, 1, 3, 5, 5)])
+def test_conv_ops_reject_unbatched_and_higher_rank_input(shape):
+    # the conv ops take [N, C, H, W] only; an unbatched [C, H, W] map is no special case
+    x = Tensor(np.ones(shape))
+    c = shape[-3]
+    with pytest.raises(ShapeError, match="conv2d"):
+        ad.conv2d(x, Tensor(np.ones((1, c, 3, 3))), pad=1)
+    with pytest.raises(ShapeError, match="depthwise_conv2d"):
+        ad.depthwise_conv2d(x, Tensor(np.ones((c, 3, 3))))
+    with pytest.raises(ShapeError, match="batchnorm2d"):
+        ad.batchnorm2d(x, Tensor(np.ones(c)), Tensor(np.zeros(c)), np.zeros(c), np.ones(c), train=False)
 
 
 def test_conv2d_non_integral_output_is_config_error():
-    x = Tensor(np.ones((1, 4, 4)))
+    x = Tensor(np.ones((1, 1, 4, 4)))
     k = Tensor(np.ones((1, 1, 3, 3)))
     with pytest.raises(ConfigError):
         ad.conv2d(x, k, stride=2, pad=0)
@@ -112,9 +125,9 @@ def test_batchnorm_running_stats_ema():
     assert np.allclose(rv, 0.9 + 0.1 * xd.var())
 
 
-# map-encoder activations at IL minibatch sizes, a batch of one, and a [C,H,W] input
+# map-encoder activations at IL minibatch sizes and a batch of one
 BN_SHAPES = [(22, 8, 49, 49), (22, 16, 25, 25), (22, 16, 13, 13), (1, 16, 48, 48), (1, 32, 24, 24),
-             (4, 64, 12, 12), (8, 7, 7)]
+             (4, 64, 12, 12)]
 
 
 @pytest.mark.parametrize("shape", BN_SHAPES, ids=str)
@@ -128,13 +141,12 @@ def test_batchnorm_train_matches_two_pass_form(shape):
     rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
     rm_got, rv_got = rm.copy(), rv.copy()
     out = ad.batchnorm2d(Tensor(xd), Tensor(g), Tensor(b), rm_got, rv_got, True)
-    x4 = xd if len(shape) == 4 else xd[None]
-    mean = x4.mean(axis=(0, 2, 3))
-    var = x4.var(axis=(0, 2, 3))
+    mean = xd.mean(axis=(0, 2, 3))
+    var = xd.var(axis=(0, 2, 3))
     invstd = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x4 - mean[None, :, None, None]) * invstd[None, :, None, None]
+    xhat = (xd - mean[None, :, None, None]) * invstd[None, :, None, None]
     want = g[None, :, None, None] * xhat + b[None, :, None, None]
-    assert out.data.tobytes() == (want if len(shape) == 4 else want[0]).tobytes()
+    assert out.data.tobytes() == want.tobytes()
     assert rm_got.tobytes() == (0.9 * rm + 0.1 * mean).tobytes()
     assert rv_got.tobytes() == (0.9 * rv + 0.1 * var).tobytes()
 
@@ -389,7 +401,7 @@ def _build_linear(rng):
 
 
 def _build_conv2d(rng):
-    x = _param(rng, (2, 5, 5))
+    x = _param(rng, (1, 2, 5, 5))
     k = _param(rng, (3, 2, 3, 3))
     b = _param(rng, (3,))
     return [x, k, b], lambda: _weighted_sum(ad.conv2d(x, k, stride=1, pad=1, bias=b), np.random.default_rng(0))

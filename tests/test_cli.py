@@ -499,7 +499,7 @@ def test_corpus_for_other_reward_settings_exits_6(pipeline, tmp_path, capsys):
 @pytest.mark.parametrize("path", [*BENCHMARK_CONFIGS, DESK_CONFIG], ids=lambda p: p.name)
 def test_benchmark_corpus_replays(path, tmp_path):
     # corpus replay refuses a cell off its relabeling, so a benchmark or
-    # desk corpus must replay under its own config's reward and prior. The
+    # desk corpus must replay under its own config's reward and gamma. The
     # benchmark's set-up stages on the default 96x96 worlds, then the
     # replay: 0.13 to 0.19 s per config on a 2-vCPU host, under 0.5 s for
     # all three; the desk config's 40 episodes on 32x32 worlds take about
@@ -510,7 +510,7 @@ def test_benchmark_corpus_replays(path, tmp_path):
     cfg = parse_config(str(path), ["run.seed=1000"])
     worlds = [load_world(p) for p in sorted((tmp_path / "worlds").glob("seen_*.txt"))]
     demos = load_corpus(tmp_path / "corpus", {w.world_id: w for w in worlds},
-                        cfg.reward_config(), cfg["ppo.gamma"], cli._prior(cfg))
+                        cfg.reward_config(), cfg["ppo.gamma"])
     assert len(demos) == cfg["corpus.episodes"]
 
 
@@ -737,13 +737,13 @@ def _record_sweep(monkeypatch):
     """Record what each stage-1 run, stage-2 run and benchmark of a sweep was given."""
     calls = {"replay": [], "stage1": [], "stage2": [], "bench": []}
 
-    def replay(corpus_dir, worlds_by_id, reward_cfg, gamma, r_prior):
-        calls["replay"].append(r_prior)
-        return load_corpus(corpus_dir, worlds_by_id, reward_cfg, gamma, r_prior)
+    def replay(corpus_dir, worlds_by_id, reward_cfg, gamma):
+        calls["replay"].append(corpus_dir)
+        return load_corpus(corpus_dir, worlds_by_id, reward_cfg, gamma)
 
-    def stage1(demos, model, cfg):
-        calls["stage1"].append(model)
-        return train_stage1(demos, model, cfg)
+    def stage1(demos, worlds, policy, cfg):
+        calls["stage1"].append(policy.r_prior)
+        return train_stage1(demos, worlds, policy, cfg)
 
     def stage2(policy, worlds, ppo, *args, **kwargs):
         calls["stage2"].append((policy.flat, policy.r_prior, ppo.lambda_rl, kwargs["seed"]))
@@ -778,9 +778,9 @@ def test_sweep_trains_each_arm_on_each_seed(pipeline, tmp_path, monkeypatch, axi
     arms = SWEEP_ARMS[axis]
     assert calls["stage2"] == [(flat, prior, lam, seed) for flat, prior, lam in arms for seed in (3, 5)]
     assert calls["bench"] == [(flat, prior, "greedy") for flat, prior, _ in arms for _ in (3, 5)]
-    # one corpus replay per arm under its own prior; stage 1 only for the arm whose prior differs
-    assert calls["replay"] == [prior for _, prior, _ in arms]
-    assert len(calls["stage1"]) == (axis == "prior")
+    # one corpus replay per sweep; stage 1 only for the arm whose prior differs, under its prior
+    assert len(calls["replay"]) == 1
+    assert calls["stage1"] == [prior for _, prior, _ in arms[1:] if axis == "prior"]
 
 
 def test_sweep_requires_il(pipeline, tmp_path, capsys):
@@ -814,7 +814,7 @@ def test_sweeps_evaluate_with_eval_keys(pipeline, tmp_path, monkeypatch):
                               (False, None, "sample"), (True, None, "sample")]
     assert [key[:2] for key in calls["stage2"]] == [key[:2] for key in calls["bench"]]
     # without the prior in the config, the arm that restores it trains its own stage 1
-    assert len(calls["stage1"]) == 1
+    assert calls["stage1"] == [6.0]
     assert "policy_il_full.ckpt" in _manifest(str(alt), "sweep-prior")["files"]
 
 

@@ -54,11 +54,10 @@ def oracle_col2im(gcols: np.ndarray, xshape, k: int, stride: int, pad: int, ho: 
 
 
 def oracle_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | None = None) -> Tensor:
-    """Cross-correlation with zero padding. Input [N,Cin,H,W] or [Cin,H,W]."""
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    """Cross-correlation with zero padding of an [N,Cin,H,W] input."""
+    xd = x.data
     if xd.ndim != 4 or kernel.data.ndim != 4:
-        raise ShapeError(f"conv2d: input {x.data.shape}, kernel {kernel.data.shape}")
+        raise ShapeError(f"conv2d: input {xd.shape}, kernel {kernel.data.shape}")
     n, cin, h, w = xd.shape
     cout, kcin, kh, kw = kernel.data.shape
     if kcin != cin:
@@ -79,12 +78,9 @@ def oracle_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias
     out = np.matmul(wmat[None], cols).reshape(n, cout, ho, wo)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
-    if squeeze:
-        out = out[0]
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
-    def bw(g):
-        gd = g[None] if squeeze else g
+    def bw(gd):
         gflat = gd.reshape(n, cout, ho * wo)
         if kernel.requires_grad:
             gw = np.einsum("nol,nkl->ok", gflat, cols)
@@ -94,15 +90,14 @@ def oracle_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias
         if x.requires_grad:
             gcols = np.matmul(wmat.T[None], gflat)
             gx = oracle_col2im(gcols, xd.shape, kh, stride, pad, ho, wo)
-            _accum(x, gx[0] if squeeze else gx)
+            _accum(x, gx)
 
     return _node(out, parents, "conv2d", bw)
 
 
 def batched_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | None = None) -> Tensor:
     """conv2d with whole-batch columns: its body before sample blocking."""
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     n, cin, h, w = xd.shape
     cout, _, kh, kw = kernel.data.shape
     ho = (h + 2 * pad - kh) // stride + 1
@@ -112,12 +107,9 @@ def batched_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bia
     out = np.matmul(wmat[None], cols).reshape(n, cout, ho, wo)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
-    if squeeze:
-        out = out[0]
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
-    def bw(g):
-        gd = g[None] if squeeze else g
+    def bw(gd):
         gflat = gd.reshape(n, cout, ho * wo)
         if kernel.requires_grad:
             cols = ad._im2col(ad._pad2d(xd, pad) if pad else xd, kh, stride, ho, wo)
@@ -134,7 +126,7 @@ def batched_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bia
             else:
                 gcols = np.matmul(wmat.T[None], gflat)
                 gx = ad._col2im(gcols, xd.shape, kh, stride, pad, ho, wo)
-            _accum(x, gx[0] if squeeze else gx)
+            _accum(x, gx)
 
     return _node(out, parents, "conv2d", bw)
 
@@ -195,11 +187,6 @@ def _assert_matches_oracle(xshape, cout, k, stride, pad, with_bias, seed):
 def test_conv2d_matches_oracle(k, stride, pad, batch):
     # 7x9 keeps every (k, stride, pad) integral and catches a swapped H/W
     _assert_matches_oracle((batch, 2, 7, 9), 3, k, stride, pad, with_bias=batch == 3, seed=k * 100 + stride * 10 + pad)
-
-
-@pytest.mark.parametrize("stride", [1, 2])
-def test_conv2d_matches_oracle_on_3d_input(stride):
-    _assert_matches_oracle((2, 7, 9), 4, 3, stride, 1, with_bias=True, seed=stride)
 
 
 @pytest.mark.parametrize("cin,side,cout,k,stride,pad", ENCODER_SHAPES)
@@ -283,11 +270,6 @@ def test_blocked_conv2d_bit_identical_on_constant_input(cin, side, cout, k, stri
     _assert_matches_batched((n, cin, side, side), cout, k, stride, pad, seed=side, input_grad=False)
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_blocked_conv2d_bit_identical_on_3d_input(stride):
-    _assert_matches_batched((8, 49, 49), 8, 3, stride, 1, seed=stride)
-
-
 def test_conv2d_forward_backward_peak_below_one_column_matrix():
     n, cin, side, cout, k = 8, 8, 49, 8, 3
     rng = np.random.default_rng(3)
@@ -312,7 +294,7 @@ WAY_CASES = (
     [((22, cin, side, side), cout, k, stride, pad) for cin, side, cout, k, stride, pad in ENCODER_SHAPES]
     + [
         ((1, 4, 97, 97), 8, 3, 2, 1),
-        ((8, 49, 49), 8, 3, 1, 1),
+        ((1, 8, 49, 49), 8, 3, 1, 1),  # the controller's batch-1 residual conv
         ((2 * _block(8, 49, 3, 2, 1) + 1, 8, 49, 49), 16, 3, 2, 1),
         ((2 * _block(16, 25, 3, 2, 1) + 1, 16, 25, 25), 16, 3, 2, 1),
         ((64, 3, 25, 25), 8, 3, 2, 1),

@@ -1,8 +1,8 @@
 """Source hygiene: every name a tiernav module imports is read in that module,
 every import sits at module level and names only modules earlier in ORDER,
 every text-mode open() names its encoding, only util.py opens a file to
-write, and every public top-level function and class is named by the
-program."""
+write, only agent.py and training.py render or map, and every public
+top-level function and class is named by the program."""
 
 import ast
 import re
@@ -204,6 +204,39 @@ def test_scan_flags_write_opens():
     world = (SRC / "world.py").read_text()
     planted = world + "\n\ndef dump(path, text):\n    with open(path, 'w', encoding='utf-8') as f:\n        f.write(text)\n"
     assert write_opens(planted) == [len(world.splitlines()) + 4]
+
+
+PERCEPTION = ("render_observation", "init_map", "update_map")
+
+
+def perception_calls(source: str):
+    """Line numbers of calls to a PERCEPTION function, by bare name or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in PERCEPTION]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ("agent.py", "training.py")],
+                         ids=lambda p: p.name)
+def test_only_the_runner_and_stage1_data_render_or_map(path):
+    # a demonstration is labels only: the episode runner (agent.run_episode)
+    # and stage-1 data preparation (training.prepare_stage1_data) build each
+    # step's observation and belief map, under the policy's prior
+    assert perception_calls(path.read_text()) == []
+
+
+def test_scan_flags_perception_calls():
+    source = (
+        "obs = render_observation(w, s)\n"
+        "nav = mapper.init_map(w, e, None)\n"
+        "f(update_map)\n"
+        "update_map(nav, s, obs)\n"
+        "render(w, s)\n"
+    )
+    assert perception_calls(source) == [1, 2, 4]
+    teacher = (SRC / "teacher.py").read_text()
+    planted = teacher + "\n\ndef perceive(world, state):\n    return render_observation(world, state)\n"
+    assert perception_calls(planted) == [len(teacher.splitlines()) + 4]
 
 
 def load_spans():

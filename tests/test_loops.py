@@ -9,7 +9,6 @@ in the last bits, so the comparison is exact for everything the
 episodes did and within 1e-12 for the floats that come from a head.
 """
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -19,11 +18,11 @@ import pytest
 
 from tiernav import agent, autodiff as ad, training
 from tiernav.agent import ControllerState, NavPolicy, NeuralPolicy, Slot, TeacherPolicy, policy_arrays, tiered_step
-from tiernav.errors import ContractError, NumericsError
+from tiernav.errors import NumericsError
 from tiernav.evaluation import run_benchmark
 from tiernav.mapper import init_map, update_map
 from tiernav.optim import AdamW
-from tiernav.teacher import build_dataset, build_demonstration, load_corpus, save_corpus
+from tiernav.teacher import build_dataset, load_corpus, save_corpus
 from tiernav.training import (
     IL_CURVE_COLUMNS,
     RL_CURVE_COLUMNS,
@@ -61,7 +60,7 @@ def reward_cfg():
 
 @pytest.fixture(scope="module")
 def corpus(world, reward_cfg, tmp_path_factory):
-    # trainers read observations and map snapshots, which only the corpus replay adds
+    # the CLI's route: demonstrations saved, then relabeled from disk
     root = tmp_path_factory.mktemp("corpus")
     save_corpus(root, build_dataset([world], 8, EASY_MEDIUM, 77, reward_cfg, GAMMA))
     return load_corpus(root, {world.world_id: world}, reward_cfg, GAMMA)
@@ -90,7 +89,7 @@ def assert_snapshots_equal(a, b):
 def test_stage1_zero_epochs_noop(world, corpus):
     model = fresh_model(world)
     before = params_of(model)
-    res = train_stage1(corpus, model, Stage1Config(epochs=0))
+    res = train_stage1(corpus, [world], NeuralPolicy(model), Stage1Config(epochs=0))
     assert res.epochs_run == 0 and not res.aborted
     assert_params_equal(before, params_of(model))
 
@@ -99,14 +98,14 @@ def test_stage1_deterministic(world, corpus):
     m1 = fresh_model(world, seed=4)
     m2 = fresh_model(world, seed=4)
     cfg = Stage1Config(epochs=2, seed=9)
-    train_stage1(corpus, m1, cfg)
-    train_stage1(corpus, m2, cfg)
+    train_stage1(corpus, [world], NeuralPolicy(m1), cfg)
+    train_stage1(corpus, [world], NeuralPolicy(m2), cfg)
     assert_params_equal(params_of(m1), params_of(m2))
 
 
 def test_stage1_losses_fall_and_curve_shape(world, corpus):
     model = fresh_model(world, seed=1)
-    res = train_stage1(corpus, model, Stage1Config(epochs=15, seed=1))
+    res = train_stage1(corpus, [world], NeuralPolicy(model), Stage1Config(epochs=15, seed=1))
     assert res.epochs_run == 15 and not res.aborted
     assert set(res.curve[0]) == set(IL_CURVE_COLUMNS)
     assert res.final_il < res.curve[0]["L_IL"]
@@ -115,7 +114,7 @@ def test_stage1_losses_fall_and_curve_shape(world, corpus):
 
 def test_stage1_early_stop(world, corpus):
     model = fresh_model(world, seed=2)
-    res = train_stage1(corpus, model, Stage1Config(epochs=40, seed=2, early_stop_ratio=0.8))
+    res = train_stage1(corpus, [world], NeuralPolicy(model), Stage1Config(epochs=40, seed=2, early_stop_ratio=0.8))
     assert res.epochs_run < 40
     assert res.final_il < 0.8 * res.curve[0]["L_IL"]
 
@@ -131,7 +130,7 @@ def test_stage1_nonfinite_loss_rolls_back_to_last_epoch(world, corpus, monkeypat
 
     monkeypatch.setattr(training, "il_loss", counting)
     ref = fresh_model(world, seed=13)
-    ref_res = train_stage1(corpus, ref, Stage1Config(epochs=1, seed=13, minibatch=32))
+    ref_res = train_stage1(corpus, [world], NeuralPolicy(ref), Stage1Config(epochs=1, seed=13, minibatch=32))
     n_mb = len(calls)
     assert n_mb >= 2
 
@@ -143,20 +142,24 @@ def test_stage1_nonfinite_loss_rolls_back_to_last_epoch(world, corpus, monkeypat
 
     monkeypatch.setattr(training, "il_loss", poisoned)
     model = fresh_model(world, seed=13)
-    res = train_stage1(corpus, model, Stage1Config(epochs=3, seed=13, minibatch=32))
+    res = train_stage1(corpus, [world], NeuralPolicy(model), Stage1Config(epochs=3, seed=13, minibatch=32))
     assert res.aborted
     assert res.epochs_run == 1 and res.curve == ref_res.curve
     assert_snapshots_equal(training._snapshot(model), training._snapshot(ref))
 
 
-def test_stage1_rejects_stripped_corpus(world, reward_cfg, corpus):
-    ep = sample_episode(world, "easy", substream(5, "ep"))
-    bare = [build_demonstration(world, ep, reward_cfg, GAMMA)]
-    with pytest.raises(ContractError, match="load_corpus"):
-        train_stage1(bare, fresh_model(world), Stage1Config(epochs=1))
-    blind = [dataclasses.replace(corpus[0], steps=[dataclasses.replace(st, feats=None) for st in corpus[0].steps])]
-    with pytest.raises(ContractError, match="load_corpus"):
-        train_stage1(blind, fresh_model(world), Stage1Config(epochs=1))
+def test_stage1_trains_alike_on_built_and_replayed_demonstrations(world, reward_cfg, corpus):
+    # a demonstration is labels only, built or loaded: stage 1 renders and
+    # maps it, so build_dataset's corpus and its save/load replay train to
+    # the same bytes
+    built = build_dataset([world], 8, EASY_MEDIUM, 77, reward_cfg, GAMMA)
+    assert all(st.feats is None for demos in (built, corpus) for demo in demos for st in demo.steps)
+    trained = []
+    for demos in (built, corpus):
+        model = fresh_model(world, seed=3)
+        train_stage1(demos, [world], NeuralPolicy(model), Stage1Config(epochs=2, seed=3))
+        trained.append(training._snapshot(model))
+    assert_snapshots_equal(*trained)
 
 
 def streams(*tags):
@@ -221,7 +224,7 @@ def oracle_collect_rollouts(model, worlds, tiers, reward_cfg, n_steps, streams):
         world = worlds[int(rng.integers(len(worlds)))]
         tier = list(tiers)[int(rng.integers(len(tiers)))]
         ep = sample_episode(world, tier, rng, tiers=tiers)
-        slot = Slot(world=world, episode=ep, state=ep.start, nav=init_map(world, ep), obs=None,
+        slot = Slot(world=world, episode=ep, state=ep.start, nav=init_map(world, ep, 12.0), obs=None,
                     ctx=ControllerState(), rng=rng)
         ep_ret = 0.0
         for t in range(ep.max_steps):
@@ -388,7 +391,7 @@ def test_reinit_value_head_scoped(world):
 
 def test_warm_critic_beats_fresh_on_small_run(world, corpus, reward_cfg, monkeypatch):
     model = fresh_model(world, seed=7)
-    train_stage1(corpus, model, Stage1Config(epochs=8, seed=7))
+    train_stage1(corpus, [world], NeuralPolicy(model), Stage1Config(epochs=8, seed=7))
     # The rollout this check was written on: one generator for every
     # episode, played one episode at a time. The ordering is not robust at
     # this scale (the warm critic wins on 7 of 20 rollout seeds), so a new
@@ -406,7 +409,7 @@ def test_warm_critic_beats_fresh_on_small_run(world, corpus, reward_cfg, monkeyp
 
 def test_stage2_runs_and_reports(world, corpus, reward_cfg):
     model = fresh_model(world, seed=8)
-    train_stage1(corpus, model, Stage1Config(epochs=2, seed=8))
+    train_stage1(corpus, [world], NeuralPolicy(model), Stage1Config(epochs=2, seed=8))
     probe = [(world, sample_episode(world, "easy", substream(8, "probe", i))) for i in range(2)]
     cfg = PPOConfig(rollout_steps=96, max_updates=2, minibatch=32, epochs_per_update=2, tiers=EASY)
     res = train_stage2(NeuralPolicy(model), [world], cfg, reward_cfg, corpus=corpus,

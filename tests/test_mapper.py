@@ -34,7 +34,7 @@ def episode_for(wd, seed=5):
 def test_init_map_channels():
     wd = small_world()
     ep = episode_for(wd)
-    nav = init_map(wd, ep)
+    nav = init_map(wd, ep, 12.0)
     assert nav.grid.shape == (4, 48, 48)
     assert nav.channel("trajectory").sum() == 0
     assert nav.channel("explored").sum() == 0
@@ -61,8 +61,8 @@ def test_init_map_sector_weights():
 def test_init_map_prior_mass_deterministic():
     wd = small_world()
     ep = episode_for(wd)
-    m1 = init_map(wd, ep).channel("landmark_prior").sum()
-    m2 = init_map(wd, ep).channel("landmark_prior").sum()
+    m1 = init_map(wd, ep, 12.0).channel("landmark_prior").sum()
+    m2 = init_map(wd, ep, 12.0).channel("landmark_prior").sum()
     assert m1 == m2
 
 
@@ -71,13 +71,13 @@ def test_init_map_unknown_landmark():
     ep = episode_for(wd)
     ep.descriptor = type(ep.descriptor)(landmark_id=999, sector=0, band="near", tag=0)
     with pytest.raises(ContractError):
-        init_map(wd, ep)
+        init_map(wd, ep, 12.0)
 
 
 def test_update_map_explored_count():
     wd = small_world()
     ep = episode_for(wd)
-    nav = init_map(wd, ep)
+    nav = init_map(wd, ep, 12.0)
     s = UavState(24.0, 24.0, 2, 0)
     obs = render_observation(wd, s)
     update_map(nav, s, obs)
@@ -90,7 +90,7 @@ def test_update_map_explored_count():
 def test_update_map_idempotent():
     wd = small_world()
     ep = episode_for(wd)
-    nav = init_map(wd, ep)
+    nav = init_map(wd, ep, 12.0)
     s = UavState(20.0, 20.0, 2, 0)
     obs = render_observation(wd, s)
     update_map(nav, s, obs)
@@ -102,7 +102,7 @@ def test_update_map_idempotent():
 def test_update_map_obstacle_memory_and_monotonicity():
     wd = small_world()
     ep = episode_for(wd)
-    nav = init_map(wd, ep)
+    nav = init_map(wd, ep, 12.0)
     rng = substream(9, "walk")
     free_y, free_x = np.nonzero(wd.height_field == 0)
     prev = nav.grid.copy()
@@ -131,7 +131,7 @@ def test_obstacle_memory_survives_leaving_view():
     wd = small_world()
     wd.height_field[10, 30] = 3
     ep = episode_for(wd)
-    nav = init_map(wd, ep)
+    nav = init_map(wd, ep, 12.0)
     s1 = UavState(30.0, 12.0, 3, 0)
     update_map(nav, s1, render_observation(wd, s1))
     assert nav.channel("obstacle_memory")[10, 30] == 3 / wd.z_max
@@ -276,8 +276,7 @@ def test_encoder_all_params_receive_gradient():
 
 def parent_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | None = None) -> Tensor:
     """conv2d as it was while its tape kept the im2col columns for backward."""
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     n, cin, h, w = xd.shape
     cout, _, kh, kw = kernel.data.shape
     ho = (h + 2 * pad - kh) // stride + 1
@@ -288,12 +287,9 @@ def parent_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias
     out = np.matmul(wmat[None], cols).reshape(n, cout, ho, wo)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
-    if squeeze:
-        out = out[0]
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
-    def bw(g):
-        gd = g[None] if squeeze else g
+    def bw(gd):
         gflat = gd.reshape(n, cout, ho * wo)
         if kernel.requires_grad:
             gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)
@@ -309,7 +305,7 @@ def parent_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias
             else:
                 gcols = np.matmul(wmat.T[None], gflat)
                 gx = ad._col2im(gcols, xd.shape, kh, stride, pad, ho, wo)
-            ad._accum(x, gx[0] if squeeze else gx)
+            ad._accum(x, gx)
 
     return ad._node(out, parents, "conv2d", bw)
 

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tiernav import teacher
+from tiernav import mapper, teacher, world
 from tiernav.agent import TeacherPolicy, run_episode
 from tiernav.errors import ContractError, InfeasibleError
 from tiernav.teacher import (
@@ -36,7 +36,6 @@ from tiernav.world import (
     episode_to_dict,
     generate_world,
     plan_path,
-    render_observation,
     sample_episode,
     step,
 )
@@ -347,22 +346,9 @@ def test_demo_waypoint_index_monotone():
     assert ks[-1] == len(extract_waypoints(episode_plan(wd, ep), wd)) - 1
 
 
-def _replayed(tmp_path, wd, demos):
-    """demos saved as a corpus and loaded back: the replay adds observations and maps."""
-    save_corpus(tmp_path / "c", demos)
-    return load_corpus(tmp_path / "c", {wd.world_id: wd}, RewardConfig(), 0.99)
-
-
-def test_demo_snapshots_align_with_k_changes(tmp_path):
-    wd, _, built = build_one(seed=41, tier="medium")
-    (demo,) = _replayed(tmp_path, wd, [built])
-    n_k = len({st.k for st in demo.steps})
-    assert len({id(st.feats["map"]) for st in demo.steps}) == n_k
-    for prev, st in zip(demo.steps, demo.steps[1:]):
-        assert (st.feats["map"] is prev.feats["map"]) == (st.k == prev.k)
-
-
-def test_label_only_demo_gains_perception_on_load(tmp_path, monkeypatch):
+def test_label_only_demo_stays_label_only_on_load(tmp_path, monkeypatch):
+    # building and loading a demonstration render nothing and build no map:
+    # stage-1 data preparation does that under the learned policy's prior
     wd = generate_world(43, WorldConfig(width=48, height=48, n_landmarks=6))
     eps = [sample_episode(wd, tier, substream(43, "demo", tier)) for tier in ("easy", "medium")]
 
@@ -370,18 +356,17 @@ def test_label_only_demo_gains_perception_on_load(tmp_path, monkeypatch):
         raise AssertionError("a label-only demonstration must not render or map")
 
     with monkeypatch.context() as m:
-        for name in ("render_observation", "update_map", "init_map"):
-            m.setattr(teacher, name, no_perception)
+        for module, name in ((world, "render_observation"), (mapper, "init_map"), (mapper, "update_map")):
+            m.setattr(module, name, no_perception)
+            m.setattr(teacher, name, no_perception, raising=False)
         built = [build_demonstration(wd, ep, RewardConfig(), gamma=0.99) for ep in eps]
+        save_corpus(tmp_path, built)
+        back = load_corpus(tmp_path, {wd.world_id: wd}, RewardConfig(), 0.99)
     fields = ("state", "action", "waypoint", "k", "progress_hat", "value_hat", "reward", "dist")
-    for demo, back in zip(built, _replayed(tmp_path, wd, built), strict=True):
-        assert all(st.feats is None for st in demo.steps)
+    for demo, loaded in zip(built, back, strict=True):
+        assert all(st.feats is None for st in demo.steps + loaded.steps)
         assert [[getattr(st, f) for f in fields] for st in demo.steps] == \
-            [[getattr(st, f) for f in fields] for st in back.steps]
-        for st in back.steps:
-            np.testing.assert_array_equal(st.feats["patch"], render_observation(wd, st.state).patch)
-        snapshots = list({id(st.feats["map"]): st.feats["map"] for st in back.steps}.values())
-        assert back.steps[-1].feats["map"] is snapshots[-1]
+            [[getattr(st, f) for f in fields] for st in loaded.steps]
 
 
 def test_demo_unreachable_goal_raises():
@@ -433,9 +418,7 @@ def test_corpus_round_trip(tmp_path):
             [s.value_hat for s in orig.steps], [s.value_hat for s in back.steps])
         np.testing.assert_array_equal(
             [s.reward for s in orig.steps], [s.reward for s in back.steps])
-        # replayed observations and maps come back
-        assert all(s.feats is not None for s in back.steps)
-        assert len({id(s.feats["map"]) for s in back.steps}) == len({s.k for s in back.steps})
+        assert all(s.feats is None for s in back.steps)
 
 
 def test_corpus_episode_is_the_teacher_trajectory_log(tmp_path):

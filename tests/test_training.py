@@ -9,6 +9,7 @@ from tiernav import autodiff as ad, training
 from tiernav.autodiff import Tensor
 from tiernav.errors import ConfigError, ContractError
 from tiernav.agent import NavPolicy, NeuralPolicy
+from tiernav.mapper import init_map, update_map
 from tiernav.teacher import build_dataset, load_corpus, save_corpus
 from tiernav.training import (
     PPOConfig,
@@ -23,7 +24,8 @@ from tiernav.training import (
     value_loss,
 )
 from tiernav.util import substream
-from tiernav.world import TIERS, RewardConfig, UavState, WorldConfig, _wrapped_angle, compute_reward, generate_world
+from tiernav.world import (TIERS, RewardConfig, UavState, WorldConfig, _wrapped_angle, compute_reward, generate_world,
+                           render_observation)
 
 
 class MeterWorld:
@@ -371,6 +373,30 @@ def test_expert_loss_reaches_every_module_but_the_map_encoder(tmp_path, monkeypa
     reached = {name.split(".")[0] for name, t, _ in model.named_params()
                if t.grad is not None and np.any(t.grad != 0.0)}
     assert reached == modules - {"map_encoder"}
+
+
+def test_demo_snapshots_align_with_k_changes():
+    # stage-1 data preparation renders and maps each label-only step under
+    # the policy's prior, and snapshots the map at t = 0 and wherever the
+    # waypoint index k changes; the steps up to the next change share it
+    world = generate_world(41, WorldConfig(width=48, height=48, n_landmarks=6))
+    demos = build_dataset([world], 3, {t: TIERS[t] for t in ("easy", "medium")}, 41, RewardConfig(), 0.99)
+    policy = NeuralPolicy(NavPolicy(substream(0, "net"), world.width, world.height, world.z_max,
+                                    len(world.landmarks), world.patch_side), r_prior=6.0)
+    data = training.prepare_stage1_data(demos, [world], policy)
+    row = 0
+    for demo in demos:
+        nav = init_map(world, demo.episode, 6.0)
+        for t, st in enumerate(demo.steps):
+            obs = render_observation(world, st.state)
+            update_map(nav, st.state, obs)
+            assert data.patches[row].tobytes() == obs.patch.tobytes()
+            new = t == 0 or st.k != demo.steps[t - 1].k
+            assert data.snap_idx[row] == (data.snap_idx[row - 1] + new if row else 0)
+            if new:
+                assert data.snapshots[data.snap_idx[row]].tobytes() == nav.grid.tobytes()
+            row += 1
+    assert row == data.n and len(data.snapshots) == data.snap_idx[-1] + 1
 
 
 def test_ppo_config_validation():
