@@ -10,12 +10,14 @@ active waypoint is reached and caches the encoded map between replans.
 
 run_episode is the one episode loop. It steps up to WIDTH episodes in
 lockstep, and one controller tick (tiered_step) serves all live slots
-with two batched forward passes: one for the slots that replan, one
-for every slot. Each episode carries its own sampling generator, so
-the slot count changes no result beyond the last bits of a batched
-network row. A policy's act returns one teacher.TrajStep per slot, the
-runner adds its reward and distance after the move, and each episode
-ends as a teacher.Trajectory, the record a corpus demonstration loads as.
+with one batched pass per tier: the macro tier (NavPolicy.macro), whose
+rows give the replanning slots their waypoints, then the micro tier
+(NavPolicy.micro) on the new waypoint context. Each episode carries its
+own sampling generator, so the slot count changes no result beyond the
+last bits of a batched network row. A policy's act returns one
+teacher.TrajStep per slot, the runner adds its reward and distance
+after the move, and each episode ends as a teacher.Trajectory, the
+record a corpus demonstration loads as.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ContractError
 from .layers import Conv2d, Embedding, Linear, Module
-from .mapper import MapEncoder, NavMap, _pad_odd, encode_map, init_map, update_map
+from .mapper import MapEncoder, _pad_odd, encode_map, init_map, update_map
 from .teacher import EPS_WP, TrajStep, Trajectory, advance_waypoint, episode_plan, extract_waypoints
 from .world import (BANDS, DIRS, TARGET_TAGS, Action, CityWorld, EpisodeSpec, Observation, UavState,
                     compute_reward, distance_to_goal, render_observation, step)
@@ -115,11 +117,13 @@ class HeadOutputs:
     progress: Tensor  # [B,1] sigmoid-bounded
     value: Tensor  # [B,1]
     waypoint: Tensor  # [B,2] normalized coordinates
-    logits: Tensor  # [B,6]
+    logits: Tensor | None = None  # [B,6], the micro tier's
 
 
 class NavPolicy(Module):
-    """Encoders, fusion trunk, and the five prediction heads."""
+    """Encoders, fusion trunk, and the five prediction heads, split into
+    the macro tier (goal, progress, value, waypoint) and the micro tier
+    (action logits); forward_heads runs both."""
 
     def __init__(
         self,
@@ -188,7 +192,10 @@ class NavPolicy(Module):
         m = map_feat if isinstance(map_feat, Tensor) else Tensor(np.asarray(map_feat, dtype=np.float64))
         return ad.relu(self.trunk(ad.concat([m, obs_f, state_f, desc_f], axis=1)))
 
-    def forward_heads(self, map_feat, pose, desc_ids, patches, wp_feats) -> HeadOutputs:
+    def macro(self, map_feat, pose, desc_ids, patches):
+        """The macro tier: goal, progress, value and waypoint heads on the
+        fused context. Returns (heads, obs_f, state_f): heads.logits is None,
+        and the patch and pose features are the micro tier's to reuse."""
         obs_f = self.obs_features(patches)
         state_f = self.state_features(pose)
         desc_f = self.desc_features(desc_ids)
@@ -198,9 +205,18 @@ class NavPolicy(Module):
         value = self.value_head(h)
         wp_in = ad.concat([h, goal], axis=1) if self.feed_goal_to_waypoint else h
         waypoint = self.waypoint_head(wp_in)
-        micro = ad.relu(self.micro_fc(ad.concat([obs_f, state_f, Tensor(wp_feats)], axis=1)))
-        logits = self.action_head(micro)
-        return HeadOutputs(goal=goal, progress=progress, value=value, waypoint=waypoint, logits=logits)
+        return HeadOutputs(goal=goal, progress=progress, value=value, waypoint=waypoint), obs_f, state_f
+
+    def micro(self, obs_f: Tensor, state_f: Tensor, wp_feats) -> Tensor:
+        """The micro tier: [B,6] action logits from the patch and pose
+        features and the egocentric waypoint context, never the map."""
+        hidden = ad.relu(self.micro_fc(ad.concat([obs_f, state_f, Tensor(wp_feats)], axis=1)))
+        return self.action_head(hidden)
+
+    def forward_heads(self, map_feat, pose, desc_ids, patches, wp_feats) -> HeadOutputs:
+        out, obs_f, state_f = self.macro(map_feat, pose, desc_ids, patches)
+        out.logits = self.micro(obs_f, state_f, wp_feats)
+        return out
 
     def decode_cells(self, norm) -> np.ndarray:
         """Normalized [0,1]^2 regression -> clamped grid cells."""
@@ -230,7 +246,7 @@ class Slot:
     world: CityWorld
     episode: EpisodeSpec
     state: UavState
-    nav: NavMap
+    nav: np.ndarray  # the [4, H, W] belief map
     obs: Observation | None
     ctx: object
     rng: object = None
@@ -239,73 +255,56 @@ class Slot:
     stopped: bool = False
 
 
-def macro_plan(model: NavPolicy, map_feats, poses, ids, patches, flat: bool = False) -> list:
-    """One waypoint per row from the fused context, clamped into the grid.
-
-    flat mode bypasses the waypoint head and follows the decoded goal
-    regression directly (the tiered-vs-flat ablation axis).
-    """
-    with ad.no_grad():
-        out = model.forward_heads(map_feats, poses, ids, patches, np.zeros((len(poses), 5)))
-    cells = model.decode_cells(out.goal.data if flat else out.waypoint.data)
-    return [(float(x), float(y)) for x, y in cells]
-
-
-def tiered_step(
-    model: NavPolicy,
-    slots,
-    mode: str,
-    flat: bool = False,
-    avoid_blocked: bool = True,
-    replan_patience: int = 16,
-    feats: bool = False,
-) -> list:
+def tiered_step(policy: NeuralPolicy, slots, mode: str, feats: bool = False) -> list:
     """One controller tick for every slot: replan where the waypoint is
     reached, then act. Returns one TrajStep per slot.
 
     Each slot's ctx is its ControllerState, updated in place. A slot's
-    map is encoded exactly when it replans. The replanning slots share
-    one forward_heads call, and all slots share one more for the action
-    decode.
+    map is encoded exactly when it replans. The macro tier runs once over
+    all slots, and each replanning slot takes its row's waypoint (its
+    decoded goal when policy.flat); then the micro tier runs once over
+    all slots on the new waypoint context.
 
     Two guards keep the state machine out of degenerate loops the
     demonstrations cannot teach recovery from: actions the observation
-    shows to be blocked are masked out of the decode (avoid_blocked),
-    and a waypoint that stays unreached for replan_patience steps is
-    abandoned for a fresh plan on the updated map (0 disables).
+    shows to be blocked are masked out of the decode
+    (policy.avoid_blocked), and a waypoint that stays unreached for
+    policy.replan_patience steps is abandoned for a fresh plan on the
+    updated map (0 disables).
     """
     if mode not in ("greedy", "sample"):
         raise ContractError(f"unknown decode mode {mode!r}")
+    model = policy.model
     replan = []
     for i, s in enumerate(slots):
         ctrl, state = s.ctx, s.state
         trigger = ctrl.waypoint is None or math.hypot(state.x - ctrl.waypoint[0], state.y - ctrl.waypoint[1]) < EPS_WP
-        if replan_patience and ctrl.steps_since_replan >= replan_patience:
+        if policy.replan_patience and ctrl.steps_since_replan >= policy.replan_patience:
             trigger = True
         if trigger:
-            ctrl.map_feat = encode_map(s.nav.grid, model.map_encoder)
+            ctrl.map_feat = encode_map(s.nav, model.map_encoder)
             replan.append(i)
     maps = np.array([s.ctx.map_feat for s in slots])
     poses = np.array([pose_features(s.state, model.width, model.height, model.z_max) for s in slots])
     ids = np.array([descriptor_ids(s.episode.descriptor) for s in slots])
     patches = np.array([s.obs.patch for s in slots])
-    if replan:
-        for i, wp in zip(replan, macro_plan(model, maps[replan], poses[replan], ids[replan], patches[replan],
-                                            flat=flat)):
+    with ad.no_grad():
+        out, obs_f, state_f = model.macro(maps, poses, ids, patches)
+        goal_cells = model.decode_cells(out.goal.data)
+        wp_cells = goal_cells if policy.flat else model.decode_cells(out.waypoint.data)
+        for i in replan:
             ctrl = slots[i].ctx
-            ctrl.waypoint = wp
+            ctrl.waypoint = (float(wp_cells[i, 0]), float(wp_cells[i, 1]))
             ctrl.k += 1
             ctrl.steps_since_replan = 0
-    wps = np.array([waypoint_context(s.state, s.ctx.waypoint, model.width, model.height) for s in slots])
-    with ad.no_grad():
-        out = model.forward_heads(maps, poses, ids, patches, wps)
-    goal_cells = model.decode_cells(out.goal.data)
+        wps = np.array([waypoint_context(s.state, s.ctx.waypoint, model.width, model.height) for s in slots])
+        logits = model.micro(obs_f, state_f, wps).data
     picks = []
     for i, s in enumerate(slots):
         ctrl = s.ctx
         ctrl.steps_since_replan += 1
-        mask = action_mask(s.world, s.state, s.obs) if avoid_blocked else np.ones(6, dtype=bool)
-        log_probs = masked_log_softmax(out.logits.data[i], mask)
+        mask = action_mask(s.world, s.state, s.obs) if policy.avoid_blocked else np.ones(6, dtype=bool)
+        log_probs = masked_log_softmax(logits[i], mask)
         if mode == "greedy":
             action = int(np.argmax(log_probs))
         else:
@@ -329,12 +328,16 @@ def tiered_step(
 # runner builds for it, or None for no prior. Its begin_episode(world,
 # episode) returns its per-episode state, which the runner keeps as
 # Slot.ctx; act(slots, mode, feats) returns one TrajStep per live slot,
-# with its t, state and action; the runner sets its reward and dist after
-# the move.
+# with its t, state and action, in one call per tick; the runner sets its
+# reward and dist after the move.
 
 
 class NeuralPolicy:
-    """Tiered (or flat) controller around a NavPolicy; the one policy that reads the belief map."""
+    """Tiered (or flat) controller around a NavPolicy; the one policy that reads the belief map.
+
+    flat, avoid_blocked and replan_patience are the settings tiered_step
+    reads on every tick.
+    """
 
     def __init__(self, model: NavPolicy, flat: bool = False, avoid_blocked: bool = True,
                  replan_patience: int = 16, r_prior: float | None = 12.0):
@@ -348,8 +351,7 @@ class NeuralPolicy:
         return ControllerState()
 
     def act(self, slots, mode, feats=False):
-        return tiered_step(self.model, slots, mode, flat=self.flat, avoid_blocked=self.avoid_blocked,
-                           replan_patience=self.replan_patience, feats=feats)
+        return tiered_step(self, slots, mode, feats)
 
 
 @dataclass

@@ -270,9 +270,7 @@ class ExperimentConfig:
         return cfg
 
     def ppo_config(self) -> PPOConfig:
-        cfg = self._view(PPOConfig, "ppo", tiers=self.tiers("ppo.tiers"))
-        cfg.validate()
-        return cfg
+        return self._view(PPOConfig, "ppo", tiers=self.tiers("ppo.tiers"))
 
     def stage1_config(self) -> Stage1Config:
         return self._view(Stage1Config, "il", seed=self["run.seed"])

@@ -10,7 +10,6 @@ channel gating block, global average pooling, and a linear projection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +22,9 @@ from .world import CityWorld, EpisodeSpec, Observation, UavState
 CHANNELS = ("explored", "trajectory", "landmark_prior", "obstacle_memory")
 
 
-@dataclass
-class NavMap:
-    grid: np.ndarray  # [4, H, W] in [0,1]
-
-    def channel(self, name: str) -> np.ndarray:
-        return self.grid[CHANNELS.index(name)]
-
-
-def init_map(world: CityWorld, episode: EpisodeSpec, r_prior: float | None) -> NavMap:
-    """Fresh map: only the landmark prior is non-zero.
+def init_map(world: CityWorld, episode: EpisodeSpec, r_prior: float | None) -> np.ndarray:
+    """Fresh [4, H, W] map in [0,1], channels in CHANNELS order: only the
+    landmark prior is non-zero.
 
     The prior is a disk of radius r_prior around the described landmark,
     weighted 1.0 on the descriptor-sector side of the center and 0.3 on
@@ -49,11 +41,11 @@ def init_map(world: CityWorld, episode: EpisodeSpec, r_prior: float | None) -> N
         ux, uy = math.cos(ang), math.sin(ang)
         side = (xx - lm.x) * ux + (yy - lm.y) * uy >= 0
         grid[2] = np.where(disk, np.where(side, 1.0, 0.3), 0.0)
-    return NavMap(grid=grid)
+    return grid
 
 
-def update_map(nav: NavMap, state: UavState, obs: Observation) -> NavMap:
-    """Fold one observation in. Mutates and returns the same map.
+def update_map(nav: np.ndarray, state: UavState, obs: Observation) -> None:
+    """Fold one observation into the map, in place.
 
     explored and trajectory are set-to-1 (hence monotone); obstacle
     memory takes an elementwise max so heights survive leaving view.
@@ -62,22 +54,21 @@ def update_map(nav: NavMap, state: UavState, obs: Observation) -> NavMap:
     p = patch.shape[1]
     half = p // 2
     cx, cy = state.cell()
-    h, w = nav.grid.shape[1:]
+    h, w = nav.shape[1:]
     x0, x1 = max(0, cx - half), min(w, cx + half + 1)
     y0, y1 = max(0, cy - half), min(h, cy + half + 1)
     px0, py0 = x0 - (cx - half), y0 - (cy - half)
     sub = (slice(y0, y1), slice(x0, x1))
     psub = (slice(py0, py0 + (y1 - y0)), slice(px0, px0 + (x1 - x0)))
     visible = patch[2][psub] == 0.0
-    np.copyto(nav.grid[0][sub], 1.0, where=visible)
-    nav.grid[1][cy, cx] = 1.0
+    np.copyto(nav[0][sub], 1.0, where=visible)
+    nav[1][cy, cx] = 1.0
     # invert the render scaling: rel = (hf - z + z_max) / (2 z_max)
     zm = float(obs.z_max)
     hf = patch[0][psub] * 2.0 * zm + state.z - zm
     seen = np.clip(hf / zm, 0.0, 1.0)
-    memory = nav.grid[3][sub]
+    memory = nav[3][sub]
     np.maximum(memory, seen, out=memory, where=visible)
-    return nav
 
 
 class ResidualBlock(Module):

@@ -27,7 +27,7 @@ from . import autodiff as ad
 from .agent import (MASK_OFF, descriptor_ids, policy_arrays, pose_features, run_episode, save_policy,
                     waypoint_context)
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, NumericsError
+from .errors import ContractError, NumericsError
 from .evaluation import episode_metrics
 from .layers import Module
 from .mapper import encode_map, init_map, update_map
@@ -55,16 +55,6 @@ class PPOConfig:
     expert_batch: int = 32
     probe_every: int = 1
     checkpoint_every: int = 0  # 0 writes no per-update checkpoints
-
-    def validate(self):
-        if not (0.0 <= self.lambda_rl <= 1.0):
-            raise ConfigError(f"lambda_rl must satisfy λ_RL ∈ [0,1], got {self.lambda_rl}")
-        if not (0.0 < self.gamma < 1.0):
-            raise ConfigError(f"gamma must lie in (0,1), got {self.gamma}")
-        if not (0.0 <= self.lambda_gae <= 1.0):
-            raise ConfigError(f"lambda_gae must lie in [0,1], got {self.lambda_gae}")
-        if self.eps_clip <= 0:
-            raise ConfigError(f"eps_clip must be positive, got {self.eps_clip}")
 
 
 @dataclass
@@ -266,7 +256,7 @@ def prepare_stage1_data(demos, worlds, policy) -> Stage1Data:
             obs = render_observation(world, st.state)
             update_map(nav, st.state, obs)
             if t == 0 or st.k != demo.steps[t - 1].k:
-                snapshots.append(nav.grid.copy())
+                snapshots.append(nav.copy())
             patches.append(obs.patch)
             poses.append(pose_features(st.state, w, h, zm))
             ids.append(d_ids)
@@ -573,7 +563,6 @@ def train_stage2(
     updates, and with ppo_cfg.checkpoint_every > 0 every that many
     updates a checkpoint goes to checkpoint_dir.
     """
-    ppo_cfg.validate()
     reward_cfg.validate()
     il_cfg = il_cfg or Stage1Config()
     model = policy.model

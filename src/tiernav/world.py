@@ -232,10 +232,6 @@ class RewardConfig:
     def validate(self):
         if not self.r_min < self.r_max:
             raise ConfigError(f"reward clip bounds inverted: [{self.r_min}, {self.r_max}]")
-        if not self.d_goal > 0:
-            raise ConfigError(f"d_goal must be positive, got {self.d_goal}")
-        if self.heading_reference not in ("final_goal", "current_waypoint"):
-            raise ConfigError(f"unknown heading_reference {self.heading_reference!r}")
 
 
 def _wrapped_angle(a: float, b: float) -> float:
@@ -357,6 +353,9 @@ def generate_world(seed: int, cfg: WorldConfig | None = None) -> CityWorld:
         raise ConfigError(f"need at least 2 landmarks, got {cfg.n_landmarks}")
     if not (0 < cfg.z_min <= cfg.cruise_z <= cfg.z_max):
         raise ConfigError(f"altitude range [{cfg.z_min},{cfg.z_max}] with cruise {cfg.cruise_z} is inconsistent")
+    if not cfg.building_min <= cfg.building_max <= min(cfg.width, cfg.height):
+        raise ConfigError(f"world.building_min={cfg.building_min} and world.building_max={cfg.building_max} "
+                          f"must satisfy building_min <= building_max <= {min(cfg.width, cfg.height)} (the world side)")
     rng = substream(seed, "world-gen")
     avg_area = ((cfg.building_min + cfg.building_max) / 2.0) ** 2
     n_buildings = int(cfg.obstacle_density * cfg.width * cfg.height / avg_area)

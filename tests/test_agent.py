@@ -18,7 +18,6 @@ from tiernav.agent import (
     ControllerState,
     descriptor_ids,
     load_policy_into,
-    macro_plan,
     pose_features,
     run_episode,
     save_policy,
@@ -33,7 +32,6 @@ from tiernav.util import substream
 from tiernav.world import (
     Action,
     GoalDescriptor,
-    Observation,
     RewardConfig,
     UavState,
     WorldConfig,
@@ -174,40 +172,77 @@ def test_waypoint_context_hand_cases():
     np.testing.assert_allclose(f, np.zeros(5))
 
 
-def dummy_obs(patch_side, z_max=4):
-    return Observation(patch=np.zeros((3, patch_side, patch_side)), z_max=z_max)
-
-
-def plan_inputs(state, descriptor, width=96):
-    """One macro_plan row: map feature, pose, descriptor ids and patch."""
-    return (np.zeros((1, 64)), pose_features(state, width, width, 4)[None],
-            descriptor_ids(descriptor)[None], dummy_obs(25).patch[None])
-
-
-def test_macro_plan_clamps_to_grid():
-    model = make_model(width=96, height=96, patch_side=25)
-    model.waypoint_head.weight.data[...] = 0.0
-    model.waypoint_head.bias.data[...] = (-0.1, 0.5)
-    wp = macro_plan(model, *plan_inputs(UavState(10.0, 10.0, 2, 0), GoalDescriptor(0, 0, "near", 0)))
-    assert wp == [(0.0, 48.0)]
-
-
-def test_macro_plan_flat_follows_goal_head():
-    model = make_model(width=96, height=96, patch_side=25)
-    model.goal_head.weight.data[...] = 0.0
-    model.goal_head.bias.data[...] = (0.25, 0.75)
-    model.waypoint_head.weight.data[...] = 0.0
-    model.waypoint_head.bias.data[...] = (0.9, 0.9)
-    inputs = plan_inputs(UavState(10.0, 10.0, 2, 0), GoalDescriptor(0, 0, "near", 0))
-    assert macro_plan(model, *inputs, flat=True) == [(24.0, 72.0)]
-    assert macro_plan(model, *inputs, flat=False) == [(86.4, 86.4)]
-
-
 def start_slot(wd, ep, ctrl=None, rng=None):
     from tiernav.mapper import init_map
 
     return Slot(world=wd, episode=ep, state=ep.start, nav=init_map(wd, ep, 12.0),
                 obs=render_observation(wd, ep.start), ctx=ctrl or ControllerState(), rng=rng)
+
+
+def biased_model(width=96, **heads):
+    """A model whose named heads output their given bias whatever the input."""
+    model = make_model(width=width, height=width, patch_side=25)
+    for name, bias in heads.items():
+        getattr(model, name).weight.data[...] = 0.0
+        getattr(model, name).bias.data[...] = bias
+    return model
+
+
+def planned_waypoint(model, flat=False):
+    """The waypoint one greedy tick gives a fresh slot on a world of the model's size."""
+    wd = generate_world(3, WorldConfig(width=model.width, height=model.height, n_landmarks=6))
+    slot = start_slot(wd, sample_episode(wd, "medium", substream(3, "ep")))
+    tiered_step(NeuralPolicy(model, flat=flat), [slot], "greedy")
+    return slot.ctx.waypoint
+
+
+def test_tiered_step_waypoint_clamps_to_grid():
+    model = biased_model(waypoint_head=(-0.1, 0.5))
+    assert planned_waypoint(model) == (0.0, 48.0)
+
+
+def test_tiered_step_flat_follows_goal_head():
+    model = biased_model(goal_head=(0.25, 0.75), waypoint_head=(0.9, 0.9))
+    assert planned_waypoint(model, flat=True) == (24.0, 72.0)
+    assert planned_waypoint(model, flat=False) == (86.4, 86.4)
+
+
+def test_tiered_step_runs_each_tier_once(monkeypatch):
+    wd, ep = world_and_episode()
+    model = make_model()
+    # waypoints inside the grid, so no clamp hides which row a slot took
+    model.waypoint_head.weight.data *= 0.01
+    model.waypoint_head.bias.data[...] = 0.5
+    calls = {"macro": [], "micro": 0}
+    macro, micro = NavPolicy.macro, NavPolicy.micro
+
+    def spy_macro(self, *args):
+        out = macro(self, *args)
+        calls["macro"].append(out[0].waypoint.data.copy())
+        return out
+
+    def spy_micro(self, *args):
+        calls["micro"] += 1
+        return micro(self, *args)
+
+    def no_forward_heads(self, *args):
+        raise AssertionError("the controller tick ran forward_heads")
+
+    monkeypatch.setattr(NavPolicy, "macro", spy_macro)
+    monkeypatch.setattr(NavPolicy, "micro", spy_micro)
+    monkeypatch.setattr(NavPolicy, "forward_heads", no_forward_heads)
+    far = (ep.start.x + 30, ep.start.y)
+    slots = [start_slot(wd, ep),
+             start_slot(wd, ep, ControllerState(k=3, waypoint=far, map_feat=np.zeros(64))),
+             start_slot(wd, dataclasses.replace(ep, descriptor=GoalDescriptor(1, 5, "far", 2)))]
+    tiered_step(NeuralPolicy(model), slots, "greedy")
+    assert len(calls["macro"]) == 1 and calls["micro"] == 1
+    cells = model.decode_cells(calls["macro"][0])
+    assert [s.ctx.k for s in slots] == [1, 3, 1]
+    assert slots[1].ctx.waypoint == far
+    for i in (0, 2):
+        assert slots[i].ctx.waypoint == (float(cells[i, 0]), float(cells[i, 1]))
+    assert slots[0].ctx.waypoint != slots[2].ctx.waypoint
 
 
 def test_tiered_step_replans_at_waypoint():
@@ -218,7 +253,7 @@ def test_tiered_step_replans_at_waypoint():
     # far waypoint: no replan
     far = start_slot(wd, ep, ControllerState(k=3, waypoint=(ep.start.x + 30, ep.start.y),
                                              map_feat=np.zeros(64)))
-    tiered_step(model, [near, far], "greedy")
+    tiered_step(NeuralPolicy(model), [near, far], "greedy")
     assert near.ctx.k == 4
     assert far.ctx.k == 3
     assert far.ctx.waypoint == (ep.start.x + 30, ep.start.y)
@@ -229,21 +264,21 @@ def test_tiered_step_greedy_argmax():
     model = make_model()
     model.action_head.weight.data[...] = 0.0
     model.action_head.bias.data[...] = [0, 0, 5, 0, 0, 0]
-    [rec] = tiered_step(model, [start_slot(wd, ep)], "greedy")
+    [rec] = tiered_step(NeuralPolicy(model), [start_slot(wd, ep)], "greedy")
     assert rec.action == 2
     # argmax invariant under constant logit shifts
     model.action_head.bias.data[...] = np.array([0, 0, 5, 0, 0, 0]) + 11.0
-    [rec2] = tiered_step(model, [start_slot(wd, ep)], "greedy")
+    [rec2] = tiered_step(NeuralPolicy(model), [start_slot(wd, ep)], "greedy")
     assert rec2.action == 2
 
 
 def test_tiered_step_sample_mode_valid_actions():
     wd, ep = world_and_episode()
-    model = make_model()
+    policy = NeuralPolicy(make_model())
     slot = start_slot(wd, ep, rng=substream(7, "samp"))
     seen = set()
     for _ in range(40):
-        [rec] = tiered_step(model, [slot], "sample")
+        [rec] = tiered_step(policy, [slot], "sample")
         action = rec.action
         assert 0 <= action < 6
         assert math.isfinite(rec.log_prob) and rec.log_prob <= 0.0
@@ -253,9 +288,8 @@ def test_tiered_step_sample_mode_valid_actions():
 
 def test_tiered_step_rejects_unknown_mode():
     wd, ep = world_and_episode()
-    model = make_model()
     with pytest.raises(ContractError):
-        tiered_step(model, [start_slot(wd, ep)], "beam")
+        tiered_step(NeuralPolicy(make_model()), [start_slot(wd, ep)], "beam")
 
 
 class AlwaysStop:

@@ -250,6 +250,18 @@ def test_unsatisfiable_tier_exits_5(pipeline, tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes", [("world.building_min=5", "world.building_max=2"),
+                                   ("world.building_max=40", "world.obstacle_density=1.0")],
+                         ids=["inverted", "wider_than_world"])
+def test_bad_building_size_range_exits_2(tmp_path, capsys, sizes):
+    cfg_path = tmp_path / "exp.txt"
+    cfg_path.write_text(CONFIG_TEXT)  # a 32x32 world
+    sets = [arg for kv in sizes for arg in ("--set", kv)]
+    assert main(["gen-worlds", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *sets]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "world.building_min" in err and "world.building_max" in err
+
+
 def _fail_write(monkeypatch, name):
     """Make every atomic write of a file named `name` fail as on a full disk."""
     from tiernav import util

@@ -155,6 +155,13 @@ def test_delta_must_be_nonpositive():
         parse_config(None, ["reward.delta=0.5"])
 
 
+@pytest.mark.parametrize("key,value", [("ppo.lambda_gae", "1.2"), ("ppo.eps_clip", "0"), ("reward.d_goal", "0"),
+                                       ("reward.heading_reference", "compass")])
+def test_out_of_schema_value_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(None, [f"{key}={value}"])
+
+
 def test_tier_name_validation(tmp_path):
     with pytest.raises(ConfigError, match="unknown tier"):
         parse_config(None, ["corpus.tiers=easy,bogus"])

@@ -268,6 +268,45 @@ def test_traced_span_names_resolve():
     assert missing == []
 
 
+def test_tracer_counts_rows_and_restores_bindings():
+    # a traced span's rows function must read the signature it wraps
+    import importlib
+
+    import numpy as np
+
+    from tiernav import autodiff as ad
+    from tiernav.agent import NavPolicy
+    from tiernav.mapper import MapEncoder
+    from tiernav.optim import AdamW
+    from tiernav.util import substream
+
+    spans = load_spans()
+    modules = [importlib.import_module(f"tiernav.{modname}") for _, modname, *_ in spans.SPANS]
+
+    def bindings():
+        """Every name bound in a traced module or class, by (namespace, name)."""
+        return {(space.__name__, k): v for space in modules + [NavPolicy, MapEncoder, AdamW]
+                for k, v in vars(space).items()}
+
+    model = NavPolicy(substream(0, "trace"), 32, 32, 3, 4, 9, enc_widths=(4, 8), d_map=16)
+    before = bindings()
+    rec = spans.Recorder()
+    tracer = spans.Tracer(rec)
+    tracer.install()
+    try:
+        with ad.no_grad():
+            model.forward_heads(np.zeros((3, 16)), np.zeros((3, 7)), np.zeros((3, 4), dtype=np.int64),
+                                np.zeros((3, 3, 9, 9)), np.zeros((3, 5)))
+            model.map_encoder(ad.Tensor(np.zeros((2, 4, 32, 32))), train=False)
+    finally:
+        tracer.remove()
+    assert rec.calls["agent.NavPolicy.forward_heads"] == 1 and rec.rows["agent.NavPolicy.forward_heads"] == 3
+    assert rec.calls["mapper.MapEncoder"] == 1 and rec.rows["mapper.MapEncoder"] == 2
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in after.items() if value is not before[key]] == []
+
+
 def named(tree):
     """Counts of the identifiers a tree reads or looks up: names, attributes, dotted-name strings."""
     out = Counter()

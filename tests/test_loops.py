@@ -210,7 +210,7 @@ def test_controller_runs_never_move_model_state(world, reward_cfg):
         assert after[name] == before[name], name
 
 
-def oracle_collect_rollouts(model, worlds, tiers, reward_cfg, n_steps, streams):
+def oracle_collect_rollouts(policy, worlds, tiers, reward_cfg, n_steps, streams):
     """Serial batch-1 collection: one episode at a time, one slot per tick."""
     patches, poses, idss, mfs, wpfs, masks = [], [], [], [], [], []
     acts, lps, vals, rews, dones = [], [], [], [], []
@@ -230,7 +230,7 @@ def oracle_collect_rollouts(model, worlds, tiers, reward_cfg, n_steps, streams):
         for t in range(ep.max_steps):
             slot.obs = render_observation(world, slot.state)
             update_map(slot.nav, slot.state, slot.obs)
-            [rec] = tiered_step(model, [slot], "sample", feats=True)
+            [rec] = tiered_step(policy, [slot], "sample", feats=True)
             action = rec.action
             if n == n_steps:  # the cut state: its value bootstraps the tail
                 bootstrap = rec.value_hat
@@ -276,7 +276,7 @@ def oracle_collect_rollouts(model, worlds, tiers, reward_cfg, n_steps, streams):
 
 EXACT_ARRAYS = ("actions", "dones", "rewards", "masks", "obs", "state_feats", "desc_feats", "map_feats")
 # wp_feats is measured from a waypoint that the waypoint head regressed in
-# the tick's one batched replan call, so it carries the last-bit difference too
+# the tick's one batched macro pass, so it carries the last-bit difference too
 CLOSE_ARRAYS = ("log_probs_old", "values_old", "wp_feats")
 
 
@@ -286,7 +286,7 @@ def test_collect_rollouts_matches_oracle(world, reward_cfg):
     for seed in range(4):
         for n_steps in (8, 60, 257):
             args = ([world], EASY_MEDIUM, reward_cfg, n_steps, streams(seed, "oracle", n_steps))
-            want = oracle_collect_rollouts(fresh_model(world, seed), *args)
+            want = oracle_collect_rollouts(NeuralPolicy(fresh_model(world, seed)), *args)
             got = collect_rollouts(NeuralPolicy(fresh_model(world, seed)), *args)
             for name in EXACT_ARRAYS + CLOSE_ARRAYS:
                 a, b = getattr(got, name), getattr(want, name)

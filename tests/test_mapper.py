@@ -10,7 +10,6 @@ from tiernav.layers import BatchNorm2d
 from tiernav.mapper import (
     CHANNELS,
     MapEncoder,
-    NavMap,
     ResidualBlock,
     SCConv,
     encode_map,
@@ -35,11 +34,11 @@ def test_init_map_channels():
     wd = small_world()
     ep = episode_for(wd)
     nav = init_map(wd, ep, 12.0)
-    assert nav.grid.shape == (4, 48, 48)
-    assert nav.channel("trajectory").sum() == 0
-    assert nav.channel("explored").sum() == 0
-    assert nav.channel("obstacle_memory").sum() == 0
-    assert nav.channel("landmark_prior").sum() > 0
+    assert nav.shape == (4, 48, 48)
+    assert nav[CHANNELS.index("trajectory")].sum() == 0
+    assert nav[CHANNELS.index("explored")].sum() == 0
+    assert nav[CHANNELS.index("obstacle_memory")].sum() == 0
+    assert nav[CHANNELS.index("landmark_prior")].sum() > 0
 
 
 def test_init_map_sector_weights():
@@ -49,7 +48,7 @@ def test_init_map_sector_weights():
     # force sector 0 (east): east of center 1.0, west 0.3 inside the disk
     ep.descriptor = type(ep.descriptor)(landmark_id=lm.id, sector=0, band="near", tag=0)
     nav = init_map(wd, ep, r_prior=6.0)
-    prior = nav.channel("landmark_prior")
+    prior = nav[CHANNELS.index("landmark_prior")]
     if lm.x + 3 < wd.width:
         assert prior[lm.y, lm.x + 3] == 1.0
     if lm.x - 3 >= 0:
@@ -61,8 +60,8 @@ def test_init_map_sector_weights():
 def test_init_map_prior_mass_deterministic():
     wd = small_world()
     ep = episode_for(wd)
-    m1 = init_map(wd, ep, 12.0).channel("landmark_prior").sum()
-    m2 = init_map(wd, ep, 12.0).channel("landmark_prior").sum()
+    m1 = init_map(wd, ep, 12.0)[CHANNELS.index("landmark_prior")].sum()
+    m2 = init_map(wd, ep, 12.0)[CHANNELS.index("landmark_prior")].sum()
     assert m1 == m2
 
 
@@ -83,8 +82,8 @@ def test_update_map_explored_count():
     update_map(nav, s, obs)
     r = wd.r_base + wd.r_gain * s.z
     expect = sum(1 for dx in range(-r, r + 1) for dy in range(-r, r + 1) if dx * dx + dy * dy <= r * r)
-    assert nav.channel("explored").sum() == expect
-    assert nav.channel("trajectory")[24, 24] == 1.0
+    assert nav[CHANNELS.index("explored")].sum() == expect
+    assert nav[CHANNELS.index("trajectory")][24, 24] == 1.0
 
 
 def test_update_map_idempotent():
@@ -94,9 +93,9 @@ def test_update_map_idempotent():
     s = UavState(20.0, 20.0, 2, 0)
     obs = render_observation(wd, s)
     update_map(nav, s, obs)
-    snap = nav.grid.copy()
+    snap = nav.copy()
     update_map(nav, s, obs)
-    assert np.array_equal(nav.grid, snap)
+    assert np.array_equal(nav, snap)
 
 
 def test_update_map_obstacle_memory_and_monotonicity():
@@ -105,7 +104,7 @@ def test_update_map_obstacle_memory_and_monotonicity():
     nav = init_map(wd, ep, 12.0)
     rng = substream(9, "walk")
     free_y, free_x = np.nonzero(wd.height_field == 0)
-    prev = nav.grid.copy()
+    prev = nav.copy()
     seen_any = False
     for _ in range(30):
         i = int(rng.integers(free_x.size))
@@ -115,13 +114,13 @@ def test_update_map_obstacle_memory_and_monotonicity():
         obs = render_observation(wd, s)
         update_map(nav, s, obs)
         for ci in (0, 1, 3):
-            assert np.all(nav.grid[ci] >= prev[ci] - 1e-15)
-        prev = nav.grid.copy()
+            assert np.all(nav[ci] >= prev[ci] - 1e-15)
+        prev = nav.copy()
         seen_any = True
     assert seen_any
     # memory values match true normalized heights where explored
-    mem = nav.channel("obstacle_memory")
-    seen = nav.channel("explored") > 0
+    mem = nav[CHANNELS.index("obstacle_memory")]
+    seen = nav[CHANNELS.index("explored")] > 0
     truth = wd.height_field / wd.z_max
     assert np.allclose(mem[seen], truth[seen])
     assert np.all(mem[~seen] == 0)
@@ -134,10 +133,10 @@ def test_obstacle_memory_survives_leaving_view():
     nav = init_map(wd, ep, 12.0)
     s1 = UavState(30.0, 12.0, 3, 0)
     update_map(nav, s1, render_observation(wd, s1))
-    assert nav.channel("obstacle_memory")[10, 30] == 3 / wd.z_max
+    assert nav[CHANNELS.index("obstacle_memory")][10, 30] == 3 / wd.z_max
     s2 = UavState(5.0, 40.0, 2, 0)
     update_map(nav, s2, render_observation(wd, s2))
-    assert nav.channel("obstacle_memory")[10, 30] == 3 / wd.z_max
+    assert nav[CHANNELS.index("obstacle_memory")][10, 30] == 3 / wd.z_max
 
 
 # -------------------------------------------------------------------- encoder
@@ -221,9 +220,9 @@ def test_scconv_grad_check():
 def test_encoder_zero_map_finite_and_deterministic():
     rng = substream(8, "enc")
     enc = MapEncoder(rng, widths=(8, 16), d_out=32)
-    nav = NavMap(grid=np.zeros((4, 48, 48)))
-    f1 = encode_map(nav.grid, enc)
-    f2 = encode_map(nav.grid, enc)
+    nav = np.zeros((4, 48, 48))
+    f1 = encode_map(nav, enc)
+    f2 = encode_map(nav, enc)
     assert np.all(np.isfinite(f1))
     assert np.array_equal(f1, f2)
     assert f1.shape == (32,)
@@ -233,11 +232,11 @@ def test_encoder_discriminates_prior():
     rng = substream(9, "enc")
     enc = MapEncoder(rng, widths=(8, 16), d_out=32)
     base = np.zeros((4, 48, 48))
-    a = NavMap(grid=base.copy())
-    b = NavMap(grid=base.copy())
-    b.grid[2, 10:20, 10:20] = 1.0
-    fa = encode_map(a.grid, enc)
-    fb = encode_map(b.grid, enc)
+    a = base.copy()
+    b = base.copy()
+    b[2, 10:20, 10:20] = 1.0
+    fa = encode_map(a, enc)
+    fb = encode_map(b, enc)
     assert not np.allclose(fa, fb)
 
 
