@@ -154,7 +154,7 @@ def ppo_minibatch_loss(lp_all, value, actions, lp_old, adv, targets, eps_clip: f
 IMITATION_TERMS = ("L_IL", "L_V", "L_BC", "L_WP")  # imitation_loss's unweighted terms
 RL_CURVE_COLUMNS = ("update", *IMITATION_TERMS, "L_RL", "L_total", "entropy",
                     "clip_fraction", "mean_return", "probe_SR")
-IL_CURVE_COLUMNS = ("epoch", *IMITATION_TERMS, "L_total")
+IL_CURVE_COLUMNS = ("epoch", *IMITATION_TERMS, "L_total", "bc_acc")
 
 
 def write_curve(path, rows, columns):
@@ -211,7 +211,9 @@ class Stage1Data:
 
     Map snapshots are deduplicated: each sample carries an index into
     the stacked snapshot array, so a minibatch encodes each distinct
-    map once and gathers rows.
+    map once and gathers rows. train_stage1 groups each epoch's rows by
+    snapshot, so a minibatch holds few distinct maps, and the tail rows
+    an epoch leaves out are those of its last snapshot or snapshots.
     """
 
     patches: np.ndarray
@@ -312,6 +314,14 @@ def imitation_loss(out, data: Stage1Data, idx, cfg: Stage1Config):
     return loss, dict(zip(IMITATION_TERMS, (l_il, l_v, l_bc, l_wp)))
 
 
+def stage1_order(data: Stage1Data, seed: int, epoch: int) -> np.ndarray:
+    """Epoch epoch's row order: the snapshots in a shuffled order, and
+    each snapshot's rows together, shuffled among themselves."""
+    rng = substream(seed, "stage1-shuffle", epoch)
+    rank = rng.permutation(len(data.snapshots))
+    return np.lexsort((rng.random(data.n), rank[data.snap_idx]))
+
+
 @dataclass
 class Stage1Result:
     curve: list
@@ -325,8 +335,13 @@ def train_stage1(demos, worlds, policy, cfg: Stage1Config) -> Stage1Result:
 
     policy is a NeuralPolicy and its model is the one trained; the
     demonstrations are rendered and mapped in worlds under its prior
-    (prepare_stage1_data). A non-finite loss or gradient rolls the model
-    back to the end of the last clean epoch and aborts.
+    (prepare_stage1_data). Each epoch orders the rows by snapshot
+    (stage1_order) and cuts the order into minibatches of cfg.minibatch
+    rows; the n % minibatch tail rows left over, those of the epoch's
+    last snapshot or snapshots, sit that epoch out. bc_acc is the share
+    of the epoch's minibatch rows whose argmax logit is the teacher's
+    action. A non-finite loss or gradient rolls the model back to the end
+    of the last clean epoch and aborts.
     """
     model = policy.model
     data = prepare_stage1_data(demos, worlds, policy)
@@ -336,19 +351,21 @@ def train_stage1(demos, worlds, policy, cfg: Stage1Config) -> Stage1Result:
     aborted = False
     last_good = _snapshot(model)
     for epoch in range(cfg.epochs):
-        perm = substream(cfg.seed, "stage1-shuffle", epoch).permutation(data.n)
+        perm = stage1_order(data, cfg.seed, epoch)
         acc = dict.fromkeys(IL_CURVE_COLUMNS[1:], 0.0)
         n_mb = 0
         failed = False
         for lo in range(0, data.n - mb + 1, mb):
             idx = perm[lo : lo + mb]
-            loss, terms = imitation_loss(_stage1_forward(model, data, idx), data, idx, cfg)
+            out = _stage1_forward(model, data, idx)
+            loss, terms = imitation_loss(out, data, idx, cfg)
             if not (np.isfinite(loss.item()) and _descend(loss, opt, cfg.max_grad_norm)):
                 failed = True
                 break
             for k, t in terms.items():
                 acc[k] += t.item()
             acc["L_total"] += loss.item()
+            acc["bc_acc"] += np.mean(out.logits.data.argmax(axis=1) == data.actions[idx])
             n_mb += 1
         if failed:
             _restore(model, last_good)

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from tiernav import agent, autodiff as ad, training
-from tiernav.agent import ControllerState, NavPolicy, NeuralPolicy, Slot, TeacherPolicy, policy_arrays, tiered_step
+from tiernav.agent import (ControllerState, NavPolicy, NeuralPolicy, Slot, TeacherPolicy, load_policy_into, policy_arrays,
+                          save_policy, tiered_step)
 from tiernav.errors import NumericsError
 from tiernav.evaluation import run_benchmark
 from tiernav.mapper import init_map, update_map
@@ -389,22 +390,30 @@ def test_reinit_value_head_scoped(world):
     assert not np.array_equal(before["value_head.weight"], after["value_head.weight"])
 
 
-def test_warm_critic_beats_fresh_on_small_run(world, corpus, reward_cfg, monkeypatch):
+def test_warm_critic_is_the_stage1_value_head(world, corpus, reward_cfg, tmp_path):
+    # Stage 2 starts from the critic stage 1 trained, bit for bit, through
+    # the checkpoint train-rl loads; a fresh head is another critic. Which
+    # of the two fits a rollout better is not asserted: the warm head won
+    # on 7 of 20 rollout seeds before stage 1 grouped its minibatches by
+    # snapshot and on 5 of 20 after, so it depends on the draw.
     model = fresh_model(world, seed=7)
     train_stage1(corpus, [world], NeuralPolicy(model), Stage1Config(epochs=8, seed=7))
-    # The rollout this check was written on: one generator for every
-    # episode, played one episode at a time. The ordering is not robust at
-    # this scale (the warm critic wins on 7 of 20 rollout seeds), so a new
-    # draw would change the verdict without changing the claim.
-    monkeypatch.setattr(agent, "WIDTH", 1)
+    save_policy(tmp_path / "policy_il.ckpt", model)
+    warm_model = fresh_model(world, seed=70)
+    load_policy_into(warm_model, tmp_path / "policy_il.ckpt")
+    for name in ("value_head.weight", "value_head.bias"):
+        assert params_of(warm_model)[name].tobytes() == params_of(model)[name].tobytes(), name
     rng = substream(7, "r")
-    ro = collect_rollouts(NeuralPolicy(model), [world], EASY, reward_cfg, 96, lambda j: rng)
+    ro = collect_rollouts(NeuralPolicy(warm_model), [world], EASY, reward_cfg, 96, lambda j: rng)
     targets = compute_gae(ro, GAMMA, 1.0)[1]
-    warm = critic_value_loss(model, ro, targets)
-    reinit_value_head(model, substream(7, "re"))
-    fresh = critic_value_loss(model, ro, targets)
-    assert math.isfinite(warm) and warm >= 0
-    assert warm < fresh
+    warm = critic_value_loss(warm_model, ro, targets)
+    assert warm == critic_value_loss(model, ro, targets)
+    reinit_value_head(warm_model, substream(7, "re"))
+    assert not np.array_equal(params_of(warm_model)["value_head.weight"], params_of(model)["value_head.weight"])
+    fresh = critic_value_loss(warm_model, ro, targets)
+    for loss in (warm, fresh):
+        assert math.isfinite(loss) and loss >= 0
+    assert warm != fresh
 
 
 def test_stage2_runs_and_reports(world, corpus, reward_cfg):

@@ -1,4 +1,5 @@
-"""Reward shaping, returns, GAE, clipped surrogate, loss blending."""
+"""Reward shaping, returns, GAE, clipped surrogate, loss blending, the
+stage-1 sampler."""
 
 import math
 
@@ -9,17 +10,21 @@ from tiernav import autodiff as ad, training
 from tiernav.autodiff import Tensor
 from tiernav.errors import ConfigError, ContractError
 from tiernav.agent import NavPolicy, NeuralPolicy
-from tiernav.mapper import init_map, update_map
+from tiernav.mapper import MapEncoder, init_map, update_map
 from tiernav.teacher import build_dataset, load_corpus, save_corpus
 from tiernav.training import (
     PPOConfig,
     Rollout,
+    Stage1Config,
     _rollout_heads,
+    _stage1_forward,
     collect_rollouts,
     compute_gae,
     il_loss,
     ppo_clip_objective,
     ppo_minibatch_loss,
+    stage1_order,
+    train_stage1,
     train_stage2,
     value_loss,
 )
@@ -394,3 +399,83 @@ def test_demo_snapshots_align_with_k_changes():
             row += 1
     assert row == data.n and len(data.snapshots) == data.snap_idx[-1] + 1
 
+
+
+@pytest.fixture(scope="module")
+def stage1_setup():
+    world = generate_world(301, WorldConfig(width=32, height=32, n_landmarks=5, z_max=3, r_base=3, r_gain=2))
+    demos = build_dataset([world], 6, {t: TIERS[t] for t in ("easy", "medium")}, 77, RewardConfig(), 0.99)
+
+    def policy():
+        return NeuralPolicy(NavPolicy(substream(0, "net"), world.width, world.height, world.z_max,
+                                      len(world.landmarks), world.patch_side))
+
+    return world, demos, policy, training.prepare_stage1_data(demos, [world], policy())
+
+
+def snapshot_runs(data, order):
+    """The snapshot of each run of equal snap_idx along order."""
+    snaps = data.snap_idx[order]
+    return snaps[np.r_[True, snaps[1:] != snaps[:-1]]]
+
+
+def test_stage1_order_groups_rows_by_snapshot(stage1_setup):
+    # each epoch is a permutation of every row in which each snapshot's
+    # rows sit together, so a minibatch encodes few distinct maps
+    data = stage1_setup[3]
+    assert len(data.snapshots) > 10
+    for epoch in range(3):
+        order = stage1_order(data, 5, epoch)
+        assert np.array_equal(np.sort(order), np.arange(data.n))
+        runs = snapshot_runs(data, order)
+        assert len(runs) == len(data.snapshots)
+        assert np.array_equal(np.sort(runs), np.arange(len(data.snapshots)))
+
+
+def test_stage1_order_is_a_function_of_seed_and_epoch(stage1_setup):
+    data = stage1_setup[3]
+    later = stage1_order(data, 5, 1)
+    first = stage1_order(data, 5, 0)
+    assert np.array_equal(first, stage1_order(data, 5, 0))
+    assert np.array_equal(later, stage1_order(data, 5, 1))
+    assert not np.array_equal(snapshot_runs(data, first), snapshot_runs(data, later))
+    assert not np.array_equal(first, stage1_order(data, 6, 0))
+
+
+def test_stage1_encodes_each_snapshot_about_once_per_epoch(stage1_setup, monkeypatch):
+    # consecutive minibatches share at most the snapshot their cut splits,
+    # so one epoch encodes at most n_snapshots + n_minibatches - 1 maps
+    world, demos, policy, data = stage1_setup
+    rows = []
+    encode = MapEncoder.__call__
+
+    def spy(self, x, train):
+        rows.append(x.shape[0])
+        return encode(self, x, train)
+
+    monkeypatch.setattr(MapEncoder, "__call__", spy)
+    cfg = Stage1Config(epochs=1, minibatch=16, seed=3)
+    res = train_stage1(demos, [world], policy(), cfg)
+    n_mb = data.n // cfg.minibatch
+    assert res.epochs_run == 1 and n_mb > 1 and len(rows) == n_mb
+    assert sum(rows) <= len(data.snapshots) + n_mb - 1
+
+
+def test_stage1_bc_acc_is_the_share_of_teacher_argmax_rows(stage1_setup):
+    # at lr 0 the parameters never move, so each minibatch's logits can be
+    # recomputed after the run; bc_acc is the share over every minibatch row
+    world, demos, policy, data = stage1_setup
+    cfg = Stage1Config(epochs=2, lr=0.0, minibatch=16, seed=4)
+    model = policy().model
+    res = train_stage1(demos, [world], NeuralPolicy(model), cfg)
+    for row in res.curve:
+        order = stage1_order(data, cfg.seed, row["epoch"])
+        hits = 0
+        for lo in range(0, data.n - cfg.minibatch + 1, cfg.minibatch):
+            idx = order[lo : lo + cfg.minibatch]
+            with ad.no_grad():
+                logits = _stage1_forward(model, data, idx).logits.data
+            hits += int(np.sum(logits.argmax(axis=1) == data.actions[idx]))
+        n_rows = data.n // cfg.minibatch * cfg.minibatch
+        assert math.isclose(row["bc_acc"], hits / n_rows, rel_tol=1e-12)
+        assert 0.0 <= row["bc_acc"] <= 1.0
