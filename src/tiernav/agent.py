@@ -140,13 +140,11 @@ class NavPolicy(Module):
         d_desc: int = 32,
         trunk_hidden: int = 128,
         micro_hidden: int = 64,
-        feed_goal_to_waypoint: bool = True,
     ):
         self.width = width
         self.height = height
         self.z_max = z_max
         self.patch_side = patch_side
-        self.feed_goal_to_waypoint = feed_goal_to_waypoint
         self.map_encoder = MapEncoder(rng, c_in=4, widths=tuple(enc_widths), d_out=d_map)
         self.obs_conv1 = Conv2d(rng, 3, 8, 3, stride=2, pad=1)
         self.obs_conv2 = Conv2d(rng, 8, 16, 3, stride=2, pad=1)
@@ -162,8 +160,7 @@ class NavPolicy(Module):
         self.goal_head = Linear(rng, trunk_hidden, 2)
         self.progress_head = Linear(rng, trunk_hidden, 1)
         self.value_head = Linear(rng, trunk_hidden, 1)
-        wp_in = trunk_hidden + (2 if feed_goal_to_waypoint else 0)
-        self.waypoint_head = Linear(rng, wp_in, 2)
+        self.waypoint_head = Linear(rng, trunk_hidden + 2, 2)  # reads [trunk, goal]
         self.micro_fc = Linear(rng, d_obs + d_state + 5, micro_hidden)
         self.action_head = Linear(rng, micro_hidden, 6)
 
@@ -203,8 +200,7 @@ class NavPolicy(Module):
         goal = self.goal_head(h)
         progress = ad.sigmoid(self.progress_head(h))
         value = self.value_head(h)
-        wp_in = ad.concat([h, goal], axis=1) if self.feed_goal_to_waypoint else h
-        waypoint = self.waypoint_head(wp_in)
+        waypoint = self.waypoint_head(ad.concat([h, goal], axis=1))
         return HeadOutputs(goal=goal, progress=progress, value=value, waypoint=waypoint), obs_f, state_f
 
     def micro(self, obs_f: Tensor, state_f: Tensor, wp_feats) -> Tensor:
@@ -225,6 +221,10 @@ class NavPolicy(Module):
 
 
 # ------------------------------------------------------------------ controller
+
+
+# a waypoint farther than EPS_WP for this many ticks is abandoned for a fresh plan
+REPLAN_PATIENCE = 16
 
 
 @dataclass
@@ -267,10 +267,9 @@ def tiered_step(policy: NeuralPolicy, slots, mode: str, feats: bool = False) -> 
 
     Two guards keep the state machine out of degenerate loops the
     demonstrations cannot teach recovery from: actions the observation
-    shows to be blocked are masked out of the decode
-    (policy.avoid_blocked), and a waypoint that stays unreached for
-    policy.replan_patience steps is abandoned for a fresh plan on the
-    updated map (0 disables).
+    shows to be blocked (action_mask) are masked out of the decode, and
+    a waypoint that stays unreached for REPLAN_PATIENCE steps is
+    abandoned for a fresh plan on the updated map.
     """
     if mode not in ("greedy", "sample"):
         raise ContractError(f"unknown decode mode {mode!r}")
@@ -278,10 +277,8 @@ def tiered_step(policy: NeuralPolicy, slots, mode: str, feats: bool = False) -> 
     replan = []
     for i, s in enumerate(slots):
         ctrl, state = s.ctx, s.state
-        trigger = ctrl.waypoint is None or math.hypot(state.x - ctrl.waypoint[0], state.y - ctrl.waypoint[1]) < EPS_WP
-        if policy.replan_patience and ctrl.steps_since_replan >= policy.replan_patience:
-            trigger = True
-        if trigger:
+        if (ctrl.waypoint is None or ctrl.steps_since_replan >= REPLAN_PATIENCE
+                or math.hypot(state.x - ctrl.waypoint[0], state.y - ctrl.waypoint[1]) < EPS_WP):
             ctrl.map_feat = encode_map(s.nav, model.map_encoder)
             replan.append(i)
     maps = np.array([s.ctx.map_feat for s in slots])
@@ -303,7 +300,7 @@ def tiered_step(policy: NeuralPolicy, slots, mode: str, feats: bool = False) -> 
     for i, s in enumerate(slots):
         ctrl = s.ctx
         ctrl.steps_since_replan += 1
-        mask = action_mask(s.world, s.state, s.obs) if policy.avoid_blocked else np.ones(6, dtype=bool)
+        mask = action_mask(s.world, s.state, s.obs)
         log_probs = masked_log_softmax(logits[i], mask)
         if mode == "greedy":
             action = int(np.argmax(log_probs))
@@ -335,17 +332,15 @@ def tiered_step(policy: NeuralPolicy, slots, mode: str, feats: bool = False) -> 
 class NeuralPolicy:
     """Tiered (or flat) controller around a NavPolicy; the one policy that reads the belief map.
 
-    flat, avoid_blocked and replan_patience are the settings tiered_step
-    reads on every tick.
+    flat is the one setting tiered_step reads on every tick: a flat
+    controller steers to its decoded goal instead of a waypoint. The
+    action mask and REPLAN_PATIENCE are always on.
     """
 
-    def __init__(self, model: NavPolicy, flat: bool = False, avoid_blocked: bool = True,
-                 replan_patience: int = 16, r_prior: float | None = 12.0):
+    def __init__(self, model: NavPolicy, flat: bool = False, r_prior: float | None = 12.0):
         self.model = model
         self.flat = flat
         self.r_prior = r_prior
-        self.avoid_blocked = avoid_blocked
-        self.replan_patience = replan_patience
 
     def begin_episode(self, world: CityWorld, episode: EpisodeSpec) -> ControllerState:
         return ControllerState()
@@ -465,8 +460,7 @@ def run_episode(
         for s, st in zip(live, policy.act(live, mode, feats)):
             nxt, _, s.stopped = step(s.world, s.state, Action(st.action))
             if reward_cfg is not None:
-                st.reward = compute_reward(s.state, nxt, s.episode.goal, s.world, reward_cfg,
-                                           waypoint=st.waypoint, stopped=s.stopped)
+                st.reward = compute_reward(s.state, nxt, s.episode.goal, s.world, reward_cfg, stopped=s.stopped)
             st.dist = distance_to_goal(s.state, s.episode.goal, s.world.cell_size)
             s.steps.append(st)
             s.state = nxt

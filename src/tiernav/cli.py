@@ -63,7 +63,7 @@ from .training import (
     write_curve,
 )
 from .util import atomic_write, substream, write_csv
-from .world import Action, generate_world, load_world, sample_episode, save_world
+from .world import Action, generate_world, load_world, patch_side, sample_episode, save_world
 
 
 def _now() -> str:
@@ -128,28 +128,22 @@ def _load_worlds(cfg, args, split: str):
     return [load_world(p) for p in sorted(glob.glob(os.path.join(d, f"{split}_*.txt")))]
 
 
-def _patch_side(cfg) -> int:
-    return 2 * (cfg["world.r_base"] + cfg["world.r_gain"] * cfg["world.z_max"]) + 1
-
-
 def _build_model(cfg) -> NavPolicy:
     return NavPolicy(
         substream(cfg["run.seed"], "model"),
         cfg["world.width"], cfg["world.height"], cfg["world.z_max"],
-        cfg["world.n_landmarks"], _patch_side(cfg),
+        cfg["world.n_landmarks"], patch_side(cfg["world.r_base"], cfg["world.r_gain"], cfg["world.z_max"]),
         enc_widths=cfg["model.enc_widths"],
         d_map=cfg["model.d_map"], d_obs=cfg["model.d_obs"],
         d_state=cfg["model.d_state"], d_desc=cfg["model.d_desc"],
         trunk_hidden=cfg["model.trunk_hidden"],
         micro_hidden=cfg["model.micro_hidden"],
-        feed_goal_to_waypoint=cfg["model.feed_goal_to_waypoint"],
     )
 
 
 def _neural_policy(cfg, model) -> NeuralPolicy:
     """Every NeuralPolicy, from the model.* controller and belief-map keys."""
-    return NeuralPolicy(model, flat=cfg["model.flat"], avoid_blocked=cfg["model.avoid_blocked"],
-                        replan_patience=cfg["model.replan_patience"], r_prior=_prior(cfg))
+    return NeuralPolicy(model, flat=cfg["model.flat"], r_prior=_prior(cfg))
 
 
 def _prior(cfg):

@@ -96,8 +96,6 @@ SCHEMA: dict = {
     "reward.d_goal": Entry("float", _R.d_goal, lo=0.0, lo_open=True),
     "reward.r_min": Entry("float", _R.r_min),
     "reward.r_max": Entry("float", _R.r_max),
-    "reward.heading_reference": Entry("str", _R.heading_reference,
-                                      choices=("final_goal", "current_waypoint")),
     "reward.goal_bonus_on_stop": Entry("bool", _R.goal_bonus_on_stop),
     # policy net
     "model.enc_widths": Entry("ints", (8, 16), lo=1, hi=512),
@@ -107,10 +105,6 @@ SCHEMA: dict = {
     "model.d_desc": Entry("int", 32, lo=1, hi=2048),
     "model.trunk_hidden": Entry("int", 128, lo=1, hi=4096),
     "model.micro_hidden": Entry("int", 64, lo=1, hi=4096),
-    "model.feed_goal_to_waypoint": Entry("bool", True),
-    # controller guards; patience 0 never forces a replan
-    "model.avoid_blocked": Entry("bool", True),
-    "model.replan_patience": Entry("int", 16, lo=0),
     # one controller and belief map for both training stages and eval
     "model.flat": Entry("bool", False),
     "model.use_prior": Entry("bool", True),
@@ -124,8 +118,6 @@ SCHEMA: dict = {
     "il.lambda_bc": Entry("float", _S1.lambda_bc, lo=0.0),
     "il.lambda_wp": Entry("float", _S1.lambda_wp, lo=0.0),
     "il.max_grad_norm": Entry("float", _S1.max_grad_norm, lo=0.0, lo_open=True),
-    # 0 disables early stopping
-    "il.early_stop_ratio": Entry("float", _S1.early_stop_ratio, lo=0.0, hi=1.0),
     # stage-2 PPO
     "ppo.gamma": Entry("float", _P.gamma, lo=0.0, hi=1.0, lo_open=True, hi_open=True,
                        label="γ ∈ (0,1)"),
@@ -143,7 +135,6 @@ SCHEMA: dict = {
     "ppo.expert_batch": Entry("int", _P.expert_batch, lo=1),
     "ppo.tiers": Entry("str", ",".join(_P.tiers)),
     "ppo.probe_episodes": Entry("int", 12, lo=0, hi=10000),
-    "ppo.probe_every": Entry("int", _P.probe_every, lo=1),
     "ppo.checkpoint_every": Entry("int", _P.checkpoint_every, lo=0),
     # evaluation
     "eval.threshold_m": Entry("float", 20.0, lo=0.0, lo_open=True),

@@ -147,8 +147,7 @@ def build_demonstration(world: CityWorld, episode: EpisodeSpec, reward_cfg, gamm
         steps.append(TrajStep(
             t=i, state=state, action=int(act), k=k, waypoint=waypoints[k], goal_hat=episode.goal,
             progress_hat=(i + 1) / len(actions), value_hat=0.0, log_prob=0.0,
-            reward=compute_reward(state, nxt, episode.goal, world, reward_cfg,
-                                  waypoint=waypoints[k], stopped=act == Action.STOP),
+            reward=compute_reward(state, nxt, episode.goal, world, reward_cfg, stopped=act == Action.STOP),
             dist=distance_to_goal(state, episode.goal, world.cell_size),
         ))
     acc = 0.0

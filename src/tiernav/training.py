@@ -53,7 +53,6 @@ class PPOConfig:
     # rollout episode tiers, {name: (lo, hi)} in draw order
     tiers: dict = field(default_factory=lambda: {t: TIERS[t] for t in ("easy", "medium")})
     expert_batch: int = 32
-    probe_every: int = 1
     checkpoint_every: int = 0  # 0 writes no per-update checkpoints
 
 
@@ -202,7 +201,6 @@ class Stage1Config:
     lambda_wp: float = 1.0
     max_grad_norm: float = 5.0
     seed: int = 0
-    early_stop_ratio: float = 0.0  # stop when L_IL < ratio * epoch-1 L_IL; 0 is off
 
 
 @dataclass
@@ -375,8 +373,6 @@ def train_stage1(demos, worlds, policy, cfg: Stage1Config) -> Stage1Result:
         row.update({k: v / max(n_mb, 1) for k, v in acc.items()})
         curve.append(row)
         last_good = _snapshot(model)
-        if cfg.early_stop_ratio > 0.0 and row["L_IL"] < cfg.early_stop_ratio * curve[0]["L_IL"]:
-            break
     final_il = curve[-1]["L_IL"] if curve else math.nan
     return Stage1Result(curve=curve, aborted=aborted, epochs_run=len(curve), final_il=final_il)
 
@@ -576,8 +572,8 @@ def train_stage2(
     encoder is not optimized, so lambda_rl = 0 is continued imitation of
     every module but the map encoder. An update that blows up rolls back
     to the last clean update and halves the learning rate once; the
-    second blow-up aborts. The probe runs every ppo_cfg.probe_every
-    updates, and with ppo_cfg.checkpoint_every > 0 every that many
+    second blow-up aborts. With a probe, the probe runs after every
+    clean update, and with ppo_cfg.checkpoint_every > 0 every that many
     updates a checkpoint goes to checkpoint_dir.
     """
     reward_cfg.validate()
@@ -619,7 +615,7 @@ def train_stage2(
             halved = True
             opt = AdamW(opt.entries, lr=opt.lr * 0.5)
             continue
-        if probe is not None and u % ppo_cfg.probe_every == 0:
+        if probe is not None:
             probe_sr = probe_success_rate(policy, probe, threshold_m=probe_threshold_m)
         curve.append({
             "update": u,

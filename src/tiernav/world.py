@@ -7,7 +7,8 @@ square patch whose visible radius grows with altitude, which is what
 makes the vertical actions worth taking.
 
 The step reward is shaped: a distance-progress term, a heading-alignment
-term, an in-range bonus, a constant step penalty, then a hard clip.
+term toward the final goal, an in-range bonus, a constant step penalty,
+then a hard clip.
 
 plan_path runs A* over (x, y, z, heading) with unit move cost and a
 small turn cost, so paths come out smooth and their corners are
@@ -97,6 +98,11 @@ class WorldConfig:
     max_retries: int = 40
 
 
+def patch_side(r_base: int, r_gain: int, z_max: int) -> int:
+    """Side of the square observation patch: the visible disk's diameter at the ceiling."""
+    return 2 * (r_base + r_gain * z_max) + 1
+
+
 @dataclass
 class CityWorld:
     width: int
@@ -113,7 +119,7 @@ class CityWorld:
 
     @property
     def patch_side(self) -> int:
-        return 2 * (self.r_base + self.r_gain * self.z_max) + 1
+        return patch_side(self.r_base, self.r_gain, self.z_max)
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
@@ -222,7 +228,6 @@ class RewardConfig:
     d_goal: float = 10.0  # meters
     r_min: float = -5.0
     r_max: float = 5.0
-    heading_reference: str = "final_goal"  # or current_waypoint
     # Extension: gate the eta bonus on the stop action. The plain
     # in-range bonus saturates the clip on every in-range step, so a
     # policy trained on it farms the zone instead of stopping. Off by
@@ -246,22 +251,17 @@ def compute_reward(
     goal,
     world,
     cfg: RewardConfig,
-    waypoint=None,
     stopped: bool = False,
 ) -> float:
     """Shaped step reward, clipped to [r_min, r_max].
 
     raw = alpha*(d_prev - d) + beta*(1 - |theta - theta*|/pi)
           + eta*[d < d_goal] + delta
-    theta* points from the current position toward the reference target
-    (final goal, or the active waypoint when so configured).
+    theta* points from the current position toward the final goal.
     """
     d_prev = distance_to_goal(prev_state, goal, world.cell_size)
     d = distance_to_goal(state, goal, world.cell_size)
-    ref = goal
-    if cfg.heading_reference == "current_waypoint" and waypoint is not None:
-        ref = waypoint
-    theta_star = math.atan2(ref[1] - state.y, ref[0] - state.x)
+    theta_star = math.atan2(goal[1] - state.y, goal[0] - state.x)
     heading_term = cfg.beta * (1.0 - _wrapped_angle(state.theta, theta_star) / math.pi)
     in_range = d < cfg.d_goal
     bonus = cfg.eta if (in_range and (stopped or not cfg.goal_bonus_on_stop)) else 0.0

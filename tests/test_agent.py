@@ -14,8 +14,10 @@ from tiernav.agent import (
     NeuralPolicy,
     RandomPolicy,
     Slot,
+    REPLAN_PATIENCE,
     TeacherPolicy,
     ControllerState,
+    action_mask,
     descriptor_ids,
     load_policy_into,
     pose_features,
@@ -38,6 +40,7 @@ from tiernav.world import (
     generate_world,
     render_observation,
     sample_episode,
+    step,
 )
 
 
@@ -257,6 +260,63 @@ def test_tiered_step_replans_at_waypoint():
     assert near.ctx.k == 4
     assert far.ctx.k == 3
     assert far.ctx.waypoint == (ep.start.x + 30, ep.start.y)
+
+
+def test_tiered_step_replans_after_patience(monkeypatch):
+    wd, ep = world_and_episode()
+    model = make_model()
+    far = (ep.start.x + 30, ep.start.y)
+    slot = start_slot(wd, ep, ControllerState(k=3, waypoint=far, map_feat=np.zeros(64),
+                                              steps_since_replan=REPLAN_PATIENCE - 1))
+    encodes = []
+    encode_map = agent.encode_map
+    monkeypatch.setattr(agent, "encode_map", lambda *a: encodes.append(1) or encode_map(*a))
+    policy = NeuralPolicy(model)
+    tiered_step(policy, [slot], "greedy")
+    assert (slot.ctx.k, slot.ctx.waypoint, encodes) == (3, far, [])
+    assert not slot.ctx.map_feat.any()
+    # the slot has not moved, so only the patience makes it replan
+    tiered_step(policy, [slot], "greedy")
+    assert (slot.ctx.k, encodes) == (4, [1])
+    assert slot.ctx.waypoint != far and slot.ctx.map_feat.any()
+    assert slot.ctx.steps_since_replan == 1
+
+
+def _mask_states(wd, rng, n):
+    """n random cells plus every border cell, each at its lowest valid
+    altitude (a roof where the cell is built up) and at the ceiling, with
+    a random heading."""
+    border = [(x, y) for x in range(wd.width) for y in range(wd.height)
+              if x in (0, wd.width - 1) or y in (0, wd.height - 1)]
+    cells = border + [(int(x), int(y)) for x, y in zip(rng.integers(0, wd.width, n), rng.integers(0, wd.height, n))]
+    for x, y in cells:
+        low = max(wd.z_min, int(wd.height_field[y, x]) + 1)
+        if low > wd.z_max:  # built up to the ceiling: no valid altitude
+            continue
+        for z in sorted({low, wd.z_max}):
+            yield UavState(float(x), float(y), z, int(rng.integers(0, 4)))
+
+
+@pytest.mark.parametrize("size", [96, 32])
+def test_action_mask_matches_step(size):
+    # the controller always masks, so the mask must block exactly what step blocks
+    wd = generate_world(5, WorldConfig(width=size, height=size, n_landmarks=6))
+    seen = {"roof": 0, "edge": 0, "ceiling": 0}
+    blocked = np.zeros(6, dtype=int)
+    n = 0
+    for state in _mask_states(wd, substream(5, "mask"), 1000):
+        mask = action_mask(wd, state, render_observation(wd, state))
+        for a in Action:
+            assert mask[a] == (not step(wd, state, a)[1]), (state, a.name)
+        blocked += ~mask
+        x, y = state.cell()
+        seen["roof"] += state.z == wd.height_field[y, x] + 1 and wd.height_field[y, x] > 0
+        seen["edge"] += x in (0, wd.width - 1) or y in (0, wd.height - 1)
+        seen["ceiling"] += state.z == wd.z_max
+        n += 1
+    assert all(seen.values()), seen
+    # up, down and forward are each blocked somewhere and free somewhere; turns and stop never block
+    assert (0 < blocked[:3]).all() and (blocked[:3] < n).all() and not blocked[3:].any()
 
 
 def test_tiered_step_greedy_argmax():

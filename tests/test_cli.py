@@ -641,10 +641,9 @@ def test_corpus_for_another_gamma_exits_6(pipeline, tmp_path, capsys):
 
 def test_controller_keys_reach_eval_policy(pipeline):
     cfg_path, out, _ = pipeline
-    cfg = parse_config(cfg_path, ["model.avoid_blocked=false", "model.replan_patience=5"])
+    cfg = parse_config(cfg_path, ["model.flat=true", "model.r_prior=6"])
     policy = cli._make_policy(cfg, argparse.Namespace(out=out), "rl")
-    assert policy.avoid_blocked is False
-    assert policy.replan_patience == 5
+    assert (policy.flat, policy.r_prior) == (True, 6.0)
 
 
 def test_checkpoint_for_another_world_size_exits_6(pipeline, capsys):

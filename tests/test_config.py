@@ -63,12 +63,18 @@ def test_unknown_key_named(tmp_path):
 @pytest.mark.parametrize("via", ["file", "set"])
 @pytest.mark.parametrize("key", ["ppo.flat", "ppo.use_prior", "ppo.r_prior",
                                  "eval.flat", "eval.use_prior", "eval.r_prior", "ppo.lambda_v",
-                                 "eval.write_trajectories"])
+                                 "eval.write_trajectories", "model.feed_goal_to_waypoint",
+                                 "model.avoid_blocked", "model.replan_patience", "reward.heading_reference",
+                                 "il.early_stop_ratio", "ppo.probe_every"])
 def test_stage_copies_of_model_keys_exit_2(tmp_path, capsys, key, via):
     # a removed key is refused: one model.* key each replaced the stage
-    # copies, stage 2 weighs its value term by il.lambda_v, and eval
-    # writes each trajectory once, in steps.csv
-    value = "true" if key.endswith(("flat", "use_prior", "write_trajectories")) else "0.05"
+    # copies, stage 2 weighs its value term by il.lambda_v, eval writes
+    # each trajectory once, in steps.csv, and the controller guards, the
+    # waypoint head's goal input, the heading reference, IL early stopping
+    # and the probe interval are fixed behaviour
+    bools = ("flat", "use_prior", "write_trajectories", "feed_goal_to_waypoint", "avoid_blocked")
+    value = {"model.replan_patience": "5", "ppo.probe_every": "2",
+             "reward.heading_reference": "current_waypoint"}.get(key, "true" if key.endswith(bools) else "0.05")
     if via == "file":
         argv = ["--config", _write(tmp_path, f"{key} = {value}\n")]
     else:
@@ -79,13 +85,14 @@ def test_stage_copies_of_model_keys_exit_2(tmp_path, capsys, key, via):
     assert not (tmp_path / "out").exists()
 
 
-BENCHMARK_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.cfg"))
+REPO = Path(__file__).resolve().parent.parent
+COMMITTED_CONFIGS = sorted([*(REPO / "perfbench").glob("*.cfg"), *(REPO / "experiments").glob("*.cfg")])
 
 
-@pytest.mark.parametrize("path", BENCHMARK_CONFIGS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", COMMITTED_CONFIGS, ids=lambda p: p.name)
 def test_benchmark_configs_parse(path):
-    # a key removed from SCHEMA that a benchmark config still sets fails here,
-    # not only in a traced benchmark run
+    # a key removed from SCHEMA that a benchmark or experiment config still
+    # sets fails here, not only in a traced benchmark run or a desk gate
     parse_config(str(path), [])
 
 
@@ -155,8 +162,7 @@ def test_delta_must_be_nonpositive():
         parse_config(None, ["reward.delta=0.5"])
 
 
-@pytest.mark.parametrize("key,value", [("ppo.lambda_gae", "1.2"), ("ppo.eps_clip", "0"), ("reward.d_goal", "0"),
-                                       ("reward.heading_reference", "compass")])
+@pytest.mark.parametrize("key,value", [("ppo.lambda_gae", "1.2"), ("ppo.eps_clip", "0"), ("reward.d_goal", "0")])
 def test_out_of_schema_value_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
         parse_config(None, [f"{key}={value}"])
@@ -219,10 +225,7 @@ def test_typed_views_match_dataclasses():
     ppo = cfg.ppo_config()
     assert ppo == PPOConfig()
     s1 = cfg.stage1_config()
-    assert s1.epochs == Stage1Config().epochs
-    assert s1.early_stop_ratio == 0.0
-    s1b = parse_config(None, ["il.early_stop_ratio=0.1"]).stage1_config()
-    assert s1b.early_stop_ratio == 0.1
+    assert s1 == Stage1Config()
     r = cfg.reward_config()
     assert r == RewardConfig()
 
@@ -247,13 +250,13 @@ def test_each_field_is_the_key_of_its_name(cls, section):
 
 def test_views_carry_set_keys():
     cfg = parse_config(None, ["ppo.tiers=hard,easy", "ppo.lambda_gae=0.5", "ppo.minibatch=7",
-                              "ppo.checkpoint_every=3", "il.minibatch=5", "il.early_stop_ratio=0.25",
+                              "ppo.checkpoint_every=3", "il.minibatch=5", "il.lambda_wp=0.25",
                               "world.max_retries=9", "reward.r_max=4.5", "run.seed=11"])
     ppo = cfg.ppo_config()
     assert (list(ppo.tiers.items()), ppo.lambda_gae, ppo.minibatch, ppo.checkpoint_every) == \
         ([("hard", (48.0, math.inf)), ("easy", (8.0, 24.0))], 0.5, 7, 3)
     s1 = cfg.stage1_config()
-    assert (s1.minibatch, s1.early_stop_ratio, s1.seed) == (5, 0.25, 11)
+    assert (s1.minibatch, s1.lambda_wp, s1.seed) == (5, 0.25, 11)
     assert cfg.world_config().max_retries == 9
     assert cfg.reward_config().r_max == 4.5
 

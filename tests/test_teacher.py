@@ -334,7 +334,7 @@ def test_demo_rewards_match_compute_reward():
     s = ep.start
     for st in demo.steps:
         s2, blocked, stopped = step(wd, s, Action(st.action))
-        r = compute_reward(s, s2, ep.goal, wd, cfg, waypoint=st.waypoint, stopped=stopped)
+        r = compute_reward(s, s2, ep.goal, wd, cfg, stopped=stopped)
         assert st.reward == pytest.approx(r, abs=1e-12)
         s = s2
 

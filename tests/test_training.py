@@ -82,19 +82,6 @@ def test_reward_heading_wraps():
     assert r == pytest.approx(expect, abs=1e-12)
 
 
-def test_reward_waypoint_reference():
-    cfg = RewardConfig(heading_reference="current_waypoint")
-    prev = UavState(0.0, 0.0, 2, 1)  # facing +y
-    cur = UavState(0.0, 0.0, 2, 1)
-    goal = (50.0, 0.0)
-    wp = (0.0, 30.0)  # dead ahead
-    r = compute_reward(prev, cur, goal, WD, cfg, waypoint=wp)
-    assert r == pytest.approx(cfg.beta + cfg.delta, abs=1e-12)
-    # without a waypoint the reference falls back to the goal
-    r2 = compute_reward(prev, cur, goal, WD, cfg)
-    assert r2 == pytest.approx(cfg.beta * 0.5 + cfg.delta, abs=1e-12)
-
-
 def test_reward_stop_gated_bonus():
     cfg = RewardConfig(goal_bonus_on_stop=True)
     prev = UavState(5.0, 0.0, 2, 2)
