@@ -25,15 +25,11 @@ from .world import TIERS, EpisodeSpec, distance_to_goal, sample_episode
 @dataclass
 class EpisodeResult:
     episode_id: str
-    final_pos: tuple
     ne_m: float
     success: bool
     oracle: bool
     path_len_m: float
     shortest_m: float
-    steps_used: int
-    truncated: bool
-    tier: str
 
     @property
     def spl_term(self) -> float:
@@ -70,15 +66,11 @@ def episode_metrics(traj: Trajectory, episode: EpisodeSpec, threshold_m: float =
     success = traj.stopped and ne <= threshold_m
     result = EpisodeResult(
         episode_id=episode_id,
-        final_pos=(traj.final_state.x, traj.final_state.y),
         ne_m=ne,
         success=success,
         oracle=closest <= threshold_m,
         path_len_m=path,
         shortest_m=float(episode.shortest_path_length),
-        steps_used=len(traj.steps),
-        truncated=not traj.stopped,
-        tier=episode.difficulty,
     )
     result.validate(threshold_m)
     return result
@@ -136,7 +128,6 @@ class BenchmarkRecord:
 class BenchmarkReport:
     cells: dict  # (split, tier) -> BenchmarkCell
     seeds: list
-    episodes_per_tier: int
     threshold_m: float
 
 
@@ -187,9 +178,7 @@ def run_benchmark(
         for tier in tiers:
             group = [r.result for r in records if r.split == split and r.tier == tier]
             cells[(split, tier)] = aggregate(group)
-    report = BenchmarkReport(cells=cells, seeds=seeds, episodes_per_tier=episodes_per_tier,
-                             threshold_m=threshold_m)
-    return report, records
+    return BenchmarkReport(cells=cells, seeds=seeds, threshold_m=threshold_m), records
 
 
 # ----------------------------------------------------------------- report IO

@@ -110,7 +110,6 @@ class MapEncoder(Module):
         self.downs = downs
         self.fuse = SCConv(rng, widths[-1])
         self.head = Linear(rng, widths[-1], d_out)
-        self.d_out = d_out
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         out = ad.relu(self.stem(_pad_odd(x)))

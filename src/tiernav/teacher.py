@@ -117,15 +117,16 @@ def build_demonstration(world: CityWorld, episode: EpisodeSpec, reward_cfg, gamm
                         moves=None) -> Trajectory:
     """Label moves (the episode's plan when None), then the final stop.
 
-    The moves are stepped once; the stepped states give the waypoints,
-    and each step is a TrajStep with the expert action, the waypoint,
-    the goal as goal_hat, the progress and value labels as progress_hat
-    and value_hat, the reward and the distance. Value labels are exact
-    discounted suffix sums of the rewards, so the one-step Bellman
-    identity holds to float precision. A blocked move or a stop before
-    the last step raises ContractError naming the step. No label reads
-    an observation or a map, so no step has feats: save_corpus writes
-    the labels and load_corpus relabels them.
+    The moves are stepped once; the stepped states and the moves, as an
+    ExpertPath, give the waypoints, and each step is a TrajStep with the
+    expert action, the waypoint, the goal as goal_hat, the progress and
+    value labels as progress_hat and value_hat, the reward and the
+    distance. Value labels are exact discounted suffix sums of the
+    rewards, so the one-step Bellman identity holds to float precision.
+    A blocked move or a stop before the last step raises ContractError
+    naming the step. No label reads an observation or a map, so no step
+    has feats: save_corpus writes the labels and load_corpus relabels
+    them.
     """
     if moves is None:
         moves = episode_plan(world, episode).actions
@@ -137,9 +138,9 @@ def build_demonstration(world: CityWorld, episode: EpisodeSpec, reward_cfg, gamm
             why = "blocked" if blocked else "before the last step"
             raise ContractError(f"step {i}: expert action {act.name} {why} at {states[-1]}")
         states.append(nxt)
-    # the integer cells plan_path gives; extract_waypoints reads no remaining distances
+    # the stepped moves as the integer-cell path plan_path gives
     cells = [(int(s.x), int(s.y), s.z, s.heading) for s in states[:-1]]
-    waypoints = extract_waypoints(ExpertPath(states=cells, actions=actions[:-1], remaining=None), world)
+    waypoints = extract_waypoints(ExpertPath(states=cells, actions=actions[:-1]), world)
     steps = []
     k = 0
     for i, (act, state, nxt) in enumerate(zip(actions, states, states[1:])):
@@ -274,19 +275,21 @@ def load_corpus(corpus_dir, worlds_by_id, reward_cfg, gamma: float) -> list:
     """Rebuild label-only demonstrations, as build_dataset returns them,
     by relabeling their stored actions.
 
-    episodes.jsonl must hold one record per episode_*.csv log in the
-    directory, else ContractError names it. Each episode goes through
-    build_demonstration on its logged moves (every action but the final
-    stop), under reward_cfg and gamma. Every cell of every logged row
-    must equal the relabeled one: the cells are repr floats, so equal
-    labels match exactly. The first difference raises ContractError
-    naming the file, line and column; a blocked move or an early stop
-    raises it naming the file and the step t (on line t + 2). So a
-    corpus built under other reward.* settings or another gamma is
-    refused.
+    episodes.jsonl must hold at least one episode and one record per
+    episode_*.csv log in the directory, else ContractError names it.
+    Each episode goes through build_demonstration on its logged moves
+    (every action but the final stop), under reward_cfg and gamma.
+    Every cell of every logged row must equal the relabeled one: the
+    cells are repr floats, so equal labels match exactly. The first
+    difference raises ContractError naming the file, line and column; a
+    blocked move or an early stop raises it naming the file and the
+    step t (on line t + 2). So a corpus built under other reward.*
+    settings or another gamma is refused.
     """
     index = os.path.join(corpus_dir, "episodes.jsonl")
     episodes = load_episodes(index)
+    if not episodes:
+        raise ContractError(f"{index}: no episodes; a built corpus holds at least one")
     n_logs = len(glob.glob("episode_*.csv", root_dir=corpus_dir))
     if len(episodes) != n_logs:
         raise ContractError(f"{index}: {len(episodes)} episodes, but the corpus holds {n_logs} episode logs")

@@ -452,9 +452,10 @@ def _rollout_heads(model, ro: Rollout, idx):
     time, and critic values of rollout rows idx, whose stored map
     features enter as constants.
 
-    The additive offset reproduces the controller's masked decode
-    exactly, so a first-minibatch ratio is 1 to the last bit; masked
-    entries carry zero probability and zero gradient.
+    The additive offset reproduces the controller's masked decode, so
+    on the collecting model every row's ratio is 1 up to the last bits
+    of a batched pass; masked entries carry zero probability and zero
+    gradient.
     """
     rows = (ro.map_feats, ro.state_feats, ro.desc_feats, ro.obs, ro.wp_feats)
     out = model.forward_heads(*(a[idx] for a in rows))
@@ -485,10 +486,9 @@ def ppo_update(model, rollout: Rollout, forward, cfg: PPOConfig, opt: AdamW, shu
     imitation loss and its terms are 0.
 
     A non-finite loss or ratio, a mean ratio of 100 or more, or a
-    non-finite gradient stops the update. Returns (means, first_ratio):
-    the update's mean imitation terms, L_RL, minimized loss L_total,
-    entropy, ratio and clip_fraction, or None when it blew up, and the
-    first minibatch's mean ratio either way.
+    non-finite gradient stops the update. Returns the update's mean
+    imitation terms, L_RL, minimized loss L_total, entropy, ratio and
+    clip_fraction, or None when it blew up.
     """
     adv, targets = compute_gae(rollout, cfg.gamma, cfg.lambda_gae)
     adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
@@ -498,7 +498,6 @@ def ppo_update(model, rollout: Rollout, forward, cfg: PPOConfig, opt: AdamW, shu
     clip_hits = 0
     n_samples = 0
     n_mb = 0
-    first_ratio = math.nan
     for rng in shuffles:
         perm = rng.permutation(t_max)
         for lo in range(0, t_max - mb + 1, mb):
@@ -508,8 +507,6 @@ def ppo_update(model, rollout: Rollout, forward, cfg: PPOConfig, opt: AdamW, shu
                 lp_all, value, rollout.actions[idx], rollout.log_probs_old[idx], adv_n[idx],
                 targets[idx], cfg.eps_clip, cfg.value_weight, cfg.entropy_weight,
             )
-            if n_mb == 0:
-                first_ratio = float(ratio.mean())
             if expert is not None:
                 l_im, terms = expert()
             else:
@@ -518,7 +515,7 @@ def ppo_update(model, rollout: Rollout, forward, cfg: PPOConfig, opt: AdamW, shu
             l_total = ad.add(l_im, ad.scale(l_rl, cfg.lambda_rl))
             if not (np.isfinite(l_total.item()) and np.all(np.isfinite(ratio)) and ratio.mean() < 100.0
                     and _descend(l_total, opt, cfg.max_grad_norm)):
-                return None, first_ratio
+                return None
             for k, t in terms.items():
                 sums[k] += t.item()
             sums["L_RL"] += l_rl.item()
@@ -530,7 +527,7 @@ def ppo_update(model, rollout: Rollout, forward, cfg: PPOConfig, opt: AdamW, shu
             n_mb += 1
     means = {k: v / max(n_mb, 1) for k, v in sums.items()}
     means["clip_fraction"] = clip_hits / max(n_samples, 1)
-    return means, first_ratio
+    return means
 
 
 @dataclass
@@ -539,7 +536,6 @@ class Stage2Result:
     aborted: bool
     updates_run: int
     env_steps: int
-    first_minibatch_ratio: float
     final_probe_sr: float
 
 
@@ -574,7 +570,9 @@ def train_stage2(
     to the last clean update and halves the learning rate once; the
     second blow-up aborts. With a probe, the probe runs after every
     clean update, and with ppo_cfg.checkpoint_every > 0 every that many
-    updates a checkpoint goes to checkpoint_dir.
+    updates a checkpoint goes to checkpoint_dir. The result holds one
+    curve row per clean update, the abort flag, the collected env steps
+    and the last probe SR (nan without a probe).
     """
     reward_cfg.validate()
     il_cfg = il_cfg or Stage1Config()
@@ -593,7 +591,6 @@ def train_stage2(
     curve = []
     aborted = False
     halved = False
-    first_ratio = math.nan
     probe_sr = math.nan
     env_steps = 0
     last_good = _snapshot(model)
@@ -604,9 +601,7 @@ def train_stage2(
         )
         env_steps += len(rollout)
         shuffles = (substream(seed, "stage2-shuffle", u, e) for e in range(ppo_cfg.epochs_per_update))
-        means, ratio = ppo_update(model, rollout, _rollout_heads, ppo_cfg, opt, shuffles, expert)
-        if math.isnan(first_ratio):
-            first_ratio = ratio
+        means = ppo_update(model, rollout, _rollout_heads, ppo_cfg, opt, shuffles, expert)
         if means is None:
             _restore(model, last_good)
             if halved:
@@ -629,5 +624,4 @@ def train_stage2(
             save_policy(os.path.join(checkpoint_dir, f"update_{u + 1:04d}.ckpt"), model,
                         meta={"stage": "rl", "update": str(u + 1)})
     return Stage2Result(curve=curve, aborted=aborted, updates_run=len(curve),
-                        env_steps=env_steps, first_minibatch_ratio=first_ratio,
-                        final_probe_sr=probe_sr)
+                        env_steps=env_steps, final_probe_sr=probe_sr)

@@ -430,9 +430,10 @@ _TURN_LEFT, _TURN_RIGHT = int(Action.TURN_LEFT), int(Action.TURN_RIGHT)
 
 @dataclass
 class ExpertPath:
+    """A teacher plan; its geodesic length is its forward-move count times the cell size."""
+
     states: list  # (x, y, z, heading) tuples, len = len(actions)+1
     actions: list  # Action values, no trailing stop
-    remaining: np.ndarray  # geodesic meters left before each state
 
 
 def plan_path(world: CityWorld, start: UavState, goal) -> ExpertPath:
@@ -535,13 +536,7 @@ def _reconstruct(world: CityWorld, came, goal_idx: int, start_idx: int, zs: int)
         cur = came[cur] >> 3
     states.reverse()
     actions.reverse()
-    n_fwd_after = np.zeros(len(actions) + 1)
-    acc = 0
-    for i in range(len(actions) - 1, -1, -1):
-        if actions[i] == Action.FORWARD:
-            acc += 1
-        n_fwd_after[i] = acc
-    return ExpertPath(states=states, actions=actions, remaining=n_fwd_after * world.cell_size)
+    return ExpertPath(states=states, actions=actions)
 
 
 # ------------------------------------------------------------------ episodes
@@ -570,17 +565,21 @@ def sample_episode(
     """Goal near a landmark, start in the distance bracket tiers[difficulty].
 
     Reachability is teacher-verified, so a returned spec always carries
-    the true shortest-path length, and its plan field holds that teacher
-    plan for build_demonstration and TeacherPolicy to reuse. The plan is
-    not serialized: episode_to_dict leaves it out. Failed draws are
-    retried.
+    the true shortest-path length, the plan's forward moves times the
+    cell size, and its plan field holds that teacher plan for
+    build_demonstration and TeacherPolicy to reuse. The plan is not
+    serialized: episode_to_dict leaves it out. Failed draws are retried.
+    A world with no free ground cell or no landmark raises
+    GenerationError.
     """
     if difficulty not in tiers:
         raise ConfigError(f"unknown difficulty tier {difficulty!r}")
     lo, hi = tiers[difficulty]
     free_y, free_x = np.nonzero(world.height_field == 0)
     if free_x.size == 0:
-        raise GenerationError("world has no free ground cells")
+        raise GenerationError(f"world {world.world_id} has no free ground cells")
+    if not world.landmarks:
+        raise GenerationError(f"world {world.world_id} has no landmarks")
 
     for _ in range(MAX_TRIES):
         lm = world.landmarks[int(rng.integers(len(world.landmarks)))]
@@ -604,7 +603,7 @@ def sample_episode(
             plan = plan_path(world, start, (gx, gy))
         except InfeasibleError:
             continue
-        ell = float(plan.remaining[0])  # forward moves * cell_size
+        ell = float(plan.actions.count(Action.FORWARD) * world.cell_size)
         desc = GoalDescriptor(
             landmark_id=lm.id,
             sector=_sector_of(gx - lm.x, gy - lm.y),

@@ -187,7 +187,7 @@ def corridor_sanity(
             episode_returns=ep_returns,
         )
         shuffles = (substream(seed, "corridor-shuffle", update, e) for e in range(epochs))
-        if ppo_update(net, rollout, _corridor_heads, ppo_cfg, opt, shuffles)[0] is None:
+        if ppo_update(net, rollout, _corridor_heads, ppo_cfg, opt, shuffles) is None:
             raise NumericsError(f"corridor update {update} blew up")
         update += 1
         sr = _corridor_probe_sr(net, world, goal, cfg, threshold_m, ep_cap, starts)

@@ -65,8 +65,7 @@ def serial_eval(kind, worlds_by_split, cfg, out_dir):
                                                    result=result, traj=traj))
     cells = {(split, tier): aggregate(r.result for r in records if r.split == split and r.tier == tier)
              for split in worlds_by_split for tier in tiers}
-    report = BenchmarkReport(cells=cells, seeds=seeds, episodes_per_tier=cfg["eval.episodes_per_tier"],
-                             threshold_m=threshold_m)
+    report = BenchmarkReport(cells=cells, seeds=seeds, threshold_m=threshold_m)
     os.makedirs(out_dir, exist_ok=True)
     write_benchmark_csv(os.path.join(out_dir, "report.csv"), report)
     atomic_write(os.path.join(out_dir, "report.txt"), render_table(report))

@@ -315,6 +315,30 @@ def test_corpus_row_off_its_replayed_pose_exits_6(pipeline, tmp_path, capsys):
     assert str(episode) in err and "line 3" in err
 
 
+def test_world_without_landmarks_exits_5(pipeline, tmp_path, capsys):
+    cfg_path, out, _ = pipeline
+    alt = tmp_path / "bare_world"
+    shutil.copytree(os.path.join(out, "worlds"), alt / "worlds")
+    world = alt / "worlds" / "seen_00.txt"
+    lines = world.read_text().splitlines()
+    lm = next(i for i, line in enumerate(lines) if line.startswith("landmarks "))
+    world.write_text("\n".join(lines[:lm] + ["landmarks 0"]) + "\n")
+    assert main(["build-corpus", "--config", cfg_path, "--out", str(alt)]) == 5
+    assert "has no landmarks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train-il", "train-rl"])
+def test_empty_corpus_exits_6(pipeline, tmp_path, capsys, command):
+    cfg_path, out, _ = pipeline
+    alt = _stage_copy(out, tmp_path / "empty_corpus")
+    index = alt / "corpus" / "episodes.jsonl"
+    index.write_text("")
+    for log in (alt / "corpus").glob("episode_*.csv"):
+        log.unlink()
+    assert main([command, "--config", cfg_path, "--out", str(alt)]) == 6
+    assert f"{index}: no episodes" in capsys.readouterr().err
+
+
 # Each entry maps (lines, first heights row, "landmarks N" line) to damaged lines.
 WORLD_DAMAGE = {
     "cell_cut_from_row": lambda ls, r, lm: ls[:r] + [ls[r].rsplit(" ", 1)[0]] + ls[r + 1 :],

@@ -82,7 +82,6 @@ def test_flythrough_counts_oracle_only():
     r = episode_metrics(traj, spec, cell_size=CELL)
     assert not r.success
     assert r.oracle
-    assert r.truncated
 
 
 def test_sitting_at_goal_without_stop_is_failure():
@@ -150,10 +149,9 @@ def test_missing_goal_rejected():
 # --------------------------------------------------------------- aggregation
 
 
-def _result(success, oracle, ne=0.0, spl_path=None, shortest=10.0, tier="easy"):
-    return EpisodeResult(episode_id="e", final_pos=(0.0, 0.0), ne_m=ne, success=success,
-                         oracle=oracle, path_len_m=spl_path if spl_path is not None else shortest,
-                         shortest_m=shortest, steps_used=3, truncated=not success, tier=tier)
+def _result(success, oracle, ne=0.0, spl_path=None, shortest=10.0):
+    return EpisodeResult(episode_id="e", ne_m=ne, success=success, oracle=oracle,
+                         path_len_m=spl_path if spl_path is not None else shortest, shortest_m=shortest)
 
 
 def test_aggregate_hand_case():

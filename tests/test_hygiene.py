@@ -1,8 +1,9 @@
 """Source hygiene: every name a tiernav module imports is read in that module,
 every import sits at module level and names only modules earlier in ORDER,
 every text-mode open() names its encoding, only util.py opens a file to
-write, only agent.py and training.py render or map, and every public
-top-level function and class is named by the program."""
+write, only agent.py and training.py render or map, every public
+top-level function and class is named by the program, and every record
+field and stored attribute is read by the program."""
 
 import ast
 import re
@@ -345,3 +346,65 @@ def test_scan_flags_definitions_only_tests_call():
     world = SRC / "world.py"
     sources[world] += "\n\ndef orphan(x):\n    return orphan(x - 1) if x else 0\n"
     assert unnamed_public(sources) == [("world.py", "orphan")]
+
+
+def stored_fields(tree):
+    """(line, name) of each @dataclass field and each self.<name> store in a tree."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                (getattr(f, "id", None) or getattr(f, "attr", None)) == "dataclass"
+                for f in (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)):
+            out += [(st.lineno, st.target.id) for st in node.body
+                    if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            out.append((node.lineno, node.attr))
+    return out
+
+
+def unread_fields(sources):
+    """(file, line, name) of each field or self.<name> store in `sources` (path -> text)
+    whose name no source loads as an attribute."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted((path.name, line, name) for path, tree in trees.items()
+                  for line, name in stored_fields(tree) if name not in loaded)
+
+
+def test_every_record_field_is_read():
+    # tests/ do not count: a field that only tests read is data the program carries for nothing
+    assert unread_fields({p: p.read_text() for p in MODULES}) == []
+
+
+def test_scan_flags_unread_fields():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class R:\n"
+        "    used: int\n"
+        "    unused: float\n"
+        "    LIMIT = 3\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class S:\n"
+        "    kept: int\n"
+        "    dropped: int\n"
+        "class M:\n"
+        "    hint: int\n"
+        "    def __init__(self, n):\n"
+        "        self.n = n\n"
+        "        self.width = n\n"
+        "        self.count += 1\n"
+        "    def size(self, r, s):\n"
+        "        return self.n + r.used + s.kept\n"
+    )
+    module = Path("m.py")
+    assert unread_fields({module: source}) == [("m.py", 6, "unused"), ("m.py", 11, "dropped"),
+                                               ("m.py", 16, "width"), ("m.py", 17, "count")]
+    sources = {p: p.read_text() for p in MODULES}
+    world = SRC / "world.py"
+    n = len(sources[world].splitlines())
+    sources[world] += "\n\n@dataclass\nclass Orphan:\n    kept: int\n    lost: int\n\n\ndef use(o):\n    return o.kept\n"
+    assert unread_fields(sources) == [("world.py", n + 6, "lost")]

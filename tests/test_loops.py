@@ -181,6 +181,19 @@ def test_collect_rollout_contract(world, reward_cfg):
     np.testing.assert_allclose(seg_sums, ro.episode_returns)
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_rollout_log_probs_recompute_to_ratio_one(world, reward_cfg, seed):
+    # before any update, PPO's recomputed log-prob of every collected row
+    # matches the one the controller sampled with, so every ratio starts at 1
+    model = fresh_model(world, seed)
+    ro = collect_rollouts(NeuralPolicy(model), [world], EASY_MEDIUM, reward_cfg, 200, streams(seed, "recompute"))
+    rows = np.arange(len(ro))
+    lp_all, _ = training._rollout_heads(model, ro, rows)
+    ratio = np.exp(lp_all.data[rows, ro.actions] - ro.log_probs_old)
+    assert len(ratio) == 200
+    assert np.max(np.abs(ratio - 1.0)) <= 1e-12
+
+
 def test_collect_rollout_deterministic(world, reward_cfg):
     policy = NeuralPolicy(fresh_model(world))
     a = collect_rollouts(policy, [world], EASY, reward_cfg, 60, streams(11, "r"))
@@ -417,7 +430,6 @@ def test_stage2_runs_and_reports(world, corpus, reward_cfg):
                        seed=8, probe=probe)
     assert res.updates_run == 2 and not res.aborted
     assert res.env_steps == 192
-    assert abs(res.first_minibatch_ratio - 1.0) <= 1e-6
     for row in res.curve:
         assert set(row) == set(RL_CURVE_COLUMNS)
         assert 0.0 <= row["clip_fraction"] <= 1.0
@@ -425,15 +437,14 @@ def test_stage2_runs_and_reports(world, corpus, reward_cfg):
 
 
 def test_stage2_mean_ratio_is_per_update(world, corpus, reward_cfg, monkeypatch):
-    # each update's means average the ratio over that update's own
-    # minibatches; only first_minibatch_ratio keeps the very first one
+    # each update's means average the ratio over that update's own minibatches
     reports = []
     ppo_update = training.ppo_update
 
     def record(*args, **kwargs):
-        means, first_ratio = ppo_update(*args, **kwargs)
+        means = ppo_update(*args, **kwargs)
         reports.append(means)
-        return means, first_ratio
+        return means
 
     monkeypatch.setattr(training, "ppo_update", record)
     model = fresh_model(world, seed=12)
@@ -444,8 +455,6 @@ def test_stage2_mean_ratio_is_per_update(world, corpus, reward_cfg, monkeypatch)
     ratios = [r["ratio"] for r in reports]
     assert all(math.isfinite(r) and r > 0.0 for r in ratios)
     assert ratios[0] != ratios[1]
-    assert abs(res.first_minibatch_ratio - 1.0) <= 1e-6
-    assert ratios[0] != res.first_minibatch_ratio
 
 
 def test_stage2_lambda_zero_keeps_rl_out_of_total(world, corpus, reward_cfg):

@@ -77,7 +77,7 @@ def oracle_plan_path(world: CityWorld, start: UavState, goal, heuristic=manhatta
         closed.add(cur)
         x, y, z, hd = cur
         if x == gx and y == gy:
-            return oracle_reconstruct(world, came, cur, start)
+            return oracle_reconstruct(came, cur)
         g_cur = g_score[cur]
         succs = []
         dx, dy = DIRS[hd]
@@ -100,7 +100,7 @@ def oracle_plan_path(world: CityWorld, start: UavState, goal, heuristic=manhatta
     raise InfeasibleError(f"no path from ({sx},{sy},z{start.z}) to ({gx},{gy})")
 
 
-def oracle_reconstruct(world: CityWorld, came, goal_state, start: UavState) -> ExpertPath:
+def oracle_reconstruct(came, goal_state) -> ExpertPath:
     states = [goal_state]
     actions = []
     cur = goal_state
@@ -110,13 +110,7 @@ def oracle_reconstruct(world: CityWorld, came, goal_state, start: UavState) -> E
         actions.append(act)
     states.reverse()
     actions.reverse()
-    n_fwd_after = np.zeros(len(actions) + 1)
-    acc = 0
-    for i in range(len(actions) - 1, -1, -1):
-        if actions[i] == Action.FORWARD:
-            acc += 1
-        n_fwd_after[i] = acc
-    return ExpertPath(states=states, actions=actions, remaining=n_fwd_after * world.cell_size)
+    return ExpertPath(states=states, actions=actions)
 
 
 SMALL_TIERS = {"easy": (4.0, 12.0), "medium": (12.0, 24.0), "hard": (24.0, float("inf"))}
@@ -132,7 +126,7 @@ def assert_same_plan(new: ExpertPath, old: ExpertPath):
     assert new.states == old.states
     assert new.actions == old.actions
     assert all(type(a) is Action for a in new.actions)
-    np.testing.assert_array_equal(new.remaining, old.remaining)
+    assert new.actions.count(Action.FORWARD) == old.actions.count(Action.FORWARD)
 
 
 def draw_endpoints(wd, tier, rng):
@@ -223,7 +217,7 @@ def test_plan_path_keeps_cost_and_forward_count_of_hypot_planner(seed, cfg):
         new = plan_path(wd, start, goal)
         old = oracle_plan_path(wd, start, goal, math.hypot)
         assert plan_units(new) == plan_units(old), (start, goal)
-        assert new.remaining[0] == old.remaining[0], (start, goal)
+        assert new.actions.count(Action.FORWARD) == old.actions.count(Action.FORWARD), (start, goal)
 
 
 @pytest.mark.parametrize("seed,cfg", ORACLE_WORLDS)

@@ -58,8 +58,7 @@ def test_plan_straight_east():
     assert path.actions == [Action.FORWARD] * 5
     assert len(path.states) == 6
     assert path.states[-1][:2] == (7, 10)
-    assert path.remaining[0] == 25.0
-    assert path.remaining[-1] == 0.0
+    assert path.actions.count(Action.FORWARD) * wd.cell_size == 25.0
 
 
 def test_plan_includes_turn_cost():
@@ -134,15 +133,14 @@ def test_plan_never_enters_buildings():
             assert wd.height_field[y, x] < z
 
 
-def test_remaining_monotone_and_window_progress():
+def test_every_six_plan_actions_include_a_forward_move():
     wd = generate_world(13, WorldConfig(width=48, height=48, n_landmarks=5))
     rng = substream(6, "rem")
     for _ in range(15):
         ep = sample_episode(wd, "medium", rng)
-        rem = plan_path(wd, ep.start, ep.goal).remaining
-        assert np.all(np.diff(rem) <= 0)
-        for i in range(len(rem) - 6):
-            assert rem[i + 6] < rem[i]
+        actions = plan_path(wd, ep.start, ep.goal).actions
+        for i in range(len(actions) - 5):
+            assert Action.FORWARD in actions[i : i + 6]
 
 
 def test_sampled_episode_carries_its_plan():
@@ -151,7 +149,6 @@ def test_sampled_episode_carries_its_plan():
     fresh = plan_path(wd, ep.start, ep.goal)
     assert ep.plan.states == fresh.states
     assert ep.plan.actions == fresh.actions
-    np.testing.assert_array_equal(ep.plan.remaining, fresh.remaining)
     # the plan is neither compared nor serialized
     back = episode_from_dict(episode_to_dict(ep))
     assert back.plan is None

@@ -349,7 +349,7 @@ def test_expert_loss_reaches_every_module_but_the_map_encoder(tmp_path, monkeypa
     def first_update(model, rollout, forward, cfg, opt, shuffles, expert=None):
         seen.setdefault("opt", opt)
         seen.setdefault("expert", expert)
-        return None, 1.0  # a blow-up: train_stage2 rolls back and stops
+        return None  # a blow-up: train_stage2 rolls back and stops
 
     monkeypatch.setattr(training, "ppo_update", first_update)
     cfg = PPOConfig(rollout_steps=8, max_updates=1, tiers={"easy": TIERS["easy"]})

@@ -257,6 +257,12 @@ def test_generate_world_impossible_density_raises_with_seed():
 # ------------------------------------------------------------------- episodes
 
 
+def test_sample_episode_in_a_world_without_landmarks_raises():
+    wd = flat_world(landmarks=[])
+    with pytest.raises(GenerationError, match=f"world {wd.world_id} has no landmarks"):
+        sample_episode(wd, "easy", substream(12, "bare"))
+
+
 def test_sample_episode_brackets_hold():
     wd = generate_world(2, WorldConfig(width=64, height=64, n_landmarks=8))
     for tier, (lo, hi) in (("easy", (8, 24)), ("medium", (24, 48))):
